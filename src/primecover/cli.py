@@ -42,6 +42,7 @@ def _vec_set(vectors) -> str:
 def cmd_minimize(args: argparse.Namespace) -> int:
     f = _read_function(args.input, args.max_expand)
     started = time.perf_counter()
+    verified = True
     if isinstance(f, MultiFunction):
         if not args.multi:
             print(
@@ -58,7 +59,8 @@ def cmd_minimize(args: argparse.Namespace) -> int:
         elapsed = (time.perf_counter() - started) * 1000.0
         report = verify_cover(result, f)
         text = write_pla(result.cubes, f.n)
-        state = "ok" if report.ok else "FAILED"
+        verified = report.ok
+        state = "ok" if verified else "FAILED"
         summary = (
             f"{f.name or args.input}: {len(result.cubes)} cubes, "
             f"{len(result.on_minterms)} on-minterms, {elapsed:.2f} ms, "
@@ -70,7 +72,7 @@ def cmd_minimize(args: argparse.Namespace) -> int:
     else:
         sys.stdout.write(text)
         print(summary, file=sys.stderr)
-    return EXIT_OK
+    return EXIT_OK if verified else EXIT_VERIFY_FAILED
 
 
 def cmd_primes(args: argparse.Namespace) -> int:

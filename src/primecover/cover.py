@@ -13,14 +13,16 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Sequence, TypeVar
 
-from .bitcube import BitVec, Cube, cube_intersects, cube_text
+from .bitcube import BitVec, Cube, Slices, cube_text
 from .errors import EmptyOnset
 from .pi_gen import generate_spi
 from .pla_io import LogicFunction
 
 DEFAULT_ON_EXPANSION_CAP = 1 << 20
+
+T = TypeVar("T")
 
 
 def expand_on_minterms(
@@ -45,19 +47,25 @@ def expand_on_minterms(
     return out
 
 
+def _on_slices(on_minterms: Sequence[BitVec], n: int) -> Slices:
+    return Slices.of_minterms([m.value for m in on_minterms], n)
+
+
 def coverage_mask(pi: Cube, on_minterms: Sequence[BitVec]) -> BitVec:
     """Bit i set when the cube contains the i-th on-minterm (MSB is index 0)."""
-    width = len(on_minterms)
-    bits = 0
-    for i, m in enumerate(on_minterms):
-        if pi.covers_value(m.value):
-            bits |= 1 << (width - 1 - i)
-    return BitVec(width, bits)
+    return _on_slices(on_minterms, pi.width).mask_of(pi)
 
 
-def mask_members(mask: BitVec, on_minterms: Sequence[BitVec]) -> list[BitVec]:
-    width = len(on_minterms)
-    return [on_minterms[i] for i in range(width) if mask.value >> (width - 1 - i) & 1]
+def mask_members(mask: BitVec, items: Sequence[T]) -> list[T]:
+    """The items whose index bit is set in ``mask`` (MSB is index 0), in order."""
+    width = len(items)
+    out = []
+    rest = mask.value
+    while rest:
+        top = rest.bit_length()
+        out.append(items[width - top])
+        rest ^= 1 << (top - 1)
+    return out
 
 
 def find_dominant(restricted: Sequence[int]) -> int | None:
@@ -122,23 +130,22 @@ def direct_cover(
     if not f.on:
         raise EmptyOnset("the on-set is empty")
     on_list = expand_on_minterms(f, on_expansion_cap)
+    on = _on_slices(on_list, f.n)
     width = len(on_list)
     chosen: list[Cube] = []
     chosen_masks: list[BitVec] = []
-    covered = 0
+    uncovered = (1 << width) - 1
     iterations = 0
-    while covered != (1 << width) - 1:
-        origin = next(
-            on_list[i] for i in range(width) if not covered >> (width - 1 - i) & 1
-        )
+    while uncovered:
+        # the first uncovered origin is the highest set bit of ``uncovered``
+        origin = on_list[width - uncovered.bit_length()]
         pis = generate_spi(origin, f.off)
-        candidates = [(pi, coverage_mask(pi, on_list)) for pi in pis]
-        uncovered = BitVec(width, ((1 << width) - 1) & ~covered)
-        idx = _select_index(candidates, uncovered)
+        candidates = [(pi, on.mask_of(pi)) for pi in pis]
+        idx = _select_index(candidates, BitVec(width, uncovered))
         cube, mask = candidates[idx]
         chosen.append(cube)
         chosen_masks.append(mask)
-        covered |= mask.value
+        uncovered &= ~mask.value
         iterations += 1
     if irredundant:
         keep = _irredundant_indices(chosen_masks, width)
@@ -189,20 +196,23 @@ def verify_cover(
     """Check coverage of the on-set, disjointness from the off-set, and
     primality of every cube by the literal-raising test."""
     cubes = list(cover.cubes) if isinstance(cover, CoverResult) else list(cover)
-    missing = [
-        m
-        for m in expand_on_minterms(f, on_expansion_cap)
-        if not any(c.covers_value(m.value) for c in cubes)
-    ]
-    off_conflicts = [
-        (c, z) for c in cubes for z in f.off if cube_intersects(c, z)
-    ]
+    for c in cubes:
+        if c.width != f.n:
+            raise ValueError(f"width mismatch: {c.width} vs {f.n}")
+    on_list = expand_on_minterms(f, on_expansion_cap)
+    on = _on_slices(on_list, f.n)
+    off = Slices([(z.left.value, z.right.value) for z in f.off], f.n)
+    uncovered = (1 << on.count) - 1
+    for c in cubes:
+        uncovered &= ~on.meets(c.left.value, c.right.value)
+    missing = mask_members(BitVec(on.count, uncovered), on_list)
+    off_conflicts: list[tuple[Cube, Cube]] = []
     removable: list[tuple[Cube, int]] = []
     for c in cubes:
+        off_conflicts.extend((c, z) for z in mask_members(off.mask_of(c), f.off))
+        left, right, spec = c.left.value, c.right.value, c.specified_mask
         for pos in range(c.width):
-            if not c.specified_mask >> pos & 1:
-                continue
-            raised = c.raise_literal(pos)
-            if not any(cube_intersects(raised, z) for z in f.off):
+            bit = 1 << pos
+            if spec & bit and not off.meets(left | bit, right | bit):
                 removable.append((c, c.width - 1 - pos))
     return CoverReport(tuple(missing), tuple(off_conflicts), tuple(removable))

@@ -23,8 +23,9 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .bitcube import BitVec, Cube, cube_text, minterm_to_cube
-from .cover import coverage_mask, direct_cover, find_dominant
+from .bitcube import BitVec, Cube, Slices, cube_text, minterm_to_cube
+# coverage_mask stays importable here: perfbench/tracing.py wraps it by name
+from .cover import coverage_mask, direct_cover, find_dominant, mask_members  # noqa: F401
 from .errors import EmptyOnset
 from .pi_gen import generate_spi
 from .pla_io import LogicFunction, MultiFunction
@@ -100,8 +101,8 @@ def _current_tags(
     return tags
 
 
-def _best_pi(minterm: BitVec, tag: frozenset[int], f: MultiFunction) -> Cube:
-    pis = generate_spi(minterm, subfunction_off(tag, f))
+def _best_pi(minterm: BitVec, off: Sequence[Cube]) -> Cube:
+    pis = generate_spi(minterm, off)
     return min(pis, key=lambda c: (c.literal_count, cube_text(c)))
 
 
@@ -127,16 +128,25 @@ def edsa_minimize(f: MultiFunction) -> list[TaggedCube]:
         raise EmptyOnset("no output is ever true")
     covered: set[tuple[int, int]] = set()
     committed: list[TaggedCube] = []
+    # tags recur across origins; each joint off-set is built once
+    off_by_tag: dict[frozenset[int], list[Cube]] = {}
+
+    def off_of(tag: frozenset[int]) -> list[Cube]:
+        off = off_by_tag.get(tag)
+        if off is None:
+            off = off_by_tag[tag] = subfunction_off(tag, f)
+        return off
+
+    rows = Slices.of_minterms([m.value for m, _ in f.rows], f.n)
 
     def commit(cube: Cube, tag: frozenset[int]) -> None:
         tc = TaggedCube(cube, tag)
         if tc not in committed:
             committed.append(tc)
-        for m, values in f.rows:
-            if cube.covers_value(m.value):
-                for j in tag:
-                    if values[j] == 1:
-                        covered.add((m.value, j))
+        for m, values in mask_members(rows.mask_of(cube), f.rows):
+            for j in tag:
+                if values[j] == 1:
+                    covered.add((m.value, j))
 
     while True:
         tags = _current_tags(f, covered)
@@ -145,9 +155,10 @@ def edsa_minimize(f: MultiFunction) -> list[TaggedCube]:
         origin_value = min(tags, key=lambda v: (len(tags[v]), v))
         origin = BitVec(f.n, origin_value)
         tag = tags[origin_value]
-        pis = generate_spi(origin, subfunction_off(tag, f))
-        universe = [BitVec(f.n, v) for v in sorted(tags) if tag <= tags[v]]
-        candidates = [(pi, coverage_mask(pi, universe)) for pi in pis]
+        pis = generate_spi(origin, off_of(tag))
+        universe = [v for v in sorted(tags) if tag <= tags[v]]
+        sliced = Slices.of_minterms(universe, f.n)
+        candidates = [(pi, sliced.mask_of(pi)) for pi in pis]
         restricted = [mask.value for _, mask in candidates]
         dom = find_dominant(restricted)
         if dom is not None or len(candidates) == 1:
@@ -160,12 +171,12 @@ def edsa_minimize(f: MultiFunction) -> list[TaggedCube]:
             inter &= r
         width = len(universe)
         neighbor_values = [
-            universe[i].value
+            universe[i]
             for i in range(width)
             if (union & ~inter) >> (width - 1 - i) & 1
         ]
         best_by_neighbor = {
-            nv: _best_pi(BitVec(f.n, nv), tags[nv], f) for nv in neighbor_values
+            nv: _best_pi(BitVec(f.n, nv), off_of(tags[nv])) for nv in neighbor_values
         }
 
         def score(item: tuple[Cube, BitVec]) -> tuple[float, int, str]:

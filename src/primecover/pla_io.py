@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .bitcube import BitVec, Cube, cube_intersects, cube_text
+from .bitcube import BitVec, Cube, Slices, cube_text
 from .errors import InconsistentFunction, PlaParseError
 
 DEFAULT_COMPLEMENT_CAP = 16
@@ -44,13 +44,19 @@ class LogicFunction:
                 raise ValueError(f"cube {c} does not have {self.n} variables")
 
     def validate(self) -> None:
-        """Reject functions whose on-set and off-set share a minterm."""
+        """Reject functions whose on-set and off-set share a minterm.
+
+        The message names the first such on-cube and the first off-cube it
+        meets.  Costs O((|on| + |off|) * n) big-int operations.
+        """
+        if not (self.on and self.off):
+            return
+        off = Slices([(b.left.value, b.right.value) for b in self.off], self.n)
         for a in self.on:
-            for b in self.off:
-                if cube_intersects(a, b):
-                    raise InconsistentFunction(
-                        f"on-cube {a} intersects off-cube {b}"
-                    )
+            hit = off.meets(a.left.value, a.right.value)
+            if hit:
+                b = self.off[off.count - hit.bit_length()]
+                raise InconsistentFunction(f"on-cube {a} intersects off-cube {b}")
 
 
 @dataclass(frozen=True)

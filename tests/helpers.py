@@ -6,7 +6,18 @@ import itertools
 import logging
 import random
 
-from primecover import BitVec, Cube, LogicFunction, MultiFunction, minterm_to_cube
+from primecover import (
+    BitVec,
+    CoverReport,
+    CoverResult,
+    Cube,
+    InconsistentFunction,
+    LogicFunction,
+    MultiFunction,
+    cube_intersects,
+    minterm_to_cube,
+)
+from primecover.cover import expand_on_minterms
 
 bv = BitVec.from_text
 
@@ -178,6 +189,45 @@ def naive_primes(f: LogicFunction) -> set[Cube]:
         if maximal:
             primes.add(c)
     return primes
+
+
+# Pairwise references for the sliced set algebra: one cube_intersects or
+# covers_value call per pair, as the library computed these before.
+
+
+def reference_validate(f: LogicFunction) -> None:
+    for a in f.on:
+        for b in f.off:
+            if cube_intersects(a, b):
+                raise InconsistentFunction(f"on-cube {a} intersects off-cube {b}")
+
+
+def reference_coverage_mask(pi: Cube, on_minterms) -> BitVec:
+    width = len(on_minterms)
+    bits = 0
+    for i, m in enumerate(on_minterms):
+        if pi.covers_value(m.value):
+            bits |= 1 << (width - 1 - i)
+    return BitVec(width, bits)
+
+
+def reference_verify_cover(cover, f: LogicFunction) -> CoverReport:
+    cubes = list(cover.cubes) if isinstance(cover, CoverResult) else list(cover)
+    missing = [
+        m
+        for m in expand_on_minterms(f)
+        if not any(c.covers_value(m.value) for c in cubes)
+    ]
+    off_conflicts = [(c, z) for c in cubes for z in f.off if cube_intersects(c, z)]
+    removable = []
+    for c in cubes:
+        for pos in range(c.width):
+            if not c.specified_mask >> pos & 1:
+                continue
+            raised = c.raise_literal(pos)
+            if not any(cube_intersects(raised, z) for z in f.off):
+                removable.append((c, c.width - 1 - pos))
+    return CoverReport(tuple(missing), tuple(off_conflicts), tuple(removable))
 
 
 class WidthCollector(logging.Handler):

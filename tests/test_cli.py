@@ -1,6 +1,7 @@
 from pathlib import Path
 
-from primecover import parse_pla
+from primecover import BitVec, CoverReport, parse_pla
+from primecover import cli
 from primecover.cli import main
 from helpers import TRI_OUTPUT_PLA, five_var_pla
 
@@ -29,6 +30,16 @@ def test_minimize_to_stdout(tmp_path, capsys):
     assert rc == 0
     assert ".type fr" in captured.out
     assert "cubes" in captured.err
+
+
+def test_minimize_exits_1_when_verification_fails(tmp_path, capsys, monkeypatch):
+    src = write(tmp_path, "fivevar.pla", five_var_pla())
+    violating = CoverReport((BitVec.from_text("00000"),), (), ())
+    monkeypatch.setattr(cli, "verify_cover", lambda cover, f: violating)
+    rc = main(["minimize", src, "--out", str(tmp_path / "cover.pla")])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert "verification FAILED" in captured.out
 
 
 def test_minimize_multi_requires_flag(tmp_path, capsys):
