@@ -200,6 +200,26 @@ def split_lowest_one(a: BitVec) -> tuple[BitVec, BitVec]:
     return BitVec(a.width, rest ^ a.value), BitVec(a.width, rest)
 
 
+def minimal_ones(values: Sequence[int]) -> list[int]:
+    """The values whose ones contain no other value's ones, in input order;
+    of equal values only the first is kept.
+
+    A strict subset has fewer ones, so taking the distinct values by
+    ascending popcount, each one is checked against the minimal ones
+    kept so far, which include a subset of every absorbed value.
+    """
+    distinct = list(dict.fromkeys(values))
+    minimal: list[int] = []
+    for v in sorted(distinct, key=int.bit_count):
+        for u in minimal:
+            if u & v == u:
+                break
+        else:
+            minimal.append(v)
+    keep = set(minimal)
+    return [v for v in distinct if v in keep]
+
+
 def minterm_to_cube(p: BitVec) -> Cube:
     """The 0-dimensional cube covering exactly the minterm ``p``."""
     return Cube(~p, p)
@@ -282,15 +302,18 @@ class Slices:
         return BitVec(self.count, self.meets(c.left.value, c.right.value))
 
 
+# each hex digit is 2 * left + right of one position: 2, 1 or 3, no carries
+_TEXT_OF_DIGIT = str.maketrans("213", "01x")
+
+
 def cube_text(c: Cube) -> str:
     """Render a cube with one character per variable from {0, 1, x}."""
     if c.empty:
         raise ValueError("an empty cube has no text form")
-    chars = []
-    for pos in range(c.width - 1, -1, -1):
-        pair = (c.left.value >> pos & 1, c.right.value >> pos & 1)
-        chars.append({(1, 0): "0", (0, 1): "1", (1, 1): "x"}[pair])
-    return "".join(chars)
+    # reading each pair's binary digits in base 16 spreads them one per
+    # hex digit; base 16 also avoids the int/str digit limit of base 10
+    pairs = 2 * int(f"{c.left.value:b}", 16) + int(f"{c.right.value:b}", 16)
+    return format(pairs, "x").translate(_TEXT_OF_DIGIT)
 
 
 def text_cube(s: str) -> Cube:

@@ -107,7 +107,6 @@ class CoverResult:
     coverage: tuple[BitVec, ...]
     on_minterms: tuple[BitVec, ...]
     iterations: int
-    pi_sets_generated: int
     elapsed_ms: float
 
     @property
@@ -157,7 +156,6 @@ def direct_cover(
         coverage=tuple(chosen_masks),
         on_minterms=tuple(on_list),
         iterations=iterations,
-        pi_sets_generated=iterations,
         elapsed_ms=elapsed,
     )
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .bitcube import BitVec, Cube, cube_text
+from .bitcube import BitVec, Cube, cube_text, minimal_ones
 from .errors import EmptyOffset
 from .reduced_offset import DiSet, generate_sdm
 
@@ -22,34 +22,23 @@ def generate_m(D: BitVec) -> list[BitVec]:
     """Split an indicator into its one-hot projections, lowest bit first."""
     if D.value == 0:
         raise ValueError("zero difference indicator has no clause")
-    out: list[BitVec] = []
-    v = D.value
-    while v:
-        rest = v & (v - 1)
-        out.append(BitVec(D.width, v ^ rest))
-        v = rest
+    return [BitVec(D.width, b) for b in _clause_bits(D.value)]
+
+
+def _clause_bits(d: int) -> list[int]:
+    """One-hot projections of a nonzero indicator value, lowest bit first."""
+    out: list[int] = []
+    while d:
+        rest = d & (d - 1)
+        out.append(d ^ rest)
+        d = rest
     return out
 
 
 def minimize_n(vectors: Sequence[BitVec]) -> list[BitVec]:
     """Remove strict supersets (by ones) and later duplicates."""
-    kept: list[BitVec] = []
-    for i, v in enumerate(vectors):
-        redundant = False
-        for j, u in enumerate(vectors):
-            if j == i:
-                continue
-            if u.value == v.value:
-                if j < i:
-                    redundant = True
-                    break
-                continue
-            if u.value & v.value == u.value:
-                redundant = True
-                break
-        if not redundant:
-            kept.append(v)
-    return kept
+    first = {v.value: v for v in reversed(vectors)}  # first object per value
+    return [first[v] for v in minimal_ones([v.value for v in vectors])]
 
 
 def cross_or(n_vectors: Sequence[BitVec], m_vectors: Sequence[BitVec]) -> list[BitVec]:
@@ -82,21 +71,34 @@ def generate_n(
         raise ValueError("need at least one difference indicator")
     if any(d.value == 0 for d in seq):
         raise ValueError("zero difference indicator")
-    n_vectors = [BitVec.zeros(seq[0].width)]
+    width = seq[0].width
+    vectors = [0]
     for d in seq:
-        clauses = generate_m(d)
-        n_vectors = cross_or(n_vectors, clauses)
+        if d.width != width:
+            raise ValueError(f"width mismatch: {width} vs {d.width}")
+        bits = _clause_bits(d.value)
+        vectors = minimal_ones([e | b for e in vectors for b in bits])
         if trace is not None:
-            trace.append(NStep(di=d, clauses=tuple(clauses), vectors=tuple(n_vectors)))
-    return n_vectors
+            trace.append(
+                NStep(
+                    di=d,
+                    clauses=tuple(generate_m(d)),
+                    vectors=tuple(BitVec(width, v) for v in vectors),
+                )
+            )
+    return [BitVec(width, v) for v in vectors]
 
 
 def vectors_to_pis(P: BitVec, vectors: Sequence[BitVec]) -> list[Cube]:
     """Materialise one cube per literal-position vector, values taken from P."""
+    width, p = P.width, P.value
+    full = (1 << width) - 1
     out: list[Cube] = []
     for e in vectors:
-        inv = ~e
-        out.append(Cube((~P) | inv, P | inv))
+        if e.width != width:
+            raise ValueError(f"width mismatch: {width} vs {e.width}")
+        free = full ^ e.value
+        out.append(Cube(BitVec(width, (full ^ p) | free), BitVec(width, p | free)))
     return out
 
 

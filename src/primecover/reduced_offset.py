@@ -6,7 +6,8 @@ reduced cube suffices: bit i set means variable i appears there (with
 the complement of p_i), bit i clear means the position is a don't care.
 ``generate_sdm`` folds a whole off-set into the absorption-minimal set
 of such difference indicators without ever materialising the unreduced
-offset.
+offset; the fold runs on plain ints, and ``BitVec`` wraps only its
+result.
 
 Polarity runs opposite to cube size: more 1-bits means more literals and
 a smaller cube, so vector s absorbs vector d exactly when the ones of s
@@ -22,13 +23,12 @@ from __future__ import annotations
 import bisect
 import logging
 from dataclasses import dataclass, field
+from typing import Iterable, Iterator
 
-from .bitcube import BitVec, Cube, cube_contains, minterm_to_cube
+from .bitcube import BitVec, Cube, cube_contains, minimal_ones, minterm_to_cube
 from .errors import EmptyOffset, InconsistentFunction
 
 log = logging.getLogger(__name__)
-
-DiffIndicator = BitVec
 
 
 @dataclass
@@ -66,6 +66,32 @@ def _as_cube(z: Cube | BitVec) -> Cube:
     return minterm_to_cube(z) if isinstance(z, BitVec) else z
 
 
+def _indicators(P: BitVec, off_cubes: "Iterable[Cube | BitVec]") -> Iterator[int]:
+    """Difference indicator values of the off-cubes against ``P``, in order.
+
+    Lazy, so an error surfaces at its off-cube after the earlier ones
+    have been folded, exactly as a one-at-a-time fold would raise it.
+    """
+    p, width = P.value, P.width
+    for z in off_cubes:
+        if isinstance(z, BitVec):
+            if z.width != width:
+                raise ValueError(f"width mismatch: {width} vs {z.width}")
+            d = p ^ z.value
+        else:
+            if z.empty:
+                raise ValueError("difference indicator of an empty cube")
+            left, right = z.left, z.right
+            if left.width != width:
+                raise ValueError(f"width mismatch: {width} vs {left.width}")
+            d = (p ^ right.value) & (left.value ^ right.value)
+        if not d:
+            raise InconsistentFunction(
+                f"minterm {P} is contained in off-cube {_as_cube(z)}"
+            )
+        yield d
+
+
 def generate_di(P: BitVec, Z: Cube | BitVec) -> BitVec:
     """Difference indicator of the off-cube ``Z`` with respect to minterm ``P``.
 
@@ -73,17 +99,34 @@ def generate_di(P: BitVec, Z: Cube | BitVec) -> BitVec:
     from p_i.  For a minterm Z this degenerates to plain XOR.  A zero
     result means P lies inside Z, which contradicts P being an on-minterm.
     """
-    Z = _as_cube(Z)
-    if Z.empty:
-        raise ValueError("difference indicator of an empty cube")
-    if P.width != Z.width:
-        raise ValueError(f"width mismatch: {P.width} vs {Z.width}")
-    d = (P.value ^ Z.right.value) & Z.specified_mask
-    if d == 0:
-        raise InconsistentFunction(
-            f"minterm {P} is contained in off-cube {Z}"
-        )
-    return BitVec(P.width, d)
+    return BitVec(P.width, next(_indicators(P, (Z,))))
+
+
+def _fold(elements: list[int], indicators: "Iterable[int]") -> tuple[int, int]:
+    """Fold nonzero indicators into the ascending absorption-minimal
+    ``elements``, in place; returns (comparisons, absorptions).
+
+    Per indicator d the scan runs from the smallest element and stops at
+    the first element absorbing d.  Each element examined counts as one
+    comparison; every vector dropped (d itself, or each element d
+    absorbs) counts as one absorption.
+    """
+    comparisons = absorptions = 0
+    for d in indicators:
+        examined = 0
+        for s in elements:
+            examined += 1
+            if s & d == s:
+                comparisons += examined
+                absorptions += 1
+                break
+        else:
+            comparisons += examined
+            kept = [s for s in elements if s & d != d]
+            absorptions += examined - len(kept)
+            bisect.insort(kept, d)
+            elements[:] = kept
+    return comparisons, absorptions
 
 
 def reform_sdm(S: DiSet, D: BitVec) -> DiSet:
@@ -98,20 +141,11 @@ def reform_sdm(S: DiSet, D: BitVec) -> DiSet:
         raise ValueError("zero difference indicator")
     if S.elements and S.elements[0].width != D.width:
         raise ValueError(f"width mismatch: {S.elements[0].width} vs {D.width}")
-    dv = D.value
-    removed: list[int] = []
-    for idx, s in enumerate(S.elements):
-        S.comparisons += 1
-        a = s.value & dv
-        if a == s.value:
-            S.absorptions += 1
-            return S
-        if a == dv:
-            removed.append(idx)
-    for idx in reversed(removed):
-        del S.elements[idx]
-    S.absorptions += len(removed)
-    bisect.insort(S.elements, D)
+    values = [s.value for s in S.elements]
+    comparisons, absorptions = _fold(values, (D.value,))
+    S.comparisons += comparisons
+    S.absorptions += absorptions
+    S.elements[:] = [BitVec(D.width, v) for v in values]
     return S
 
 
@@ -140,32 +174,36 @@ def generate_sdm(
     the universal cube) and propagates ``InconsistentFunction`` when P
     lies inside some off-cube.
     """
-    off = [_as_cube(z) for z in off_cubes]
+    off = list(off_cubes)
     if not off:
         raise EmptyOffset("off-set is empty; every point is coverable by the universal cube")
-    S = DiSet([BitVec.ones(P.width)])
-    for j, Z in enumerate(off, start=1):
-        D = generate_di(P, Z)
-        before = (S.comparisons, S.absorptions)
-        reform_sdm(S, D)
-        if trace is not None:
+    width = P.width
+    elements = [(1 << width) - 1]
+    if trace is None:
+        comparisons, absorptions = _fold(elements, _indicators(P, off))
+    else:
+        comparisons = absorptions = 0
+        for j, (z, d) in enumerate(zip(off, _indicators(P, off)), start=1):
+            step_comparisons, step_absorbed = _fold(elements, (d,))
+            comparisons += step_comparisons
+            absorptions += step_absorbed
             trace.append(
                 SdmStep(
                     index=j,
-                    off_cube=Z,
-                    di=D,
-                    comparisons=S.comparisons - before[0],
-                    absorbed=S.absorptions - before[1],
-                    elements=tuple(S.elements),
+                    off_cube=_as_cube(z),
+                    di=BitVec(width, d),
+                    comparisons=step_comparisons,
+                    absorbed=step_absorbed,
+                    elements=tuple(BitVec(width, e) for e in elements),
                 )
             )
     log.debug(
         "di set width %d for %d inputs (empirical bound 2.5n = %.1f)",
-        len(S.elements),
-        P.width,
-        2.5 * P.width,
+        len(elements),
+        width,
+        2.5 * width,
     )
-    return S
+    return DiSet([BitVec(width, e) for e in elements], comparisons, absorptions)
 
 
 def reduce_off_cube(P: BitVec, Z: Cube | BitVec) -> Cube:
@@ -198,22 +236,22 @@ def derive_rc(P: BitVec, D: BitVec) -> Cube:
 
 
 def minimize_sr(cubes: "list[Cube] | tuple[Cube, ...]") -> list[Cube]:
-    """Drop every cube contained in another one; duplicates keep the first."""
+    """Drop every cube contained in another one; duplicates keep the first.
+
+    d lies in c exactly when the ones of c's ``left << n | right`` are a
+    subset of d's, so the complements of those pairs go through the same
+    absorption as literal-position vectors.
+    """
     seq = list(cubes)
-    kept: list[Cube] = []
-    for i, c in enumerate(seq):
-        redundant = False
-        for j, other in enumerate(seq):
-            if j == i:
-                continue
-            if other == c:
-                if j < i:
-                    redundant = True
-                    break
-                continue
-            if cube_contains(other, c):
-                redundant = True
-                break
-        if not redundant:
-            kept.append(c)
-    return kept
+    if not seq:
+        return []
+    for c in seq:
+        if c != seq[0]:
+            # raises on mixed widths or an empty cube among distinct cubes
+            cube_contains(seq[0], c)
+    n = seq[0].width
+    full = (1 << 2 * n) - 1
+    by_key: dict[int, Cube] = {}
+    for c in seq:
+        by_key.setdefault(full ^ (c.left.value << n | c.right.value), c)
+    return [by_key[k] for k in minimal_ones(list(by_key))]

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import logging
 import random
@@ -11,13 +12,17 @@ from primecover import (
     CoverReport,
     CoverResult,
     Cube,
+    DiSet,
+    EmptyOffset,
     InconsistentFunction,
     LogicFunction,
     MultiFunction,
+    cube_contains,
     cube_intersects,
     minterm_to_cube,
 )
 from primecover.cover import expand_on_minterms
+from primecover.reduced_offset import SdmStep
 
 bv = BitVec.from_text
 
@@ -228,6 +233,136 @@ def reference_verify_cover(cover, f: LogicFunction) -> CoverReport:
             if not any(cube_intersects(raised, z) for z in f.off):
                 removable.append((c, c.width - 1 - pos))
     return CoverReport(tuple(missing), tuple(off_conflicts), tuple(removable))
+
+
+# BitVec references for the int-native generator core: the fold, the
+# clause expansion, absorption and cube text as the library computed
+# them one carrier object at a time.
+
+
+def reference_generate_di(P: BitVec, Z) -> BitVec:
+    Z = minterm_to_cube(Z) if isinstance(Z, BitVec) else Z
+    if Z.empty:
+        raise ValueError("difference indicator of an empty cube")
+    if P.width != Z.width:
+        raise ValueError(f"width mismatch: {P.width} vs {Z.width}")
+    d = (P.value ^ Z.right.value) & Z.specified_mask
+    if d == 0:
+        raise InconsistentFunction(f"minterm {P} is contained in off-cube {Z}")
+    return BitVec(P.width, d)
+
+
+def reference_reform_sdm(S: DiSet, D: BitVec) -> DiSet:
+    if D.value == 0:
+        raise ValueError("zero difference indicator")
+    if S.elements and S.elements[0].width != D.width:
+        raise ValueError(f"width mismatch: {S.elements[0].width} vs {D.width}")
+    dv = D.value
+    removed: list[int] = []
+    for idx, s in enumerate(S.elements):
+        S.comparisons += 1
+        a = s.value & dv
+        if a == s.value:
+            S.absorptions += 1
+            return S
+        if a == dv:
+            removed.append(idx)
+    for idx in reversed(removed):
+        del S.elements[idx]
+    S.absorptions += len(removed)
+    bisect.insort(S.elements, D)
+    return S
+
+
+def reference_generate_sdm(P: BitVec, off_cubes, *, trace: list | None = None) -> DiSet:
+    off = [minterm_to_cube(z) if isinstance(z, BitVec) else z for z in off_cubes]
+    if not off:
+        raise EmptyOffset("off-set is empty; every point is coverable by the universal cube")
+    S = DiSet([BitVec.ones(P.width)])
+    for j, Z in enumerate(off, start=1):
+        D = reference_generate_di(P, Z)
+        before = (S.comparisons, S.absorptions)
+        reference_reform_sdm(S, D)
+        if trace is not None:
+            trace.append(
+                SdmStep(
+                    index=j,
+                    off_cube=Z,
+                    di=D,
+                    comparisons=S.comparisons - before[0],
+                    absorbed=S.absorptions - before[1],
+                    elements=tuple(S.elements),
+                )
+            )
+    return S
+
+
+def reference_minimize_n(vectors) -> list[BitVec]:
+    kept: list[BitVec] = []
+    for i, v in enumerate(vectors):
+        redundant = False
+        for j, u in enumerate(vectors):
+            if j == i:
+                continue
+            if u.value == v.value:
+                if j < i:
+                    redundant = True
+                    break
+                continue
+            if u.value & v.value == u.value:
+                redundant = True
+                break
+        if not redundant:
+            kept.append(v)
+    return kept
+
+
+def reference_cross_or(n_vectors, m_vectors) -> list[BitVec]:
+    if not n_vectors:
+        raise ValueError("vector set must be seeded with the all-zeros vector")
+    if not m_vectors:
+        raise ValueError("clause set must be nonempty")
+    return reference_minimize_n([e | v for e in n_vectors for v in m_vectors])
+
+
+def reference_generate_n(dis) -> list[BitVec]:
+    seq = list(dis)
+    n_vectors = [BitVec.zeros(seq[0].width)]
+    for d in seq:
+        clauses = [BitVec(d.width, 1 << p) for p in d.one_positions()]
+        n_vectors = reference_cross_or(n_vectors, clauses)
+    return n_vectors
+
+
+def reference_minimize_sr(cubes) -> list[Cube]:
+    seq = list(cubes)
+    kept: list[Cube] = []
+    for i, c in enumerate(seq):
+        redundant = False
+        for j, other in enumerate(seq):
+            if j == i:
+                continue
+            if other == c:
+                if j < i:
+                    redundant = True
+                    break
+                continue
+            if cube_contains(other, c):
+                redundant = True
+                break
+        if not redundant:
+            kept.append(c)
+    return kept
+
+
+def reference_cube_text(c: Cube) -> str:
+    if c.empty:
+        raise ValueError("an empty cube has no text form")
+    chars = []
+    for pos in range(c.width - 1, -1, -1):
+        pair = (c.left.value >> pos & 1, c.right.value >> pos & 1)
+        chars.append({(1, 0): "0", (0, 1): "1", (1, 1): "x"}[pair])
+    return "".join(chars)
 
 
 class WidthCollector(logging.Handler):

@@ -1,0 +1,175 @@
+"""Property tests: the int-native fold, expansion and absorption against
+the BitVec references in helpers."""
+
+import random
+
+from hypothesis import given
+from hypothesis import strategies as st
+
+from primecover import (
+    BitVec,
+    Cube,
+    DiSet,
+    cross_or,
+    cube_text,
+    generate_di,
+    generate_n,
+    generate_sdm,
+    minimize_n,
+    minimize_sr,
+    reform_sdm,
+    text_cube,
+)
+from helpers import (
+    reference_cross_or,
+    reference_cube_text,
+    reference_generate_di,
+    reference_generate_n,
+    reference_generate_sdm,
+    reference_minimize_n,
+    reference_minimize_sr,
+    reference_reform_sdm,
+)
+
+widths = st.integers(min_value=1, max_value=12)
+
+
+def cubes(width: int) -> st.SearchStrategy[Cube]:
+    return st.text(alphabet="01x", min_size=width, max_size=width).map(text_cube)
+
+
+def minterms(width: int) -> st.SearchStrategy[BitVec]:
+    return st.integers(0, (1 << width) - 1).map(lambda v: BitVec(width, v))
+
+
+def indicators(width: int) -> st.SearchStrategy[BitVec]:
+    return st.integers(1, (1 << width) - 1).map(lambda v: BitVec(width, v))
+
+
+def off_items(width: int):
+    return st.one_of(minterms(width), cubes(width))
+
+
+def contains(z, p: BitVec) -> bool:
+    return z == p if isinstance(z, BitVec) else z.covers_value(p.value)
+
+
+def outcome(fn, *args, **kwargs):
+    """The result of the call, or the type and message of what it raised."""
+    try:
+        return fn(*args, **kwargs)
+    except ValueError as exc:  # InconsistentFunction and EmptyOffset included
+        return (type(exc), str(exc))
+
+
+@given(st.data())
+def test_generate_sdm_matches_reference(data):
+    width = data.draw(widths)
+    p = data.draw(minterms(width))
+    off = data.draw(st.lists(off_items(width), max_size=40))
+    off = [z for z in off if not contains(z, p)]
+    got_trace, want_trace = [], []
+    got = outcome(generate_sdm, p, off, trace=got_trace)
+    want = outcome(reference_generate_sdm, p, off, trace=want_trace)
+    assert got == want  # elements, comparisons and absorptions
+    assert got_trace == want_trace
+    assert outcome(generate_sdm, p, off) == want
+
+
+@given(st.data())
+def test_generate_sdm_errors_match_reference(data):
+    """Off-cubes containing P, empty cubes and other widths raise the same
+    error at the same off-cube, after tracing the same earlier steps."""
+    width = data.draw(widths)
+    p = data.draw(minterms(width))
+    other = data.draw(st.integers(1, 13).filter(lambda w: w != width))
+    bad = st.one_of(
+        st.just(Cube.empty_cube(width)),
+        minterms(other),
+        cubes(other),
+        st.just(Cube(~p, p)),
+        st.just(Cube.universal(width)),
+    )
+    off = data.draw(st.lists(st.one_of(off_items(width), bad), min_size=1, max_size=20))
+    got_trace, want_trace = [], []
+    got = outcome(generate_sdm, p, off, trace=got_trace)
+    want = outcome(reference_generate_sdm, p, off, trace=want_trace)
+    assert got == want
+    assert got_trace == want_trace
+    assert outcome(generate_sdm, p, off) == want
+    for z in off:
+        assert outcome(generate_di, p, z) == outcome(reference_generate_di, p, z)
+
+
+@given(st.data())
+def test_reform_sdm_matches_reference(data):
+    width = data.draw(widths)
+    elements = data.draw(st.lists(indicators(width), max_size=12))
+    d = data.draw(
+        st.one_of(indicators(width), st.just(BitVec(width, 0)), indicators(width % 12 + 1))
+    )
+    got = DiSet(elements, comparisons=3, absorptions=1)
+    want = DiSet(elements, comparisons=3, absorptions=1)
+    assert outcome(reform_sdm, got, d) == outcome(reference_reform_sdm, want, d)
+    assert got == want
+
+
+@given(st.data())
+def test_generate_n_matches_reference(data):
+    width = data.draw(widths)
+    dis = data.draw(st.lists(indicators(width), min_size=1, max_size=6))
+    assert generate_n(dis) == reference_generate_n(dis)
+    mixed = dis + data.draw(st.lists(indicators(width % 12 + 1), min_size=1, max_size=2))
+    assert outcome(generate_n, mixed) == outcome(reference_generate_n, mixed)
+    # the indicators of a fold, as the pipeline feeds them
+    p = data.draw(minterms(width))
+    off = data.draw(st.lists(off_items(width), min_size=1, max_size=30))
+    off = [z for z in off if not contains(z, p)]
+    if off:
+        sdm = generate_sdm(p, off)
+        assert generate_n(sdm.elements) == reference_generate_n(sdm.elements)
+
+
+@given(st.data())
+def test_cross_or_and_minimize_n_match_reference(data):
+    width = data.draw(widths)
+    vectors = data.draw(st.lists(minterms(width), max_size=12))
+    clauses = data.draw(st.lists(minterms(width), max_size=6))
+    assert minimize_n(vectors) == reference_minimize_n(vectors)
+    assert outcome(cross_or, vectors, clauses) == outcome(reference_cross_or, vectors, clauses)
+
+
+@given(st.data())
+def test_minimize_sr_matches_reference(data):
+    width = data.draw(widths)
+    listed = data.draw(st.lists(cubes(width), max_size=12))
+    listed += data.draw(st.lists(st.sampled_from(listed), max_size=4)) if listed else []
+    listed = data.draw(st.permutations(listed))
+    assert minimize_sr(listed) == reference_minimize_sr(listed)
+
+
+@given(st.data())
+def test_minimize_sr_rejects_mixed_widths_and_empty_cubes(data):
+    width = data.draw(widths)
+    listed = data.draw(st.lists(cubes(width), min_size=1, max_size=6))
+    odd = data.draw(st.one_of(st.just(Cube.empty_cube(width)), cubes(width % 12 + 1)))
+    expected = (
+        "containment is undefined for empty cubes"
+        if odd.empty
+        else f"width mismatch: {width} vs {odd.width}"
+    )
+    assert outcome(minimize_sr, listed + [odd]) == (ValueError, expected)
+    assert outcome(reference_minimize_sr, listed + [odd])[0] is ValueError
+
+
+@given(st.integers(1, 69).flatmap(cubes))
+def test_cube_text_matches_per_position_renderer(c):
+    text = cube_text(c)
+    assert text == reference_cube_text(c)
+    assert text_cube(text) == c
+
+
+def test_cube_text_past_the_decimal_digit_limit():
+    rng = random.Random(3)
+    c = text_cube("".join(rng.choice("01x") for _ in range(5000)))
+    assert cube_text(c) == reference_cube_text(c)
