@@ -316,22 +316,20 @@ def cube_text(c: Cube) -> str:
     return format(pairs, "x").translate(_TEXT_OF_DIGIT)
 
 
+# per cube character: does it allow value 0 (left bit), value 1 (right bit)
+_LEFT_OF_CHAR = str.maketrans("01x-", "1011")
+_RIGHT_OF_CHAR = str.maketrans("01x-", "0111")
+_CUBE_CHARS = str.maketrans("", "", "01x-")
+
+
 def text_cube(s: str) -> Cube:
     """Parse a cube string; '-' is accepted as an alias for 'x'."""
     if not s:
         raise ValueError("empty cube string")
-    left = right = 0
-    for ch in s:
-        left <<= 1
-        right <<= 1
-        if ch == "0":
-            left |= 1
-        elif ch == "1":
-            right |= 1
-        elif ch in ("x", "-"):
-            left |= 1
-            right |= 1
-        else:
-            raise ValueError(f"illegal cube character {ch!r} in {s!r}")
+    illegal = s.translate(_CUBE_CHARS)
+    if illegal:
+        raise ValueError(f"illegal cube character {illegal[0]!r} in {s!r}")
     n = len(s)
+    left = int(s.translate(_LEFT_OF_CHAR), 2)
+    right = int(s.translate(_RIGHT_OF_CHAR), 2)
     return Cube(BitVec(n, left), BitVec(n, right))

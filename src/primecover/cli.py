@@ -12,7 +12,6 @@ import io
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 from pathlib import Path
 
 from .bitcube import BitVec, Cube, cube_text
@@ -132,16 +131,6 @@ def cmd_primes(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-@dataclass
-class BenchRecord:
-    name: str
-    n: int
-    on: int
-    off: int
-    cubes: int
-    ms: float
-
-
 def _bench_one(path: Path, max_expand: int) -> list[str]:
     try:
         f = _read_function(str(path), max_expand)
@@ -155,8 +144,7 @@ def _bench_one(path: Path, max_expand: int) -> list[str]:
             on = len(f.on)
             off = len(f.off)
         ms = (time.perf_counter() - started) * 1000.0
-        rec = BenchRecord(path.stem, f.n, on, off, cubes, ms)
-        return [rec.name, str(rec.n), str(rec.on), str(rec.off), str(rec.cubes), f"{rec.ms:.2f}"]
+        return [path.stem, str(f.n), str(on), str(off), str(cubes), f"{ms:.2f}"]
     except Exception as exc:  # noqa: BLE001  (a bad file must not stop the sweep)
         print(f"{path.name}: {exc}", file=sys.stderr)
         return [path.stem, "", "", "", "", f"error:{type(exc).__name__}"]
@@ -230,7 +218,6 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="primecover",
         description="Two-level logic minimization over PLA files",
     )
-    parser.add_argument("--seed", type=int, default=None, help="reserved")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_min = sub.add_parser("minimize", help="compute a prime cover of the on-set")

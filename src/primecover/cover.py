@@ -123,9 +123,13 @@ def direct_cover(
     irredundant: bool = False,
     on_expansion_cap: int = DEFAULT_ON_EXPANSION_CAP,
 ) -> CoverResult:
-    """Cover the whole on-set with prime implicants of the off-complement."""
+    """Cover the whole on-set with prime implicants of the off-complement.
+
+    Raises ``InconsistentFunction`` when an on-minterm lies in an off-cube:
+    every prime misses every off-cube, so that minterm stays uncovered
+    until it is an origin, whose indicator fold rejects it.
+    """
     start = time.perf_counter()
-    f.validate()
     if not f.on:
         raise EmptyOnset("the on-set is empty")
     on_list = expand_on_minterms(f, on_expansion_cap)

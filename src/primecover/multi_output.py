@@ -71,34 +71,13 @@ def subfunction_off(tag: "frozenset[int] | set[int]", f: MultiFunction) -> list[
     """
     if not tag:
         raise ValueError("empty output tag")
-    values = {m.value: vals for m, vals in f.rows}
-    out: list[Cube] = []
-    for v in range(1 << f.n):
-        vals = values.get(v)
-        if vals is None:
-            out.append(minterm_to_cube(BitVec(f.n, v)))
-            continue
-        if any(vals[j] == 0 for j in tag):
-            out.append(minterm_to_cube(BitVec(f.n, v)))
-    return out
+    live = {m.value for m, vals in f.rows if all(vals[j] != 0 for j in tag)}
+    return [minterm_to_cube(BitVec(f.n, v)) for v in range(1 << f.n) if v not in live]
 
 
 def neighbors(m1: BitVec, m2: BitVec) -> BitVec:
     """Symmetric difference of two coverage masks."""
     return m1 ^ m2
-
-
-def _current_tags(
-    f: MultiFunction, covered: set[tuple[int, int]]
-) -> dict[int, frozenset[int]]:
-    tags: dict[int, frozenset[int]] = {}
-    for m, values in f.rows:
-        cur = frozenset(
-            j for j, v in enumerate(values) if v == 1 and (m.value, j) not in covered
-        )
-        if cur:
-            tags[m.value] = cur
-    return tags
 
 
 def _best_pi(minterm: BitVec, off: Sequence[Cube]) -> Cube:
@@ -107,13 +86,8 @@ def _best_pi(minterm: BitVec, off: Sequence[Cube]) -> Cube:
 
 
 def _single_output_function(f: MultiFunction) -> LogicFunction:
-    values = {m.value: vals for m, vals in f.rows}
     on = [minterm_to_cube(m) for m, vals in f.rows if vals[0] == 1]
-    off = [
-        minterm_to_cube(BitVec(f.n, v))
-        for v in range(1 << f.n)
-        if values.get(v, (0,))[0] == 0
-    ]
+    off = subfunction_off(frozenset({0}), f)
     dc = [minterm_to_cube(m) for m, vals in f.rows if vals[0] is None]
     return LogicFunction(f.n, tuple(on), tuple(off), tuple(dc), name=f.name)
 
@@ -124,10 +98,11 @@ def edsa_minimize(f: MultiFunction) -> list[TaggedCube]:
         # degenerate case: exactly the single-output direct cover
         result = direct_cover(_single_output_function(f))
         return [TaggedCube(c, frozenset({0})) for c in result.cubes]
-    if not any(v == 1 for _, values in f.rows for v in values):
+    # minterm value -> the outputs of its row still to be covered
+    tags = {t.minterm.value: t.tag for t in build_tagged(f)}
+    if not tags:
         raise EmptyOnset("no output is ever true")
-    covered: set[tuple[int, int]] = set()
-    committed: list[TaggedCube] = []
+    committed: dict[TaggedCube, None] = {}
     # tags recur across origins; each joint off-set is built once
     off_by_tag: dict[frozenset[int], list[Cube]] = {}
 
@@ -137,69 +112,64 @@ def edsa_minimize(f: MultiFunction) -> list[TaggedCube]:
             off = off_by_tag[tag] = subfunction_off(tag, f)
         return off
 
-    rows = Slices.of_minterms([m.value for m, _ in f.rows], f.n)
+    tagged = list(tags)
+    rows = Slices.of_minterms(tagged, f.n)
 
     def commit(cube: Cube, tag: frozenset[int]) -> None:
-        tc = TaggedCube(cube, tag)
-        if tc not in committed:
-            committed.append(tc)
-        for m, values in mask_members(rows.mask_of(cube), f.rows):
-            for j in tag:
-                if values[j] == 1:
-                    covered.add((m.value, j))
+        committed[TaggedCube(cube, tag)] = None
+        for v in mask_members(rows.mask_of(cube), tagged):
+            if v in tags:
+                rest = tags[v] - tag
+                if rest:
+                    tags[v] = rest
+                else:
+                    del tags[v]
 
-    while True:
-        tags = _current_tags(f, covered)
-        if not tags:
-            break
+    while tags:
         origin_value = min(tags, key=lambda v: (len(tags[v]), v))
-        origin = BitVec(f.n, origin_value)
         tag = tags[origin_value]
-        pis = generate_spi(origin, off_of(tag))
+        pis = generate_spi(BitVec(f.n, origin_value), off_of(tag))
         universe = [v for v in sorted(tags) if tag <= tags[v]]
         sliced = Slices.of_minterms(universe, f.n)
-        candidates = [(pi, sliced.mask_of(pi)) for pi in pis]
-        restricted = [mask.value for _, mask in candidates]
-        dom = find_dominant(restricted)
-        if dom is not None or len(candidates) == 1:
-            commit(candidates[dom if dom is not None else 0][0], tag)
+        masks = [sliced.meets(pi.left.value, pi.right.value) for pi in pis]
+        dom = find_dominant(masks)
+        if dom is not None or len(pis) == 1:
+            commit(pis[dom if dom is not None else 0], tag)
             continue
+        width = len(universe)
         union = 0
-        inter = (1 << len(universe)) - 1
-        for r in restricted:
+        inter = (1 << width) - 1
+        for r in masks:
             union |= r
             inter &= r
-        width = len(universe)
-        neighbor_values = [
-            universe[i]
-            for i in range(width)
-            if (union & ~inter) >> (width - 1 - i) & 1
-        ]
+        # the neighbours: minterms some candidates cover and others do not
+        edge = union & ~inter
         best_by_neighbor = {
-            nv: _best_pi(BitVec(f.n, nv), off_of(tags[nv])) for nv in neighbor_values
+            nv: _best_pi(BitVec(f.n, nv), off_of(tags[nv]))
+            for nv in mask_members(BitVec(width, edge), universe)
         }
 
-        def score(item: tuple[Cube, BitVec]) -> tuple[float, int, str]:
-            cube, mask = item
-            survivors = [nv for nv in neighbor_values if not cube.covers_value(nv)]
-            if survivors:
-                quality = min(best_by_neighbor[nv].literal_count for nv in survivors)
-            else:
-                quality = math.inf
-            return (quality, -mask.popcount, cube_text(cube))
+        def survivors(mask: int) -> list[int]:
+            return mask_members(BitVec(width, edge & ~mask), universe)
 
-        winner = min(candidates, key=score)
-        commit(winner[0], tag)
-        survivors = [
-            nv for nv in neighbor_values if not winner[0].covers_value(nv)
-        ]
-        if survivors:
+        def score(item: tuple[Cube, int]) -> tuple[float, int, str]:
+            cube, mask = item
+            quality = min(
+                (best_by_neighbor[nv].literal_count for nv in survivors(mask)),
+                default=math.inf,
+            )
+            return (quality, -mask.bit_count(), cube_text(cube))
+
+        cube, mask = min(zip(pis, masks), key=score)
+        commit(cube, tag)
+        stranded = survivors(mask)
+        if stranded:
             best_nv = min(
-                survivors,
+                stranded,
                 key=lambda nv: (best_by_neighbor[nv].literal_count, nv),
             )
             commit(best_by_neighbor[best_nv], tags[best_nv])
-    return committed
+    return list(committed)
 
 
 def per_output_cover(

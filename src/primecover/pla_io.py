@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .bitcube import BitVec, Cube, Slices, cube_text
+from .bitcube import BitVec, Cube, Slices, cube_text, text_cube
 from .errors import InconsistentFunction, PlaParseError
 
 DEFAULT_COMPLEMENT_CAP = 16
@@ -133,25 +133,19 @@ def complement_cubes(cubes: Sequence[Cube], n: int) -> list[Cube]:
     ]
 
 
+# deleting the legal input characters leaves the illegal ones, in order
+_INPUT_CHARS = str.maketrans("", "", "01-")
+
+
 def _parse_input_part(token: str, n: int, lineno: int) -> Cube:
     if len(token) != n:
         raise PlaParseError(f"line {lineno}: input part {token!r} is not {n} characters")
-    left = right = 0
-    for ch in token:
-        left <<= 1
-        right <<= 1
-        if ch == "0":
-            left |= 1
-        elif ch == "1":
-            right |= 1
-        elif ch == "-":
-            left |= 1
-            right |= 1
-        else:
-            raise PlaParseError(
-                f"line {lineno}: illegal input character {ch!r} (use 0, 1 or -)"
-            )
-    return Cube(BitVec(n, left), BitVec(n, right))
+    illegal = token.translate(_INPUT_CHARS)
+    if illegal:
+        raise PlaParseError(
+            f"line {lineno}: illegal input character {illegal[0]!r} (use 0, 1 or -)"
+        )
+    return text_cube(token)
 
 
 @dataclass

@@ -5,6 +5,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import logging
+import math
 import random
 
 from primecover import (
@@ -14,14 +15,20 @@ from primecover import (
     Cube,
     DiSet,
     EmptyOffset,
+    EmptyOnset,
     InconsistentFunction,
     LogicFunction,
     MultiFunction,
     cube_contains,
     cube_intersects,
+    cube_text,
+    direct_cover,
+    generate_spi,
     minterm_to_cube,
 )
-from primecover.cover import expand_on_minterms
+from primecover.bitcube import Slices
+from primecover.cover import expand_on_minterms, find_dominant, mask_members
+from primecover.multi_output import TaggedCube, _best_pi
 from primecover.reduced_offset import SdmStep
 
 bv = BitVec.from_text
@@ -363,6 +370,149 @@ def reference_cube_text(c: Cube) -> str:
         pair = (c.left.value >> pos & 1, c.right.value >> pos & 1)
         chars.append({(1, 0): "0", (0, 1): "1", (1, 1): "x"}[pair])
     return "".join(chars)
+
+
+def reference_text_cube(s: str) -> Cube:
+    if not s:
+        raise ValueError("empty cube string")
+    left = right = 0
+    for ch in s:
+        left <<= 1
+        right <<= 1
+        if ch == "0":
+            left |= 1
+        elif ch == "1":
+            right |= 1
+        elif ch in ("x", "-"):
+            left |= 1
+            right |= 1
+        else:
+            raise ValueError(f"illegal cube character {ch!r} in {s!r}")
+    n = len(s)
+    return Cube(BitVec(n, left), BitVec(n, right))
+
+
+# References for the multi-output loop: the joint off-set built by a
+# per-output scan of all 2^n minterms, and the loop that rebuilds every
+# row's current tag from a set of covered (minterm, output) pairs each
+# iteration and scores lookahead neighbours one containment test each.
+
+
+def reference_subfunction_off(tag, f: MultiFunction) -> list[Cube]:
+    if not tag:
+        raise ValueError("empty output tag")
+    values = {m.value: vals for m, vals in f.rows}
+    out: list[Cube] = []
+    for v in range(1 << f.n):
+        vals = values.get(v)
+        if vals is None:
+            out.append(minterm_to_cube(BitVec(f.n, v)))
+            continue
+        if any(vals[j] == 0 for j in tag):
+            out.append(minterm_to_cube(BitVec(f.n, v)))
+    return out
+
+
+def reference_current_tags(f: MultiFunction, covered: set[tuple[int, int]]) -> dict[int, frozenset[int]]:
+    tags: dict[int, frozenset[int]] = {}
+    for m, values in f.rows:
+        cur = frozenset(
+            j for j, v in enumerate(values) if v == 1 and (m.value, j) not in covered
+        )
+        if cur:
+            tags[m.value] = cur
+    return tags
+
+
+def reference_single_output_function(f: MultiFunction) -> LogicFunction:
+    values = {m.value: vals for m, vals in f.rows}
+    on = [minterm_to_cube(m) for m, vals in f.rows if vals[0] == 1]
+    off = [
+        minterm_to_cube(BitVec(f.n, v))
+        for v in range(1 << f.n)
+        if values.get(v, (0,))[0] == 0
+    ]
+    dc = [minterm_to_cube(m) for m, vals in f.rows if vals[0] is None]
+    return LogicFunction(f.n, tuple(on), tuple(off), tuple(dc), name=f.name)
+
+
+def reference_edsa_minimize(f: MultiFunction) -> list[TaggedCube]:
+    if f.m == 1:
+        result = direct_cover(reference_single_output_function(f))
+        return [TaggedCube(c, frozenset({0})) for c in result.cubes]
+    if not any(v == 1 for _, values in f.rows for v in values):
+        raise EmptyOnset("no output is ever true")
+    covered: set[tuple[int, int]] = set()
+    committed: list[TaggedCube] = []
+    off_by_tag: dict[frozenset[int], list[Cube]] = {}
+
+    def off_of(tag: frozenset[int]) -> list[Cube]:
+        off = off_by_tag.get(tag)
+        if off is None:
+            off = off_by_tag[tag] = reference_subfunction_off(tag, f)
+        return off
+
+    rows = Slices.of_minterms([m.value for m, _ in f.rows], f.n)
+
+    def commit(cube: Cube, tag: frozenset[int]) -> None:
+        tc = TaggedCube(cube, tag)
+        if tc not in committed:
+            committed.append(tc)
+        for m, values in mask_members(rows.mask_of(cube), f.rows):
+            for j in tag:
+                if values[j] == 1:
+                    covered.add((m.value, j))
+
+    while True:
+        tags = reference_current_tags(f, covered)
+        if not tags:
+            break
+        origin_value = min(tags, key=lambda v: (len(tags[v]), v))
+        origin = BitVec(f.n, origin_value)
+        tag = tags[origin_value]
+        pis = generate_spi(origin, off_of(tag))
+        universe = [v for v in sorted(tags) if tag <= tags[v]]
+        sliced = Slices.of_minterms(universe, f.n)
+        candidates = [(pi, sliced.mask_of(pi)) for pi in pis]
+        restricted = [mask.value for _, mask in candidates]
+        dom = find_dominant(restricted)
+        if dom is not None or len(candidates) == 1:
+            commit(candidates[dom if dom is not None else 0][0], tag)
+            continue
+        union = 0
+        inter = (1 << len(universe)) - 1
+        for r in restricted:
+            union |= r
+            inter &= r
+        width = len(universe)
+        neighbor_values = [
+            universe[i]
+            for i in range(width)
+            if (union & ~inter) >> (width - 1 - i) & 1
+        ]
+        best_by_neighbor = {
+            nv: _best_pi(BitVec(f.n, nv), off_of(tags[nv])) for nv in neighbor_values
+        }
+
+        def score(item):
+            cube, mask = item
+            survivors = [nv for nv in neighbor_values if not cube.covers_value(nv)]
+            if survivors:
+                quality = min(best_by_neighbor[nv].literal_count for nv in survivors)
+            else:
+                quality = math.inf
+            return (quality, -mask.popcount, cube_text(cube))
+
+        winner = min(candidates, key=score)
+        commit(winner[0], tag)
+        survivors = [nv for nv in neighbor_values if not winner[0].covers_value(nv)]
+        if survivors:
+            best_nv = min(
+                survivors,
+                key=lambda nv: (best_by_neighbor[nv].literal_count, nv),
+            )
+            commit(best_by_neighbor[best_nv], tags[best_nv])
+    return committed
 
 
 class WidthCollector(logging.Handler):

@@ -1,5 +1,7 @@
 from pathlib import Path
 
+import pytest
+
 from primecover import BitVec, CoverReport, parse_pla
 from primecover import cli
 from primecover.cli import main
@@ -148,6 +150,8 @@ def test_bench_csv_output_and_jobs(tmp_path, capsys):
     assert out.read_text(encoding="utf-8").startswith("name,n,on,off,cubes,ms")
 
 
-def test_seed_flag_is_accepted(tmp_path, capsys):
+def test_seed_flag_is_rejected(tmp_path, capsys):
     src = write(tmp_path, "fivevar.pla", five_var_pla())
-    assert main(["--seed", "7", "primes", src, "--minterm", "11010"]) == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["--seed", "7", "primes", src, "--minterm", "11010"])
+    assert exc.value.code == 2

@@ -29,6 +29,7 @@ from helpers import (
     reference_minimize_n,
     reference_minimize_sr,
     reference_reform_sdm,
+    reference_text_cube,
 )
 
 widths = st.integers(min_value=1, max_value=12)
@@ -167,6 +168,13 @@ def test_cube_text_matches_per_position_renderer(c):
     text = cube_text(c)
     assert text == reference_cube_text(c)
     assert text_cube(text) == c
+
+
+# besides the cube characters: characters int() would accept in a
+# base-2 literal (sign, underscore, space, a non-ASCII digit) and others
+@given(st.text(alphabet="01x-01x-+_ \u0661z", max_size=40))
+def test_text_cube_matches_per_character_parser(s):
+    assert outcome(text_cube, s) == outcome(reference_text_cube, s)
 
 
 def test_cube_text_past_the_decimal_digit_limit():

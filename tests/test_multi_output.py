@@ -1,9 +1,12 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from primecover import (
     BitVec,
+    EmptyOnset,
     MultiFunction,
     build_tagged,
     coverage_mask,
@@ -19,7 +22,13 @@ from primecover import (
     text_cube,
 )
 from primecover.multi_output import per_output_cover
-from helpers import TRI_OUTPUT_COVER, bv, tri_output_function
+from helpers import (
+    TRI_OUTPUT_COVER,
+    bv,
+    reference_edsa_minimize,
+    reference_subfunction_off,
+    tri_output_function,
+)
 
 
 def as_text(cover):
@@ -244,3 +253,39 @@ def test_golden_cover_survives_pla_round_trip():
             if values[j] is None:
                 continue
             assert (back.value(m.value, j) == 1) == (values[j] == 1)
+
+
+@st.composite
+def multi_functions(draw) -> MultiFunction:
+    """Tables over 1-6 inputs and 1-4 outputs; a missing row is 0 for
+    every output."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    m = draw(st.integers(min_value=1, max_value=4))
+    value = st.sampled_from((1, 0, None))
+    rows = [
+        (BitVec(n, v), tuple(draw(value) for _ in range(m)))
+        for v in range(1 << n)
+        if draw(st.booleans())
+    ]
+    return MultiFunction(n, m, tuple(rows))
+
+
+def minimized(minimize, f):
+    try:
+        return minimize(f)
+    except EmptyOnset:
+        return EmptyOnset
+
+
+@settings(deadline=None)
+@given(multi_functions())
+def test_edsa_minimize_matches_reference(f):
+    assert minimized(edsa_minimize, f) == minimized(reference_edsa_minimize, f)
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_subfunction_off_matches_reference(data):
+    f = data.draw(multi_functions())
+    tag = data.draw(st.frozensets(st.integers(0, f.m - 1), min_size=1))
+    assert subfunction_off(tag, f) == reference_subfunction_off(tag, f)

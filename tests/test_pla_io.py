@@ -36,8 +36,10 @@ def test_parse_tri_output_file():
 
 
 def test_x_is_illegal_in_pla_input_part():
-    with pytest.raises(PlaParseError):
+    with pytest.raises(PlaParseError, match=r"line 3: illegal input character 'x' \(use 0, 1 or -\)"):
         parse_pla(".i 3\n.o 1\n10x 1\n.e\n")
+    with pytest.raises(PlaParseError, match="illegal input character '2'"):
+        parse_pla(".i 3\n.o 1\n1-2 1\n.e\n")
 
 
 def test_directive_errors():

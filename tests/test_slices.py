@@ -70,6 +70,18 @@ def test_validate_matches_pairwise(data):
     assert validate_outcome(f.validate) == validate_outcome(lambda: reference_validate(f))
 
 
+@settings(deadline=None)
+@given(st.data())
+def test_direct_cover_raises_inconsistent_exactly_when_validate_does(data):
+    width = data.draw(st.integers(min_value=1, max_value=6))
+    on = data.draw(st.lists(cubes(width, empty=False), min_size=1, max_size=5))
+    off = data.draw(st.lists(cubes(width, empty=False), max_size=8))
+    f = LogicFunction(width, on, off)
+    assert (validate_outcome(lambda: direct_cover(f)) is None) == (
+        validate_outcome(lambda: reference_validate(f)) is None
+    )
+
+
 @st.composite
 def consistent_functions(draw) -> LogicFunction:
     width = draw(widths)
