@@ -28,12 +28,14 @@ from .cover import (
 )
 from .errors import EmptyOffset, EmptyOnset, InconsistentFunction, PlaParseError
 from .multi_output import (
+    MultiCoverReport,
     TaggedCube,
     TaggedMinterm,
     build_tagged,
     edsa_minimize,
     neighbors,
     subfunction_off,
+    verify_multi,
 )
 from .oracle import TruthTable, all_primes, equivalent, minimum_cover_size
 from .pi_gen import (
@@ -67,6 +69,7 @@ __all__ = [
     "EmptyOnset",
     "InconsistentFunction",
     "LogicFunction",
+    "MultiCoverReport",
     "MultiFunction",
     "PlaParseError",
     "TaggedCube",
@@ -103,5 +106,6 @@ __all__ = [
     "text_cube",
     "vectors_to_pis",
     "verify_cover",
+    "verify_multi",
     "write_pla",
 ]

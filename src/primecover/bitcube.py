@@ -242,6 +242,55 @@ def cube_intersects(c: Cube, d: Cube) -> bool:
     return both == _mask(c.width)
 
 
+def cube_points(left: int, right: int) -> int:
+    """Truth table of the non-empty cube given by its ``(left, right)``
+    pair values: bit v is set when the minterm of value v lies in it."""
+    free = left & right
+    points = 1 << (right ^ free)
+    while free:
+        low = free & -free
+        # the free position of weight ``low`` doubles the points, ``low`` apart
+        points |= points << low
+        free ^= low
+    return points
+
+
+def table_cover(points: int, n: int) -> list[tuple[int, int]]:
+    """A cover of exactly the minterms set in the truth table ``points``
+    by cubes inside it, as ``(left, right)`` pair values.
+
+    Greedy: each cube starts at the lowest point not yet covered and
+    raises positions lowest first, each one it can while the cube stays
+    inside ``points``.  Per set of free positions F, bit b of
+    ``tables[F]``, for b clear on F, is set when the cube of base b and
+    free positions F lies inside ``points``; freeing one more position p
+    is one AND of that table with itself shifted by 2^p, so no minterm
+    is tested on its own.  Bits of bases not clear on F are never read,
+    so they are left as the shifts make them.
+    """
+    full = _mask(n)
+    tables = {0: points}
+    out: list[tuple[int, int]] = []
+    rest = points
+    while rest:
+        base = (rest & -rest).bit_length() - 1
+        free = 0
+        table = points
+        for p in range(n):
+            bit = 1 << p
+            wider = tables.get(free | bit)
+            if wider is None:
+                wider = tables[free | bit] = table & (table >> bit)
+            if wider >> (base & ~bit) & 1:
+                free |= bit
+                base &= ~bit
+                table = wider
+        left, right = full ^ base, base | free
+        out.append((left, right))
+        rest &= ~cube_points(left, right)
+    return out
+
+
 def _transpose(values: Sequence[int], width: int) -> list[int]:
     """Per bit position p, the int whose bit ``len(values) - 1 - i`` is bit
     p of ``values[i]``; one string slice per position."""

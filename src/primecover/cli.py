@@ -17,7 +17,7 @@ from pathlib import Path
 from .bitcube import BitVec, Cube, cube_text
 from .cover import direct_cover, verify_cover
 from .errors import EmptyOnset, InconsistentFunction, PlaParseError
-from .multi_output import edsa_minimize
+from .multi_output import edsa_minimize, verify_multi
 from .oracle import TruthTable, equivalent
 from .pi_gen import generate_n, vectors_to_pis
 from .pla_io import MultiFunction, parse_pla, write_pla
@@ -41,7 +41,6 @@ def _vec_set(vectors) -> str:
 def cmd_minimize(args: argparse.Namespace) -> int:
     f = _read_function(args.input, args.max_expand)
     started = time.perf_counter()
-    verified = True
     if isinstance(f, MultiFunction):
         if not args.multi:
             print(
@@ -51,20 +50,19 @@ def cmd_minimize(args: argparse.Namespace) -> int:
             return EXIT_INPUT
         cover = edsa_minimize(f)
         elapsed = (time.perf_counter() - started) * 1000.0
+        verified = verify_multi(cover, f).ok
         text = write_pla(cover, f.n, outputs=f.m, ob=f.labels)
         summary = f"{f.name or args.input}: {len(cover)} cubes, {elapsed:.2f} ms"
     else:
         result = direct_cover(f)
         elapsed = (time.perf_counter() - started) * 1000.0
-        report = verify_cover(result, f)
+        verified = verify_cover(result, f).ok
         text = write_pla(result.cubes, f.n)
-        verified = report.ok
-        state = "ok" if verified else "FAILED"
         summary = (
             f"{f.name or args.input}: {len(result.cubes)} cubes, "
-            f"{len(result.on_minterms)} on-minterms, {elapsed:.2f} ms, "
-            f"verification {state}"
+            f"{len(result.on_minterms)} on-minterms, {elapsed:.2f} ms"
         )
+    summary += f", verification {'ok' if verified else 'FAILED'}"
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
         print(summary)

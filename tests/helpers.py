@@ -28,7 +28,7 @@ from primecover import (
 )
 from primecover.bitcube import Slices
 from primecover.cover import expand_on_minterms, find_dominant, mask_members
-from primecover.multi_output import TaggedCube, _best_pi
+from primecover.multi_output import MultiCoverReport, TaggedCube, _best_pi
 from primecover.reduced_offset import SdmStep
 
 bv = BitVec.from_text
@@ -513,6 +513,44 @@ def reference_edsa_minimize(f: MultiFunction) -> list[TaggedCube]:
             )
             commit(best_by_neighbor[best_nv], tags[best_nv])
     return committed
+
+
+def reference_verify_multi(cover, f: MultiFunction) -> MultiCoverReport:
+    """The three tagged-cover checks, one minterm at a time."""
+    n = f.n
+    values = {m.value: vals for m, vals in f.rows}
+
+    def is_off(tag, v: int) -> bool:
+        vals = values.get(v)
+        return vals is None or any(vals[j] == 0 for j in tag)
+
+    for tc in cover:
+        if tc.cube.width != n:
+            raise ValueError(f"width mismatch: {tc.cube.width} vs {n}")
+    missing = [
+        (BitVec(n, v), j)
+        for j in range(f.m)
+        for v in range(1 << n)
+        if v in values
+        and values[v][j] == 1
+        and not any(j in tc.tag and tc.cube.covers_value(v) for tc in cover)
+    ]
+    off_conflicts = [
+        (tc, BitVec(n, v))
+        for tc in cover
+        for v in range(1 << n)
+        if tc.cube.covers_value(v) and is_off(tc.tag, v)
+    ]
+    removable = []
+    for tc in cover:
+        for pos in range(n):
+            if tc.cube.specified_mask >> pos & 1:
+                raised = tc.cube.raise_literal(pos)
+                if not any(
+                    raised.covers_value(v) and is_off(tc.tag, v) for v in range(1 << n)
+                ):
+                    removable.append((tc, n - 1 - pos))
+    return MultiCoverReport(tuple(missing), tuple(off_conflicts), tuple(removable))
 
 
 class WidthCollector(logging.Handler):

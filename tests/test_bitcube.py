@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from primecover import (
     BitVec,
@@ -13,6 +15,7 @@ from primecover import (
     subset_ones,
     text_cube,
 )
+from primecover.bitcube import cube_points, table_cover
 from helpers import bv, enumerate_all_cubes
 
 
@@ -188,3 +191,44 @@ def test_raise_literal():
     assert cube_text(c.raise_literal(2)) == "x0x"
     with pytest.raises(ValueError):
         c.raise_literal(0)  # already a don't care
+
+
+def test_cube_points_matches_the_cube_minterms_exhaustive():
+    for n in range(1, 5):
+        for c in enumerate_all_cubes(n):
+            want = sum(1 << m.value for m in c.minterms())
+            assert cube_points(c.left.value, c.right.value) == want
+
+
+@st.composite
+def truth_tables(draw) -> tuple[int, int]:
+    """(points, n) over 1-8 variables; the empty and the full table are
+    drawn as often as any random one."""
+    n = draw(st.integers(min_value=1, max_value=8))
+    full = (1 << (1 << n)) - 1
+    points = draw(st.one_of(st.sampled_from((0, full)), st.integers(0, full)))
+    return points, n
+
+
+@settings(deadline=None)
+@given(truth_tables())
+def test_table_cover_covers_exactly_its_points(table):
+    points, n = table
+    union = 0
+    for left, right in table_cover(points, n):
+        c = Cube(BitVec(n, left), BitVec(n, right))  # rejects a 00 pair
+        inside = sum(1 << m.value for m in c.minterms())
+        assert inside & ~points == 0, cube_text(c)
+        union |= inside
+    assert union == points
+
+
+def test_table_cover_examples():
+    def texts(points, n):
+        return [cube_text(Cube(BitVec(n, l), BitVec(n, r))) for l, r in table_cover(points, n)]
+
+    assert texts(0, 3) == []
+    assert texts(0xFF, 3) == ["xxx"]
+    # minterms 0, 1, 2, 3 and 5: the cube from 0 frees positions 0 and 1,
+    # the one from 5 grows towards 1
+    assert texts(0b101111, 3) == ["0xx", "x01"]

@@ -5,7 +5,8 @@ import pytest
 from primecover import BitVec, CoverReport, parse_pla
 from primecover import cli
 from primecover.cli import main
-from helpers import TRI_OUTPUT_PLA, five_var_pla
+from primecover.multi_output import edsa_minimize
+from helpers import TRI_OUTPUT_PLA, five_var_pla, tri_output_function
 
 
 def write(tmp_path: Path, name: str, text: str) -> str:
@@ -52,6 +53,19 @@ def test_minimize_multi_requires_flag(tmp_path, capsys):
     captured = capsys.readouterr()
     assert rc == 0
     assert "5 cubes" in captured.err
+    assert "verification ok" in captured.err
+
+
+def test_minimize_multi_exits_1_when_verification_fails(tmp_path, capsys, monkeypatch):
+    src = write(tmp_path, "tri.pla", TRI_OUTPUT_PLA)
+    # the golden cover without x00 on y0 leaves (000, y0) and (100, y0) uncovered
+    dropped = [tc for tc in edsa_minimize(tri_output_function()) if str(tc.cube) != "x00"]
+    monkeypatch.setattr(cli, "edsa_minimize", lambda f: dropped)
+    rc = main(["minimize", src, "--multi", "--out", str(tmp_path / "cover.pla")])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert "4 cubes" in captured.out
+    assert "verification FAILED" in captured.out
 
 
 def test_minimize_missing_file(capsys):

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from primecover import (
@@ -21,12 +21,14 @@ from primecover import (
     subfunction_off,
     text_cube,
 )
-from primecover.multi_output import per_output_cover
+from primecover.bitcube import Cube, table_cover
+from primecover.multi_output import TaggedCube, per_output_cover, verify_multi
 from helpers import (
     TRI_OUTPUT_COVER,
     bv,
     reference_edsa_minimize,
     reference_subfunction_off,
+    reference_verify_multi,
     tri_output_function,
 )
 
@@ -289,3 +291,77 @@ def test_subfunction_off_matches_reference(data):
     f = data.draw(multi_functions())
     tag = data.draw(st.frozensets(st.integers(0, f.m - 1), min_size=1))
     assert subfunction_off(tag, f) == reference_subfunction_off(tag, f)
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_off_cover_folds_like_the_minterm_off_set(data):
+    f = data.draw(multi_functions())
+    tag = data.draw(st.frozensets(st.integers(0, f.m - 1), min_size=1))
+    off = subfunction_off(tag, f)
+    points = sum(1 << c.right.value for c in off)
+    on = [v for v in range(1 << f.n) if not points >> v & 1]
+    assume(on)
+    origin = BitVec(f.n, data.draw(st.sampled_from(on)))
+    cover = [Cube(BitVec(f.n, left), BitVec(f.n, right)) for left, right in table_cover(points, f.n)]
+    assert generate_spi(origin, cover) == generate_spi(origin, off)
+
+
+def test_more_inputs_than_the_cap_are_rejected_before_any_table():
+    # one row over 17 inputs; the tables it would need are 2^17 bits
+    f = MultiFunction(17, 2, ((BitVec(17, 0), (1, 0)),))
+    with pytest.raises(ValueError, match="cap of 16"):
+        edsa_minimize(f)
+    with pytest.raises(ValueError, match="cap of 16"):
+        subfunction_off(frozenset({0}), f)
+    with pytest.raises(ValueError, match="cap of 16"):
+        verify_multi([], f)
+    with pytest.raises(ValueError, match="cap of 16"):
+        edsa_minimize(MultiFunction(17, 1, ((BitVec(17, 0), (1,)),)))
+
+
+def test_verify_multi_passes_the_golden_cover():
+    f = tri_output_function()
+    cover = edsa_minimize(f)
+    report = verify_multi(cover, f)
+    assert report.ok
+    assert report == reference_verify_multi(cover, f)
+
+
+def test_verify_multi_reports_a_corrupted_cover():
+    f = tri_output_function()
+    y0 = frozenset({0})
+    cover = [tc for tc in edsa_minimize(f) if cube_text(tc.cube) != "x00"]
+    # x00 on y0 was the only cover of 100; 1xx meets the y0 off point 110;
+    # 011 is not prime for y1: 0x1 and 01x stay clear of the y1 off-set
+    cover += [
+        TaggedCube(text_cube("1xx"), y0),
+        TaggedCube(text_cube("011"), frozenset({1})),
+    ]
+    report = verify_multi(cover, f)
+    assert not report.ok
+    assert report.off_conflicts == ((cover[-2], bv("110")),)
+    assert report.removable_literals[-2:] == ((cover[-1], 2), (cover[-1], 1))
+    assert report == reference_verify_multi(cover, f)
+    dropped = [tc for tc in edsa_minimize(f) if cube_text(tc.cube) != "x00"]
+    assert verify_multi(dropped, f).missing == ((bv("000"), 0), (bv("100"), 0))
+
+
+@st.composite
+def tagged_cubes(draw, n: int, m: int) -> TaggedCube:
+    text = "".join(draw(st.lists(st.sampled_from("01x"), min_size=n, max_size=n)))
+    tag = draw(st.frozensets(st.integers(0, m - 1), min_size=1))
+    return TaggedCube(text_cube(text), tag)
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_verify_multi_matches_reference(data):
+    f = data.draw(multi_functions())
+    cover = minimized(edsa_minimize, f)
+    cover = [] if cover is EmptyOnset else cover
+    kept = [tc for tc in cover if data.draw(st.booleans())]
+    extra = data.draw(st.lists(tagged_cubes(f.n, f.m), max_size=3))
+    mixed = kept + extra
+    assert verify_multi(cover, f).ok
+    assert verify_multi(mixed, f) == reference_verify_multi(mixed, f)
