@@ -17,7 +17,7 @@ from pathlib import Path
 from .bitcube import BitVec, Cube, cube_text
 from .cover import direct_cover, verify_cover
 from .errors import EmptyOnset, InconsistentFunction, PlaParseError
-from .multi_output import edsa_minimize, verify_multi
+from .multi_output import TaggedCube, edsa_minimize, verify_multi
 from .oracle import TruthTable, equivalent
 from .pi_gen import generate_n, vectors_to_pis
 from .pla_io import MultiFunction, parse_pla, write_pla
@@ -170,14 +170,54 @@ def cmd_bench(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _print_checks(
+    missing: list[str], missing_count: int, conflicts: list[str], removable: list[str]
+) -> None:
+    """The coverage, off-set and primality lines of a cover check; each
+    list holds at most the first 8 violations of its kind."""
+    if missing:
+        more = "" if missing_count <= 8 else f" (+{missing_count - 8} more)"
+        print(f"coverage: FAIL, uncovered on-minterms {', '.join(missing)}{more}")
+    else:
+        print("coverage: ok")
+    for line in conflicts:
+        print(f"off-set: FAIL, {line}")
+    if not conflicts:
+        print("off-set: ok (no cube touches it)")
+    for line in removable:
+        print(f"primality: FAIL, {line}")
+    if not removable:
+        print("primality: ok (every literal is needed)")
+
+
+def _verify_multi(f: MultiFunction, cover_fn: MultiFunction) -> int:
+    """Check a multi-output cover file: a 1 in output j of a cube row puts
+    j in the cube's tag; a row on for no output adds nothing."""
+    cover = [
+        TaggedCube(cube, frozenset(j for j, ch in enumerate(out) if ch == "1"))
+        for cube, out in cover_fn.cube_rows
+        if "1" in out
+    ]
+    report = verify_multi(cover, f)
+    _print_checks(
+        [f"{m} (output {j})" for m, j in report.missing[:8]],
+        len(report.missing),
+        [f"cube {tc} covers off-minterm {v}" for tc, v in report.off_conflicts[:8]],
+        [f"cube {tc} literal {pos} is removable" for tc, pos in report.removable_literals[:8]],
+    )
+    return EXIT_OK if report.ok else EXIT_VERIFY_FAILED
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
     f = _read_function(args.input, args.max_expand)
-    if isinstance(f, MultiFunction):
-        print(f"{args.input}: verify needs a single-output file", file=sys.stderr)
-        return EXIT_INPUT
     cover_fn = _read_function(args.cover, args.max_expand)
-    if isinstance(cover_fn, MultiFunction):
-        print(f"{args.cover}: verify needs a single-output cover", file=sys.stderr)
+    if isinstance(f, MultiFunction) != isinstance(cover_fn, MultiFunction) or (
+        isinstance(f, MultiFunction) and cover_fn.m != f.m
+    ):
+        print(
+            f"{args.cover}: the cover and the function have different output counts",
+            file=sys.stderr,
+        )
         return EXIT_INPUT
     if cover_fn.n != f.n:
         print(
@@ -185,24 +225,22 @@ def cmd_verify(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return EXIT_INPUT
+    if isinstance(f, MultiFunction):
+        return _verify_multi(f, cover_fn)
     cubes = list(cover_fn.on)
     report = verify_cover(cubes, f)
-    if report.missing:
-        shown = ", ".join(str(m) for m in report.missing[:8])
-        more = "" if len(report.missing) <= 8 else f" (+{len(report.missing) - 8} more)"
-        print(f"coverage: FAIL, uncovered on-minterms {shown}{more}")
-    else:
-        print("coverage: ok")
-    if report.off_conflicts:
-        for cube, z in report.off_conflicts[:8]:
-            print(f"off-set: FAIL, cube {cube_text(cube)} intersects {cube_text(z)}")
-    else:
-        print("off-set: ok (no cube touches it)")
-    if report.removable_literals:
-        for cube, pos in report.removable_literals[:8]:
-            print(f"primality: FAIL, cube {cube_text(cube)} literal {pos} is removable")
-    else:
-        print("primality: ok (every literal is needed)")
+    _print_checks(
+        [str(m) for m in report.missing[:8]],
+        len(report.missing),
+        [
+            f"cube {cube_text(cube)} intersects {cube_text(z)}"
+            for cube, z in report.off_conflicts[:8]
+        ],
+        [
+            f"cube {cube_text(cube)} literal {pos} is removable"
+            for cube, pos in report.removable_literals[:8]
+        ],
+    )
     equal = True
     if f.n <= 20:
         care = TruthTable.from_function(f)
@@ -222,7 +260,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p_min.add_argument("input")
     p_min.add_argument("--out", default=None, help="write the cover here instead of stdout")
     p_min.add_argument("--multi", action="store_true", help="minimize all outputs jointly")
-    p_min.add_argument("--max-expand", type=int, default=16, help="off-set complement cap (variables)")
+    p_min.add_argument(
+        "--max-expand",
+        type=int,
+        default=16,
+        help="single-output off-set complement cap (variables); "
+        "multi-output files stop at 16 inputs whatever this is",
+    )
     p_min.set_defaults(func=cmd_minimize)
 
     p_primes = sub.add_parser("primes", help="list every prime implicant covering a minterm")

@@ -15,10 +15,12 @@ import time
 from dataclasses import dataclass
 from typing import Sequence, TypeVar
 
-from .bitcube import BitVec, Cube, Slices, cube_text
+from .bitcube import BitVec, Cube, Slices, cube_points, cube_text, table_cover
 from .errors import EmptyOnset
-from .pi_gen import generate_spi
-from .pla_io import LogicFunction
+# generate_spi stays importable here: perfbench/tracing.py wraps it by name
+from .pi_gen import generate_spi, prime_pairs  # noqa: F401
+from .pla_io import DEFAULT_COMPLEMENT_CAP, LogicFunction
+from .reduced_offset import OffPairs
 
 DEFAULT_ON_EXPANSION_CAP = 1 << 20
 
@@ -29,22 +31,32 @@ def expand_on_minterms(
     f: LogicFunction, cap: int = DEFAULT_ON_EXPANSION_CAP
 ) -> list[BitVec]:
     """The indexed on-minterm list in canonical order."""
-    out: list[BitVec] = []
-    seen: set[int] = set()
+    return [BitVec(f.n, v) for v in _on_values(f, cap)]
+
+
+def _on_values(f: LogicFunction, cap: int) -> list[int]:
+    """``expand_on_minterms`` as int values.  Within a cube the minterms
+    come in ascending order: each next subset of the free positions is
+    ``(sub - free) & free``."""
+    out: dict[int, None] = {}
     for c in f.on:
         if c.count_minterms() > cap:
             raise ValueError(
                 f"on-cube {cube_text(c)} alone expands past {cap} minterms; raise the cap"
             )
-        for m in c.minterms():
-            if m.value not in seen:
-                seen.add(m.value)
-                out.append(m)
-                if len(out) > cap:
-                    raise ValueError(
-                        f"on-set expands past {cap} minterms; raise the cap"
-                    )
-    return out
+        if c.empty:
+            continue
+        free = c.dc_mask
+        base = c.right.value ^ free
+        sub = 0
+        while True:
+            out[base | sub] = None
+            sub = (sub - free) & free
+            if not sub:
+                break
+        if len(out) > cap:
+            raise ValueError(f"on-set expands past {cap} minterms; raise the cap")
+    return list(out)
 
 
 def _on_slices(on_minterms: Sequence[BitVec], n: int) -> Slices:
@@ -78,18 +90,14 @@ def find_dominant(restricted: Sequence[int]) -> int | None:
     return None
 
 
-def _select_index(
-    candidates: Sequence[tuple[Cube, BitVec]], uncovered: BitVec
-) -> int:
-    if not candidates:
-        raise ValueError("no candidate implicants")
-    restricted = [mask.value & uncovered.value for _, mask in candidates]
+def _select_index(restricted: Sequence[int], rank: Sequence) -> int:
+    """Index of the candidate to commit, from its uncovered minterms:
+    dominance first, then the most of them, then the smallest rank."""
     dom = find_dominant(restricted)
     if dom is not None:
         return dom
     return min(
-        range(len(candidates)),
-        key=lambda i: (-restricted[i].bit_count(), cube_text(candidates[i][0])),
+        range(len(restricted)), key=lambda i: (-restricted[i].bit_count(), rank[i])
     )
 
 
@@ -98,7 +106,11 @@ def select_epi(
 ) -> Cube:
     """Pick the committed implicant: dominance first, then uncovered count,
     then lexicographically smallest cube text."""
-    return candidates[_select_index(candidates, uncovered)][0]
+    if not candidates:
+        raise ValueError("no candidate implicants")
+    restricted = [mask.value & uncovered.value for _, mask in candidates]
+    rank = [cube_text(c) for c, _ in candidates]
+    return candidates[_select_index(restricted, rank)][0]
 
 
 @dataclass(frozen=True)
@@ -117,6 +129,22 @@ class CoverResult:
         return total == (1 << len(self.on_minterms)) - 1
 
 
+def _off_pairs(f: LogicFunction) -> OffPairs:
+    """The off-set of ``f`` for its folds.  Up to the 2^n-table cap it is
+    the ``table_cover`` of the off points, when that has fewer cubes than
+    the list: the primes depend only on the points.  A listed empty cube
+    keeps the list, so that the fold still rejects it."""
+    listed = [(z.left.value, z.right.value) for z in f.off]
+    if f.n <= DEFAULT_COMPLEMENT_CAP and not any(z.empty for z in f.off):
+        points = 0
+        for left, right in listed:
+            points |= cube_points(left, right)
+        compact = table_cover(points, f.n)
+        if len(compact) < len(listed):
+            listed = compact
+    return OffPairs(listed, f.off)
+
+
 def direct_cover(
     f: LogicFunction,
     *,
@@ -127,51 +155,54 @@ def direct_cover(
 
     Raises ``InconsistentFunction`` when an on-minterm lies in an off-cube:
     every prime misses every off-cube, so that minterm stays uncovered
-    until it is an origin, whose indicator fold rejects it.
+    until it is an origin, whose indicator fold rejects it.  Candidates
+    are ``(left, right)`` pairs in cube-text order, so the first of the
+    best ones wins the tie-break.
     """
     start = time.perf_counter()
     if not f.on:
         raise EmptyOnset("the on-set is empty")
     on_list = expand_on_minterms(f, on_expansion_cap)
     on = _on_slices(on_list, f.n)
+    off = _off_pairs(f)
     width = len(on_list)
-    chosen: list[Cube] = []
-    chosen_masks: list[BitVec] = []
+    chosen: list[tuple[int, int]] = []
+    chosen_masks: list[int] = []
     uncovered = (1 << width) - 1
     iterations = 0
     while uncovered:
         # the first uncovered origin is the highest set bit of ``uncovered``
         origin = on_list[width - uncovered.bit_length()]
-        pis = generate_spi(origin, f.off)
-        candidates = [(pi, on.mask_of(pi)) for pi in pis]
-        idx = _select_index(candidates, BitVec(width, uncovered))
-        cube, mask = candidates[idx]
-        chosen.append(cube)
-        chosen_masks.append(mask)
-        uncovered &= ~mask.value
+        pis = prime_pairs(origin, off)
+        masks = [on.meets(left, right) for left, right in pis]
+        idx = _select_index([mask & uncovered for mask in masks], range(len(pis)))
+        chosen.append(pis[idx])
+        chosen_masks.append(masks[idx])
+        uncovered &= ~masks[idx]
         iterations += 1
     if irredundant:
-        keep = _irredundant_indices(chosen_masks, width)
+        keep = _irredundant_indices(chosen_masks)
         chosen = [chosen[i] for i in keep]
         chosen_masks = [chosen_masks[i] for i in keep]
+    n = f.n
     elapsed = (time.perf_counter() - start) * 1000.0
     return CoverResult(
-        cubes=tuple(chosen),
-        coverage=tuple(chosen_masks),
+        cubes=tuple(Cube(BitVec(n, left), BitVec(n, right)) for left, right in chosen),
+        coverage=tuple(BitVec(width, mask) for mask in chosen_masks),
         on_minterms=tuple(on_list),
         iterations=iterations,
         elapsed_ms=elapsed,
     )
 
 
-def _irredundant_indices(masks: Sequence[BitVec], width: int) -> list[int]:
+def _irredundant_indices(masks: Sequence[int]) -> list[int]:
     keep = list(range(len(masks)))
     for i in reversed(range(len(masks))):
         rest = 0
         for j in keep:
             if j != i:
-                rest |= masks[j].value
-        if masks[i].value & ~rest == 0:
+                rest |= masks[j]
+        if masks[i] & ~rest == 0:
             keep.remove(i)
     return keep
 

@@ -7,9 +7,11 @@ sub-function of exactly those outputs (off-set: minterms where the AND
 of the tagged output columns is 0, don't cares counting as 1), and
 generates its prime implicants.  The off-set is the OR of the tagged
 outputs' 0-columns, each a 2^n-bit truth table built once per call, and
-is folded as a cube cover of exactly those points: a cube's difference
-indicator is the smallest of its minterms', so the primes are those of
-the minterm off-set.
+is folded as a cube cover of exactly those points, converted to int
+pairs once per tag: a cube's difference indicator is the smallest of its
+minterms', so the primes are those of the minterm off-set.  Candidates
+stay ``(left, right)`` pairs in cube-text order; only committed cubes
+become ``Cube``s.
 
 When no candidate dominates, the decision falls to neighbor lookahead.
 The neighbors of the origin are the minterms covered by some candidate
@@ -37,11 +39,13 @@ from .bitcube import (
     minterm_to_cube,
     table_cover,
 )
-# coverage_mask stays importable here: perfbench/tracing.py wraps it by name
+# coverage_mask and generate_spi stay importable here: perfbench/tracing.py
+# wraps them by name
 from .cover import coverage_mask, direct_cover, find_dominant, mask_members  # noqa: F401
 from .errors import EmptyOnset
-from .pi_gen import generate_spi
+from .pi_gen import generate_spi, prime_pairs  # noqa: F401
 from .pla_io import DEFAULT_COMPLEMENT_CAP, LogicFunction, MultiFunction
+from .reduced_offset import OffPairs
 
 
 @dataclass(frozen=True)
@@ -108,10 +112,6 @@ def _ones(points: int) -> list[int]:
     return [v for v, ch in enumerate(reversed(f"{points:b}")) if ch == "1"]
 
 
-def _cover_cubes(points: int, n: int) -> list[Cube]:
-    return [Cube(BitVec(n, left), BitVec(n, right)) for left, right in table_cover(points, n)]
-
-
 def subfunction_off(tag: "frozenset[int] | set[int]", f: MultiFunction) -> list[Cube]:
     """Off-set of the joint sub-function of the tagged outputs, as minterms
     in ascending order.
@@ -130,16 +130,26 @@ def neighbors(m1: BitVec, m2: BitVec) -> BitVec:
     return m1 ^ m2
 
 
-def _best_pi(minterm: BitVec, off: Sequence[Cube]) -> Cube:
-    pis = generate_spi(minterm, off)
-    return min(pis, key=lambda c: (c.literal_count, cube_text(c)))
+def _literals(pair: tuple[int, int]) -> int:
+    left, right = pair
+    return (left ^ right).bit_count()
+
+
+def _best_pi(minterm: BitVec, off: OffPairs) -> tuple[int, int]:
+    """The prime covering ``minterm`` with the fewest literals, ties to
+    the smallest cube text."""
+    return min(prime_pairs(minterm, off), key=_literals)
 
 
 def _single_output_function(f: MultiFunction, off_columns: Sequence[int]) -> LogicFunction:
+    n = f.n
     on = [minterm_to_cube(m) for m, vals in f.rows if vals[0] == 1]
-    off = _cover_cubes(off_columns[0], f.n)
+    off = [
+        Cube(BitVec(n, left), BitVec(n, right))
+        for left, right in table_cover(off_columns[0], n)
+    ]
     dc = [minterm_to_cube(m) for m, vals in f.rows if vals[0] is None]
-    return LogicFunction(f.n, tuple(on), tuple(off), tuple(dc), name=f.name)
+    return LogicFunction(n, tuple(on), tuple(off), tuple(dc), name=f.name)
 
 
 def edsa_minimize(f: MultiFunction) -> list[TaggedCube]:
@@ -153,18 +163,20 @@ def edsa_minimize(f: MultiFunction) -> list[TaggedCube]:
     tags = {t.minterm.value: t.tag for t in build_tagged(f)}
     if not tags:
         raise EmptyOnset("no output is ever true")
-    committed: dict[TaggedCube, None] = {}
+    n = f.n
+    # (left, right) pair and tag of each committed cube, in commit order
+    committed: dict[tuple[tuple[int, int], frozenset[int]], None] = {}
     # tags recur across origins; each joint off-set is built once
-    off_by_tag: dict[frozenset[int], list[Cube]] = {}
+    off_by_tag: dict[frozenset[int], OffPairs] = {}
 
-    def off_of(tag: frozenset[int]) -> list[Cube]:
+    def off_of(tag: frozenset[int]) -> OffPairs:
         off = off_by_tag.get(tag)
         if off is None:
-            off = off_by_tag[tag] = _cover_cubes(_joint(tag, off_columns), f.n)
+            off = off_by_tag[tag] = OffPairs(table_cover(_joint(tag, off_columns), n))
         return off
 
     by_value = sorted(tags)
-    rows = Slices.of_minterms(by_value, f.n)
+    rows = Slices.of_minterms(by_value, n)
     count = len(by_value)
     # per output, the index set (as in ``Slices``) of the rows still to be
     # covered for it; a tag's universe is the AND of its outputs' sets
@@ -179,9 +191,9 @@ def edsa_minimize(f: MultiFunction) -> list[TaggedCube]:
     heap = [(len(t), v) for v, t in tags.items()]
     heapq.heapify(heap)
 
-    def commit(cube: Cube, tag: frozenset[int]) -> None:
-        committed[TaggedCube(cube, tag)] = None
-        hit = rows.meets(cube.left.value, cube.right.value)
+    def commit(pair: tuple[int, int], tag: frozenset[int]) -> None:
+        committed[pair, tag] = None
+        hit = rows.meets(*pair)
         # the covered rows still to be covered for some output of the tag
         shrunk = 0
         for j in tag:
@@ -201,13 +213,13 @@ def edsa_minimize(f: MultiFunction) -> list[TaggedCube]:
             heapq.heappop(heap)
             continue
         tag = tags[origin_value]
-        pis = generate_spi(BitVec(f.n, origin_value), off_of(tag))
+        pis = prime_pairs(BitVec(n, origin_value), off_of(tag))
         # the rows still to be covered for every output of the tag; masks
         # are index sets of ``rows`` restricted to it
         universe = (1 << count) - 1
         for j in tag:
             universe &= live[j]
-        masks = [rows.meets(pi.left.value, pi.right.value) & universe for pi in pis]
+        masks = [rows.meets(left, right) & universe for left, right in pis]
         dom = find_dominant(masks)
         if dom is not None or len(pis) == 1:
             commit(pis[dom if dom is not None else 0], tag)
@@ -220,31 +232,31 @@ def edsa_minimize(f: MultiFunction) -> list[TaggedCube]:
         # the neighbours: minterms some candidates cover and others do not
         edge = union & ~inter
         best_by_neighbor = {
-            nv: _best_pi(BitVec(f.n, nv), off_of(tags[nv]))
+            nv: _best_pi(BitVec(n, nv), off_of(tags[nv]))
             for nv in mask_members(BitVec(count, edge), by_value)
         }
 
         def survivors(mask: int) -> list[int]:
             return mask_members(BitVec(count, edge & ~mask), by_value)
 
-        def score(item: tuple[Cube, int]) -> tuple[float, int, str]:
-            cube, mask = item
+        def score(i: int) -> tuple[float, int]:
             quality = min(
-                (best_by_neighbor[nv].literal_count for nv in survivors(mask)),
+                (_literals(best_by_neighbor[nv]) for nv in survivors(masks[i])),
                 default=math.inf,
             )
-            return (quality, -mask.bit_count(), cube_text(cube))
+            return (quality, -masks[i].bit_count())
 
-        cube, mask = min(zip(pis, masks), key=score)
-        commit(cube, tag)
-        stranded = survivors(mask)
+        # the first best candidate has the smallest cube text
+        i = min(range(len(pis)), key=score)
+        commit(pis[i], tag)
+        stranded = survivors(masks[i])
         if stranded:
-            best_nv = min(
-                stranded,
-                key=lambda nv: (best_by_neighbor[nv].literal_count, nv),
-            )
+            best_nv = min(stranded, key=lambda nv: (_literals(best_by_neighbor[nv]), nv))
             commit(best_by_neighbor[best_nv], tags[best_nv])
-    return list(committed)
+    return [
+        TaggedCube(Cube(BitVec(n, left), BitVec(n, right)), tag)
+        for (left, right), tag in committed
+    ]
 
 
 def per_output_cover(

@@ -5,7 +5,8 @@ variables at its 1-positions.  Multiplying the clauses out and absorbing
 redundant products yields one literal-position vector per prime
 implicant; fixing the literal values from the minterm turns each vector
 into the cube itself.  Absorption runs after every clause so the working
-set stays small.
+set stays small.  ``prime_pairs`` runs the whole step on ints for an
+``OffPairs`` off-set.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from typing import Iterable, Sequence
 
 from .bitcube import BitVec, Cube, cube_text, minimal_ones
 from .errors import EmptyOffset
-from .reduced_offset import DiSet, generate_sdm
+from .reduced_offset import DiSet, OffPairs, generate_sdm
 
 
 def generate_m(D: BitVec) -> list[BitVec]:
@@ -33,6 +34,13 @@ def _clause_bits(d: int) -> list[int]:
         out.append(d ^ rest)
         d = rest
     return out
+
+
+def _expand(vectors: list[int], d: int) -> list[int]:
+    """One clause expansion: the minimal products of the vectors with the
+    one-hot bits of the indicator value ``d``."""
+    bits = _clause_bits(d)
+    return minimal_ones([e | b for e in vectors for b in bits])
 
 
 def minimize_n(vectors: Sequence[BitVec]) -> list[BitVec]:
@@ -76,8 +84,7 @@ def generate_n(
     for d in seq:
         if d.width != width:
             raise ValueError(f"width mismatch: {width} vs {d.width}")
-        bits = _clause_bits(d.value)
-        vectors = minimal_ones([e | b for e in vectors for b in bits])
+        vectors = _expand(vectors, d.value)
         if trace is not None:
             trace.append(
                 NStep(
@@ -119,3 +126,24 @@ def generate_spi(
         return [Cube.universal(P.width)]
     vectors = generate_n(sdm.elements)
     return sorted(vectors_to_pis(P, vectors), key=cube_text)
+
+
+def prime_pairs(P: BitVec, off: OffPairs) -> list[tuple[int, int]]:
+    """``generate_spi`` on ints: the primes covering ``P`` as ``(left,
+    right)`` pair values, in the cube-text order of the primes.
+
+    Every prime holds P, so two primes differ only at positions where one
+    keeps P's literal and the other is free; at the first of them from
+    the left the literal, '0' or '1', sorts before 'x'.  Literal-position
+    vectors in descending order therefore give the cube-text order.
+    """
+    full = (1 << P.width) - 1
+    try:
+        sdm = generate_sdm(P, off)
+    except EmptyOffset:
+        return [(full, full)]
+    vectors = [0]
+    for d in sdm.elements:
+        vectors = _expand(vectors, d)
+    p = P.value
+    return [(full ^ (p & e), p | (full ^ e)) for e in sorted(vectors, reverse=True)]

@@ -11,7 +11,8 @@ Single-output files produce a ``LogicFunction`` holding the cube lists
 as written.  For types f and fd the off-set is derived as the
 complement of on plus dc, which is refused above a variable cap
 (default 16); supply fr/fdr input beyond that.  Multi-output files
-produce a ``MultiFunction`` with one row per minterm.
+produce a ``MultiFunction`` with one row per minterm, up to 16 inputs
+whatever the cap: their minimizer builds 2^n-bit output tables.
 """
 
 from __future__ import annotations
@@ -156,7 +157,6 @@ class _RawPla:
     rows: list[tuple[Cube, str]]
     ilb: tuple[str, ...]
     ob: tuple[str, ...]
-    declared_terms: int | None = None
 
 
 def _scan(text: str) -> _RawPla:
@@ -164,7 +164,6 @@ def _scan(text: str) -> _RawPla:
     type_ = "fd"
     ilb: tuple[str, ...] = ()
     ob: tuple[str, ...] = ()
-    declared = None
     rows: list[tuple[Cube, str]] = []
     ended = False
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -180,7 +179,7 @@ def _scan(text: str) -> _RawPla:
                 elif key == ".o":
                     m = int(parts[1])
                 elif key == ".p":
-                    declared = int(parts[1])
+                    int(parts[1])  # the term count is checked, not kept
                 elif key == ".ilb":
                     ilb = tuple(parts[1:])
                 elif key == ".ob":
@@ -215,7 +214,7 @@ def _scan(text: str) -> _RawPla:
         rows.append((cube, outputs))
     if n is None or m is None:
         raise PlaParseError("missing .i/.o declarations")
-    return _RawPla(n, m, type_, rows, ilb, ob, declared)
+    return _RawPla(n, m, type_, rows, ilb, ob)
 
 
 def _single_output(raw: _RawPla, name: str, complement_cap: int) -> LogicFunction:
@@ -245,6 +244,11 @@ def _single_output(raw: _RawPla, name: str, complement_cap: int) -> LogicFunctio
 
 
 def _multi_output(raw: _RawPla, name: str, expand_cap: int) -> MultiFunction:
+    if raw.n > DEFAULT_COMPLEMENT_CAP:
+        raise PlaParseError(
+            f"multi-output minimization builds 2^n-bit output tables, capped at "
+            f"{DEFAULT_COMPLEMENT_CAP} inputs; this file has {raw.n}"
+        )
     if raw.n > expand_cap:
         raise PlaParseError(
             f"multi-output rows need minterm expansion over {raw.n} variables "

@@ -7,7 +7,8 @@ the complement of p_i), bit i clear means the position is a don't care.
 ``generate_sdm`` folds a whole off-set into the absorption-minimal set
 of such difference indicators without ever materialising the unreduced
 offset; the fold runs on plain ints, and ``BitVec`` wraps only its
-result.
+result.  An ``OffPairs`` off-set is converted to ints once for the folds
+of many minterms, and its folds return plain ints.
 
 Polarity runs opposite to cube size: more 1-bits means more literals and
 a smaller cube, so vector s absorbs vector d exactly when the ones of s
@@ -23,7 +24,7 @@ from __future__ import annotations
 import bisect
 import logging
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .bitcube import BitVec, Cube, cube_contains, minimal_ones, minterm_to_cube
 from .errors import EmptyOffset, InconsistentFunction
@@ -37,6 +38,8 @@ class DiSet:
 
     Elements are kept sorted ascending by value; the fold below scans in
     that order, which fixes the comparison counts deterministically.
+    They are ``BitVec``s, or plain int values when the fold ran on an
+    ``OffPairs`` off-set.
     """
 
     elements: list[BitVec] = field(default_factory=list)
@@ -60,6 +63,31 @@ class DiSet:
 
     def as_set(self) -> frozenset[BitVec]:
         return frozenset(self.elements)
+
+
+class OffPairs:
+    """An off-set converted once for the folds of many minterms.
+
+    Built from ``(left, right)`` cube pair values, it keeps one
+    ``(right, left ^ right)`` pair per cube, so that the indicator of the
+    minterm of value p is ``(p ^ right) & spec``.  ``listed`` are the
+    off-cubes as the caller gave them, with the same minterms; they are
+    read only after a zero indicator, to raise what a fold over them
+    raises.  An empty cube's pair is (0, 0), so its indicator is 0.
+    """
+
+    __slots__ = ("pairs", "listed")
+
+    def __init__(
+        self,
+        cubes: "Iterable[tuple[int, int]]",
+        listed: "Sequence[Cube | BitVec]" = (),
+    ) -> None:
+        self.pairs = [(right, left ^ right) for left, right in cubes]
+        self.listed = listed
+
+    def __len__(self) -> int:
+        return len(self.pairs)
 
 
 def _as_cube(z: Cube | BitVec) -> Cube:
@@ -163,7 +191,7 @@ class SdmStep:
 
 def generate_sdm(
     P: BitVec,
-    off_cubes: "list[Cube | BitVec] | tuple[Cube | BitVec, ...]",
+    off_cubes: "list[Cube | BitVec] | tuple[Cube | BitVec, ...] | OffPairs",
     *,
     trace: list[SdmStep] | None = None,
 ) -> DiSet:
@@ -172,14 +200,25 @@ def generate_sdm(
     Seeds the all-ones sentinel, then folds one indicator per off-cube.
     Raises ``EmptyOffset`` for an empty off-set (the caller maps that to
     the universal cube) and propagates ``InconsistentFunction`` when P
-    lies inside some off-cube.
+    lies inside some off-cube.  An ``OffPairs`` off-set is folded without
+    a trace and gives a set of int values.
     """
-    off = list(off_cubes)
+    prepared = isinstance(off_cubes, OffPairs)
+    off = off_cubes if prepared else list(off_cubes)
     if not off:
         raise EmptyOffset("off-set is empty; every point is coverable by the universal cube")
     width = P.width
     elements = [(1 << width) - 1]
-    if trace is None:
+    if prepared:
+        p = P.value
+        comparisons, absorptions = _fold(elements, [(p ^ r) & s for r, s in off.pairs])
+        # a zero indicator replaces every element and absorbs every later
+        # one, so it leaves exactly the element 0
+        if not elements[0]:
+            for _ in _indicators(P, off.listed):
+                pass
+            raise InconsistentFunction(f"minterm {P} is contained in the off-set")
+    elif trace is None:
         comparisons, absorptions = _fold(elements, _indicators(P, off))
     else:
         comparisons = absorptions = 0
@@ -203,6 +242,8 @@ def generate_sdm(
         width,
         2.5 * width,
     )
+    if prepared:
+        return DiSet(elements, comparisons, absorptions)
     return DiSet([BitVec(width, e) for e in elements], comparisons, absorptions)
 
 

@@ -27,8 +27,8 @@ from primecover import (
     minterm_to_cube,
 )
 from primecover.bitcube import Slices
-from primecover.cover import expand_on_minterms, find_dominant, mask_members
-from primecover.multi_output import MultiCoverReport, TaggedCube, _best_pi
+from primecover.cover import find_dominant, mask_members
+from primecover.multi_output import MultiCoverReport, TaggedCube
 from primecover.reduced_offset import SdmStep
 
 bv = BitVec.from_text
@@ -223,11 +223,20 @@ def reference_coverage_mask(pi: Cube, on_minterms) -> BitVec:
     return BitVec(width, bits)
 
 
+def reference_on_minterms(f: LogicFunction) -> list[BitVec]:
+    """On-minterms in canonical order, one ``Cube.minterms()`` call per cube."""
+    out: dict[int, BitVec] = {}
+    for c in f.on:
+        for m in c.minterms():
+            out.setdefault(m.value, m)
+    return list(out.values())
+
+
 def reference_verify_cover(cover, f: LogicFunction) -> CoverReport:
     cubes = list(cover.cubes) if isinstance(cover, CoverResult) else list(cover)
     missing = [
         m
-        for m in expand_on_minterms(f)
+        for m in reference_on_minterms(f)
         if not any(c.covers_value(m.value) for c in cubes)
     ]
     off_conflicts = [(c, z) for c in cubes for z in f.off if cube_intersects(c, z)]
@@ -392,6 +401,50 @@ def reference_text_cube(s: str) -> Cube:
     return Cube(BitVec(n, left), BitVec(n, right))
 
 
+# The direct cover loop as it ran on carriers: the listed off-cubes go to
+# generate_spi on every origin, and candidates are (Cube, mask) pairs
+# chosen by dominance, uncovered count and cube text.
+
+
+def reference_direct_cover(f: LogicFunction, *, irredundant: bool = False) -> CoverResult:
+    if not f.on:
+        raise EmptyOnset("the on-set is empty")
+    on_list = reference_on_minterms(f)
+    on = Slices.of_minterms([m.value for m in on_list], f.n)
+    width = len(on_list)
+    chosen: list[Cube] = []
+    chosen_masks: list[BitVec] = []
+    uncovered = (1 << width) - 1
+    iterations = 0
+    while uncovered:
+        origin = on_list[width - uncovered.bit_length()]
+        candidates = [(pi, on.mask_of(pi)) for pi in generate_spi(origin, f.off)]
+        restricted = [mask.value & uncovered for _, mask in candidates]
+        idx = find_dominant(restricted)
+        if idx is None:
+            idx = min(
+                range(len(candidates)),
+                key=lambda i: (-restricted[i].bit_count(), cube_text(candidates[i][0])),
+            )
+        cube, mask = candidates[idx]
+        chosen.append(cube)
+        chosen_masks.append(mask)
+        uncovered &= ~mask.value
+        iterations += 1
+    if irredundant:
+        keep = list(range(len(chosen)))
+        for i in reversed(range(len(chosen))):
+            rest = 0
+            for j in keep:
+                if j != i:
+                    rest |= chosen_masks[j].value
+            if chosen_masks[i].value & ~rest == 0:
+                keep.remove(i)
+        chosen = [chosen[i] for i in keep]
+        chosen_masks = [chosen_masks[i] for i in keep]
+    return CoverResult(tuple(chosen), tuple(chosen_masks), tuple(on_list), iterations, 0.0)
+
+
 # References for the multi-output loop: the joint off-set built by a
 # per-output scan of all 2^n minterms, and the loop that rebuilds every
 # row's current tag from a set of covered (minterm, output) pairs each
@@ -434,6 +487,11 @@ def reference_single_output_function(f: MultiFunction) -> LogicFunction:
     ]
     dc = [minterm_to_cube(m) for m, vals in f.rows if vals[0] is None]
     return LogicFunction(f.n, tuple(on), tuple(off), tuple(dc), name=f.name)
+
+
+def reference_best_pi(minterm: BitVec, off) -> Cube:
+    pis = generate_spi(minterm, off)
+    return min(pis, key=lambda c: (c.literal_count, cube_text(c)))
 
 
 def reference_edsa_minimize(f: MultiFunction) -> list[TaggedCube]:
@@ -491,7 +549,8 @@ def reference_edsa_minimize(f: MultiFunction) -> list[TaggedCube]:
             if (union & ~inter) >> (width - 1 - i) & 1
         ]
         best_by_neighbor = {
-            nv: _best_pi(BitVec(f.n, nv), off_of(tags[nv])) for nv in neighbor_values
+            nv: reference_best_pi(BitVec(f.n, nv), off_of(tags[nv]))
+            for nv in neighbor_values
         }
 
         def score(item):

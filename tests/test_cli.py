@@ -128,6 +128,47 @@ def test_verify_ok_and_failures(tmp_path, capsys):
     assert "coverage: FAIL" in captured.out
 
 
+def test_verify_multi_output_cover(tmp_path, capsys):
+    src = write(tmp_path, "tri.pla", TRI_OUTPUT_PLA)
+    out = tmp_path / "cover.pla"
+    assert main(["minimize", src, "--multi", "--out", str(out)]) == 0
+    capsys.readouterr()
+
+    assert main(["verify", src, str(out)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == [
+        "coverage: ok",
+        "off-set: ok (no cube touches it)",
+        "primality: ok (every literal is needed)",
+    ]
+
+    # without x00 on y0, (000, y0) and (100, y0) are uncovered
+    lines = out.read_text(encoding="utf-8").splitlines()
+    dropped = write(
+        tmp_path, "dropped.pla", "\n".join(l for l in lines if l != "-00 100") + "\n"
+    )
+    assert len(lines) - 1 == len(Path(dropped).read_text(encoding="utf-8").splitlines())
+    assert main(["verify", src, dropped]) == 1
+    captured = capsys.readouterr()
+    assert "coverage: FAIL, uncovered on-minterms 000 (output 0), 100 (output 0)" in captured.out
+
+
+def test_verify_rejects_a_cover_with_other_outputs(tmp_path, capsys):
+    src = write(tmp_path, "tri.pla", TRI_OUTPUT_PLA)
+    single = write(tmp_path, "single.pla", ".i 3\n.o 1\n.type fr\n000 1\n.e\n")
+    assert main(["verify", src, single]) == 2
+    assert main(["verify", single, src]) == 2
+
+
+def test_multi_output_parse_stops_at_the_table_cap(tmp_path, capsys):
+    src = write(
+        tmp_path, "wide.pla", ".i 17\n.o 2\n.type fr\n" + "0" * 17 + " 10\n" + "1" * 17 + " 01\n.e\n"
+    )
+    assert main(["minimize", src, "--multi", "--max-expand", "20"]) == 2
+    captured = capsys.readouterr()
+    assert "2^n-bit output tables, capped at 16 inputs; this file has 17" in captured.err
+
+
 def test_verify_width_mismatch(tmp_path, capsys):
     src = write(tmp_path, "fivevar.pla", five_var_pla())
     other = write(tmp_path, "small.pla", ".i 2\n.o 1\n.type fr\n11 1\n.e\n")

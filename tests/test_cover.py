@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from primecover import (
     BitVec,
@@ -20,7 +22,7 @@ from primecover import (
     verify_cover,
 )
 from primecover.cover import expand_on_minterms, mask_members
-from helpers import bv, five_var_function, random_function
+from helpers import bv, five_var_function, random_function, reference_direct_cover
 
 
 def test_coverage_mask_five_var():
@@ -214,3 +216,91 @@ def test_direct_cover_medium_scale_cube_rows():
     report = verify_cover(result, f)
     assert report.ok
     assert result.elapsed_ms < 5000
+
+
+# direct_cover folds one compacted int-pair off-set per call; the
+# reference folds the listed off-cubes through generate_spi per origin.
+
+
+def cube_lists(n: int, max_size: int) -> st.SearchStrategy[list[Cube]]:
+    """Cubes with don't cares, then some of them again (duplicates)."""
+    cube = st.text(alphabet="01x", min_size=n, max_size=n).map(text_cube)
+    listed = st.lists(cube, max_size=max_size)
+    return listed.flatmap(
+        lambda cs: st.lists(st.sampled_from(cs), max_size=3).map(lambda dup: cs + dup)
+        if cs
+        else st.just(cs)
+    )
+
+
+def minterm_lists(n: int) -> st.SearchStrategy[list[Cube]]:
+    return st.lists(st.integers(0, (1 << n) - 1), max_size=1 << n).map(
+        lambda vs: [minterm_to_cube(BitVec(n, v)) for v in vs]
+    )
+
+
+@st.composite
+def consistent_functions(draw) -> LogicFunction:
+    """On, off and dc cubes over 1-8 inputs with no on-point in the
+    off-set; the off-set may be empty, overlap itself or repeat cubes."""
+    n = draw(st.integers(1, 8))
+    off = draw(st.permutations(draw(cube_lists(n, 6)) + draw(minterm_lists(n))))
+    off_points = {m.value for z in off for m in z.minterms()}
+    free = [v for v in range(1 << n) if v not in off_points]
+    on = [
+        c for c in draw(cube_lists(n, 8)) if not any(c.covers_value(v) for v in off_points)
+    ]
+    # an off-set of every point leaves the on-set empty, on both sides
+    on = on or [minterm_to_cube(BitVec(n, v)) for v in free[:1]]
+    dc = draw(cube_lists(n, 3))
+    return LogicFunction(n, tuple(on), tuple(off), tuple(dc))
+
+
+def outcome(fn, *args, **kwargs):
+    """The cover's comparable fields, or the type and message of the error."""
+    try:
+        r = fn(*args, **kwargs)
+    except ValueError as exc:  # InconsistentFunction and EmptyOnset included
+        return (type(exc), str(exc))
+    return (r.cubes, r.coverage, r.on_minterms, r.iterations)
+
+
+@settings(deadline=None)
+@given(consistent_functions(), st.booleans())
+def test_direct_cover_matches_the_listed_fold(f, irredundant):
+    got = outcome(direct_cover, f, irredundant=irredundant)
+    assert got == outcome(reference_direct_cover, f, irredundant=irredundant)
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_direct_cover_errors_match_the_listed_fold(data):
+    """An empty off-cube, and an on-minterm inside a listed off-cube, raise
+    the type and message the listed fold raises, at the first of them."""
+    n = data.draw(st.integers(1, 8))
+    on = data.draw(cube_lists(n, 4).filter(bool))
+    off = data.draw(cube_lists(n, 6)) + data.draw(minterm_lists(n))
+    off += data.draw(st.lists(st.just(Cube.empty_cube(n)), max_size=2))
+    off = data.draw(st.permutations(off))
+    f = LogicFunction(n, tuple(on), tuple(off))
+    want = outcome(reference_direct_cover, f)
+    assert outcome(direct_cover, f) == want
+
+
+def test_direct_cover_error_messages():
+    on = (text_cube("1x"),)
+    empty = Cube.empty_cube(2)
+    with pytest.raises(ValueError, match="^difference indicator of an empty cube$"):
+        direct_cover(LogicFunction(2, on, (text_cube("00"), empty, text_cube("11"))))
+    # the off-set folds as the two cubes x1 and 1x; the message names the
+    # first listed off-cube holding the origin 10
+    off = (text_cube("01"), text_cube("11"), text_cube("x1"), text_cube("10"))
+    with pytest.raises(
+        InconsistentFunction, match="^minterm 10 is contained in off-cube 10$"
+    ):
+        direct_cover(LogicFunction(2, on, off))
+    off = (text_cube("0x"), text_cube("1x"), text_cube("10"))
+    with pytest.raises(
+        InconsistentFunction, match="^minterm 10 is contained in off-cube 1x$"
+    ):
+        direct_cover(LogicFunction(2, on, off))

@@ -20,6 +20,7 @@ from primecover import (
     reform_sdm,
     text_cube,
 )
+from primecover.reduced_offset import OffPairs
 from helpers import (
     reference_cross_or,
     reference_cube_text,
@@ -100,6 +101,23 @@ def test_generate_sdm_errors_match_reference(data):
     assert outcome(generate_sdm, p, off) == want
     for z in off:
         assert outcome(generate_di, p, z) == outcome(reference_generate_di, p, z)
+
+
+@given(st.data())
+def test_generate_sdm_on_off_pairs_matches_the_listed_fold(data):
+    """Folded as int pairs, an off-set gives the listed fold's values and
+    counters, and raises what it raises: at an off-cube holding P or an
+    empty cube, whichever is listed first."""
+    width = data.draw(widths)
+    p = data.draw(minterms(width))
+    extra = st.one_of(st.just(Cube.empty_cube(width)), st.just(Cube(~p, p)))
+    off = data.draw(st.lists(st.one_of(cubes(width), extra), max_size=20))
+    pairs = OffPairs([(z.left.value, z.right.value) for z in off], off)
+    got = outcome(generate_sdm, p, pairs)
+    want = outcome(generate_sdm, p, off)
+    if isinstance(want, DiSet):
+        want = DiSet([e.value for e in want], want.comparisons, want.absorptions)
+    assert got == want
 
 
 @given(st.data())
