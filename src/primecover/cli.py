@@ -11,17 +11,16 @@ import csv
 import io
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from .bitcube import BitVec, Cube, cube_text
 from .cover import direct_cover, verify_cover
 from .errors import EmptyOnset, InconsistentFunction, PlaParseError
 from .multi_output import TaggedCube, edsa_minimize, verify_multi
-from .oracle import TruthTable, equivalent
-from .pi_gen import generate_n, vectors_to_pis
+from .oracle import _EQUIV_VAR_CAP, TruthTable, equivalent
+from .pi_gen import cross_or, generate_m, generate_spi
 from .pla_io import MultiFunction, parse_pla, write_pla
-from .reduced_offset import generate_sdm
+from .reduced_offset import DiSet, generate_di, reform_sdm
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -77,9 +76,6 @@ def cmd_primes(args: argparse.Namespace) -> int:
     if isinstance(f, MultiFunction):
         print(f"{args.input}: primes needs a single-output file", file=sys.stderr)
         return EXIT_INPUT
-    if args.minterm is None:
-        print("--minterm is required", file=sys.stderr)
-        return EXIT_INPUT
     try:
         P = BitVec.from_text(args.minterm)
     except ValueError as exc:
@@ -94,52 +90,57 @@ def cmd_primes(args: argparse.Namespace) -> int:
     if any(z.covers_value(P.value) for z in f.off):
         print(f"minterm {P} lies in the off-set", file=sys.stderr)
         return EXIT_INCONSISTENT
-    if not f.off:
-        if args.trace:
-            print("off-set empty: the universal cube is the only prime")
-        print(cube_text(Cube.universal(f.n)))
-        return EXIT_OK
-    sdm_steps = [] if args.trace else None
-    sdm = generate_sdm(P, list(f.off), trace=sdm_steps)
     if args.trace:
-        print(f"di trace for minterm {P} ({len(f.off)} off-cubes)")
-        for step in sdm_steps:
-            print(
-                f"  j={step.index:<3d} off={cube_text(step.off_cube)}  "
-                f"di={step.di}  kept={_vec_set(step.elements)}  "
-                f"comparisons={step.comparisons} absorbed={step.absorbed}"
-            )
-        avg = sdm.comparisons / len(f.off)
-        print(
-            f"minimal di set {_vec_set(sdm.elements)}  w={len(sdm)}  "
-            f"comparisons={sdm.comparisons}  avg={avg:.2f}"
-        )
-    n_steps = [] if args.trace else None
-    vectors = generate_n(sdm.elements, trace=n_steps)
-    if args.trace:
-        print("vector trace")
-        for step in n_steps:
-            print(
-                f"  di={step.di}  clauses={_vec_set(step.clauses)}  "
-                f"n={_vec_set(step.vectors)}"
-            )
-        print(f"primes covering {P}:")
-    for text in sorted(cube_text(c) for c in vectors_to_pis(P, vectors)):
-        print(text)
+        _print_trace(P, f.off)
+    for c in generate_spi(P, f.off):
+        print(cube_text(c))
     return EXIT_OK
 
 
+def _print_trace(P: BitVec, off: tuple[Cube, ...]) -> None:
+    """Step the exported primitives and print each step: one indicator
+    folded per off-cube, then one clause expanded per kept indicator."""
+    if not off:
+        print("off-set empty: the universal cube is the only prime")
+        return
+    print(f"di trace for minterm {P} ({len(off)} off-cubes)")
+    S = DiSet([BitVec.ones(P.width)])
+    for j, z in enumerate(off, start=1):
+        d = generate_di(P, z)
+        comparisons, absorptions = S.comparisons, S.absorptions
+        reform_sdm(S, d)
+        print(
+            f"  j={j:<3d} off={cube_text(z)}  di={d}  kept={_vec_set(S.elements)}  "
+            f"comparisons={S.comparisons - comparisons} "
+            f"absorbed={S.absorptions - absorptions}"
+        )
+    print(
+        f"minimal di set {_vec_set(S.elements)}  w={len(S)}  "
+        f"comparisons={S.comparisons}  avg={S.comparisons / len(off):.2f}"
+    )
+    print("vector trace")
+    vectors = [BitVec.zeros(P.width)]
+    for d in S.elements:
+        clauses = generate_m(d)
+        vectors = cross_or(vectors, clauses)
+        print(f"  di={d}  clauses={_vec_set(clauses)}  n={_vec_set(vectors)}")
+    print(f"primes covering {P}:")
+
+
 def _bench_one(path: Path, max_expand: int) -> list[str]:
+    """One CSV row: ``on`` counts on-minterms (for several outputs, the
+    rows with an output of 1) and ``ms`` times parsing and minimizing."""
     try:
-        f = _read_function(str(path), max_expand)
         started = time.perf_counter()
+        f = _read_function(str(path), max_expand)
         if isinstance(f, MultiFunction):
             cubes = len(edsa_minimize(f))
-            on = len(f.rows)
+            on = sum(1 in values for _, values in f.rows)
             off = 0
         else:
-            cubes = len(direct_cover(f).cubes)
-            on = len(f.on)
+            result = direct_cover(f)
+            cubes = len(result.cubes)
+            on = len(result.on_minterms)
             off = len(f.off)
         ms = (time.perf_counter() - started) * 1000.0
         return [path.stem, str(f.n), str(on), str(off), str(cubes), f"{ms:.2f}"]
@@ -154,11 +155,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         print(f"not a directory: {args.dir}", file=sys.stderr)
         return EXIT_INPUT
     files = sorted(directory.glob("*.pla"), key=lambda p: p.name)
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(pool.map(lambda p: _bench_one(p, args.max_expand), files))
-    else:
-        rows = [_bench_one(p, args.max_expand) for p in files]
+    rows = [_bench_one(p, args.max_expand) for p in files]
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["name", "n", "on", "off", "cubes", "ms"])
@@ -242,7 +239,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         ],
     )
     equal = True
-    if f.n <= 20:
+    if f.n <= _EQUIV_VAR_CAP:
         care = TruthTable.from_function(f)
         equal = equivalent(cubes, list(f.on), care)
         print(f"equivalence on care set: {'ok' if equal else 'FAIL'}")
@@ -285,7 +282,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bench = sub.add_parser("bench", help="minimize every PLA file in a directory")
     p_bench.add_argument("--dir", required=True)
     p_bench.add_argument("--csv", default=None, help="write the table here instead of stdout")
-    p_bench.add_argument("--jobs", type=int, default=1)
     p_bench.add_argument("--max-expand", type=int, default=16)
     p_bench.set_defaults(func=cmd_bench)
     return parser

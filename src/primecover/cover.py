@@ -11,7 +11,6 @@ given input always produces the same cover.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Sequence, TypeVar
 
@@ -119,7 +118,6 @@ class CoverResult:
     coverage: tuple[BitVec, ...]
     on_minterms: tuple[BitVec, ...]
     iterations: int
-    elapsed_ms: float
 
     @property
     def covered_all(self) -> bool:
@@ -145,12 +143,7 @@ def _off_pairs(f: LogicFunction) -> OffPairs:
     return OffPairs(listed, f.off)
 
 
-def direct_cover(
-    f: LogicFunction,
-    *,
-    irredundant: bool = False,
-    on_expansion_cap: int = DEFAULT_ON_EXPANSION_CAP,
-) -> CoverResult:
+def direct_cover(f: LogicFunction, *, irredundant: bool = False) -> CoverResult:
     """Cover the whole on-set with prime implicants of the off-complement.
 
     Raises ``InconsistentFunction`` when an on-minterm lies in an off-cube:
@@ -159,10 +152,9 @@ def direct_cover(
     are ``(left, right)`` pairs in cube-text order, so the first of the
     best ones wins the tie-break.
     """
-    start = time.perf_counter()
     if not f.on:
         raise EmptyOnset("the on-set is empty")
-    on_list = expand_on_minterms(f, on_expansion_cap)
+    on_list = expand_on_minterms(f)
     on = _on_slices(on_list, f.n)
     off = _off_pairs(f)
     width = len(on_list)
@@ -185,13 +177,11 @@ def direct_cover(
         chosen = [chosen[i] for i in keep]
         chosen_masks = [chosen_masks[i] for i in keep]
     n = f.n
-    elapsed = (time.perf_counter() - start) * 1000.0
     return CoverResult(
         cubes=tuple(Cube(BitVec(n, left), BitVec(n, right)) for left, right in chosen),
         coverage=tuple(BitVec(width, mask) for mask in chosen_masks),
         on_minterms=tuple(on_list),
         iterations=iterations,
-        elapsed_ms=elapsed,
     )
 
 
@@ -220,25 +210,23 @@ class CoverReport:
         return not (self.missing or self.off_conflicts or self.removable_literals)
 
 
-def verify_cover(
-    cover: CoverResult | Sequence[Cube],
-    f: LogicFunction,
-    *,
-    on_expansion_cap: int = DEFAULT_ON_EXPANSION_CAP,
-) -> CoverReport:
+def verify_cover(cover: CoverResult | Sequence[Cube], f: LogicFunction) -> CoverReport:
     """Check coverage of the on-set, disjointness from the off-set, and
-    primality of every cube by the literal-raising test."""
+    primality of every cube by the literal-raising test.  The on-set is
+    queried as int values; only the missing minterms become ``BitVec``s."""
     cubes = list(cover.cubes) if isinstance(cover, CoverResult) else list(cover)
     for c in cubes:
         if c.width != f.n:
             raise ValueError(f"width mismatch: {c.width} vs {f.n}")
-    on_list = expand_on_minterms(f, on_expansion_cap)
-    on = _on_slices(on_list, f.n)
+    on_values = _on_values(f, DEFAULT_ON_EXPANSION_CAP)
+    on = Slices.of_minterms(on_values, f.n)
     off = Slices([(z.left.value, z.right.value) for z in f.off], f.n)
     uncovered = (1 << on.count) - 1
     for c in cubes:
         uncovered &= ~on.meets(c.left.value, c.right.value)
-    missing = mask_members(BitVec(on.count, uncovered), on_list)
+    missing = [
+        BitVec(f.n, v) for v in mask_members(BitVec(on.count, uncovered), on_values)
+    ]
     off_conflicts: list[tuple[Cube, Cube]] = []
     removable: list[tuple[Cube, int]] = []
     for c in cubes:

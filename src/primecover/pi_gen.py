@@ -11,7 +11,6 @@ set stays small.  ``prime_pairs`` runs the whole step on ints for an
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .bitcube import BitVec, Cube, cube_text, minimal_ones
@@ -59,20 +58,7 @@ def cross_or(n_vectors: Sequence[BitVec], m_vectors: Sequence[BitVec]) -> list[B
     return minimize_n(products)
 
 
-@dataclass(frozen=True)
-class NStep:
-    """One clause expansion, recorded when tracing."""
-
-    di: BitVec
-    clauses: tuple[BitVec, ...]
-    vectors: tuple[BitVec, ...]
-
-
-def generate_n(
-    dis: Iterable[BitVec] | DiSet,
-    *,
-    trace: list[NStep] | None = None,
-) -> list[BitVec]:
+def generate_n(dis: Iterable[BitVec] | DiSet) -> list[BitVec]:
     """Fold every indicator's clause into the literal-position vectors."""
     seq = list(dis)
     if not seq:
@@ -85,14 +71,6 @@ def generate_n(
         if d.width != width:
             raise ValueError(f"width mismatch: {width} vs {d.width}")
         vectors = _expand(vectors, d.value)
-        if trace is not None:
-            trace.append(
-                NStep(
-                    di=d,
-                    clauses=tuple(generate_m(d)),
-                    vectors=tuple(BitVec(width, v) for v in vectors),
-                )
-            )
     return [BitVec(width, v) for v in vectors]
 
 
@@ -109,19 +87,14 @@ def vectors_to_pis(P: BitVec, vectors: Sequence[BitVec]) -> list[Cube]:
     return out
 
 
-def generate_spi(
-    P: BitVec,
-    off_cubes: Sequence[Cube | BitVec],
-    *,
-    trace: list | None = None,
-) -> list[Cube]:
+def generate_spi(P: BitVec, off_cubes: Sequence[Cube | BitVec]) -> list[Cube]:
     """All prime implicants covering ``P``, sorted by cube text.
 
     The function minimized is the complement of the off-set; an empty
     off-set therefore yields the single universal cube.
     """
     try:
-        sdm = generate_sdm(P, list(off_cubes), trace=trace)
+        sdm = generate_sdm(P, list(off_cubes))
     except EmptyOffset:
         return [Cube.universal(P.width)]
     vectors = generate_n(sdm.elements)

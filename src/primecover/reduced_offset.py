@@ -22,14 +22,11 @@ vector path.
 from __future__ import annotations
 
 import bisect
-import logging
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
 from .bitcube import BitVec, Cube, cube_contains, minimal_ones, minterm_to_cube
 from .errors import EmptyOffset, InconsistentFunction
-
-log = logging.getLogger(__name__)
 
 
 @dataclass
@@ -177,31 +174,17 @@ def reform_sdm(S: DiSet, D: BitVec) -> DiSet:
     return S
 
 
-@dataclass(frozen=True)
-class SdmStep:
-    """One fold step, recorded when tracing."""
-
-    index: int
-    off_cube: Cube
-    di: BitVec
-    comparisons: int
-    absorbed: int
-    elements: tuple[BitVec, ...]
-
-
 def generate_sdm(
     P: BitVec,
     off_cubes: "list[Cube | BitVec] | tuple[Cube | BitVec, ...] | OffPairs",
-    *,
-    trace: list[SdmStep] | None = None,
 ) -> DiSet:
     """Minimal difference-indicator set of ``P`` against the whole off-set.
 
     Seeds the all-ones sentinel, then folds one indicator per off-cube.
     Raises ``EmptyOffset`` for an empty off-set (the caller maps that to
     the universal cube) and propagates ``InconsistentFunction`` when P
-    lies inside some off-cube.  An ``OffPairs`` off-set is folded without
-    a trace and gives a set of int values.
+    lies inside some off-cube.  An ``OffPairs`` off-set gives a set of
+    int values.
     """
     prepared = isinstance(off_cubes, OffPairs)
     off = off_cubes if prepared else list(off_cubes)
@@ -209,42 +192,18 @@ def generate_sdm(
         raise EmptyOffset("off-set is empty; every point is coverable by the universal cube")
     width = P.width
     elements = [(1 << width) - 1]
-    if prepared:
-        p = P.value
-        comparisons, absorptions = _fold(elements, [(p ^ r) & s for r, s in off.pairs])
-        # a zero indicator replaces every element and absorbs every later
-        # one, so it leaves exactly the element 0
-        if not elements[0]:
-            for _ in _indicators(P, off.listed):
-                pass
-            raise InconsistentFunction(f"minterm {P} is contained in the off-set")
-    elif trace is None:
+    if not prepared:
         comparisons, absorptions = _fold(elements, _indicators(P, off))
-    else:
-        comparisons = absorptions = 0
-        for j, (z, d) in enumerate(zip(off, _indicators(P, off)), start=1):
-            step_comparisons, step_absorbed = _fold(elements, (d,))
-            comparisons += step_comparisons
-            absorptions += step_absorbed
-            trace.append(
-                SdmStep(
-                    index=j,
-                    off_cube=_as_cube(z),
-                    di=BitVec(width, d),
-                    comparisons=step_comparisons,
-                    absorbed=step_absorbed,
-                    elements=tuple(BitVec(width, e) for e in elements),
-                )
-            )
-    log.debug(
-        "di set width %d for %d inputs (empirical bound 2.5n = %.1f)",
-        len(elements),
-        width,
-        2.5 * width,
-    )
-    if prepared:
-        return DiSet(elements, comparisons, absorptions)
-    return DiSet([BitVec(width, e) for e in elements], comparisons, absorptions)
+        return DiSet([BitVec(width, e) for e in elements], comparisons, absorptions)
+    p = P.value
+    comparisons, absorptions = _fold(elements, [(p ^ r) & s for r, s in off.pairs])
+    # a zero indicator replaces every element and absorbs every later one,
+    # so it leaves exactly the element 0
+    if not elements[0]:
+        for _ in _indicators(P, off.listed):
+            pass
+        raise InconsistentFunction(f"minterm {P} is contained in the off-set")
+    return DiSet(elements, comparisons, absorptions)
 
 
 def reduce_off_cube(P: BitVec, Z: Cube | BitVec) -> Cube:

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import bisect
 import itertools
-import logging
 import math
 import random
 
@@ -29,7 +28,6 @@ from primecover import (
 from primecover.bitcube import Slices
 from primecover.cover import find_dominant, mask_members
 from primecover.multi_output import MultiCoverReport, TaggedCube
-from primecover.reduced_offset import SdmStep
 
 bv = BitVec.from_text
 
@@ -290,26 +288,13 @@ def reference_reform_sdm(S: DiSet, D: BitVec) -> DiSet:
     return S
 
 
-def reference_generate_sdm(P: BitVec, off_cubes, *, trace: list | None = None) -> DiSet:
+def reference_generate_sdm(P: BitVec, off_cubes) -> DiSet:
     off = [minterm_to_cube(z) if isinstance(z, BitVec) else z for z in off_cubes]
     if not off:
         raise EmptyOffset("off-set is empty; every point is coverable by the universal cube")
     S = DiSet([BitVec.ones(P.width)])
-    for j, Z in enumerate(off, start=1):
-        D = reference_generate_di(P, Z)
-        before = (S.comparisons, S.absorptions)
-        reference_reform_sdm(S, D)
-        if trace is not None:
-            trace.append(
-                SdmStep(
-                    index=j,
-                    off_cube=Z,
-                    di=D,
-                    comparisons=S.comparisons - before[0],
-                    absorbed=S.absorptions - before[1],
-                    elements=tuple(S.elements),
-                )
-            )
+    for Z in off:
+        reference_reform_sdm(S, reference_generate_di(P, Z))
     return S
 
 
@@ -442,7 +427,7 @@ def reference_direct_cover(f: LogicFunction, *, irredundant: bool = False) -> Co
                 keep.remove(i)
         chosen = [chosen[i] for i in keep]
         chosen_masks = [chosen_masks[i] for i in keep]
-    return CoverResult(tuple(chosen), tuple(chosen_masks), tuple(on_list), iterations, 0.0)
+    return CoverResult(tuple(chosen), tuple(chosen_masks), tuple(on_list), iterations)
 
 
 # References for the multi-output loop: the joint off-set built by a
@@ -610,18 +595,6 @@ def reference_verify_multi(cover, f: MultiFunction) -> MultiCoverReport:
                 ):
                     removable.append((tc, n - 1 - pos))
     return MultiCoverReport(tuple(missing), tuple(off_conflicts), tuple(removable))
-
-
-class WidthCollector(logging.Handler):
-    """Captures the (width, inputs) diagnostics the indicator fold logs."""
-
-    def __init__(self) -> None:
-        super().__init__(level=logging.DEBUG)
-        self.samples: list[tuple[int, int]] = []
-
-    def emit(self, record: logging.LogRecord) -> None:
-        width, inputs = record.args[0], record.args[1]
-        self.samples.append((inputs, width))
 
 
 # Acceptance bookkeeping, printed in the terminal summary by conftest.

@@ -4,14 +4,15 @@ Criteria 4 and 5 double as the statistics source for the indicator-set
 width diagnostics reported by criterion 8.
 """
 
-import logging
 import os
 import random
+import sys
 import time
 from pathlib import Path
 
 import pytest
 
+import primecover.pi_gen as pi_gen
 from primecover import (
     BitVec,
     Cube,
@@ -38,7 +39,6 @@ from primecover.oracle import primes_containing
 from helpers import (
     FIVE_VAR_OFF,
     TRI_OUTPUT_COVER,
-    WidthCollector,
     bv,
     random_cube,
     random_function,
@@ -46,18 +46,27 @@ from helpers import (
     tri_output_function,
 )
 
-collector = WidthCollector()
+# (inputs, indicator-set width) of every fold that returned
+width_samples: list[tuple[int, int]] = []
+
+
+def _recording(fold):
+    def wrapper(P, off_cubes):
+        sdm = fold(P, off_cubes)
+        width_samples.append((P.width, len(sdm)))
+        return sdm
+
+    return wrapper
 
 
 @pytest.fixture(scope="module", autouse=True)
 def _collect_di_widths():
-    logger = logging.getLogger("primecover.reduced_offset")
-    previous_level = logger.level
-    logger.setLevel(logging.DEBUG)
-    logger.addHandler(collector)
-    yield
-    logger.removeHandler(collector)
-    logger.setLevel(previous_level)
+    """Wrap the fold where the pipeline resolves it, in ``pi_gen``, and
+    where this module's direct calls resolve it; restore both on exit."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pi_gen, "generate_sdm", _recording(pi_gen.generate_sdm))
+        mp.setattr(sys.modules[__name__], "generate_sdm", _recording(generate_sdm))
+        yield
 
 
 def test_criterion_1_golden_five_var_trace():
@@ -314,7 +323,7 @@ def test_criterion_7_performance_smoke():
 
 
 def test_criterion_8_width_diagnostics():
-    samples = collector.samples
+    samples = width_samples
     ok = len(samples) > 0
     histogram: dict[int, int] = {}
     over_bound = 0

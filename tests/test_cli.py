@@ -1,12 +1,17 @@
+import contextlib
+import io
+import random
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from primecover import BitVec, CoverReport, parse_pla
+from primecover import BitVec, CoverReport, generate_sdm, parse_pla
 from primecover import cli
 from primecover.cli import main
 from primecover.multi_output import edsa_minimize
-from helpers import TRI_OUTPUT_PLA, five_var_pla, tri_output_function
+from helpers import TRI_OUTPUT_PLA, five_var_pla, random_function, tri_output_function
 
 
 def write(tmp_path: Path, name: str, text: str) -> str:
@@ -197,12 +202,25 @@ def test_bench_empty_directory(tmp_path, capsys):
     assert captured.out.strip() == "name,n,on,off,cubes,ms"
 
 
-def test_bench_csv_output_and_jobs(tmp_path, capsys):
+def test_bench_csv_output(tmp_path, capsys):
     write(tmp_path, "fivevar.pla", five_var_pla())
     out = tmp_path / "table.csv"
-    rc = main(["bench", "--dir", str(tmp_path), "--csv", str(out), "--jobs", "2"])
+    rc = main(["bench", "--dir", str(tmp_path), "--csv", str(out)])
     assert rc == 0
     assert out.read_text(encoding="utf-8").startswith("name,n,on,off,cubes,ms")
+
+
+def test_bench_jobs_flag_is_rejected(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "--dir", str(tmp_path), "--jobs", "2"])
+    assert exc.value.code == 2
+
+
+def test_bench_on_counts_minterms(tmp_path, capsys):
+    write(tmp_path, "pair.pla", ".i 3\n.o 1\n.type fd\n1-1 1\n.e\n")
+    assert main(["bench", "--dir", str(tmp_path)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.splitlines()[1].startswith("pair,3,2,")
 
 
 def test_seed_flag_is_rejected(tmp_path, capsys):
@@ -210,3 +228,95 @@ def test_seed_flag_is_rejected(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--seed", "7", "primes", src, "--minterm", "11010"])
     assert exc.value.code == 2
+
+
+
+# ``primes --trace`` output, byte for byte, of the worked example, of a
+# derived (fd) off-set with absorptions and of an empty off-set
+GOLDEN_TRACES = {
+    "fivevar": (
+        five_var_pla(),
+        "11010",
+        (
+            "di trace for minterm 11010 (16 off-cubes)\n"
+            "  j=1   off=00001  di=11011  kept={11011}  comparisons=1 absorbed=1\n"
+            "  j=2   off=00100  di=11110  kept={11011, 11110}  comparisons=1 absorbed=0\n"
+            "  j=3   off=00110  di=11100  kept={11011, 11100}  comparisons=2 absorbed=1\n"
+            "  j=4   off=01010  di=10000  kept={10000}  comparisons=2 absorbed=2\n"
+            "  j=5   off=01111  di=10101  kept={10000}  comparisons=1 absorbed=1\n"
+            "  j=6   off=10001  di=01011  kept={01011, 10000}  comparisons=1 absorbed=0\n"
+            "  j=7   off=10011  di=01001  kept={01001, 10000}  comparisons=2 absorbed=1\n"
+            "  j=8   off=10100  di=01110  kept={01001, 01110, 10000}  comparisons=2 absorbed=0\n"
+            "  j=9   off=10101  di=01111  kept={01001, 01110, 10000}  comparisons=1 absorbed=1\n"
+            "  j=10  off=10110  di=01100  kept={01001, 01100, 10000}  comparisons=3 absorbed=1\n"
+            "  j=11  off=10111  di=01101  kept={01001, 01100, 10000}  comparisons=1 absorbed=1\n"
+            "  j=12  off=11001  di=00011  kept={00011, 01001, 01100, 10000}  comparisons=3 absorbed=0\n"
+            "  j=13  off=11011  di=00001  kept={00001, 01100, 10000}  comparisons=4 absorbed=2\n"
+            "  j=14  off=11100  di=00110  kept={00001, 00110, 01100, 10000}  comparisons=3 absorbed=0\n"
+            "  j=15  off=11101  di=00111  kept={00001, 00110, 01100, 10000}  comparisons=1 absorbed=1\n"
+            "  j=16  off=11111  di=00101  kept={00001, 00110, 01100, 10000}  comparisons=1 absorbed=1\n"
+            "minimal di set {00001, 00110, 01100, 10000}  w=4  comparisons=29  avg=1.81\n"
+            "vector trace\n"
+            "  di=00001  clauses={00001}  n={00001}\n"
+            "  di=00110  clauses={00010, 00100}  n={00011, 00101}\n"
+            "  di=01100  clauses={00100, 01000}  n={00101, 01011}\n"
+            "  di=10000  clauses={10000}  n={10101, 11011}\n"
+            "primes covering 11010:\n"
+            "11x10\n"
+            "1x0x0\n"
+        ),
+    ),
+    "derived": (
+        ".i 4\n.o 1\n.type fd\n1--1 1\n0110 1\n0000 -\n.e\n",
+        "0110",
+        (
+            "di trace for minterm 0110 (5 off-cubes)\n"
+            "  j=1   off=1000  di=1110  kept={1110}  comparisons=1 absorbed=1\n"
+            "  j=2   off=x100  di=0010  kept={0010}  comparisons=1 absorbed=1\n"
+            "  j=3   off=x010  di=0100  kept={0010, 0100}  comparisons=1 absorbed=0\n"
+            "  j=4   off=1110  di=1000  kept={0010, 0100, 1000}  comparisons=2 absorbed=0\n"
+            "  j=5   off=0xx1  di=0001  kept={0001, 0010, 0100, 1000}  comparisons=3 absorbed=0\n"
+            "minimal di set {0001, 0010, 0100, 1000}  w=4  comparisons=8  avg=1.60\n"
+            "vector trace\n"
+            "  di=0001  clauses={0001}  n={0001}\n"
+            "  di=0010  clauses={0010}  n={0011}\n"
+            "  di=0100  clauses={0100}  n={0111}\n"
+            "  di=1000  clauses={1000}  n={1111}\n"
+            "primes covering 0110:\n"
+            "0110\n"
+        ),
+    ),
+    "empty-off": (
+        ".i 2\n.o 1\n.type fd\n-- 1\n.e\n",
+        "01",
+        (
+            "off-set empty: the universal cube is the only prime\n"
+            "xx\n"
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_TRACES))
+def test_primes_trace_golden_text(tmp_path, capsys, name):
+    text, minterm, expected = GOLDEN_TRACES[name]
+    src = write(tmp_path, f"{name}.pla", text)
+    assert main(["primes", src, "--minterm", minterm, "--trace"]) == 0
+    assert capsys.readouterr().out == expected
+
+
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 8))
+def test_primes_trace_minimal_set_matches_generate_sdm(seed, n):
+    rng = random.Random(seed)
+    f = random_function(rng, n)
+    P = rng.choice(f.on).right  # the on-cubes are minterms
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli._print_trace(P, f.off)
+    sdm = generate_sdm(P, f.off)
+    kept = ", ".join(sorted(d.to_text() for d in sdm))
+    avg = sdm.comparisons / len(f.off)
+    assert (
+        f"minimal di set {{{kept}}}  w={len(sdm)}  comparisons={sdm.comparisons}  avg={avg:.2f}"
+        in out.getvalue().splitlines()
+    )

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -212,10 +213,12 @@ def test_direct_cover_medium_scale_cube_rows():
         if not any(cube_intersects(c, z) for z in off):
             on.append(c)
     f = LogicFunction(n, tuple(on), tuple(off))
+    started = time.perf_counter()
     result = direct_cover(f)
+    elapsed_ms = (time.perf_counter() - started) * 1000.0
     report = verify_cover(result, f)
     assert report.ok
-    assert result.elapsed_ms < 5000
+    assert elapsed_ms < 5000
 
 
 # direct_cover folds one compacted int-pair off-set per call; the
@@ -257,12 +260,11 @@ def consistent_functions(draw) -> LogicFunction:
 
 
 def outcome(fn, *args, **kwargs):
-    """The cover's comparable fields, or the type and message of the error."""
+    """The cover, or the type and message of the error."""
     try:
-        r = fn(*args, **kwargs)
+        return fn(*args, **kwargs)
     except ValueError as exc:  # InconsistentFunction and EmptyOnset included
         return (type(exc), str(exc))
-    return (r.cubes, r.coverage, r.on_minterms, r.iterations)
 
 
 @settings(deadline=None)

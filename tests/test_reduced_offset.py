@@ -66,19 +66,30 @@ def test_reform_sdm_rejects_zero():
 
 
 def test_golden_trace_totals_and_checkpoints():
+    """Stepping reform_sdm over the golden off-set, as ``primes --trace``
+    does, passes the worked example's checkpoints and ends at the set and
+    counters of one generate_sdm call."""
     P = bv("11010")
-    steps = []
-    sdm = generate_sdm(P, [bv(t) for t in FIVE_VAR_OFF], trace=steps)
+    off = [bv(t) for t in FIVE_VAR_OFF]
+    S = DiSet([BitVec.ones(5)])
+    dis, kept, comparisons = [], [], []
+    for z in off:
+        before = S.comparisons
+        dis.append(generate_di(P, z))
+        reform_sdm(S, dis[-1])
+        kept.append(set(S.elements))
+        comparisons.append(S.comparisons - before)
+    sdm = generate_sdm(P, off)
+    assert sdm == S
     assert sdm.as_set() == {bv("10000"), bv("01100"), bv("00001"), bv("00110")}
     assert sdm.comparisons == 29
     assert sdm.absorptions == 13
-    assert len(steps) == 16
-    assert sum(s.comparisons for s in steps) == 29
+    assert sum(comparisons) == 29
     # surviving sets at a few fold points
-    assert set(steps[3].elements) == {bv("10000")}
-    assert set(steps[12].elements) == {bv("00001"), bv("01100"), bv("10000")}
-    assert set(steps[7].elements) == {bv("01001"), bv("01110"), bv("10000")}
-    assert [s.di for s in steps[:4]] == [bv("11011"), bv("11110"), bv("11100"), bv("10000")]
+    assert kept[3] == {bv("10000")}
+    assert kept[12] == {bv("00001"), bv("01100"), bv("10000")}
+    assert kept[7] == {bv("01001"), bv("01110"), bv("10000")}
+    assert dis[:4] == [bv("11011"), bv("11110"), bv("11100"), bv("10000")]
 
 
 def test_generate_sdm_small_example():
