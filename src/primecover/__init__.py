@@ -30,8 +30,6 @@ from .errors import EmptyOffset, EmptyOnset, InconsistentFunction, PlaParseError
 from .multi_output import (
     MultiCoverReport,
     TaggedCube,
-    TaggedMinterm,
-    build_tagged,
     edsa_minimize,
     neighbors,
     subfunction_off,
@@ -73,10 +71,8 @@ __all__ = [
     "MultiFunction",
     "PlaParseError",
     "TaggedCube",
-    "TaggedMinterm",
     "TruthTable",
     "all_primes",
-    "build_tagged",
     "coverage_mask",
     "cross_or",
     "cube_contains",

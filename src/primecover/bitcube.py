@@ -144,11 +144,12 @@ class Cube:
         return self.specified_mask.bit_count()
 
     def covers_value(self, v: int) -> bool:
-        """True when the minterm with integer value ``v`` lies in this cube."""
+        """True when the minterm with integer value ``v`` lies in this cube:
+        it agrees with ``right`` at every specified position."""
         if self.empty:
             return False
-        full = _mask(self.width)
-        return ((v & self.right.value) | (~v & self.left.value)) & full == full
+        right = self.right.value
+        return not (v ^ right) & (self.left.value ^ right)
 
     def count_minterms(self) -> int:
         if self.empty:

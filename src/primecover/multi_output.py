@@ -1,11 +1,17 @@
 """Multi-output minimization over tagged minterms.
 
-A true minterm carries a tag, the set of outputs it turns on; the tag's
-weight is its size.  The loop always picks the uncovered minterm with
-the lightest current tag (ties by minterm value), builds the joint
-sub-function of exactly those outputs (off-set: minterms where the AND
-of the tagged output columns is 0, don't cares counting as 1), and
-generates its prime implicants.  The off-set is the OR of the tagged
+A true minterm carries a tag, the set of its outputs that are 1 and
+not yet covered there; the tag's weight is its size.  The loop's state
+is one 2^n-bit truth table per output, of the minterms still to be
+covered for it: a minterm's tag is the outputs whose table holds it, a
+candidate covers the points of its cube in the AND of its tag's tables,
+and committing a cube clears its points from those tables.
+
+The loop always picks the uncovered minterm with the lightest current
+tag (ties by minterm value), builds the joint sub-function of exactly
+those outputs (off-set: minterms where the AND of the tagged output
+columns is 0, don't cares counting as 1), and generates its prime
+implicants.  The off-set is the OR of the tagged
 outputs' 0-columns, each a 2^n-bit truth table built once per call, and
 is folded as a cube cover of exactly those points, converted to int
 pairs once per tag: a cube's difference indicator is the smallest of its
@@ -28,34 +34,16 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
-from .bitcube import (
-    BitVec,
-    Cube,
-    Slices,
-    cube_points,
-    cube_text,
-    minterm_to_cube,
-    table_cover,
-)
+from .bitcube import BitVec, Cube, cube_points, cube_text, minterm_to_cube, table_cover
 # coverage_mask and generate_spi stay importable here: perfbench/tracing.py
 # wraps them by name
-from .cover import coverage_mask, direct_cover, find_dominant, mask_members  # noqa: F401
+from .cover import coverage_mask, direct_cover, find_dominant  # noqa: F401
 from .errors import EmptyOnset
 from .pi_gen import generate_spi, prime_pairs  # noqa: F401
 from .pla_io import DEFAULT_COMPLEMENT_CAP, LogicFunction, MultiFunction
 from .reduced_offset import OffPairs
-
-
-@dataclass(frozen=True)
-class TaggedMinterm:
-    minterm: BitVec
-    tag: frozenset[int]
-
-    @property
-    def weight(self) -> int:
-        return len(self.tag)
 
 
 @dataclass(frozen=True)
@@ -66,18 +54,6 @@ class TaggedCube:
     def __str__(self) -> str:
         subs = ",".join(str(j) for j in sorted(self.tag))
         return f"{cube_text(self.cube)}_{{{subs}}}"
-
-
-def build_tagged(f: MultiFunction) -> list[TaggedMinterm]:
-    """One tagged minterm per row with at least one true output, sorted by
-    ascending weight and then by minterm value."""
-    out = [
-        TaggedMinterm(m, frozenset(j for j, v in enumerate(values) if v == 1))
-        for m, values in f.rows
-        if any(v == 1 for v in values)
-    ]
-    out.sort(key=lambda t: (t.weight, t.minterm.value))
-    return out
 
 
 def _columns(f: MultiFunction, value: int) -> list[int]:
@@ -108,8 +84,18 @@ def _joint(tag: "frozenset[int] | set[int]", columns: Sequence[int]) -> int:
 
 
 def _ones(points: int) -> list[int]:
-    """Values of the set bits, ascending."""
+    """Values of the set bits, ascending; one scan of the binary text,
+    for dense tables."""
     return [v for v, ch in enumerate(reversed(f"{points:b}")) if ch == "1"]
+
+
+def _members(points: int) -> Iterator[int]:
+    """Values of the set bits, ascending, one bit at a time, for sparse
+    tables."""
+    while points:
+        low = points & -points
+        yield low.bit_length() - 1
+        points ^= low
 
 
 def subfunction_off(tag: "frozenset[int] | set[int]", f: MultiFunction) -> list[Cube]:
@@ -159,11 +145,22 @@ def edsa_minimize(f: MultiFunction) -> list[TaggedCube]:
         # degenerate case: exactly the single-output direct cover
         result = direct_cover(_single_output_function(f, off_columns))
         return [TaggedCube(c, frozenset({0})) for c in result.cubes]
-    # minterm value -> the outputs of its row still to be covered
-    tags = {t.minterm.value: t.tag for t in build_tagged(f)}
-    if not tags:
-        raise EmptyOnset("no output is ever true")
     n = f.n
+    # per output, the truth table of the minterms still to be covered for
+    # it; a row's current tag is the outputs whose table holds its value
+    live = _columns(f, 1)
+
+    def tag_of(v: int) -> frozenset[int]:
+        return frozenset(j for j, points in enumerate(live) if points >> v & 1)
+
+    # (weight, value) of every row, and a new entry whenever a row's tag
+    # shrinks.  A row's lighter entry surfaces before its older ones, and
+    # an origin's tag always empties, so an entry at the top is stale
+    # exactly when its row's tag is empty
+    heap = [(vals.count(1), m.value) for m, vals in f.rows if 1 in vals]
+    if not heap:
+        raise EmptyOnset("no output is ever true")
+    heapq.heapify(heap)
     # (left, right) pair and tag of each committed cube, in commit order
     committed: dict[tuple[tuple[int, int], frozenset[int]], None] = {}
     # tags recur across origins; each joint off-set is built once
@@ -175,51 +172,31 @@ def edsa_minimize(f: MultiFunction) -> list[TaggedCube]:
             off = off_by_tag[tag] = OffPairs(table_cover(_joint(tag, off_columns), n))
         return off
 
-    by_value = sorted(tags)
-    rows = Slices.of_minterms(by_value, n)
-    count = len(by_value)
-    # per output, the index set (as in ``Slices``) of the rows still to be
-    # covered for it; a tag's universe is the AND of its outputs' sets
-    live = [0] * f.m
-    for i, v in enumerate(by_value):
-        for j in tags[v]:
-            live[j] |= 1 << (count - 1 - i)
-    # (weight, value) of every row, and a new entry whenever a row's tag
-    # shrinks.  A row's lighter entry surfaces before its older ones, and
-    # an origin always leaves ``tags``, so an entry at the top is stale
-    # exactly when its row is gone
-    heap = [(len(t), v) for v, t in tags.items()]
-    heapq.heapify(heap)
-
     def commit(pair: tuple[int, int], tag: frozenset[int]) -> None:
         committed[pair, tag] = None
-        hit = rows.meets(*pair)
-        # the covered rows still to be covered for some output of the tag
+        hit = cube_points(*pair)
+        # the covered minterms still to be covered for some output of the tag
         shrunk = 0
         for j in tag:
             shrunk |= live[j] & hit
             live[j] &= ~hit
-        for v in mask_members(BitVec(count, shrunk), by_value):
-            rest = tags[v] - tag
+        for v in _members(shrunk):
+            rest = tag_of(v)
             if rest:
-                tags[v] = rest
                 heapq.heappush(heap, (len(rest), v))
-            else:
-                del tags[v]
 
-    while tags:
+    while heap:
         origin_value = heap[0][1]
-        if origin_value not in tags:
+        tag = tag_of(origin_value)
+        if not tag:
             heapq.heappop(heap)
             continue
-        tag = tags[origin_value]
         pis = prime_pairs(BitVec(n, origin_value), off_of(tag))
-        # the rows still to be covered for every output of the tag; masks
-        # are index sets of ``rows`` restricted to it
-        universe = (1 << count) - 1
+        # the minterms still to be covered for every output of the tag
+        universe = -1
         for j in tag:
             universe &= live[j]
-        masks = [rows.meets(left, right) & universe for left, right in pis]
+        masks = [cube_points(left, right) & universe for left, right in pis]
         dom = find_dominant(masks)
         if dom is not None or len(pis) == 1:
             commit(pis[dom if dom is not None else 0], tag)
@@ -232,16 +209,12 @@ def edsa_minimize(f: MultiFunction) -> list[TaggedCube]:
         # the neighbours: minterms some candidates cover and others do not
         edge = union & ~inter
         best_by_neighbor = {
-            nv: _best_pi(BitVec(n, nv), off_of(tags[nv]))
-            for nv in mask_members(BitVec(count, edge), by_value)
+            nv: _best_pi(BitVec(n, nv), off_of(tag_of(nv))) for nv in _members(edge)
         }
-
-        def survivors(mask: int) -> list[int]:
-            return mask_members(BitVec(count, edge & ~mask), by_value)
 
         def score(i: int) -> tuple[float, int]:
             quality = min(
-                (_literals(best_by_neighbor[nv]) for nv in survivors(masks[i])),
+                (_literals(best_by_neighbor[nv]) for nv in _members(edge & ~masks[i])),
                 default=math.inf,
             )
             return (quality, -masks[i].bit_count())
@@ -249,10 +222,10 @@ def edsa_minimize(f: MultiFunction) -> list[TaggedCube]:
         # the first best candidate has the smallest cube text
         i = min(range(len(pis)), key=score)
         commit(pis[i], tag)
-        stranded = survivors(masks[i])
+        stranded = list(_members(edge & ~masks[i]))
         if stranded:
             best_nv = min(stranded, key=lambda nv: (_literals(best_by_neighbor[nv]), nv))
-            commit(best_by_neighbor[best_nv], tags[best_nv])
+            commit(best_by_neighbor[best_nv], tag_of(best_nv))
     return [
         TaggedCube(Cube(BitVec(n, left), BitVec(n, right)), tag)
         for (left, right), tag in committed

@@ -89,28 +89,14 @@ class TruthTable:
         return cls(f.n, tuple(values))
 
 
-def _cover_pairs(cover: Sequence[Cube]) -> list[tuple[int, int]]:
-    return [(c.left.value, c.right.value) for c in cover if not c.empty]
-
-
-def _covers_value(pairs: list[tuple[int, int]], v: int, full: int) -> bool:
-    for left, right in pairs:
-        if ((v & right) | (~v & left)) & full == full:
-            return True
-    return False
-
-
 def equivalent(a: Sequence[Cube], b: Sequence[Cube], care: TruthTable) -> bool:
     """True when the two covers agree on every care minterm."""
     if care.n > _EQUIV_VAR_CAP:
         raise ValueError(f"equivalence cap is {_EQUIV_VAR_CAP} variables, got {care.n}")
-    full = (1 << care.n) - 1
-    pa = _cover_pairs(a)
-    pb = _cover_pairs(b)
     for v, val in enumerate(care.values):
         if val == DC:
             continue
-        if _covers_value(pa, v, full) != _covers_value(pb, v, full):
+        if any(c.covers_value(v) for c in a) != any(c.covers_value(v) for c in b):
             return False
     return True
 

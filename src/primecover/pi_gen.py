@@ -5,15 +5,17 @@ variables at its 1-positions.  Multiplying the clauses out and absorbing
 redundant products yields one literal-position vector per prime
 implicant; fixing the literal values from the minterm turns each vector
 into the cube itself.  Absorption runs after every clause so the working
-set stays small.  ``prime_pairs`` runs the whole step on ints for an
-``OffPairs`` off-set.
+set stays small.  ``generate_spi`` (listed off-cubes) and ``prime_pairs``
+(an ``OffPairs`` off-set) run this expansion on ints through one helper;
+``generate_n``, ``cross_or`` and ``vectors_to_pis`` expose its steps on
+``BitVec``s.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from .bitcube import BitVec, Cube, cube_text, minimal_ones
+from .bitcube import BitVec, Cube, minimal_ones
 from .errors import EmptyOffset
 from .reduced_offset import DiSet, OffPairs, generate_sdm
 
@@ -87,6 +89,24 @@ def vectors_to_pis(P: BitVec, vectors: Sequence[BitVec]) -> list[Cube]:
     return out
 
 
+def _primes(P: BitVec, indicators: Iterable[int]) -> list[tuple[int, int]]:
+    """The primes covering ``P`` from its minimal difference-indicator
+    values, as ``(left, right)`` pair values in the cube-text order of the
+    primes; no indicator leaves the universal cube.
+
+    Every prime holds P, so two primes differ only at positions where one
+    keeps P's literal and the other is free; at the first of them from
+    the left the literal, '0' or '1', sorts before 'x'.  Literal-position
+    vectors in descending order therefore give the cube-text order.
+    """
+    vectors = [0]
+    for d in indicators:
+        vectors = _expand(vectors, d)
+    full = (1 << P.width) - 1
+    p = P.value
+    return [(full ^ (p & e), p | (full ^ e)) for e in sorted(vectors, reverse=True)]
+
+
 def generate_spi(P: BitVec, off_cubes: Sequence[Cube | BitVec]) -> list[Cube]:
     """All prime implicants covering ``P``, sorted by cube text.
 
@@ -94,29 +114,21 @@ def generate_spi(P: BitVec, off_cubes: Sequence[Cube | BitVec]) -> list[Cube]:
     off-set therefore yields the single universal cube.
     """
     try:
-        sdm = generate_sdm(P, list(off_cubes))
+        indicators = [d.value for d in generate_sdm(P, list(off_cubes))]
     except EmptyOffset:
-        return [Cube.universal(P.width)]
-    vectors = generate_n(sdm.elements)
-    return sorted(vectors_to_pis(P, vectors), key=cube_text)
+        indicators = []
+    width = P.width
+    return [
+        Cube(BitVec(width, left), BitVec(width, right))
+        for left, right in _primes(P, indicators)
+    ]
 
 
 def prime_pairs(P: BitVec, off: OffPairs) -> list[tuple[int, int]]:
     """``generate_spi`` on ints: the primes covering ``P`` as ``(left,
-    right)`` pair values, in the cube-text order of the primes.
-
-    Every prime holds P, so two primes differ only at positions where one
-    keeps P's literal and the other is free; at the first of them from
-    the left the literal, '0' or '1', sorts before 'x'.  Literal-position
-    vectors in descending order therefore give the cube-text order.
-    """
-    full = (1 << P.width) - 1
+    right)`` pair values, in the cube-text order of the primes."""
     try:
-        sdm = generate_sdm(P, off)
+        indicators = generate_sdm(P, off).elements
     except EmptyOffset:
-        return [(full, full)]
-    vectors = [0]
-    for d in sdm.elements:
-        vectors = _expand(vectors, d)
-    p = P.value
-    return [(full ^ (p & e), p | (full ^ e)) for e in sorted(vectors, reverse=True)]
+        indicators = []
+    return _primes(P, indicators)

@@ -22,8 +22,10 @@ from primecover import (
     cube_intersects,
     cube_text,
     direct_cover,
-    generate_spi,
+    generate_n,
+    generate_sdm,
     minterm_to_cube,
+    vectors_to_pis,
 )
 from primecover.bitcube import Slices
 from primecover.cover import find_dominant, mask_members
@@ -386,9 +388,22 @@ def reference_text_cube(s: str) -> Cube:
     return Cube(BitVec(n, left), BitVec(n, right))
 
 
+# The prime generator as it ran on carriers: the listed fold, then the
+# clause expansion and one Cube per vector, sorted by cube text.
+
+
+def reference_generate_spi(P: BitVec, off_cubes) -> list[Cube]:
+    try:
+        sdm = generate_sdm(P, list(off_cubes))
+    except EmptyOffset:
+        return [Cube.universal(P.width)]
+    vectors = generate_n(sdm.elements)
+    return sorted(vectors_to_pis(P, vectors), key=cube_text)
+
+
 # The direct cover loop as it ran on carriers: the listed off-cubes go to
-# generate_spi on every origin, and candidates are (Cube, mask) pairs
-# chosen by dominance, uncovered count and cube text.
+# reference_generate_spi on every origin, and candidates are (Cube, mask)
+# pairs chosen by dominance, uncovered count and cube text.
 
 
 def reference_direct_cover(f: LogicFunction, *, irredundant: bool = False) -> CoverResult:
@@ -403,7 +418,9 @@ def reference_direct_cover(f: LogicFunction, *, irredundant: bool = False) -> Co
     iterations = 0
     while uncovered:
         origin = on_list[width - uncovered.bit_length()]
-        candidates = [(pi, on.mask_of(pi)) for pi in generate_spi(origin, f.off)]
+        candidates = [
+            (pi, on.mask_of(pi)) for pi in reference_generate_spi(origin, f.off)
+        ]
         restricted = [mask.value & uncovered for _, mask in candidates]
         idx = find_dominant(restricted)
         if idx is None:
@@ -475,7 +492,7 @@ def reference_single_output_function(f: MultiFunction) -> LogicFunction:
 
 
 def reference_best_pi(minterm: BitVec, off) -> Cube:
-    pis = generate_spi(minterm, off)
+    pis = reference_generate_spi(minterm, off)
     return min(pis, key=lambda c: (c.literal_count, cube_text(c)))
 
 
@@ -513,7 +530,7 @@ def reference_edsa_minimize(f: MultiFunction) -> list[TaggedCube]:
         origin_value = min(tags, key=lambda v: (len(tags[v]), v))
         origin = BitVec(f.n, origin_value)
         tag = tags[origin_value]
-        pis = generate_spi(origin, off_of(tag))
+        pis = reference_generate_spi(origin, off_of(tag))
         universe = [v for v in sorted(tags) if tag <= tags[v]]
         sliced = Slices.of_minterms(universe, f.n)
         candidates = [(pi, sliced.mask_of(pi)) for pi in pis]

@@ -179,6 +179,15 @@ def test_empty_cube_is_explicit_only():
     assert not cube_intersects(e, text_cube("xxx"))
 
 
+def test_covers_value_matches_the_cube_minterms_exhaustive():
+    for n in range(1, 5):
+        for c in [*enumerate_all_cubes(n), Cube.empty_cube(n)]:
+            inside = _minterm_set(c)
+            assert [c.covers_value(v) for v in range(1 << n)] == [
+                v in inside for v in range(1 << n)
+            ]
+
+
 def test_cube_minterms_binary_order():
     c = text_cube("0x1x")
     assert [m.to_text() for m in c.minterms()] == ["0010", "0011", "0110", "0111"]

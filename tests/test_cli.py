@@ -192,7 +192,7 @@ def test_bench_directory(tmp_path, capsys):
     assert len(lines) == 4
     assert lines[1].startswith("broken,,,,,error:")
     assert lines[2].startswith("fivevar,5,13,16,")
-    assert lines[3].startswith("tri,3,8,0,5,")
+    assert lines[3].startswith("tri,3,8,10,5,")
 
 
 def test_bench_empty_directory(tmp_path, capsys):
@@ -221,6 +221,15 @@ def test_bench_on_counts_minterms(tmp_path, capsys):
     assert main(["bench", "--dir", str(tmp_path)]) == 0
     captured = capsys.readouterr()
     assert captured.out.splitlines()[1].startswith("pair,3,2,")
+
+
+def test_bench_off_counts_multi_output_off_points(tmp_path, capsys):
+    # 2 rows of 4: 11 is off for output 1; 00 and 10 have no row, so they
+    # are off for both outputs
+    write(tmp_path, "pair.pla", ".i 2\n.o 2\n.type fr\n01 11\n11 10\n.e\n")
+    assert main(["bench", "--dir", str(tmp_path)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.splitlines()[1].startswith("pair,2,2,5,")
 
 
 def test_seed_flag_is_rejected(tmp_path, capsys):

@@ -15,6 +15,7 @@ from primecover import (
     generate_di,
     generate_n,
     generate_sdm,
+    generate_spi,
     minimize_n,
     minimize_sr,
     reform_sdm,
@@ -27,6 +28,7 @@ from helpers import (
     reference_generate_di,
     reference_generate_n,
     reference_generate_sdm,
+    reference_generate_spi,
     reference_minimize_n,
     reference_minimize_sr,
     reference_reform_sdm,
@@ -112,6 +114,30 @@ def test_generate_sdm_on_off_pairs_matches_the_listed_fold(data):
     if isinstance(want, DiSet):
         want = DiSet([e.value for e in want], want.comparisons, want.absorptions)
     assert got == want
+
+
+@given(st.data())
+def test_generate_spi_matches_reference(data):
+    """The same primes in the same order, also for an empty off-set, and
+    the same error on an off-cube holding P, an empty cube or another
+    width."""
+    width = data.draw(widths)
+    p = data.draw(minterms(width))
+    other = data.draw(st.integers(1, 13).filter(lambda w: w != width))
+    bad = st.one_of(
+        st.just(Cube.empty_cube(width)),
+        minterms(other),
+        cubes(other),
+        st.just(Cube(~p, p)),
+    )
+    off = data.draw(st.lists(off_items(width), max_size=30))
+    off = [z for z in off if not contains(z, p)]
+    assert generate_spi(p, off) == reference_generate_spi(p, off)
+    if data.draw(st.booleans()):
+        off.insert(data.draw(st.integers(0, len(off))), data.draw(bad))
+        got = outcome(generate_spi, p, off)
+        want = outcome(reference_generate_spi, p, off)
+        assert isinstance(want, tuple) and got == want
 
 
 @given(st.data())

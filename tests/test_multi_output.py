@@ -8,7 +8,6 @@ from primecover import (
     BitVec,
     EmptyOnset,
     MultiFunction,
-    build_tagged,
     coverage_mask,
     cube_intersects,
     cube_text,
@@ -35,25 +34,6 @@ from helpers import (
 
 def as_text(cover):
     return {(cube_text(tc.cube), tc.tag) for tc in cover}
-
-
-def test_build_tagged_weights_and_order():
-    tagged = build_tagged(tri_output_function())
-    assert [(t.minterm.to_text(), set(t.tag), t.weight) for t in tagged[:2]] == [
-        ("011", {1}, 1),
-        ("100", {0}, 1),
-    ]
-    by_minterm = {t.minterm.to_text(): t for t in tagged}
-    assert by_minterm["000"].tag == frozenset({2, 0})
-    assert by_minterm["000"].weight == 2
-    weights = [t.weight for t in tagged]
-    assert weights == sorted(weights)
-
-
-def test_build_tagged_skips_never_true_rows():
-    f = MultiFunction(2, 2, ((bv("00"), (0, 0)), (bv("11"), (1, 0))))
-    tagged = build_tagged(f)
-    assert [t.minterm.to_text() for t in tagged] == ["11"]
 
 
 def test_subfunction_off_examples():
@@ -259,8 +239,8 @@ def test_golden_cover_survives_pla_round_trip():
 
 @st.composite
 def multi_functions(draw) -> MultiFunction:
-    """Tables over 1-6 inputs and 1-4 outputs; a missing row is 0 for
-    every output."""
+    """Tables over 1-6 inputs and 1-4 outputs, rows in a shuffled order;
+    a missing row is 0 for every output."""
     n = draw(st.integers(min_value=1, max_value=6))
     m = draw(st.integers(min_value=1, max_value=4))
     value = st.sampled_from((1, 0, None))
@@ -269,7 +249,7 @@ def multi_functions(draw) -> MultiFunction:
         for v in range(1 << n)
         if draw(st.booleans())
     ]
-    return MultiFunction(n, m, tuple(rows))
+    return MultiFunction(n, m, tuple(draw(st.permutations(rows))))
 
 
 def minimized(minimize, f):
