@@ -31,7 +31,6 @@ from .multi_output import (
     MultiCoverReport,
     TaggedCube,
     edsa_minimize,
-    neighbors,
     subfunction_off,
     verify_multi,
 )
@@ -91,7 +90,6 @@ __all__ = [
     "minimize_sr",
     "minimum_cover_size",
     "minterm_to_cube",
-    "neighbors",
     "parse_pla",
     "reduce_off_cube",
     "reform_sdm",

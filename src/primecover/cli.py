@@ -11,6 +11,8 @@ import csv
 import io
 import sys
 import time
+from functools import reduce
+from operator import or_
 from pathlib import Path
 
 from .bitcube import BitVec, Cube, cube_text
@@ -129,18 +131,16 @@ def _print_trace(P: BitVec, off: tuple[Cube, ...]) -> None:
 
 def _bench_one(path: Path, max_expand: int) -> list[str]:
     """One CSV row: ``on`` counts on-minterms (for several outputs, the
-    rows with an output of 1), ``off`` off-cubes (for several outputs,
-    the (minterm, output) points where the output is 0, a minterm
-    without a row being 0 for every output) and ``ms`` times parsing
-    and minimizing."""
+    minterms with an output of 1), ``off`` off-cubes (for several
+    outputs, the (minterm, output) points where the output is 0) and
+    ``ms`` times parsing and minimizing."""
     try:
         started = time.perf_counter()
         f = _read_function(str(path), max_expand)
         if isinstance(f, MultiFunction):
             cubes = len(edsa_minimize(f))
-            on = sum(1 in values for _, values in f.rows)
-            missing = (1 << f.n) - len(f.rows)
-            off = sum(values.count(0) for _, values in f.rows) + f.m * missing
+            on = reduce(or_, f.on).bit_count()
+            off = sum(table.bit_count() for table in f.off)
         else:
             result = direct_cover(f)
             cubes = len(result.cubes)

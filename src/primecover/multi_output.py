@@ -3,17 +3,17 @@
 A true minterm carries a tag, the set of its outputs that are 1 and
 not yet covered there; the tag's weight is its size.  The loop's state
 is one 2^n-bit truth table per output, of the minterms still to be
-covered for it: a minterm's tag is the outputs whose table holds it, a
-candidate covers the points of its cube in the AND of its tag's tables,
-and committing a cube clears its points from those tables.
+covered for it, starting from the function's on tables: a minterm's tag
+is the outputs whose table holds it, a candidate covers the points of
+its cube in the AND of its tag's tables, and committing a cube clears
+its points from those tables.
 
 The loop always picks the uncovered minterm with the lightest current
 tag (ties by minterm value), builds the joint sub-function of exactly
 those outputs (off-set: minterms where the AND of the tagged output
 columns is 0, don't cares counting as 1), and generates its prime
-implicants.  The off-set is the OR of the tagged
-outputs' 0-columns, each a 2^n-bit truth table built once per call, and
-is folded as a cube cover of exactly those points, converted to int
+implicants.  The off-set is the OR of the tagged outputs' off tables,
+and is folded as a cube cover of exactly those points, converted to int
 pairs once per tag: a cube's difference indicator is the smallest of its
 minterms', so the primes are those of the minterm off-set.  Candidates
 stay ``(left, right)`` pairs in cube-text order; only committed cubes
@@ -34,7 +34,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .bitcube import BitVec, Cube, cube_points, cube_text, minterm_to_cube, table_cover
 # coverage_mask and generate_spi stay importable here: perfbench/tracing.py
@@ -42,7 +42,7 @@ from .bitcube import BitVec, Cube, cube_points, cube_text, minterm_to_cube, tabl
 from .cover import coverage_mask, direct_cover, find_dominant  # noqa: F401
 from .errors import EmptyOnset
 from .pi_gen import generate_spi, prime_pairs  # noqa: F401
-from .pla_io import DEFAULT_COMPLEMENT_CAP, LogicFunction, MultiFunction
+from .pla_io import LogicFunction, MultiFunction
 from .reduced_offset import OffPairs
 
 
@@ -56,26 +56,7 @@ class TaggedCube:
         return f"{cube_text(self.cube)}_{{{subs}}}"
 
 
-def _columns(f: MultiFunction, value: int) -> list[int]:
-    """Per output j, the 2^n-bit truth table of the minterms where output
-    j is ``value``; a minterm without a row is 0 for every output."""
-    if f.n > DEFAULT_COMPLEMENT_CAP:
-        raise ValueError(
-            f"{f.n} inputs exceed the cap of {DEFAULT_COMPLEMENT_CAP} "
-            "on 2^n-bit output tables"
-        )
-    size = 1 << f.n
-    out = []
-    for j in range(f.m):
-        # character size - 1 - v holds bit v
-        table = bytearray(b"1" if value == 0 else b"0") * size
-        for m, vals in f.rows:
-            table[size - 1 - m.value] = 49 if vals[j] == value else 48
-        out.append(int(table, 2))
-    return out
-
-
-def _joint(tag: "frozenset[int] | set[int]", columns: Sequence[int]) -> int:
+def _joint(tag: Iterable[int], columns: Sequence[int]) -> int:
     """OR of the tagged columns."""
     points = 0
     for j in tag:
@@ -107,13 +88,8 @@ def subfunction_off(tag: "frozenset[int] | set[int]", f: MultiFunction) -> list[
     """
     if not tag:
         raise ValueError("empty output tag")
-    off = _joint(tag, _columns(f, 0))
+    off = _joint(tag, f.off)
     return [minterm_to_cube(BitVec(f.n, v)) for v in _ones(off)]
-
-
-def neighbors(m1: BitVec, m2: BitVec) -> BitVec:
-    """Symmetric difference of two coverage masks."""
-    return m1 ^ m2
 
 
 def _literals(pair: tuple[int, int]) -> int:
@@ -127,37 +103,37 @@ def _best_pi(minterm: BitVec, off: OffPairs) -> tuple[int, int]:
     return min(prime_pairs(minterm, off), key=_literals)
 
 
-def _single_output_function(f: MultiFunction, off_columns: Sequence[int]) -> LogicFunction:
+def _single_output_function(f: MultiFunction) -> LogicFunction:
     n = f.n
-    on = [minterm_to_cube(m) for m, vals in f.rows if vals[0] == 1]
+    on = [minterm_to_cube(BitVec(n, v)) for v in _ones(f.on[0])]
     off = [
         Cube(BitVec(n, left), BitVec(n, right))
-        for left, right in table_cover(off_columns[0], n)
+        for left, right in table_cover(f.off[0], n)
     ]
-    dc = [minterm_to_cube(m) for m, vals in f.rows if vals[0] is None]
+    dc = [minterm_to_cube(BitVec(n, v)) for v in _ones(f.dc[0])]
     return LogicFunction(n, tuple(on), tuple(off), tuple(dc), name=f.name)
 
 
 def edsa_minimize(f: MultiFunction) -> list[TaggedCube]:
     """Cover every tagged minterm for every output in its tag."""
-    off_columns = _columns(f, 0)
     if f.m == 1:
         # degenerate case: exactly the single-output direct cover
-        result = direct_cover(_single_output_function(f, off_columns))
+        result = direct_cover(_single_output_function(f))
         return [TaggedCube(c, frozenset({0})) for c in result.cubes]
     n = f.n
+    off_columns = f.off
     # per output, the truth table of the minterms still to be covered for
-    # it; a row's current tag is the outputs whose table holds its value
-    live = _columns(f, 1)
+    # it; a minterm's current tag is the outputs whose table holds it
+    live = list(f.on)
 
     def tag_of(v: int) -> frozenset[int]:
         return frozenset(j for j, points in enumerate(live) if points >> v & 1)
 
-    # (weight, value) of every row, and a new entry whenever a row's tag
-    # shrinks.  A row's lighter entry surfaces before its older ones, and
-    # an origin's tag always empties, so an entry at the top is stale
-    # exactly when its row's tag is empty
-    heap = [(vals.count(1), m.value) for m, vals in f.rows if 1 in vals]
+    # (weight, value) of every on-minterm, and a new entry whenever a
+    # minterm's tag shrinks.  A minterm's lighter entry surfaces before its
+    # older ones, and an origin's tag always empties, so an entry at the
+    # top is stale exactly when its minterm's tag is empty
+    heap = [(len(tag_of(v)), v) for v in _ones(_joint(range(f.m), f.on))]
     if not heap:
         raise EmptyOnset("no output is ever true")
     heapq.heapify(heap)
@@ -262,7 +238,7 @@ def verify_multi(cover: Sequence[TaggedCube], f: MultiFunction) -> MultiCoverRep
     clear of that joint off-set, i.e. each cube that is not prime.
     """
     n = f.n
-    off_columns = _columns(f, 0)
+    off_columns = f.off
     covered = [0] * f.m
     off_conflicts: list[tuple[TaggedCube, BitVec]] = []
     removable: list[tuple[TaggedCube, int]] = []
@@ -285,7 +261,7 @@ def verify_multi(cover: Sequence[TaggedCube], f: MultiFunction) -> MultiCoverRep
                     removable.append((tc, n - 1 - pos))
     missing = [
         (BitVec(n, v), j)
-        for j, on in enumerate(_columns(f, 1))
+        for j, on in enumerate(f.on)
         for v in _ones(on & ~covered[j])
     ]
     return MultiCoverReport(tuple(missing), tuple(off_conflicts), tuple(removable))

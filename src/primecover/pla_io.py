@@ -11,8 +11,9 @@ Single-output files produce a ``LogicFunction`` holding the cube lists
 as written.  For types f and fd the off-set is derived as the
 complement of on plus dc, which is refused above a variable cap
 (default 16); supply fr/fdr input beyond that.  Multi-output files
-produce a ``MultiFunction`` with one row per minterm, up to 16 inputs
-whatever the cap: their minimizer builds 2^n-bit output tables.
+produce a ``MultiFunction`` of 2^n-bit on and don't-care tables, one
+per output, each cube line ORed into them whole; they stop at 16 inputs
+whatever the cap.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .bitcube import BitVec, Cube, Slices, cube_text, text_cube
+from .bitcube import BitVec, Cube, Slices, cube_points, cube_text, text_cube
 from .errors import InconsistentFunction, PlaParseError
 
 DEFAULT_COMPLEMENT_CAP = 16
@@ -62,37 +63,57 @@ class LogicFunction:
 
 @dataclass(frozen=True)
 class MultiFunction:
-    """Multi-output truth rows: one (minterm, per-output value) per minterm.
+    """Multi-output function as 2^n-bit output tables.
 
-    Output values are 1, 0 or None for a don't care; minterms absent from
-    ``rows`` are 0 for every output.  ``cube_rows`` preserves the source
-    file's cube lines for round-trip checks.
+    Bit v of ``on[j]`` is set when output j is 1 at the minterm of value
+    v, and bit v of ``dc[j]`` when it is a don't care there; output j is
+    0 at every other minterm.  The tables cap the inputs at 16.
+    ``cube_rows`` preserves the source file's cube lines for round-trip
+    checks.
     """
 
     n: int
     m: int
-    rows: tuple[tuple[BitVec, tuple[int | None, ...]], ...]
+    on: tuple[int, ...]
+    dc: tuple[int, ...]
     name: str = ""
     labels: tuple[str, ...] = ()
     cube_rows: tuple[tuple[Cube, str], ...] = ()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "rows", tuple((m, tuple(v)) for m, v in self.rows))
+        if self.n > DEFAULT_COMPLEMENT_CAP:
+            raise ValueError(
+                f"{self.n} inputs exceed the cap of {DEFAULT_COMPLEMENT_CAP} "
+                "on 2^n-bit output tables"
+            )
+        object.__setattr__(self, "on", tuple(self.on))
+        object.__setattr__(self, "dc", tuple(self.dc))
         object.__setattr__(self, "cube_rows", tuple(self.cube_rows))
-        seen = set()
-        for minterm, values in self.rows:
-            if minterm.width != self.n:
-                raise ValueError(f"row minterm {minterm} does not have {self.n} variables")
-            if len(values) != self.m:
-                raise ValueError(f"row {minterm} carries {len(values)} outputs, expected {self.m}")
-            if minterm.value in seen:
-                raise ValueError(f"duplicate row for minterm {minterm}")
-            seen.add(minterm.value)
+        full = (1 << (1 << self.n)) - 1
+        for kind, tables in (("on", self.on), ("dc", self.dc)):
+            if len(tables) != self.m:
+                raise ValueError(f"{len(tables)} {kind} tables, expected {self.m}")
+            for j, table in enumerate(tables):
+                if not 0 <= table <= full:
+                    raise ValueError(
+                        f"{kind} table of output {j} has bits outside its 2^{self.n} minterms"
+                    )
+        for j, (on, dc) in enumerate(zip(self.on, self.dc)):
+            if on & dc:
+                raise ValueError(f"output {j} has minterms both on and don't care")
+
+    @property
+    def off(self) -> tuple[int, ...]:
+        """Per output, the table of the minterms where it is 0."""
+        full = (1 << (1 << self.n)) - 1
+        return tuple(full ^ (on | dc) for on, dc in zip(self.on, self.dc))
 
     def value(self, minterm_value: int, output: int) -> int | None:
-        for m, values in self.rows:
-            if m.value == minterm_value:
-                return values[output]
+        """1, 0, or None for a don't care."""
+        if self.on[output] >> minterm_value & 1:
+            return 1
+        if self.dc[output] >> minterm_value & 1:
+            return None
         return 0
 
 
@@ -243,42 +264,40 @@ def _single_output(raw: _RawPla, name: str, complement_cap: int) -> LogicFunctio
     return f
 
 
-def _multi_output(raw: _RawPla, name: str, expand_cap: int) -> MultiFunction:
+def _multi_output(raw: _RawPla, name: str) -> MultiFunction:
     if raw.n > DEFAULT_COMPLEMENT_CAP:
         raise PlaParseError(
             f"multi-output minimization builds 2^n-bit output tables, capped at "
             f"{DEFAULT_COMPLEMENT_CAP} inputs; this file has {raw.n}"
         )
-    if raw.n > expand_cap:
-        raise PlaParseError(
-            f"multi-output rows need minterm expansion over {raw.n} variables "
-            f"(cap {expand_cap})"
-        )
-    explicit_off = raw.type_ in ("fr", "fdr")
-    # per (minterm, output): "1", "0" (explicit) or "-"; unmentioned stays 0
-    states: dict[int, list[str | None]] = {}
+    on = [0] * raw.m
+    dc = [0] * raw.m
+    off = [0] * raw.m
+    # '~', and a '0' under f/fd, carry no information
+    tables = {"1": on, "-": dc}
+    if raw.type_ in ("fr", "fdr"):
+        tables["0"] = off
     for cube, out in raw.rows:
-        for minterm in cube.minterms():
-            row = states.setdefault(minterm.value, [None] * raw.m)
-            for j, ch in enumerate(out):
-                if ch == "~" or (ch == "0" and not explicit_off):
-                    continue
-                prev = row[j]
-                if prev in ("0", "1") and ch in ("0", "1") and prev != ch:
-                    raise InconsistentFunction(
-                        f"minterm {BitVec(raw.n, minterm.value)} is both on and off "
-                        f"for output {j}"
-                    )
-                # a care value wins over a don't care
-                if prev is None or prev == "-":
-                    row[j] = ch
-    value_of = {"1": 1, "0": 0, "-": None, None: 0}
-    rows = tuple(
-        (BitVec(raw.n, v), tuple(value_of[ch] for ch in states[v]))
-        for v in sorted(states)
-    )
+        points = cube_points(cube.left.value, cube.right.value)
+        for j, ch in enumerate(out):
+            table = tables.get(ch)
+            if table is not None:
+                table[j] |= points
+    # name the lowest minterm on and off for some output, and its lowest such output
+    clashes = [
+        ((both & -both).bit_length() - 1, j)
+        for j, (a, b) in enumerate(zip(on, off))
+        if (both := a & b)
+    ]
+    if clashes:
+        v, j = min(clashes)
+        raise InconsistentFunction(
+            f"minterm {BitVec(raw.n, v)} is both on and off for output {j}"
+        )
+    # a care value wins over a don't care
+    dc = [d & ~(a | b) for d, a, b in zip(dc, on, off)]
     return MultiFunction(
-        raw.n, raw.m, rows, name=name, labels=raw.ob, cube_rows=tuple(raw.rows)
+        raw.n, raw.m, on, dc, name=name, labels=raw.ob, cube_rows=tuple(raw.rows)
     )
 
 
@@ -292,7 +311,7 @@ def parse_pla(
     raw = _scan(text)
     if raw.m == 1:
         return _single_output(raw, name, complement_cap)
-    return _multi_output(raw, name, complement_cap)
+    return _multi_output(raw, name)
 
 
 def write_pla(

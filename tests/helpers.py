@@ -28,6 +28,7 @@ from primecover import (
     vectors_to_pis,
 )
 from primecover.bitcube import Slices
+from primecover.pla_io import _scan
 from primecover.cover import find_dominant, mask_members
 from primecover.multi_output import MultiCoverReport, TaggedCube
 
@@ -70,6 +71,62 @@ def three_var_function() -> LogicFunction:
     )
 
 
+def multi_function(n: int, m: int, rows, **kw) -> MultiFunction:
+    """The output tables of ``(minterm, values)`` rows, the minterm a
+    ``BitVec`` or its bit text and each value 1, 0 or None for a don't
+    care; a minterm without a row is 0 for every output."""
+    on = [0] * m
+    dc = [0] * m
+    for minterm, values in rows:
+        v = (bv(minterm) if isinstance(minterm, str) else minterm).value
+        for j, value in enumerate(values):
+            if value == 1:
+                on[j] |= 1 << v
+            elif value is None:
+                dc[j] |= 1 << v
+    return MultiFunction(n, m, on, dc, **kw)
+
+
+def rows_of(f: MultiFunction) -> list[tuple[BitVec, tuple[int | None, ...]]]:
+    """``(minterm, values)`` of every minterm not 0 for every output, in
+    ascending order."""
+    rows = []
+    for v in range(1 << f.n):
+        values = tuple(f.value(v, j) for j in range(f.m))
+        if any(value != 0 for value in values):
+            rows.append((BitVec(f.n, v), values))
+    return rows
+
+
+def reference_parse_multi(text: str) -> MultiFunction:
+    """A multi-output PLA text parsed one minterm at a time: each cube
+    line is expanded into its minterms and each (minterm, output) state
+    is set in turn, a care value winning over a don't care."""
+    raw = _scan(text)
+    explicit_off = raw.type_ in ("fr", "fdr")
+    # per (minterm, output): "1", "0" (explicit) or "-"; unmentioned stays 0
+    states: dict[int, list[str | None]] = {}
+    for cube, out in raw.rows:
+        for minterm in cube.minterms():
+            row = states.setdefault(minterm.value, [None] * raw.m)
+            for j, ch in enumerate(out):
+                if ch == "~" or (ch == "0" and not explicit_off):
+                    continue
+                prev = row[j]
+                if prev in ("0", "1") and ch in ("0", "1") and prev != ch:
+                    raise InconsistentFunction(
+                        f"minterm {BitVec(raw.n, minterm.value)} is both on and off "
+                        f"for output {j}"
+                    )
+                if prev is None or prev == "-":
+                    row[j] = ch
+    value_of = {"1": 1, "0": 0, "-": None, None: 0}
+    rows = [
+        (BitVec(raw.n, v), tuple(value_of[ch] for ch in states[v])) for v in sorted(states)
+    ]
+    return multi_function(raw.n, raw.m, rows, labels=raw.ob, cube_rows=raw.rows)
+
+
 # Three-input, three-output golden truth table; output j is y_j.
 TRI_OUTPUT_ROWS = [
     ("000", (1, 0, 1)),
@@ -92,9 +149,7 @@ TRI_OUTPUT_COVER = {
 
 
 def tri_output_function() -> MultiFunction:
-    return MultiFunction(
-        3, 3, tuple((bv(m), v) for m, v in TRI_OUTPUT_ROWS), name="trioutput"
-    )
+    return multi_function(3, 3, TRI_OUTPUT_ROWS, name="trioutput")
 
 
 TRI_OUTPUT_PLA = """\
@@ -456,7 +511,7 @@ def reference_direct_cover(f: LogicFunction, *, irredundant: bool = False) -> Co
 def reference_subfunction_off(tag, f: MultiFunction) -> list[Cube]:
     if not tag:
         raise ValueError("empty output tag")
-    values = {m.value: vals for m, vals in f.rows}
+    values = {m.value: vals for m, vals in rows_of(f)}
     out: list[Cube] = []
     for v in range(1 << f.n):
         vals = values.get(v)
@@ -468,9 +523,9 @@ def reference_subfunction_off(tag, f: MultiFunction) -> list[Cube]:
     return out
 
 
-def reference_current_tags(f: MultiFunction, covered: set[tuple[int, int]]) -> dict[int, frozenset[int]]:
+def reference_current_tags(rows, covered: set[tuple[int, int]]) -> dict[int, frozenset[int]]:
     tags: dict[int, frozenset[int]] = {}
-    for m, values in f.rows:
+    for m, values in rows:
         cur = frozenset(
             j for j, v in enumerate(values) if v == 1 and (m.value, j) not in covered
         )
@@ -480,14 +535,15 @@ def reference_current_tags(f: MultiFunction, covered: set[tuple[int, int]]) -> d
 
 
 def reference_single_output_function(f: MultiFunction) -> LogicFunction:
-    values = {m.value: vals for m, vals in f.rows}
-    on = [minterm_to_cube(m) for m, vals in f.rows if vals[0] == 1]
+    rows = rows_of(f)
+    values = {m.value: vals for m, vals in rows}
+    on = [minterm_to_cube(m) for m, vals in rows if vals[0] == 1]
     off = [
         minterm_to_cube(BitVec(f.n, v))
         for v in range(1 << f.n)
         if values.get(v, (0,))[0] == 0
     ]
-    dc = [minterm_to_cube(m) for m, vals in f.rows if vals[0] is None]
+    dc = [minterm_to_cube(m) for m, vals in rows if vals[0] is None]
     return LogicFunction(f.n, tuple(on), tuple(off), tuple(dc), name=f.name)
 
 
@@ -500,7 +556,8 @@ def reference_edsa_minimize(f: MultiFunction) -> list[TaggedCube]:
     if f.m == 1:
         result = direct_cover(reference_single_output_function(f))
         return [TaggedCube(c, frozenset({0})) for c in result.cubes]
-    if not any(v == 1 for _, values in f.rows for v in values):
+    f_rows = rows_of(f)
+    if not any(v == 1 for _, values in f_rows for v in values):
         raise EmptyOnset("no output is ever true")
     covered: set[tuple[int, int]] = set()
     committed: list[TaggedCube] = []
@@ -512,19 +569,19 @@ def reference_edsa_minimize(f: MultiFunction) -> list[TaggedCube]:
             off = off_by_tag[tag] = reference_subfunction_off(tag, f)
         return off
 
-    rows = Slices.of_minterms([m.value for m, _ in f.rows], f.n)
+    rows = Slices.of_minterms([m.value for m, _ in f_rows], f.n)
 
     def commit(cube: Cube, tag: frozenset[int]) -> None:
         tc = TaggedCube(cube, tag)
         if tc not in committed:
             committed.append(tc)
-        for m, values in mask_members(rows.mask_of(cube), f.rows):
+        for m, values in mask_members(rows.mask_of(cube), f_rows):
             for j in tag:
                 if values[j] == 1:
                     covered.add((m.value, j))
 
     while True:
-        tags = reference_current_tags(f, covered)
+        tags = reference_current_tags(f_rows, covered)
         if not tags:
             break
         origin_value = min(tags, key=lambda v: (len(tags[v]), v))
@@ -579,7 +636,7 @@ def reference_edsa_minimize(f: MultiFunction) -> list[TaggedCube]:
 def reference_verify_multi(cover, f: MultiFunction) -> MultiCoverReport:
     """The three tagged-cover checks, one minterm at a time."""
     n = f.n
-    values = {m.value: vals for m, vals in f.rows}
+    values = {m.value: vals for m, vals in rows_of(f)}
 
     def is_off(tag, v: int) -> bool:
         vals = values.get(v)

@@ -27,7 +27,6 @@ from primecover import (
     generate_spi,
     minimize_sr,
     minimum_cover_size,
-    neighbors,
     parse_pla,
     reduce_off_cube,
     subfunction_off,
@@ -178,7 +177,7 @@ def test_criterion_3_golden_tri_output():
     m2 = coverage_mask(text_cube("x00"), on_y0)
     checks.append({m.to_text() for m in mask_members(m1, on_y0)} == {"100", "101"})
     checks.append({m.to_text() for m in mask_members(m2, on_y0)} == {"000", "100"})
-    n1 = neighbors(m1, m2)
+    n1 = m1 ^ m2
     checks.append({m.to_text() for m in mask_members(n1, on_y0)} == {"000", "101"})
 
     on_y2 = [bv("000"), bv("001"), bv("010"), bv("110")]
@@ -186,7 +185,7 @@ def test_criterion_3_golden_tri_output():
     m2b = coverage_mask(text_cube("0x0"), on_y2)
     checks.append({m.to_text() for m in mask_members(m1b, on_y2)} == {"000", "001"})
     checks.append({m.to_text() for m in mask_members(m2b, on_y2)} == {"000", "010"})
-    n2 = neighbors(m1b, m2b)
+    n2 = m1b ^ m2b
     checks.append({m.to_text() for m in mask_members(n2, on_y2)} == {"001", "010"})
 
     record_acceptance(

@@ -174,6 +174,15 @@ def test_multi_output_parse_stops_at_the_table_cap(tmp_path, capsys):
     assert "2^n-bit output tables, capped at 16 inputs; this file has 17" in captured.err
 
 
+def test_max_expand_does_not_gate_multi_output_files(tmp_path, capsys):
+    # the option caps the single-output complement; a 3-input table is
+    # built whole whatever it says
+    src = write(tmp_path, "tri.pla", TRI_OUTPUT_PLA)
+    out = tmp_path / "tri.cover.pla"
+    assert main(["minimize", src, "--multi", "--max-expand", "2", "--out", str(out)]) == 0
+    assert main(["verify", src, str(out), "--max-expand", "2"]) == 0
+
+
 def test_verify_width_mismatch(tmp_path, capsys):
     src = write(tmp_path, "fivevar.pla", five_var_pla())
     other = write(tmp_path, "small.pla", ".i 2\n.o 1\n.type fr\n11 1\n.e\n")

@@ -16,7 +16,6 @@ from primecover import (
     generate_sdm,
     generate_spi,
     minterm_to_cube,
-    neighbors,
     subfunction_off,
     text_cube,
 )
@@ -25,9 +24,11 @@ from primecover.multi_output import TaggedCube, per_output_cover, verify_multi
 from helpers import (
     TRI_OUTPUT_COVER,
     bv,
+    multi_function,
     reference_edsa_minimize,
     reference_subfunction_off,
     reference_verify_multi,
+    rows_of,
     tri_output_function,
 )
 
@@ -51,22 +52,9 @@ def test_subfunction_off_examples():
         "100",
         "110",
     }
-    g = MultiFunction(2, 2, ((bv("11"), (1, 1)),))
+    g = multi_function(2, 2, [("11", (1, 1))])
     off = {cube_text(c) for c in subfunction_off(frozenset({0, 1}), g)}
     assert "11" not in off and len(off) == 3
-
-
-def test_neighbors_is_symmetric_difference():
-    on = [bv("000"), bv("100"), bv("101"), bv("111")]
-    m1 = coverage_mask(text_cube("10x"), on)  # {100, 101}
-    m2 = coverage_mask(text_cube("x00"), on)  # {000, 100}
-    diff = neighbors(m1, m2)
-    from primecover.cover import mask_members
-
-    assert {m.to_text() for m in mask_members(diff, on)} == {"000", "101"}
-    assert neighbors(m1, m1).is_zero()
-    a, b = bv("1100"), bv("0011")
-    assert neighbors(a, b) == bv("1111")
 
 
 def test_golden_tagged_cover():
@@ -111,16 +99,12 @@ def test_golden_intermediate_sets():
 
     # neighbor pairs seen during the run
     on_y0 = [bv("000"), bv("100"), bv("101"), bv("111")]
-    n1 = neighbors(
-        coverage_mask(text_cube("10x"), on_y0), coverage_mask(text_cube("x00"), on_y0)
-    )
+    n1 = coverage_mask(text_cube("10x"), on_y0) ^ coverage_mask(text_cube("x00"), on_y0)
     from primecover.cover import mask_members
 
     assert {m.to_text() for m in mask_members(n1, on_y0)} == {"000", "101"}
     on_y2 = [bv("000"), bv("001"), bv("010"), bv("110")]
-    n2 = neighbors(
-        coverage_mask(text_cube("00x"), on_y2), coverage_mask(text_cube("0x0"), on_y2)
-    )
+    n2 = coverage_mask(text_cube("00x"), on_y2) ^ coverage_mask(text_cube("0x0"), on_y2)
     assert {m.to_text() for m in mask_members(n2, on_y2)} == {"001", "010"}
 
 
@@ -129,12 +113,12 @@ def test_per_output_agreement_with_truth_table():
     cover = edsa_minimize(f)
     for j in range(3):
         cubes = per_output_cover(cover, j)
-        for m, values in f.rows:
-            got = any(c.covers_value(m.value) for c in cubes)
-            if values[j] == 1:
-                assert got, (m, j)
-            elif values[j] == 0:
-                assert not got, (m, j)
+        for v in range(1 << f.n):
+            got = any(c.covers_value(v) for c in cubes)
+            if f.value(v, j) == 1:
+                assert got, (v, j)
+            elif f.value(v, j) == 0:
+                assert not got, (v, j)
 
 
 def test_no_cube_touches_an_off_minterm_of_its_tag():
@@ -154,7 +138,7 @@ def test_single_output_degenerates_to_direct_cover():
             rows.append((BitVec(n, v), (1 if r < 0.4 else (0 if r < 0.9 else None),)))
         if not any(vals[0] == 1 for _, vals in rows):
             continue
-        f = MultiFunction(n, 1, tuple(rows))
+        f = multi_function(n, 1, rows)
         tagged = edsa_minimize(f)
         on = tuple(minterm_to_cube(m) for m, vals in rows if vals[0] == 1)
         off = tuple(minterm_to_cube(m) for m, vals in rows if vals[0] == 0)
@@ -173,17 +157,15 @@ def test_identical_output_columns_share_cubes():
         col = [rng.choice([0, 1]) for _ in range(1 << n)]
         if not any(col) or all(col):
             continue
-        rows = tuple(
-            (BitVec(n, v), (col[v], col[v])) for v in range(1 << n)
-        )
-        f = MultiFunction(n, 2, rows)
+        rows = [(BitVec(n, v), (col[v], col[v])) for v in range(1 << n)]
+        f = multi_function(n, 2, rows)
         cover = edsa_minimize(f)
         assert all(tc.tag == frozenset({0, 1}) for tc in cover)
         for j in range(2):
             cubes = per_output_cover(cover, j)
-            for m, values in f.rows:
-                got = any(c.covers_value(m.value) for c in cubes)
-                assert got == (values[j] == 1)
+            for v in range(1 << n):
+                got = any(c.covers_value(v) for c in cubes)
+                assert got == (col[v] == 1)
 
 
 def test_random_multi_functions_cover_correctly():
@@ -198,13 +180,13 @@ def test_random_multi_functions_cover_correctly():
                 for _ in range(m)
             )
             rows.append((BitVec(n, v), vals))
-        f = MultiFunction(n, m, tuple(rows))
+        f = multi_function(n, m, rows)
         if not any(v == 1 for _, vals in rows for v in vals):
             continue
         cover = edsa_minimize(f)
         for j in range(m):
             cubes = per_output_cover(cover, j)
-            for mv, values in f.rows:
+            for mv, values in rows:
                 got = any(c.covers_value(mv.value) for c in cubes)
                 if values[j] == 1:
                     assert got
@@ -212,9 +194,18 @@ def test_random_multi_functions_cover_correctly():
                     assert not got
 
 
-def test_rejects_duplicate_rows():
-    with pytest.raises(ValueError):
-        MultiFunction(2, 1, ((bv("00"), (1,)), (bv("00"), (0,))))
+def test_constructor_rejects_malformed_tables():
+    MultiFunction(2, 2, (0b0001, 0b1000), (0b0010, 0))
+    with pytest.raises(ValueError, match="output 0 has minterms both on and don't care"):
+        MultiFunction(2, 2, (0b0001, 0), (0b0011, 0))
+    with pytest.raises(ValueError, match="1 dc tables, expected 2"):
+        MultiFunction(2, 2, (0b0001, 0), (0,))
+    with pytest.raises(ValueError, match="3 on tables, expected 2"):
+        MultiFunction(2, 2, (0, 0, 0), (0, 0))
+    with pytest.raises(ValueError, match=r"on table of output 1 has bits outside its 2\^2 minterms"):
+        MultiFunction(2, 2, (0b0001, 0b10000), (0, 0))
+    with pytest.raises(ValueError, match=r"dc table of output 0 has bits outside its 2\^2 minterms"):
+        MultiFunction(2, 2, (0, 0), (-1, 0))
 
 
 def test_golden_cover_survives_pla_round_trip():
@@ -231,7 +222,7 @@ def test_golden_cover_survives_pla_round_trip():
     assert got == want
     # parsed rows give back exactly the per-output on-sets of the source table
     for j in range(f.m):
-        for m, values in f.rows:
+        for m, values in rows_of(f):
             if values[j] is None:
                 continue
             assert (back.value(m.value, j) == 1) == (values[j] == 1)
@@ -239,17 +230,13 @@ def test_golden_cover_survives_pla_round_trip():
 
 @st.composite
 def multi_functions(draw) -> MultiFunction:
-    """Tables over 1-6 inputs and 1-4 outputs, rows in a shuffled order;
-    a missing row is 0 for every output."""
+    """Tables over 1-6 inputs and 1-4 outputs, each (minterm, output)
+    value drawn on its own."""
     n = draw(st.integers(min_value=1, max_value=6))
     m = draw(st.integers(min_value=1, max_value=4))
     value = st.sampled_from((1, 0, None))
-    rows = [
-        (BitVec(n, v), tuple(draw(value) for _ in range(m)))
-        for v in range(1 << n)
-        if draw(st.booleans())
-    ]
-    return MultiFunction(n, m, tuple(draw(st.permutations(rows))))
+    rows = [(BitVec(n, v), tuple(draw(value) for _ in range(m))) for v in range(1 << n)]
+    return multi_function(n, m, rows)
 
 
 def minimized(minimize, f):
@@ -288,16 +275,11 @@ def test_off_cover_folds_like_the_minterm_off_set(data):
 
 
 def test_more_inputs_than_the_cap_are_rejected_before_any_table():
-    # one row over 17 inputs; the tables it would need are 2^17 bits
-    f = MultiFunction(17, 2, ((BitVec(17, 0), (1, 0)),))
+    # one on-minterm over 17 inputs; the tables it would need are 2^17 bits
     with pytest.raises(ValueError, match="cap of 16"):
-        edsa_minimize(f)
+        MultiFunction(17, 2, (1, 0), (0, 0))
     with pytest.raises(ValueError, match="cap of 16"):
-        subfunction_off(frozenset({0}), f)
-    with pytest.raises(ValueError, match="cap of 16"):
-        verify_multi([], f)
-    with pytest.raises(ValueError, match="cap of 16"):
-        edsa_minimize(MultiFunction(17, 1, ((BitVec(17, 0), (1,)),)))
+        MultiFunction(17, 1, (1,), (0,))
 
 
 def test_verify_multi_passes_the_golden_cover():

@@ -1,20 +1,25 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from primecover import (
+    EmptyOnset,
     InconsistentFunction,
     LogicFunction,
     MultiFunction,
     PlaParseError,
     TaggedCube,
     cube_text,
+    edsa_minimize,
     parse_pla,
     text_cube,
+    verify_multi,
     write_pla,
 )
 from primecover.pla_io import complement_cubes
-from helpers import TRI_OUTPUT_PLA, five_var_pla, random_cube
+from helpers import TRI_OUTPUT_PLA, five_var_pla, random_cube, reference_parse_multi
 
 
 def test_parse_five_var_fr_file():
@@ -30,7 +35,10 @@ def test_parse_tri_output_file():
     f = parse_pla(TRI_OUTPUT_PLA)
     assert isinstance(f, MultiFunction)
     assert f.m == 3 and f.n == 3
-    assert len(f.rows) == 8
+    # bit v of each table is minterm v; y0 is 1 at 000, 100, 101 and 111
+    assert f.on == (0b10110001, 0b01001110, 0b11100111)
+    assert f.dc == (0, 0, 0)
+    assert f.off == (0b01001110, 0b10110001, 0b00011000)
     assert f.labels == ("y0", "y1", "y2")
     assert f.value(0b000, 0) == 1 and f.value(0b000, 1) == 0 and f.value(0b000, 2) == 1
 
@@ -178,6 +186,52 @@ def test_consistency_check_rejects_overlap():
 def test_multi_conflict_rejected():
     with pytest.raises(InconsistentFunction):
         parse_pla(".i 2\n.o 2\n.type fr\n1- 10\n11 00\n.e\n")
+    # the file meets the conflict at 11 first; the message names the lowest
+    with pytest.raises(InconsistentFunction, match="minterm 01 is both on and off for output 1"):
+        parse_pla(".i 2\n.o 2\n.type fr\n11 10\n01 01\n11 00\n01 00\n.e\n")
+
+
+@st.composite
+def multi_pla_texts(draw) -> str:
+    """Multi-output PLA texts over 1-5 inputs and 2-4 outputs, of every
+    type, with cube lines that may overlap."""
+    n = draw(st.integers(min_value=1, max_value=5))
+    m = draw(st.integers(min_value=2, max_value=4))
+    type_ = draw(st.sampled_from(("f", "fr", "fd", "fdr")))
+    lines = draw(
+        st.lists(
+            st.tuples(
+                st.text("01-", min_size=n, max_size=n),
+                st.text("01-~", min_size=m, max_size=m),
+            ),
+            max_size=8,
+        )
+    )
+    body = [f"{inputs} {outputs}" for inputs, outputs in lines]
+    return "\n".join([f".i {n}", f".o {m}", f".type {type_}", *body, ".e"]) + "\n"
+
+
+@settings(deadline=None)
+@given(multi_pla_texts())
+def test_multi_output_parse_matches_reference_and_minimizes(text):
+    try:
+        want = reference_parse_multi(text)
+    except InconsistentFunction:
+        with pytest.raises(InconsistentFunction):
+            parse_pla(text)
+        return
+    f = parse_pla(text)
+    assert (f.on, f.dc, f.cube_rows) == (want.on, want.dc, want.cube_rows)
+    try:
+        cover = edsa_minimize(f)
+    except EmptyOnset:
+        assert not any(f.on)
+        return
+    assert verify_multi(cover, f).ok
+    back = parse_pla(write_pla(cover, f.n, outputs=f.m))
+    assert back.cube_rows == tuple(
+        (tc.cube, "".join("1" if j in tc.tag else "0" for j in range(f.m))) for tc in cover
+    )
 
 
 def test_value_defaults_to_zero_for_missing_rows():
