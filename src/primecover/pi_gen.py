@@ -1,14 +1,22 @@
 """Prime implicants covering one minterm, from its difference indicators.
 
 Each minimal difference indicator is a clause: the disjunction of the
-variables at its 1-positions.  Multiplying the clauses out and absorbing
-redundant products yields one literal-position vector per prime
-implicant; fixing the literal values from the minterm turns each vector
-into the cube itself.  Absorption runs after every clause so the working
-set stays small.  ``generate_spi`` (listed off-cubes) and ``prime_pairs``
-(an ``OffPairs`` off-set) run this expansion on ints through one helper;
-``generate_n``, ``cross_or`` and ``vectors_to_pis`` expose its steps on
-``BitVec``s.
+variables at its 1-positions.  The minimal products of the clauses, the
+minimal transversals of the indicators, are one literal-position vector
+per prime implicant; fixing the literal values from the minterm turns
+each vector into the cube itself.
+
+The vectors are built one clause at a time by Berge's step for minimal
+transversals (C. Berge, *Hypergraphs*, 1989).  A vector the clause
+already hits stays as it is, since its products all contain it.  A
+vector it misses is extended by each clause bit in turn, and an
+extension is kept unless some hit vector lies inside it; the vectors
+form an antichain and the missed ones hold no clause bit, so nothing
+else can absorb it.  The working set thus stays absorption-minimal
+without multiplying every vector out and absorbing the products.
+``generate_spi`` (listed off-cubes) and ``prime_pairs`` (an ``OffPairs``
+off-set) run this expansion on ints through one helper; ``generate_n``,
+``cross_or`` and ``vectors_to_pis`` expose its steps on ``BitVec``s.
 """
 
 from __future__ import annotations
@@ -39,9 +47,36 @@ def _clause_bits(d: int) -> list[int]:
 
 def _expand(vectors: list[int], d: int) -> list[int]:
     """One clause expansion: the minimal products of the vectors with the
-    one-hot bits of the indicator value ``d``."""
+    one-hot bits of the indicator value ``d``, in product order.
+
+    ``vectors`` is an antichain without duplicates, as every chain of
+    expansions from ``[0]`` is.  A vector ``e`` that ``d`` hits is one of
+    its own products, ``e | b`` for a clause bit ``b`` it holds, and its
+    other products contain it.  A product ``e | b`` of a missed vector
+    lies inside no hit vector, which would then contain ``e``, and inside
+    no other product ``e' | b'`` of a missed vector, whose ``e'`` would
+    then hold the clause bit ``b``; it is absorbed exactly when a hit
+    vector lies inside it.  The result is therefore the list
+    ``minimal_ones`` keeps of all products, in the same order, without
+    building them.
+    """
+    hit = [e for e in vectors if e & d]
+    if len(hit) == len(vectors):
+        return vectors
     bits = _clause_bits(d)
-    return minimal_ones([e | b for e in vectors for b in bits])
+    out: list[int] = []
+    for e in vectors:
+        if e & d:
+            out.append(e)
+            continue
+        for b in bits:
+            v = e | b
+            for k in hit:
+                if k & v == k:
+                    break
+            else:
+                out.append(v)
+    return out
 
 
 def minimize_n(vectors: Sequence[BitVec]) -> list[BitVec]:

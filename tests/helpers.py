@@ -22,12 +22,11 @@ from primecover import (
     cube_intersects,
     cube_text,
     direct_cover,
-    generate_n,
     generate_sdm,
     minterm_to_cube,
     vectors_to_pis,
 )
-from primecover.bitcube import Slices
+from primecover.bitcube import Slices, minimal_ones
 from primecover.pla_io import _scan
 from primecover.cover import find_dominant, mask_members
 from primecover.multi_output import MultiCoverReport, TaggedCube
@@ -443,8 +442,17 @@ def reference_text_cube(s: str) -> Cube:
     return Cube(BitVec(n, left), BitVec(n, right))
 
 
+# One clause expansion as it ran before Berge's step: every product of a
+# vector with a clause bit, then absorption over all of them.
+
+
+def reference_expand(vectors: list[int], d: int) -> list[int]:
+    bits = [1 << i for i in range(d.bit_length()) if d >> i & 1]
+    return minimal_ones([e | b for e in vectors for b in bits])
+
+
 # The prime generator as it ran on carriers: the listed fold, then the
-# clause expansion and one Cube per vector, sorted by cube text.
+# reference clause expansion and one Cube per vector, sorted by cube text.
 
 
 def reference_generate_spi(P: BitVec, off_cubes) -> list[Cube]:
@@ -452,8 +460,10 @@ def reference_generate_spi(P: BitVec, off_cubes) -> list[Cube]:
         sdm = generate_sdm(P, list(off_cubes))
     except EmptyOffset:
         return [Cube.universal(P.width)]
-    vectors = generate_n(sdm.elements)
-    return sorted(vectors_to_pis(P, vectors), key=cube_text)
+    vectors = [0]
+    for d in sdm.elements:
+        vectors = reference_expand(vectors, d.value)
+    return sorted(vectors_to_pis(P, [BitVec(P.width, v) for v in vectors]), key=cube_text)
 
 
 # The direct cover loop as it ran on carriers: the listed off-cubes go to

@@ -1,5 +1,5 @@
 """Property tests: the int-native fold, expansion and absorption against
-the BitVec references in helpers."""
+the BitVec and product-then-absorb references in helpers."""
 
 import random
 
@@ -21,10 +21,12 @@ from primecover import (
     reform_sdm,
     text_cube,
 )
+from primecover.pi_gen import _expand, prime_pairs
 from primecover.reduced_offset import OffPairs
 from helpers import (
     reference_cross_or,
     reference_cube_text,
+    reference_expand,
     reference_generate_di,
     reference_generate_n,
     reference_generate_sdm,
@@ -138,6 +140,52 @@ def test_generate_spi_matches_reference(data):
         got = outcome(generate_spi, p, off)
         want = outcome(reference_generate_spi, p, off)
         assert isinstance(want, tuple) and got == want
+
+
+@given(st.data())
+def test_expand_chain_matches_products_then_absorption(data):
+    """Berge's step gives the ordered vectors that multiplying out and
+    absorbing every product gives, after every clause of a chain from
+    [0]: also for repeated, nested, single-bit and all-ones clauses."""
+    width = data.draw(st.integers(1, 16))
+    full = (1 << width) - 1
+    got = want = [0]
+    seq: list[int] = []
+    for _ in range(data.draw(st.integers(1, 12))):
+        kinds = ("any", "bit", "all") + (("same", "inside", "around") if seq else ())
+        kind = data.draw(st.sampled_from(kinds))
+        if kind == "any":
+            d = data.draw(st.integers(1, full))
+        elif kind == "bit":
+            d = 1 << data.draw(st.integers(0, width - 1))
+        elif kind == "all":
+            d = full
+        else:
+            prev = data.draw(st.sampled_from(seq))
+            mask = data.draw(st.integers(0, full))
+            if kind == "same":
+                d = prev
+            elif kind == "inside":
+                d = prev & mask or prev & -prev
+            else:
+                d = prev | mask
+        seq.append(d)
+        got = _expand(got, d)
+        want = reference_expand(want, d)
+        assert got == want, seq
+
+
+@given(st.data())
+def test_prime_pairs_match_reference(data):
+    """An ``OffPairs`` off-set gives the pairs of the reference primes, in
+    their cube-text order, also when it is empty."""
+    width = data.draw(widths)
+    p = data.draw(minterms(width))
+    off = data.draw(st.lists(cubes(width), max_size=30))
+    off = [z for z in off if not contains(z, p)]
+    pairs = OffPairs([(z.left.value, z.right.value) for z in off], off)
+    want = [(c.left.value, c.right.value) for c in reference_generate_spi(p, off)]
+    assert prime_pairs(p, pairs) == want
 
 
 @given(st.data())

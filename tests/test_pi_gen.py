@@ -13,12 +13,14 @@ from primecover import (
     cube_text,
     generate_m,
     generate_n,
+    generate_sdm,
     generate_spi,
     minimize_n,
     minterm_to_cube,
     vectors_to_pis,
 )
 from primecover.oracle import primes_containing
+from primecover.pi_gen import _expand
 from helpers import FIVE_VAR_OFF, bv, random_function, three_var_function
 
 
@@ -72,6 +74,26 @@ def test_cross_or_preconditions():
         cross_or([], [bv("1")])
     with pytest.raises(ValueError):
         cross_or([bv("1")], [])
+
+
+def test_trace_steps_match_the_pipeline_expansion():
+    """``primes --trace`` steps ``cross_or`` over each clause's one-hot
+    vectors; after every clause it holds the vectors ``_expand`` holds, in
+    the same order, for a fold's indicators and for arbitrary chains."""
+    rng = random.Random(24)
+    for _ in range(150):
+        n = rng.randint(1, 9)
+        f = random_function(rng, n)
+        chains = [[BitVec(n, rng.randrange(1, 1 << n)) for _ in range(rng.randint(1, 8))]]
+        if f.on and f.off:
+            p = next(f.on[0].minterms())
+            chains.append(generate_sdm(p, f.off).elements)
+        for chain in chains:
+            vectors, ints = [BitVec.zeros(n)], [0]
+            for d in chain:
+                vectors = cross_or(vectors, generate_m(d))
+                ints = _expand(ints, d.value)
+                assert [v.value for v in vectors] == ints
 
 
 def test_generate_n_golden():
