@@ -11,11 +11,8 @@ from .bitcube import (
     BitVec,
     Cube,
     cube_contains,
-    cube_intersects,
     cube_text,
     minterm_to_cube,
-    split_lowest_one,
-    subset_ones,
     text_cube,
 )
 from .cover import (
@@ -23,7 +20,6 @@ from .cover import (
     CoverResult,
     coverage_mask,
     direct_cover,
-    select_epi,
     verify_cover,
 )
 from .errors import EmptyOffset, EmptyOnset, InconsistentFunction, PlaParseError
@@ -75,7 +71,6 @@ __all__ = [
     "coverage_mask",
     "cross_or",
     "cube_contains",
-    "cube_intersects",
     "cube_text",
     "derive_rc",
     "direct_cover",
@@ -93,10 +88,7 @@ __all__ = [
     "parse_pla",
     "reduce_off_cube",
     "reform_sdm",
-    "select_epi",
-    "split_lowest_one",
     "subfunction_off",
-    "subset_ones",
     "text_cube",
     "vectors_to_pis",
     "verify_cover",

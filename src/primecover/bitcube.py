@@ -85,19 +85,6 @@ class BitVec:
     def popcount(self) -> int:
         return self.value.bit_count()
 
-    def is_zero(self) -> bool:
-        return self.value == 0
-
-    def bit(self, pos: int) -> int:
-        """Bit at position ``pos``, counting from the least significant end."""
-        if not 0 <= pos < self.width:
-            raise ValueError(f"bit position {pos} out of range for width {self.width}")
-        return (self.value >> pos) & 1
-
-    def one_positions(self) -> list[int]:
-        """Positions of set bits, least significant first."""
-        return [p for p in range(self.width) if (self.value >> p) & 1]
-
 
 @dataclass(frozen=True, slots=True)
 class Cube:
@@ -172,33 +159,8 @@ class Cube:
                     v |= 1 << pos
             yield BitVec(width, v)
 
-    def raise_literal(self, pos: int) -> Cube:
-        """Turn the specified position ``pos`` (LSB-indexed) into a don't care."""
-        bit = 1 << pos
-        if not self.specified_mask & bit:
-            raise ValueError(f"position {pos} is not a specified literal")
-        return Cube(
-            BitVec(self.width, self.left.value | bit),
-            BitVec(self.width, self.right.value | bit),
-        )
-
     def __str__(self) -> str:
         return cube_text(self)
-
-
-def subset_ones(a: BitVec, b: BitVec) -> bool:
-    """True when every 1-bit of ``a`` is also set in ``b``."""
-    if a.width != b.width:
-        raise ValueError(f"width mismatch: {a.width} vs {b.width}")
-    return a.value & b.value == a.value
-
-
-def split_lowest_one(a: BitVec) -> tuple[BitVec, BitVec]:
-    """Split off the least significant set bit; returns (one_hot, rest)."""
-    if a.value == 0:
-        raise ValueError("cannot split the zero vector")
-    rest = a.value & (a.value - 1)
-    return BitVec(a.width, rest ^ a.value), BitVec(a.width, rest)
 
 
 def minimal_ones(values: Sequence[int]) -> list[int]:
@@ -233,14 +195,6 @@ def cube_contains(c: Cube, d: Cube) -> bool:
     if c.empty or d.empty:
         raise ValueError("containment is undefined for empty cubes")
     return (d.left.value & ~c.left.value) == 0 and (d.right.value & ~c.right.value) == 0
-
-
-def cube_intersects(c: Cube, d: Cube) -> bool:
-    """True when the two cubes share at least one minterm."""
-    if c.width != d.width:
-        raise ValueError(f"width mismatch: {c.width} vs {d.width}")
-    both = (c.left.value & d.left.value) | (c.right.value & d.right.value)
-    return both == _mask(c.width)
 
 
 def cube_points(left: int, right: int) -> int:
@@ -310,8 +264,9 @@ class Slices:
     bit ``count - 1 - i``, so index 0 is the most significant bit, as in
     coverage masks.  The listed cubes meeting a query cube are then the
     AND, over the query's specified positions, of one set each: O(literals)
-    big-int ANDs instead of one ``cube_intersects`` call per listed cube.
-    Empty cubes, listed or queried, meet nothing.
+    big-int ANDs instead of one pairwise test per listed cube (two cubes
+    meet when at every position both allow 0 or both allow 1).  Empty
+    cubes, listed or queried, meet nothing.
     """
 
     __slots__ = ("count", "_full", "_live", "_zero", "_one")

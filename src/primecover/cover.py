@@ -89,27 +89,13 @@ def find_dominant(restricted: Sequence[int]) -> int | None:
     return None
 
 
-def _select_index(restricted: Sequence[int], rank: Sequence) -> int:
+def _select_index(restricted: Sequence[int]) -> int:
     """Index of the candidate to commit, from its uncovered minterms:
-    dominance first, then the most of them, then the smallest rank."""
+    dominance first, then the most of them, then the first candidate."""
     dom = find_dominant(restricted)
     if dom is not None:
         return dom
-    return min(
-        range(len(restricted)), key=lambda i: (-restricted[i].bit_count(), rank[i])
-    )
-
-
-def select_epi(
-    candidates: Sequence[tuple[Cube, BitVec]], uncovered: BitVec
-) -> Cube:
-    """Pick the committed implicant: dominance first, then uncovered count,
-    then lexicographically smallest cube text."""
-    if not candidates:
-        raise ValueError("no candidate implicants")
-    restricted = [mask.value & uncovered.value for _, mask in candidates]
-    rank = [cube_text(c) for c, _ in candidates]
-    return candidates[_select_index(restricted, rank)][0]
+    return min(range(len(restricted)), key=lambda i: -restricted[i].bit_count())
 
 
 @dataclass(frozen=True)
@@ -118,13 +104,6 @@ class CoverResult:
     coverage: tuple[BitVec, ...]
     on_minterms: tuple[BitVec, ...]
     iterations: int
-
-    @property
-    def covered_all(self) -> bool:
-        total = 0
-        for mask in self.coverage:
-            total |= mask.value
-        return total == (1 << len(self.on_minterms)) - 1
 
 
 def _off_pairs(f: LogicFunction) -> OffPairs:
@@ -167,7 +146,7 @@ def direct_cover(f: LogicFunction, *, irredundant: bool = False) -> CoverResult:
         origin = on_list[width - uncovered.bit_length()]
         pis = prime_pairs(origin, off)
         masks = [on.meets(left, right) for left, right in pis]
-        idx = _select_index([mask & uncovered for mask in masks], range(len(pis)))
+        idx = _select_index([mask & uncovered for mask in masks])
         chosen.append(pis[idx])
         chosen_masks.append(masks[idx])
         uncovered &= ~masks[idx]

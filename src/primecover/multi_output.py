@@ -208,12 +208,6 @@ def edsa_minimize(f: MultiFunction) -> list[TaggedCube]:
     ]
 
 
-def per_output_cover(
-    cover: Sequence[TaggedCube], output: int
-) -> list[Cube]:
-    return [tc.cube for tc in cover if output in tc.tag]
-
-
 class MultiCoverReport(NamedTuple):
     """Outcome of the three tagged-cover checks; violations are content,
     not errors.  Literal positions count from the most significant

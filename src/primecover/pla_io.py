@@ -1,11 +1,12 @@
 """Espresso-style PLA reading and writing.
 
-Supported directives: .i .o .p .ilb .ob .type .e/.end.  Input-part
-characters are {0, 1, -}; an 'x' in a PLA file is rejected (the cube
-text alias applies to diagnostic output only).  Output-part characters
-are {0, 1, -, ~}: '1' marks the row on for that output, '0' marks it
-off under type fr/fdr and carries no information under f/fd, '-' is a
-don't care and '~' carries no information.
+Supported directives: .i .o .p .ilb .ob .type .e/.end.  .i and .o come
+before the first cube line and are at least 1; .ilb is accepted and
+ignored.  Input-part characters are {0, 1, -}; an 'x' in a PLA file is
+rejected (the cube text alias applies to diagnostic output only).
+Output-part characters are {0, 1, -, ~}: '1' marks the row on for that
+output, '0' marks it off under type fr/fdr and carries no information
+under f/fd, '-' is a don't care and '~' carries no information.
 
 Single-output files produce a ``LogicFunction`` holding the cube lists
 as written.  For types f and fd the off-set is derived as the
@@ -176,14 +177,12 @@ class _RawPla:
     m: int
     type_: str
     rows: list[tuple[Cube, str]]
-    ilb: tuple[str, ...]
     ob: tuple[str, ...]
 
 
 def _scan(text: str) -> _RawPla:
     n = m = None
     type_ = "fd"
-    ilb: tuple[str, ...] = ()
     ob: tuple[str, ...] = ()
     rows: list[tuple[Cube, str]] = []
     ended = False
@@ -195,14 +194,20 @@ def _scan(text: str) -> _RawPla:
             parts = line.split()
             key = parts[0]
             try:
-                if key == ".i":
-                    n = int(parts[1])
-                elif key == ".o":
-                    m = int(parts[1])
+                if key in (".i", ".o"):
+                    if rows:
+                        raise PlaParseError(f"line {lineno}: {key} after the first cube line")
+                    count = int(parts[1])
+                    if count < 1:
+                        raise PlaParseError(f"line {lineno}: {key} {count} is below 1")
+                    if key == ".i":
+                        n = count
+                    else:
+                        m = count
                 elif key == ".p":
                     int(parts[1])  # the term count is checked, not kept
                 elif key == ".ilb":
-                    ilb = tuple(parts[1:])
+                    pass  # input labels are accepted and not kept
                 elif key == ".ob":
                     ob = tuple(parts[1:])
                 elif key == ".type":
@@ -235,7 +240,7 @@ def _scan(text: str) -> _RawPla:
         rows.append((cube, outputs))
     if n is None or m is None:
         raise PlaParseError("missing .i/.o declarations")
-    return _RawPla(n, m, type_, rows, ilb, ob)
+    return _RawPla(n, m, type_, rows, ob)
 
 
 def _single_output(raw: _RawPla, name: str, complement_cap: int) -> LogicFunction:
@@ -319,10 +324,10 @@ def write_pla(
     n: int,
     *,
     outputs: int = 1,
-    ilb: Sequence[str] = (),
     ob: Sequence[str] = (),
 ) -> str:
-    """Serialize a cover (Cubes, or (Cube, output-index-set) pairs) as PLA text.
+    """Serialize a cover as PLA text: ``Cube``s when ``outputs`` is 1, and
+    ``TaggedCube``s otherwise, each marked for exactly the outputs of its tag.
 
     Single-output covers are written as type fr, which round-trips exactly.
     Multi-output covers use type fd: a '0' in a cover line means the term
@@ -330,27 +335,16 @@ def write_pla(
     overlapping cubes with different tags would otherwise contradict.
     """
     lines_out: list[str] = []
-    count = 0
     for item in cover:
-        if isinstance(item, Cube):
-            cube, tag = item, None
-        elif hasattr(item, "cube") and hasattr(item, "tag"):
-            cube, tag = item.cube, item.tag
-        else:
-            cube, tag = item
-        text = cube_text(cube).replace("x", "-")
         if outputs == 1:
-            out_part = "1"
+            cube, out_part = item, "1"
         else:
-            marks = set(tag) if tag is not None else set(range(outputs))
-            out_part = "".join("1" if j in marks else "0" for j in range(outputs))
-        lines_out.append(f"{text} {out_part}")
-        count += 1
+            cube = item.cube
+            out_part = "".join("1" if j in item.tag else "0" for j in range(outputs))
+        lines_out.append(f"{cube_text(cube).replace('x', '-')} {out_part}")
     header = [f".i {n}", f".o {outputs}"]
-    if ilb:
-        header.append(".ilb " + " ".join(ilb))
     if ob:
         header.append(".ob " + " ".join(ob))
-    header.append(f".p {count}")
+    header.append(f".p {len(lines_out)}")
     header.append(".type fr" if outputs == 1 else ".type fd")
     return "\n".join(header + lines_out + [".e"]) + "\n"

@@ -19,7 +19,6 @@ from primecover import (
     LogicFunction,
     MultiFunction,
     cube_contains,
-    cube_intersects,
     cube_text,
     direct_cover,
     generate_sdm,
@@ -32,6 +31,27 @@ from primecover.cover import find_dominant, mask_members
 from primecover.multi_output import MultiCoverReport, TaggedCube
 
 bv = BitVec.from_text
+
+
+# Cube predicates on the positional pairs, one cube pair at a time, as
+# independent references for the sliced set algebra and for primality.
+
+
+def reference_intersects(c: Cube, d: Cube) -> bool:
+    """True when the two cubes share at least one minterm: at every
+    position both allow value 0 or both allow value 1."""
+    if c.width != d.width:
+        raise ValueError(f"width mismatch: {c.width} vs {d.width}")
+    both = (c.left.value & d.left.value) | (c.right.value & d.right.value)
+    return both == (1 << c.width) - 1
+
+
+def reference_raise_literal(c: Cube, pos: int) -> Cube:
+    """Turn the specified position ``pos`` (LSB-indexed) into a don't care."""
+    bit = 1 << pos
+    if not c.specified_mask & bit:
+        raise ValueError(f"position {pos} is not a specified literal")
+    return Cube(BitVec(c.width, c.left.value | bit), BitVec(c.width, c.right.value | bit))
 
 
 def minterm_cubes(texts: list[str]) -> tuple[Cube, ...]:
@@ -249,7 +269,7 @@ def naive_primes(f: LogicFunction) -> set[Cube]:
             continue
         maximal = True
         for pos in range(f.n):
-            if c.specified_mask >> pos & 1 and is_implicant(c.raise_literal(pos)):
+            if c.specified_mask >> pos & 1 and is_implicant(reference_raise_literal(c, pos)):
                 maximal = False
                 break
         if maximal:
@@ -257,14 +277,14 @@ def naive_primes(f: LogicFunction) -> set[Cube]:
     return primes
 
 
-# Pairwise references for the sliced set algebra: one cube_intersects or
-# covers_value call per pair, as the library computed these before.
+# Pairwise references for the sliced set algebra: one reference_intersects
+# or covers_value call per pair, as the library computed these before.
 
 
 def reference_validate(f: LogicFunction) -> None:
     for a in f.on:
         for b in f.off:
-            if cube_intersects(a, b):
+            if reference_intersects(a, b):
                 raise InconsistentFunction(f"on-cube {a} intersects off-cube {b}")
 
 
@@ -293,14 +313,14 @@ def reference_verify_cover(cover, f: LogicFunction) -> CoverReport:
         for m in reference_on_minterms(f)
         if not any(c.covers_value(m.value) for c in cubes)
     ]
-    off_conflicts = [(c, z) for c in cubes for z in f.off if cube_intersects(c, z)]
+    off_conflicts = [(c, z) for c in cubes for z in f.off if reference_intersects(c, z)]
     removable = []
     for c in cubes:
         for pos in range(c.width):
             if not c.specified_mask >> pos & 1:
                 continue
-            raised = c.raise_literal(pos)
-            if not any(cube_intersects(raised, z) for z in f.off):
+            raised = reference_raise_literal(c, pos)
+            if not any(reference_intersects(raised, z) for z in f.off):
                 removable.append((c, c.width - 1 - pos))
     return CoverReport(tuple(missing), tuple(off_conflicts), tuple(removable))
 
@@ -386,7 +406,7 @@ def reference_generate_n(dis) -> list[BitVec]:
     seq = list(dis)
     n_vectors = [BitVec.zeros(seq[0].width)]
     for d in seq:
-        clauses = [BitVec(d.width, 1 << p) for p in d.one_positions()]
+        clauses = [BitVec(d.width, 1 << p) for p in range(d.width) if d.value >> p & 1]
         n_vectors = reference_cross_or(n_vectors, clauses)
     return n_vectors
 
@@ -673,7 +693,7 @@ def reference_verify_multi(cover, f: MultiFunction) -> MultiCoverReport:
     for tc in cover:
         for pos in range(n):
             if tc.cube.specified_mask >> pos & 1:
-                raised = tc.cube.raise_literal(pos)
+                raised = reference_raise_literal(tc.cube, pos)
                 if not any(
                     raised.covers_value(v) and is_off(tc.tag, v) for v in range(1 << n)
                 ):

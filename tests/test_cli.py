@@ -77,6 +77,12 @@ def test_minimize_missing_file(capsys):
     assert main(["minimize", "/nonexistent/nope.pla"]) == 2
 
 
+def test_minimize_redefined_inputs_is_an_input_error(tmp_path, capsys):
+    src = write(tmp_path, "redef.pla", ".i 3\n.o 1\n1-1 1\n.i 2\n.e\n")
+    assert main(["minimize", src]) == 2
+    assert "line 4: .i after the first cube line" in capsys.readouterr().err
+
+
 def test_minimize_inconsistent_function(tmp_path, capsys):
     src = write(tmp_path, "bad.pla", ".i 2\n.o 1\n.type fr\n1- 1\n11 0\n.e\n")
     assert main(["minimize", src]) == 3

@@ -18,12 +18,18 @@ from primecover import (
     equivalent,
     minimum_cover_size,
     minterm_to_cube,
-    select_epi,
     text_cube,
     verify_cover,
 )
-from primecover.cover import expand_on_minterms, mask_members
-from helpers import bv, five_var_function, random_function, reference_direct_cover
+from primecover.cover import _select_index, expand_on_minterms, mask_members
+from helpers import (
+    bv,
+    five_var_function,
+    random_function,
+    reference_direct_cover,
+    reference_intersects,
+    reference_raise_literal,
+)
 
 
 def test_coverage_mask_five_var():
@@ -49,28 +55,34 @@ def test_coverage_mask_empty_list():
     assert coverage_mask(text_cube("10x"), []).width == 0
 
 
+# Candidates arrive in cube-text order, as ``direct_cover`` builds them,
+# so the first of the best candidates has the smallest cube text.
+
+
 def test_select_epi_no_dominance_falls_to_lex():
-    a = (text_cube("0x1"), bv("0001100"))
-    b = (text_cube("x01"), bv("1001000"))
-    assert select_epi([a, b], BitVec.ones(7)) == a[0]  # counts tie, "0x1" < "x01"
+    # "0x1" and "x01": counts tie, so the first candidate wins, in either order
+    assert _select_index([0b0001100, 0b1001000]) == 0
+    assert _select_index([0b1001000, 0b0001100]) == 0
 
 
 def test_select_epi_count_wins():
-    a = (text_cube("x1x0"), bv("1110"))
-    b = (text_cube("0000"), bv("0100"))
-    assert select_epi([a, b], BitVec.ones(4)) == a[0]
+    # "0000" before "x1x0": the second covers more, and here contains the first
+    assert _select_index([0b0100, 0b1110]) == 1
+    # with no mask containing the other, the count alone decides
+    assert _select_index([0b0011, 0b1110]) == 1
 
 
 def test_select_epi_single_candidate():
-    a = (text_cube("11"), bv("10"))
-    assert select_epi([a], BitVec.ones(2)) == a[0]
+    assert _select_index([0b10]) == 0
 
 
 def test_select_epi_counts_only_uncovered():
-    a = (text_cube("111"), bv("110"))
-    b = (text_cube("000"), bv("001"))
-    # restricted to the last minterm, b dominates
-    assert select_epi([a, b], bv("001")) == b[0]
+    # "000" and "111", masked with the uncovered minterms as direct_cover
+    # does: restricted to the last minterm, "111" covers none and "000" dominates
+    uncovered = 0b001
+    masks = [0b001, 0b110]
+    assert _select_index([mask & uncovered for mask in masks]) == 0
+    assert _select_index(masks) == 1
 
 
 def test_direct_cover_five_var():
@@ -81,7 +93,10 @@ def test_direct_cover_five_var():
     care = TruthTable.from_function(f)
     assert equivalent(list(result.cubes), list(f.on), care)
     assert minimum_cover_size(f) <= len(result.cubes) <= len(result.on_minterms)
-    assert result.covered_all
+    covered = 0
+    for mask in result.coverage:
+        covered |= mask.value
+    assert covered == (1 << len(result.on_minterms)) - 1
     assert result.iterations == len(result.cubes)
 
 
@@ -147,7 +162,7 @@ def test_verify_cover_flags_constructed_violations():
     f = five_var_function()
     good = direct_cover(f).cubes
     # enlarge one cube past the off-set boundary
-    bad_cube = good[0].raise_literal(good[0].specified_mask.bit_length() - 1)
+    bad_cube = reference_raise_literal(good[0], good[0].specified_mask.bit_length() - 1)
     report = verify_cover([bad_cube, *good[1:]], f)
     assert report.off_conflicts
     # empty cover: every on-minterm is reported missing
@@ -201,7 +216,6 @@ def test_direct_cover_on_fd_file_with_cube_offset():
 
 
 def test_direct_cover_medium_scale_cube_rows():
-    from primecover import cube_intersects
     from helpers import random_cube
 
     rng = random.Random(52)
@@ -210,7 +224,7 @@ def test_direct_cover_medium_scale_cube_rows():
     on = []
     while len(on) < 30:
         c = random_cube(rng, n, dc_prob=0.15)
-        if not any(cube_intersects(c, z) for z in off):
+        if not any(reference_intersects(c, z) for z in off):
             on.append(c)
     f = LogicFunction(n, tuple(on), tuple(off))
     started = time.perf_counter()

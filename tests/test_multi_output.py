@@ -9,7 +9,6 @@ from primecover import (
     EmptyOnset,
     MultiFunction,
     coverage_mask,
-    cube_intersects,
     cube_text,
     direct_cover,
     edsa_minimize,
@@ -20,12 +19,13 @@ from primecover import (
     text_cube,
 )
 from primecover.bitcube import Cube, table_cover
-from primecover.multi_output import TaggedCube, per_output_cover, verify_multi
+from primecover.multi_output import TaggedCube, verify_multi
 from helpers import (
     TRI_OUTPUT_COVER,
     bv,
     multi_function,
     reference_edsa_minimize,
+    reference_intersects,
     reference_subfunction_off,
     reference_verify_multi,
     rows_of,
@@ -112,7 +112,7 @@ def test_per_output_agreement_with_truth_table():
     f = tri_output_function()
     cover = edsa_minimize(f)
     for j in range(3):
-        cubes = per_output_cover(cover, j)
+        cubes = [tc.cube for tc in cover if j in tc.tag]
         for v in range(1 << f.n):
             got = any(c.covers_value(v) for c in cubes)
             if f.value(v, j) == 1:
@@ -125,7 +125,7 @@ def test_no_cube_touches_an_off_minterm_of_its_tag():
     f = tri_output_function()
     for tc in edsa_minimize(f):
         for z in subfunction_off(tc.tag, f):
-            assert not cube_intersects(tc.cube, z)
+            assert not reference_intersects(tc.cube, z)
 
 
 def test_single_output_degenerates_to_direct_cover():
@@ -162,7 +162,7 @@ def test_identical_output_columns_share_cubes():
         cover = edsa_minimize(f)
         assert all(tc.tag == frozenset({0, 1}) for tc in cover)
         for j in range(2):
-            cubes = per_output_cover(cover, j)
+            cubes = [tc.cube for tc in cover if j in tc.tag]
             for v in range(1 << n):
                 got = any(c.covers_value(v) for c in cubes)
                 assert got == (col[v] == 1)
@@ -185,7 +185,7 @@ def test_random_multi_functions_cover_correctly():
             continue
         cover = edsa_minimize(f)
         for j in range(m):
-            cubes = per_output_cover(cover, j)
+            cubes = [tc.cube for tc in cover if j in tc.tag]
             for mv, values in rows:
                 got = any(c.covers_value(mv.value) for c in cubes)
                 if values[j] == 1:

@@ -65,6 +65,14 @@ def test_directive_errors():
         parse_pla(".i 3\n.o 2\n000 1\n")  # wrong output width
     with pytest.raises(PlaParseError):
         parse_pla(".i 3\n.o 1\n000 2\n")  # bad output char
+    with pytest.raises(PlaParseError, match="line 4: .i after the first cube line"):
+        parse_pla(".i 3\n.o 1\n1-1 1\n.i 2\n.e\n")
+    with pytest.raises(PlaParseError, match="line 1: .i -1 is below 1"):
+        parse_pla(".i -1\n.o 1\n.e\n")
+    with pytest.raises(PlaParseError, match="line 2: .o -3 is below 1"):
+        parse_pla(".i 2\n.o -3\n.e\n")
+    with pytest.raises(PlaParseError, match="line 2: .o 0 is below 1"):
+        parse_pla(".i 2\n.o 0\n.e\n")
 
 
 def test_fd_complement_derives_off():

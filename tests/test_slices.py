@@ -8,13 +8,18 @@ from primecover import (
     InconsistentFunction,
     LogicFunction,
     coverage_mask,
-    cube_intersects,
     direct_cover,
     text_cube,
     verify_cover,
 )
 from primecover.bitcube import BitVec, Slices
-from helpers import reference_coverage_mask, reference_validate, reference_verify_cover
+from helpers import (
+    reference_coverage_mask,
+    reference_intersects,
+    reference_raise_literal,
+    reference_validate,
+    reference_verify_cover,
+)
 
 widths = st.integers(min_value=1, max_value=12)
 
@@ -46,7 +51,7 @@ def test_meets_is_the_cube_intersects_index_set(data):
     query = data.draw(cubes(width))
     expected = 0
     for c in listed:
-        expected = expected << 1 | cube_intersects(c, query)
+        expected = expected << 1 | reference_intersects(c, query)
     sliced = Slices(pairs(listed), width)
     assert sliced.count == len(listed)
     assert sliced.meets(query.left.value, query.right.value) == expected
@@ -87,7 +92,7 @@ def consistent_functions(draw) -> LogicFunction:
     width = draw(widths)
     on = draw(st.lists(cubes(width, empty=False), min_size=1, max_size=5))
     drawn_off = draw(st.lists(cubes(width, empty=False), max_size=8))
-    off = [z for z in drawn_off if not any(cube_intersects(z, a) for a in on)]
+    off = [z for z in drawn_off if not any(reference_intersects(z, a) for a in on)]
     return LogicFunction(width, on, off)
 
 
@@ -102,7 +107,7 @@ def test_verify_cover_matches_pairwise_on_injected_violations(data):
     covers = [good, good[:k] + good[k + 1 :]]  # a dropped cube
     specified = [p for p in range(f.n) if c.specified_mask >> p & 1]
     if specified:  # widened across a literal, into the off-set when there is one
-        widened = c.raise_literal(data.draw(st.sampled_from(specified)))
+        widened = reference_raise_literal(c, data.draw(st.sampled_from(specified)))
         covers.append(good[:k] + [widened] + good[k + 1 :])
     free = [p for p in range(f.n) if c.dc_mask >> p & 1]
     if free:  # narrowed by a literal, so no longer prime
