@@ -30,9 +30,9 @@ EXIT_INPUT = 2
 EXIT_INCONSISTENT = 3
 
 
-def _read_function(path: str, complement_cap: int):
+def _read_function(path: str):
     text = Path(path).read_text(encoding="utf-8")
-    return parse_pla(text, name=Path(path).stem, complement_cap=complement_cap)
+    return parse_pla(text, name=Path(path).stem)
 
 
 def _vec_set(vectors) -> str:
@@ -40,7 +40,7 @@ def _vec_set(vectors) -> str:
 
 
 def cmd_minimize(args: argparse.Namespace) -> int:
-    f = _read_function(args.input, args.max_expand)
+    f = _read_function(args.input)
     started = time.perf_counter()
     if isinstance(f, MultiFunction):
         if not args.multi:
@@ -74,7 +74,7 @@ def cmd_minimize(args: argparse.Namespace) -> int:
 
 
 def cmd_primes(args: argparse.Namespace) -> int:
-    f = _read_function(args.input, args.max_expand)
+    f = _read_function(args.input)
     if isinstance(f, MultiFunction):
         print(f"{args.input}: primes needs a single-output file", file=sys.stderr)
         return EXIT_INPUT
@@ -129,14 +129,15 @@ def _print_trace(P: BitVec, off: tuple[Cube, ...]) -> None:
     print(f"primes covering {P}:")
 
 
-def _bench_one(path: Path, max_expand: int) -> list[str]:
+def _bench_one(path: Path) -> list[str]:
     """One CSV row: ``on`` counts on-minterms (for several outputs, the
-    minterms with an output of 1), ``off`` off-cubes (for several
-    outputs, the (minterm, output) points where the output is 0) and
-    ``ms`` times parsing and minimizing."""
+    minterms with an output of 1), ``off`` off-cubes (for f/fd files,
+    the cubes of the table complement; for several outputs, the
+    (minterm, output) points where the output is 0) and ``ms`` times
+    parsing and minimizing."""
     try:
         started = time.perf_counter()
-        f = _read_function(str(path), max_expand)
+        f = _read_function(str(path))
         if isinstance(f, MultiFunction):
             cubes = len(edsa_minimize(f))
             on = reduce(or_, f.on).bit_count()
@@ -159,7 +160,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         print(f"not a directory: {args.dir}", file=sys.stderr)
         return EXIT_INPUT
     files = sorted(directory.glob("*.pla"), key=lambda p: p.name)
-    rows = [_bench_one(p, args.max_expand) for p in files]
+    rows = [_bench_one(p) for p in files]
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["name", "n", "on", "off", "cubes", "ms"])
@@ -210,8 +211,8 @@ def _verify_multi(f: MultiFunction, cover_fn: MultiFunction) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    f = _read_function(args.input, args.max_expand)
-    cover_fn = _read_function(args.cover, args.max_expand)
+    f = _read_function(args.input)
+    cover_fn = _read_function(args.cover)
     if isinstance(f, MultiFunction) != isinstance(cover_fn, MultiFunction) or (
         isinstance(f, MultiFunction) and cover_fn.m != f.m
     ):
@@ -261,32 +262,22 @@ def _build_parser() -> argparse.ArgumentParser:
     p_min.add_argument("input")
     p_min.add_argument("--out", default=None, help="write the cover here instead of stdout")
     p_min.add_argument("--multi", action="store_true", help="minimize all outputs jointly")
-    p_min.add_argument(
-        "--max-expand",
-        type=int,
-        default=16,
-        help="single-output off-set complement cap (variables); "
-        "multi-output files stop at 16 inputs whatever this is",
-    )
     p_min.set_defaults(func=cmd_minimize)
 
     p_primes = sub.add_parser("primes", help="list every prime implicant covering a minterm")
     p_primes.add_argument("input")
     p_primes.add_argument("--minterm", required=True, help="minterm bits, MSB first")
     p_primes.add_argument("--trace", action="store_true", help="print the construction steps")
-    p_primes.add_argument("--max-expand", type=int, default=16)
     p_primes.set_defaults(func=cmd_primes)
 
     p_verify = sub.add_parser("verify", help="check a cover against its function")
     p_verify.add_argument("input")
     p_verify.add_argument("cover")
-    p_verify.add_argument("--max-expand", type=int, default=16)
     p_verify.set_defaults(func=cmd_verify)
 
     p_bench = sub.add_parser("bench", help="minimize every PLA file in a directory")
     p_bench.add_argument("--dir", required=True)
     p_bench.add_argument("--csv", default=None, help="write the table here instead of stdout")
-    p_bench.add_argument("--max-expand", type=int, default=16)
     p_bench.set_defaults(func=cmd_bench)
     return parser
 

@@ -18,7 +18,7 @@ from .bitcube import BitVec, Cube, Slices, cube_points, cube_text, table_cover
 from .errors import EmptyOnset
 # generate_spi stays importable here: perfbench/tracing.py wraps it by name
 from .pi_gen import generate_spi, prime_pairs  # noqa: F401
-from .pla_io import DEFAULT_COMPLEMENT_CAP, LogicFunction
+from .pla_io import TABLE_CAP, LogicFunction
 from .reduced_offset import OffPairs
 
 DEFAULT_ON_EXPANSION_CAP = 1 << 20
@@ -41,7 +41,7 @@ def _on_values(f: LogicFunction, cap: int) -> list[int]:
     for c in f.on:
         if c.count_minterms() > cap:
             raise ValueError(
-                f"on-cube {cube_text(c)} alone expands past {cap} minterms; raise the cap"
+                f"on-cube {cube_text(c)} alone expands past the cap of {cap} minterms"
             )
         if c.empty:
             continue
@@ -54,7 +54,7 @@ def _on_values(f: LogicFunction, cap: int) -> list[int]:
             if not sub:
                 break
         if len(out) > cap:
-            raise ValueError(f"on-set expands past {cap} minterms; raise the cap")
+            raise ValueError(f"on-set expands past the cap of {cap} minterms")
     return list(out)
 
 
@@ -112,7 +112,7 @@ def _off_pairs(f: LogicFunction) -> OffPairs:
     the list: the primes depend only on the points.  A listed empty cube
     keeps the list, so that the fold still rejects it."""
     listed = [(z.left.value, z.right.value) for z in f.off]
-    if f.n <= DEFAULT_COMPLEMENT_CAP and not any(z.empty for z in f.off):
+    if f.n <= TABLE_CAP and not any(z.empty for z in f.off):
         points = 0
         for left, right in listed:
             points |= cube_points(left, right)

@@ -9,12 +9,13 @@ output, '0' marks it off under type fr/fdr and carries no information
 under f/fd, '-' is a don't care and '~' carries no information.
 
 Single-output files produce a ``LogicFunction`` holding the cube lists
-as written.  For types f and fd the off-set is derived as the
-complement of on plus dc, which is refused above a variable cap
-(default 16); supply fr/fdr input beyond that.  Multi-output files
-produce a ``MultiFunction`` of 2^n-bit on and don't-care tables, one
-per output, each cube line ORed into them whole; they stop at 16 inputs
-whatever the cap.
+as written.  For types f and fd the off-set is derived on the 2^n-bit
+truth table: the complement of on plus dc, covered by
+``bitcube.table_cover``.  Multi-output files produce a ``MultiFunction``
+of 2^n-bit on and don't-care tables, one per output, each cube line
+ORed into them whole.  Every 2^n-bit table stops at ``TABLE_CAP`` (16)
+inputs; only fr/fdr single-output files, which list their off-set, go
+past it.
 """
 
 from __future__ import annotations
@@ -22,10 +23,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .bitcube import BitVec, Cube, Slices, cube_points, cube_text, text_cube
+from .bitcube import BitVec, Cube, Slices, cube_points, cube_text, table_cover, text_cube
 from .errors import InconsistentFunction, PlaParseError
 
-DEFAULT_COMPLEMENT_CAP = 16
+TABLE_CAP = 16
 
 
 @dataclass(frozen=True)
@@ -82,9 +83,9 @@ class MultiFunction:
     cube_rows: tuple[tuple[Cube, str], ...] = ()
 
     def __post_init__(self) -> None:
-        if self.n > DEFAULT_COMPLEMENT_CAP:
+        if self.n > TABLE_CAP:
             raise ValueError(
-                f"{self.n} inputs exceed the cap of {DEFAULT_COMPLEMENT_CAP} "
+                f"{self.n} inputs exceed the cap of {TABLE_CAP} "
                 "on 2^n-bit output tables"
             )
         object.__setattr__(self, "on", tuple(self.on))
@@ -118,42 +119,15 @@ class MultiFunction:
         return 0
 
 
-def _complement_cover(cubes: list[tuple[int, int]], n: int) -> list[tuple[int, int]]:
-    """Complement of a cube cover, as disjoint (left, right) pairs."""
-    full = (1 << n) - 1
-    if not cubes:
-        return [(full, full)]
-    for left, right in cubes:
-        if left == full and right == full:
-            return []
-    # split on the position specified most often
-    counts = [0] * n
-    for left, right in cubes:
-        spec = left ^ right
-        for p in range(n):
-            if spec >> p & 1:
-                counts[p] += 1
-    pos = max(range(n), key=lambda p: counts[p])
-    bit = 1 << pos
-    zero_branch = [
-        (l | bit, r | bit) for l, r in cubes if l & bit  # cube allows value 0
-    ]
-    one_branch = [
-        (l | bit, r | bit) for l, r in cubes if r & bit  # cube allows value 1
-    ]
-    out = []
-    for l, r in _complement_cover(zero_branch, n):
-        out.append((l, r & ~bit))  # constrain to value 0
-    for l, r in _complement_cover(one_branch, n):
-        out.append((l & ~bit, r))  # constrain to value 1
-    return out
-
-
 def complement_cubes(cubes: Sequence[Cube], n: int) -> list[Cube]:
-    pairs = [(c.left.value, c.right.value) for c in cubes]
-    return [
-        Cube(BitVec(n, l), BitVec(n, r)) for l, r in _complement_cover(pairs, n)
-    ]
+    """A cover of the minterms in none of ``cubes``: the ``table_cover``
+    of the complement of their 2^n-bit truth table."""
+    points = 0
+    for c in cubes:
+        if not c.empty:
+            points |= cube_points(c.left.value, c.right.value)
+    rest = ((1 << (1 << n)) - 1) ^ points
+    return [Cube(BitVec(n, l), BitVec(n, r)) for l, r in table_cover(rest, n)]
 
 
 # deleting the legal input characters leaves the illegal ones, in order
@@ -183,7 +157,7 @@ class _RawPla:
 def _scan(text: str) -> _RawPla:
     n = m = None
     type_ = "fd"
-    ob: tuple[str, ...] = ()
+    ob: tuple[str, ...] | None = None
     rows: list[tuple[Cube, str]] = []
     ended = False
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -240,10 +214,12 @@ def _scan(text: str) -> _RawPla:
         rows.append((cube, outputs))
     if n is None or m is None:
         raise PlaParseError("missing .i/.o declarations")
-    return _RawPla(n, m, type_, rows, ob)
+    if ob is not None and len(ob) != m:
+        raise PlaParseError(f".ob names {len(ob)} outputs but .o declares {m}")
+    return _RawPla(n, m, type_, rows, ob or ())
 
 
-def _single_output(raw: _RawPla, name: str, complement_cap: int) -> LogicFunction:
+def _single_output(raw: _RawPla, name: str) -> LogicFunction:
     on: list[Cube] = []
     off: list[Cube] = []
     dc: list[Cube] = []
@@ -258,22 +234,24 @@ def _single_output(raw: _RawPla, name: str, complement_cap: int) -> LogicFunctio
             dc.append(cube)
         # '~' and a '0' under f/fd carry no information
     if not explicit_off:
-        if raw.n > complement_cap:
+        if raw.n > TABLE_CAP:
             raise PlaParseError(
                 f"deriving the off-set needs a complement over {raw.n} variables "
-                f"(cap {complement_cap}); supply fr/fdr input or raise the cap"
+                f"(cap {TABLE_CAP}); supply fr/fdr input"
             )
         off = complement_cubes(on + dc, raw.n)
     f = LogicFunction(raw.n, tuple(on), tuple(off), tuple(dc), name=name)
-    f.validate()
+    if explicit_off:
+        # a derived off-set is the complement of on plus dc: it meets no on-cube
+        f.validate()
     return f
 
 
 def _multi_output(raw: _RawPla, name: str) -> MultiFunction:
-    if raw.n > DEFAULT_COMPLEMENT_CAP:
+    if raw.n > TABLE_CAP:
         raise PlaParseError(
             f"multi-output minimization builds 2^n-bit output tables, capped at "
-            f"{DEFAULT_COMPLEMENT_CAP} inputs; this file has {raw.n}"
+            f"{TABLE_CAP} inputs; this file has {raw.n}"
         )
     on = [0] * raw.m
     dc = [0] * raw.m
@@ -306,16 +284,11 @@ def _multi_output(raw: _RawPla, name: str) -> MultiFunction:
     )
 
 
-def parse_pla(
-    text: str,
-    *,
-    name: str = "",
-    complement_cap: int = DEFAULT_COMPLEMENT_CAP,
-) -> LogicFunction | MultiFunction:
+def parse_pla(text: str, *, name: str = "") -> LogicFunction | MultiFunction:
     """Parse PLA text into a function value; single output gives LogicFunction."""
     raw = _scan(text)
     if raw.m == 1:
-        return _single_output(raw, name, complement_cap)
+        return _single_output(raw, name)
     return _multi_output(raw, name)
 
 

@@ -54,6 +54,28 @@ def reference_raise_literal(c: Cube, pos: int) -> Cube:
     return Cube(BitVec(c.width, c.left.value | bit), BitVec(c.width, c.right.value | bit))
 
 
+def reference_complement(cubes, n: int) -> list[Cube]:
+    """The complement of a cube cover by recursive splitting, as pairwise
+    disjoint cubes: split on the position specified most often, complement
+    each half, and constrain each half's cubes to its value.  An explicit
+    empty cube drops out at the first split."""
+
+    def split(pairs: list[tuple[int, int]]) -> list[tuple[int, int]]:
+        full = (1 << n) - 1
+        if not pairs:
+            return [(full, full)]
+        if (full, full) in pairs:
+            return []
+        counts = [sum((left ^ right) >> p & 1 for left, right in pairs) for p in range(n)]
+        bit = 1 << max(range(n), key=lambda p: counts[p])
+        zero = [(l | bit, r | bit) for l, r in pairs if l & bit]  # allows value 0
+        one = [(l | bit, r | bit) for l, r in pairs if r & bit]  # allows value 1
+        return [(l, r & ~bit) for l, r in split(zero)] + [(l & ~bit, r) for l, r in split(one)]
+
+    pairs = [(c.left.value, c.right.value) for c in cubes]
+    return [Cube(BitVec(n, l), BitVec(n, r)) for l, r in split(pairs)]
+
+
 def minterm_cubes(texts: list[str]) -> tuple[Cube, ...]:
     return tuple(minterm_to_cube(bv(t)) for t in texts)
 

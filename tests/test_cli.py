@@ -175,18 +175,29 @@ def test_multi_output_parse_stops_at_the_table_cap(tmp_path, capsys):
     src = write(
         tmp_path, "wide.pla", ".i 17\n.o 2\n.type fr\n" + "0" * 17 + " 10\n" + "1" * 17 + " 01\n.e\n"
     )
-    assert main(["minimize", src, "--multi", "--max-expand", "20"]) == 2
+    assert main(["minimize", src, "--multi"]) == 2
     captured = capsys.readouterr()
     assert "2^n-bit output tables, capped at 16 inputs; this file has 17" in captured.err
 
 
-def test_max_expand_does_not_gate_multi_output_files(tmp_path, capsys):
-    # the option caps the single-output complement; a 3-input table is
-    # built whole whatever it says
-    src = write(tmp_path, "tri.pla", TRI_OUTPUT_PLA)
-    out = tmp_path / "tri.cover.pla"
-    assert main(["minimize", src, "--multi", "--max-expand", "2", "--out", str(out)]) == 0
-    assert main(["verify", src, str(out), "--max-expand", "2"]) == 0
+@pytest.mark.parametrize("command", ["minimize", "primes", "verify", "bench"])
+def test_max_expand_flag_is_rejected(tmp_path, capsys, command):
+    src = write(tmp_path, "fivevar.pla", five_var_pla())
+    args = {
+        "minimize": [src],
+        "primes": [src, "--minterm", "11010"],
+        "verify": [src, src],
+        "bench": ["--dir", str(tmp_path)],
+    }[command]
+    with pytest.raises(SystemExit) as exc:
+        main([command, *args, "--max-expand", "20"])
+    assert exc.value.code == 2
+
+
+def test_ob_label_count_must_match_outputs(tmp_path, capsys):
+    src = write(tmp_path, "ob.pla", ".i 2\n.o 2\n.ob a\n.type fr\n01 11\n11 10\n.e\n")
+    assert main(["minimize", src, "--multi"]) == 2
+    assert ".ob names 1 outputs but .o declares 2" in capsys.readouterr().err
 
 
 def test_verify_width_mismatch(tmp_path, capsys):
@@ -294,13 +305,12 @@ GOLDEN_TRACES = {
         ".i 4\n.o 1\n.type fd\n1--1 1\n0110 1\n0000 -\n.e\n",
         "0110",
         (
-            "di trace for minterm 0110 (5 off-cubes)\n"
-            "  j=1   off=1000  di=1110  kept={1110}  comparisons=1 absorbed=1\n"
-            "  j=2   off=x100  di=0010  kept={0010}  comparisons=1 absorbed=1\n"
-            "  j=3   off=x010  di=0100  kept={0010, 0100}  comparisons=1 absorbed=0\n"
-            "  j=4   off=1110  di=1000  kept={0010, 0100, 1000}  comparisons=2 absorbed=0\n"
-            "  j=5   off=0xx1  di=0001  kept={0001, 0010, 0100, 1000}  comparisons=3 absorbed=0\n"
-            "minimal di set {0001, 0010, 0100, 1000}  w=4  comparisons=8  avg=1.60\n"
+            "di trace for minterm 0110 (4 off-cubes)\n"
+            "  j=1   off=0xx1  di=0001  kept={0001}  comparisons=1 absorbed=1\n"
+            "  j=2   off=001x  di=0100  kept={0001, 0100}  comparisons=1 absorbed=0\n"
+            "  j=3   off=010x  di=0010  kept={0001, 0010, 0100}  comparisons=2 absorbed=0\n"
+            "  j=4   off=1xx0  di=1000  kept={0001, 0010, 0100, 1000}  comparisons=3 absorbed=0\n"
+            "minimal di set {0001, 0010, 0100, 1000}  w=4  comparisons=7  avg=1.75\n"
             "vector trace\n"
             "  di=0001  clauses={0001}  n={0001}\n"
             "  di=0010  clauses={0010}  n={0011}\n"

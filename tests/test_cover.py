@@ -194,8 +194,11 @@ def test_irredundant_sweep_drops_redundant_cubes():
 
 def test_expansion_cap_guard():
     f = LogicFunction(5, (Cube.universal(5),), ())
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^on-cube xxxxx alone expands past the cap of 10 minterms$"):
         expand_on_minterms(f, cap=10)
+    halves = LogicFunction(5, (text_cube("0xxx0"), text_cube("1xxx0")), ())
+    with pytest.raises(ValueError, match=r"^on-set expands past the cap of 10 minterms$"):
+        expand_on_minterms(halves, cap=10)
 
 
 def test_direct_cover_on_fd_file_with_cube_offset():

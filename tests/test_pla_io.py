@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from primecover import (
+    Cube,
     EmptyOnset,
     InconsistentFunction,
     LogicFunction,
@@ -19,7 +20,13 @@ from primecover import (
     write_pla,
 )
 from primecover.pla_io import complement_cubes
-from helpers import TRI_OUTPUT_PLA, five_var_pla, random_cube, reference_parse_multi
+from helpers import (
+    TRI_OUTPUT_PLA,
+    five_var_pla,
+    random_cube,
+    reference_complement,
+    reference_parse_multi,
+)
 
 
 def test_parse_five_var_fr_file():
@@ -73,6 +80,10 @@ def test_directive_errors():
         parse_pla(".i 2\n.o -3\n.e\n")
     with pytest.raises(PlaParseError, match="line 2: .o 0 is below 1"):
         parse_pla(".i 2\n.o 0\n.e\n")
+    with pytest.raises(PlaParseError, match=".ob names 1 outputs but .o declares 2"):
+        parse_pla(".i 2\n.o 2\n.ob a\n.type fr\n01 11\n.e\n")
+    with pytest.raises(PlaParseError, match=".ob names 0 outputs but .o declares 1"):
+        parse_pla(".i 2\n.o 1\n.ob\n01 1\n.e\n")
 
 
 def test_fd_complement_derives_off():
@@ -90,10 +101,8 @@ def test_fd_complement_derives_off():
 def test_fd_complement_cap_and_override():
     lines = [".i 17", ".o 1", ".type fd", "1" + "-" * 16 + " 1", ".e"]
     text = "\n".join(lines)
-    with pytest.raises(PlaParseError):
+    with pytest.raises(PlaParseError, match=r"over 17 variables \(cap 16\); supply fr/fdr input$"):
         parse_pla(text)
-    f = parse_pla(text, complement_cap=17)
-    assert len(f.off) >= 1
 
 
 def test_complement_is_exact_and_disjoint():
@@ -108,8 +117,45 @@ def test_complement_is_exact_and_disjoint():
         comp_values: list[int] = []
         for c in comp:
             comp_values.extend(m.value for m in c.minterms())
-        assert len(comp_values) == len(set(comp_values))  # pairwise disjoint
         assert set(comp_values) == set(range(1 << n)) - covered
+
+
+def _minterms(cubes) -> set[int]:
+    return {m.value for c in cubes for m in c.minterms()}
+
+
+@st.composite
+def cube_lists(draw):
+    """1-10 inputs and 0-6 cubes, each one random, empty or universal."""
+    n = draw(st.integers(min_value=1, max_value=10))
+    cubes = []
+    for _ in range(draw(st.integers(min_value=0, max_value=6))):
+        kind = draw(st.sampled_from(("random", "random", "random", "empty", "universal")))
+        if kind == "empty":
+            cubes.append(Cube.empty_cube(n))
+        elif kind == "universal":
+            cubes.append(Cube.universal(n))
+        else:
+            cubes.append(text_cube(draw(st.text("01x", min_size=n, max_size=n))))
+    return n, cubes
+
+
+@settings(deadline=None)
+@given(cube_lists())
+def test_complement_matches_the_recursive_reference(case):
+    n, cubes = case
+    got = complement_cubes(cubes, n)
+    assert all(c.width == n and not c.empty for c in got)
+    want = reference_complement(cubes, n)
+    assert _minterms(got) == _minterms(want)
+
+
+def test_complement_at_the_table_cap():
+    cubes = [text_cube("1" + "x" * 15), text_cube("01" + "x" * 13 + "0")]
+    got = complement_cubes(cubes, 16)
+    # maximal cubes of the complement table, which may overlap
+    assert [cube_text(c) for c in got] == ["00" + "x" * 14, "0" + "x" * 14 + "1"]
+    assert _minterms(got) == _minterms(reference_complement(cubes, 16))
 
 
 def test_write_pla_examples():
