@@ -5,9 +5,9 @@ immutable n-bit string; it stores minterms, difference indicators,
 literal-position vectors and coverage masks.  ``Cube`` is a pair of
 equal-width bit vectors in positional notation: per variable the
 (left, right) bit pair encodes 10 for value 0, 01 for value 1 and 11
-for a don't care.  A 00 pair is only legal on a value explicitly built
-as empty.  ``Slices`` indexes a whole cube list by variable, so that the
-cubes meeting a query cube come out of one AND per query literal.
+for a don't care.  There is no 00 pair, so every cube holds a minterm.
+``Slices`` indexes a whole cube list by variable, so that the cubes
+meeting a query cube come out of one AND per query literal.
 
 Convention: the leftmost character of any text form is the most
 significant bit, so printed values read like product terms over
@@ -92,26 +92,18 @@ class Cube:
 
     left: BitVec
     right: BitVec
-    empty: bool = False
 
     def __post_init__(self) -> None:
         if self.left.width != self.right.width:
             raise ValueError(
                 f"left/right width mismatch: {self.left.width} vs {self.right.width}"
             )
-        if self.empty:
-            if self.left.value or self.right.value:
-                raise ValueError("an empty cube must carry all-zero bit pairs")
-        elif (self.left.value | self.right.value) != _mask(self.left.width):
-            raise ValueError("00 bit pair is only legal on an explicit empty cube")
+        if (self.left.value | self.right.value) != _mask(self.left.width):
+            raise ValueError("a cube has no 00 bit pair")
 
     @classmethod
     def universal(cls, width: int) -> Cube:
         return cls(BitVec.ones(width), BitVec.ones(width))
-
-    @classmethod
-    def empty_cube(cls, width: int) -> Cube:
-        return cls(BitVec.zeros(width), BitVec.zeros(width), empty=True)
 
     @property
     def width(self) -> int:
@@ -133,21 +125,15 @@ class Cube:
     def covers_value(self, v: int) -> bool:
         """True when the minterm with integer value ``v`` lies in this cube:
         it agrees with ``right`` at every specified position."""
-        if self.empty:
-            return False
         right = self.right.value
         return not (v ^ right) & (self.left.value ^ right)
 
     def count_minterms(self) -> int:
-        if self.empty:
-            return 0
         return 1 << self.dc_mask.bit_count()
 
     def minterms(self) -> Iterator[BitVec]:
         """Minterms of the cube, free positions enumerated in binary order
         (most significant free position varies slowest)."""
-        if self.empty:
-            return
         width = self.width
         base = self.right.value & ~self.dc_mask
         free = [p for p in range(width - 1, -1, -1) if (self.dc_mask >> p) & 1]
@@ -192,14 +178,12 @@ def cube_contains(c: Cube, d: Cube) -> bool:
     """True when every minterm of ``d`` lies in ``c``."""
     if c.width != d.width:
         raise ValueError(f"width mismatch: {c.width} vs {d.width}")
-    if c.empty or d.empty:
-        raise ValueError("containment is undefined for empty cubes")
     return (d.left.value & ~c.left.value) == 0 and (d.right.value & ~c.right.value) == 0
 
 
 def cube_points(left: int, right: int) -> int:
-    """Truth table of the non-empty cube given by its ``(left, right)``
-    pair values: bit v is set when the minterm of value v lies in it."""
+    """Truth table of the cube given by its ``(left, right)`` pair
+    values: bit v is set when the minterm of value v lies in it."""
     free = left & right
     points = 1 << (right ^ free)
     while free:
@@ -265,22 +249,16 @@ class Slices:
     coverage masks.  The listed cubes meeting a query cube are then the
     AND, over the query's specified positions, of one set each: O(literals)
     big-int ANDs instead of one pairwise test per listed cube (two cubes
-    meet when at every position both allow 0 or both allow 1).  Empty
-    cubes, listed or queried, meet nothing.
+    meet when at every position both allow 0 or both allow 1).
     """
 
-    __slots__ = ("count", "_full", "_live", "_zero", "_one")
+    __slots__ = ("count", "_all", "_zero", "_one")
 
     def __init__(self, pairs: Sequence[tuple[int, int]], width: int) -> None:
         self.count = len(pairs)
-        self._full = _mask(width)
+        self._all = _mask(self.count)
         self._zero = _transpose([left for left, _ in pairs], width)
         self._one = _transpose([right for _, right in pairs], width)
-        # cubes allowing some value at every position: all but empty ones
-        live = _mask(self.count)
-        for zero, one in zip(self._zero, self._one):
-            live &= zero | one
-        self._live = live
 
     @classmethod
     def of_minterms(cls, values: Sequence[int], width: int) -> Slices:
@@ -291,9 +269,7 @@ class Slices:
     def meets(self, left: int, right: int) -> int:
         """Index set of the listed cubes sharing a minterm with the cube
         given by its ``(left, right)`` pair values."""
-        if left | right != self._full:
-            return 0
-        hit = self._live
+        hit = self._all
         spec = left ^ right
         while spec and hit:
             low = spec & -spec
@@ -313,8 +289,6 @@ _TEXT_OF_DIGIT = str.maketrans("213", "01x")
 
 def cube_text(c: Cube) -> str:
     """Render a cube with one character per variable from {0, 1, x}."""
-    if c.empty:
-        raise ValueError("an empty cube has no text form")
     # reading each pair's binary digits in base 16 spreads them one per
     # hex digit; base 16 also avoids the int/str digit limit of base 10
     pairs = 2 * int(f"{c.left.value:b}", 16) + int(f"{c.right.value:b}", 16)

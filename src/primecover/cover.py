@@ -43,8 +43,6 @@ def _on_values(f: LogicFunction, cap: int) -> list[int]:
             raise ValueError(
                 f"on-cube {cube_text(c)} alone expands past the cap of {cap} minterms"
             )
-        if c.empty:
-            continue
         free = c.dc_mask
         base = c.right.value ^ free
         sub = 0
@@ -109,10 +107,9 @@ class CoverResult:
 def _off_pairs(f: LogicFunction) -> OffPairs:
     """The off-set of ``f`` for its folds.  Up to the 2^n-table cap it is
     the ``table_cover`` of the off points, when that has fewer cubes than
-    the list: the primes depend only on the points.  A listed empty cube
-    keeps the list, so that the fold still rejects it."""
+    the list: the primes depend only on the points."""
     listed = [(z.left.value, z.right.value) for z in f.off]
-    if f.n <= TABLE_CAP and not any(z.empty for z in f.off):
+    if f.n <= TABLE_CAP:
         points = 0
         for left, right in listed:
             points |= cube_points(left, right)

@@ -240,7 +240,7 @@ def verify_multi(cover: Sequence[TaggedCube], f: MultiFunction) -> MultiCoverRep
         c = tc.cube
         if c.width != n:
             raise ValueError(f"width mismatch: {c.width} vs {n}")
-        points = 0 if c.empty else cube_points(c.left.value, c.right.value)
+        points = cube_points(c.left.value, c.right.value)
         off = _joint(tc.tag, off_columns)
         off_conflicts.extend((tc, BitVec(n, v)) for v in _ones(points & off))
         for j in tc.tag:

@@ -124,8 +124,7 @@ def complement_cubes(cubes: Sequence[Cube], n: int) -> list[Cube]:
     of the complement of their 2^n-bit truth table."""
     points = 0
     for c in cubes:
-        if not c.empty:
-            points |= cube_points(c.left.value, c.right.value)
+        points |= cube_points(c.left.value, c.right.value)
     rest = ((1 << (1 << n)) - 1) ^ points
     return [Cube(BitVec(n, l), BitVec(n, r)) for l, r in table_cover(rest, n)]
 
@@ -179,7 +178,9 @@ def _scan(text: str) -> _RawPla:
                     else:
                         m = count
                 elif key == ".p":
-                    int(parts[1])  # the term count is checked, not kept
+                    terms = int(parts[1])  # the term count is checked, not kept
+                    if terms < 0:
+                        raise PlaParseError(f"line {lineno}: .p {terms} is below 0")
                 elif key == ".ilb":
                     pass  # input labels are accepted and not kept
                 elif key == ".ob":

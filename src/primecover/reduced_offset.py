@@ -25,7 +25,7 @@ import bisect
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
-from .bitcube import BitVec, Cube, cube_contains, minimal_ones, minterm_to_cube
+from .bitcube import BitVec, Cube, minimal_ones, minterm_to_cube
 from .errors import EmptyOffset, InconsistentFunction
 
 
@@ -70,7 +70,7 @@ class OffPairs:
     minterm of value p is ``(p ^ right) & spec``.  ``listed`` are the
     off-cubes as the caller gave them, with the same minterms; they are
     read only after a zero indicator, to raise what a fold over them
-    raises.  An empty cube's pair is (0, 0), so its indicator is 0.
+    raises.
     """
 
     __slots__ = ("pairs", "listed")
@@ -104,8 +104,6 @@ def _indicators(P: BitVec, off_cubes: "Iterable[Cube | BitVec]") -> Iterator[int
                 raise ValueError(f"width mismatch: {width} vs {z.width}")
             d = p ^ z.value
         else:
-            if z.empty:
-                raise ValueError("difference indicator of an empty cube")
             left, right = z.left, z.right
             if left.width != width:
                 raise ValueError(f"width mismatch: {width} vs {left.width}")
@@ -214,8 +212,6 @@ def reduce_off_cube(P: BitVec, Z: Cube | BitVec) -> Cube:
     vector path rejects it instead.
     """
     Z = _as_cube(Z)
-    if Z.empty:
-        raise ValueError("cannot reduce an empty cube")
     if P.width != Z.width:
         raise ValueError(f"width mismatch: {P.width} vs {Z.width}")
     full = (1 << P.width) - 1
@@ -245,11 +241,10 @@ def minimize_sr(cubes: "list[Cube] | tuple[Cube, ...]") -> list[Cube]:
     seq = list(cubes)
     if not seq:
         return []
-    for c in seq:
-        if c != seq[0]:
-            # raises on mixed widths or an empty cube among distinct cubes
-            cube_contains(seq[0], c)
     n = seq[0].width
+    for c in seq:
+        if c.width != n:
+            raise ValueError(f"width mismatch: {n} vs {c.width}")
     full = (1 << 2 * n) - 1
     by_key: dict[int, Cube] = {}
     for c in seq:

@@ -57,8 +57,7 @@ def reference_raise_literal(c: Cube, pos: int) -> Cube:
 def reference_complement(cubes, n: int) -> list[Cube]:
     """The complement of a cube cover by recursive splitting, as pairwise
     disjoint cubes: split on the position specified most often, complement
-    each half, and constrain each half's cubes to its value.  An explicit
-    empty cube drops out at the first split."""
+    each half, and constrain each half's cubes to its value."""
 
     def split(pairs: list[tuple[int, int]]) -> list[tuple[int, int]]:
         full = (1 << n) - 1
@@ -354,8 +353,6 @@ def reference_verify_cover(cover, f: LogicFunction) -> CoverReport:
 
 def reference_generate_di(P: BitVec, Z) -> BitVec:
     Z = minterm_to_cube(Z) if isinstance(Z, BitVec) else Z
-    if Z.empty:
-        raise ValueError("difference indicator of an empty cube")
     if P.width != Z.width:
         raise ValueError(f"width mismatch: {P.width} vs {Z.width}")
     d = (P.value ^ Z.right.value) & Z.specified_mask
@@ -455,8 +452,6 @@ def reference_minimize_sr(cubes) -> list[Cube]:
 
 
 def reference_cube_text(c: Cube) -> str:
-    if c.empty:
-        raise ValueError("an empty cube has no text form")
     chars = []
     for pos in range(c.width - 1, -1, -1):
         pair = (c.left.value >> pos & 1, c.right.value >> pos & 1)

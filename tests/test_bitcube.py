@@ -103,23 +103,30 @@ def test_bitvec_operators():
         a & bv("10100")
 
 
-def test_empty_cube_is_explicit_only():
-    with pytest.raises(ValueError):
-        Cube(bv("000"), bv("000"))  # 00 pair at every position
-    with pytest.raises(ValueError):
-        Cube(bv("110"), bv("010"))  # single 00 pair
-    e = Cube.empty_cube(3)
-    assert e.empty and e.count_minterms() == 0
-    with pytest.raises(ValueError):
-        cube_text(e)
-    with pytest.raises(ValueError):
-        cube_contains(e, text_cube("xxx"))
-    assert not reference_intersects(e, text_cube("xxx"))
+def test_every_cube_holds_a_minterm_exhaustive():
+    """Each (left, right) pair over 1-4 variables builds a cube exactly
+    when it has no 00 pair, and its minterm count, enumeration and
+    membership test agree."""
+    for n in range(1, 5):
+        full = (1 << n) - 1
+        for left in range(1 << n):
+            for right in range(1 << n):
+                l, r = BitVec(n, left), BitVec(n, right)
+                if left | right != full:
+                    with pytest.raises(ValueError, match="^a cube has no 00 bit pair$"):
+                        Cube(l, r)
+                    continue
+                c = Cube(l, r)
+                inside = [v for v in range(1 << n) if c.covers_value(v)]
+                assert [m.value for m in sorted(c.minterms())] == inside
+                assert c.count_minterms() == len(inside) >= 1
+    with pytest.raises(TypeError):
+        Cube(bv("000"), bv("000"), True)  # no third field
 
 
 def test_covers_value_matches_the_cube_minterms_exhaustive():
     for n in range(1, 5):
-        for c in [*enumerate_all_cubes(n), Cube.empty_cube(n)]:
+        for c in enumerate_all_cubes(n):
             inside = _minterm_set(c)
             assert [c.covers_value(v) for v in range(1 << n)] == [
                 v in inside for v in range(1 << n)

@@ -81,13 +81,12 @@ def test_generate_sdm_matches_reference(data):
 
 @given(st.data())
 def test_generate_sdm_errors_match_reference(data):
-    """Off-cubes containing P, empty cubes and other widths raise the same
-    error at the same off-cube."""
+    """Off-cubes containing P and other widths raise the same error at the
+    same off-cube."""
     width = data.draw(widths)
     p = data.draw(minterms(width))
     other = data.draw(st.integers(1, 13).filter(lambda w: w != width))
     bad = st.one_of(
-        st.just(Cube.empty_cube(width)),
         minterms(other),
         cubes(other),
         st.just(Cube(~p, p)),
@@ -104,11 +103,10 @@ def test_generate_sdm_errors_match_reference(data):
 @given(st.data())
 def test_generate_sdm_on_off_pairs_matches_the_listed_fold(data):
     """Folded as int pairs, an off-set gives the listed fold's values and
-    counters, and raises what it raises: at an off-cube holding P or an
-    empty cube, whichever is listed first."""
+    counters, and raises what it raises: at the first off-cube holding P."""
     width = data.draw(widths)
     p = data.draw(minterms(width))
-    extra = st.one_of(st.just(Cube.empty_cube(width)), st.just(Cube(~p, p)))
+    extra = st.just(Cube(~p, p))
     off = data.draw(st.lists(st.one_of(cubes(width), extra), max_size=20))
     pairs = OffPairs([(z.left.value, z.right.value) for z in off], off)
     got = outcome(generate_sdm, p, pairs)
@@ -121,13 +119,11 @@ def test_generate_sdm_on_off_pairs_matches_the_listed_fold(data):
 @given(st.data())
 def test_generate_spi_matches_reference(data):
     """The same primes in the same order, also for an empty off-set, and
-    the same error on an off-cube holding P, an empty cube or another
-    width."""
+    the same error on an off-cube holding P or of another width."""
     width = data.draw(widths)
     p = data.draw(minterms(width))
     other = data.draw(st.integers(1, 13).filter(lambda w: w != width))
     bad = st.one_of(
-        st.just(Cube.empty_cube(width)),
         minterms(other),
         cubes(other),
         st.just(Cube(~p, p)),
@@ -236,15 +232,11 @@ def test_minimize_sr_matches_reference(data):
 
 
 @given(st.data())
-def test_minimize_sr_rejects_mixed_widths_and_empty_cubes(data):
+def test_minimize_sr_rejects_mixed_widths(data):
     width = data.draw(widths)
     listed = data.draw(st.lists(cubes(width), min_size=1, max_size=6))
-    odd = data.draw(st.one_of(st.just(Cube.empty_cube(width)), cubes(width % 12 + 1)))
-    expected = (
-        "containment is undefined for empty cubes"
-        if odd.empty
-        else f"width mismatch: {width} vs {odd.width}"
-    )
+    odd = data.draw(cubes(width % 12 + 1))
+    expected = f"width mismatch: {width} vs {odd.width}"
     assert outcome(minimize_sr, listed + [odd]) == (ValueError, expected)
     assert outcome(reference_minimize_sr, listed + [odd])[0] is ValueError
 

@@ -80,6 +80,9 @@ def test_directive_errors():
         parse_pla(".i 2\n.o -3\n.e\n")
     with pytest.raises(PlaParseError, match="line 2: .o 0 is below 1"):
         parse_pla(".i 2\n.o 0\n.e\n")
+    with pytest.raises(PlaParseError, match="^line 3: .p -4 is below 0$"):
+        parse_pla(".i 3\n.o 1\n.p -4\n1-1 1\n.e\n")
+    assert parse_pla(".i 3\n.o 1\n.p 0\n.e\n").on == ()
     with pytest.raises(PlaParseError, match=".ob names 1 outputs but .o declares 2"):
         parse_pla(".i 2\n.o 2\n.ob a\n.type fr\n01 11\n.e\n")
     with pytest.raises(PlaParseError, match=".ob names 0 outputs but .o declares 1"):
@@ -126,14 +129,12 @@ def _minterms(cubes) -> set[int]:
 
 @st.composite
 def cube_lists(draw):
-    """1-10 inputs and 0-6 cubes, each one random, empty or universal."""
+    """1-10 inputs and 0-6 cubes, each one random or universal."""
     n = draw(st.integers(min_value=1, max_value=10))
     cubes = []
     for _ in range(draw(st.integers(min_value=0, max_value=6))):
-        kind = draw(st.sampled_from(("random", "random", "random", "empty", "universal")))
-        if kind == "empty":
-            cubes.append(Cube.empty_cube(n))
-        elif kind == "universal":
+        kind = draw(st.sampled_from(("random", "random", "random", "universal")))
+        if kind == "universal":
             cubes.append(Cube.universal(n))
         else:
             cubes.append(text_cube(draw(st.text("01x", min_size=n, max_size=n))))
@@ -145,7 +146,7 @@ def cube_lists(draw):
 def test_complement_matches_the_recursive_reference(case):
     n, cubes = case
     got = complement_cubes(cubes, n)
-    assert all(c.width == n and not c.empty for c in got)
+    assert all(c.width == n for c in got)
     want = reference_complement(cubes, n)
     assert _minterms(got) == _minterms(want)
 
