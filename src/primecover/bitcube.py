@@ -132,21 +132,26 @@ class Cube:
         return 1 << self.dc_mask.bit_count()
 
     def minterms(self) -> Iterator[BitVec]:
-        """Minterms of the cube, free positions enumerated in binary order
-        (most significant free position varies slowest)."""
-        width = self.width
-        base = self.right.value & ~self.dc_mask
-        free = [p for p in range(width - 1, -1, -1) if (self.dc_mask >> p) & 1]
-        k = len(free)
-        for counter in range(1 << k):
-            v = base
-            for idx, pos in enumerate(free):
-                if (counter >> (k - 1 - idx)) & 1:
-                    v |= 1 << pos
-            yield BitVec(width, v)
+        """Minterms of the cube in ascending order (most significant free
+        position varies slowest)."""
+        width, free = self.width, self.dc_mask
+        base = self.right.value ^ free
+        for sub in free_subsets(free):
+            yield BitVec(width, base | sub)
 
     def __str__(self) -> str:
         return cube_text(self)
+
+
+def free_subsets(free: int) -> Iterator[int]:
+    """Every subset of the set bits of ``free``, in ascending order: each
+    next one is ``(sub - free) & free``, until it wraps to 0."""
+    sub = 0
+    while True:
+        yield sub
+        sub = (sub - free) & free
+        if not sub:
+            return
 
 
 def minimal_ones(values: Sequence[int]) -> list[int]:

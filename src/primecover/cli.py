@@ -21,7 +21,7 @@ from .errors import EmptyOnset, InconsistentFunction, PlaParseError
 from .multi_output import TaggedCube, edsa_minimize, verify_multi
 from .oracle import _EQUIV_VAR_CAP, TruthTable, equivalent
 from .pi_gen import cross_or, generate_m, generate_spi
-from .pla_io import MultiFunction, parse_pla, write_pla
+from .pla_io import MultiFunction, _scan, parse_pla, write_pla
 from .reduced_offset import DiSet, generate_di, reform_sdm
 
 EXIT_OK = 0
@@ -192,13 +192,12 @@ def _print_checks(
         print("primality: ok (every literal is needed)")
 
 
-def _verify_multi(f: MultiFunction, cover_fn: MultiFunction) -> int:
-    """Check a multi-output cover file: a 1 in output j of a cube row puts
-    j in the cube's tag; a row on for no output adds nothing."""
+def _verify_multi(f: MultiFunction, rows: list[tuple[Cube, str]]) -> int:
+    """Check the cube lines of a multi-output cover, each on for some
+    output: a 1 in output j of a line puts j in the cube's tag."""
     cover = [
         TaggedCube(cube, frozenset(j for j, ch in enumerate(out) if ch == "1"))
-        for cube, out in cover_fn.cube_rows
-        if "1" in out
+        for cube, out in rows
     ]
     report = verify_multi(cover, f)
     _print_checks(
@@ -211,25 +210,26 @@ def _verify_multi(f: MultiFunction, cover_fn: MultiFunction) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    """The cover file is read as its cube lines, of any type and width:
+    the cubes are its lines with a 1 output, and no off-set is derived."""
     f = _read_function(args.input)
-    cover_fn = _read_function(args.cover)
-    if isinstance(f, MultiFunction) != isinstance(cover_fn, MultiFunction) or (
-        isinstance(f, MultiFunction) and cover_fn.m != f.m
-    ):
+    cover = _scan(Path(args.cover).read_text(encoding="utf-8"))
+    if cover.m != (f.m if isinstance(f, MultiFunction) else 1):
         print(
             f"{args.cover}: the cover and the function have different output counts",
             file=sys.stderr,
         )
         return EXIT_INPUT
-    if cover_fn.n != f.n:
+    if cover.n != f.n:
         print(
-            f"width mismatch: function has {f.n} inputs, cover has {cover_fn.n}",
+            f"width mismatch: function has {f.n} inputs, cover has {cover.n}",
             file=sys.stderr,
         )
         return EXIT_INPUT
+    rows = [(cube, out) for cube, out in cover.rows if "1" in out]
     if isinstance(f, MultiFunction):
-        return _verify_multi(f, cover_fn)
-    cubes = list(cover_fn.on)
+        return _verify_multi(f, rows)
+    cubes = [cube for cube, _ in rows]
     report = verify_cover(cubes, f)
     _print_checks(
         [str(m) for m in report.missing[:8]],

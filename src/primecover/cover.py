@@ -14,29 +14,28 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence, TypeVar
 
-from .bitcube import BitVec, Cube, Slices, cube_points, cube_text, table_cover
+from .bitcube import BitVec, Cube, Slices, cube_points, cube_text, free_subsets, table_cover
 from .errors import EmptyOnset
 # generate_spi stays importable here: perfbench/tracing.py wraps it by name
 from .pi_gen import generate_spi, prime_pairs  # noqa: F401
 from .pla_io import TABLE_CAP, LogicFunction
 from .reduced_offset import OffPairs
 
-DEFAULT_ON_EXPANSION_CAP = 1 << 20
+ON_EXPANSION_CAP = 1 << 20
 
 T = TypeVar("T")
 
 
-def expand_on_minterms(
-    f: LogicFunction, cap: int = DEFAULT_ON_EXPANSION_CAP
-) -> list[BitVec]:
+def expand_on_minterms(f: LogicFunction) -> list[BitVec]:
     """The indexed on-minterm list in canonical order."""
-    return [BitVec(f.n, v) for v in _on_values(f, cap)]
+    return [BitVec(f.n, v) for v in _on_values(f)]
 
 
-def _on_values(f: LogicFunction, cap: int) -> list[int]:
-    """``expand_on_minterms`` as int values.  Within a cube the minterms
-    come in ascending order: each next subset of the free positions is
-    ``(sub - free) & free``."""
+def _on_values(f: LogicFunction) -> list[int]:
+    """``expand_on_minterms`` as int values, at most ``ON_EXPANSION_CAP``
+    of them.  Within a cube the minterms come in ascending order, as
+    ``Cube.minterms`` gives them."""
+    cap = ON_EXPANSION_CAP
     out: dict[int, None] = {}
     for c in f.on:
         if c.count_minterms() > cap:
@@ -45,12 +44,8 @@ def _on_values(f: LogicFunction, cap: int) -> list[int]:
             )
         free = c.dc_mask
         base = c.right.value ^ free
-        sub = 0
-        while True:
+        for sub in free_subsets(free):
             out[base | sub] = None
-            sub = (sub - free) & free
-            if not sub:
-                break
         if len(out) > cap:
             raise ValueError(f"on-set expands past the cap of {cap} minterms")
     return list(out)
@@ -88,12 +83,10 @@ def find_dominant(restricted: Sequence[int]) -> int | None:
 
 
 def _select_index(restricted: Sequence[int]) -> int:
-    """Index of the candidate to commit, from its uncovered minterms:
-    dominance first, then the most of them, then the first candidate."""
-    dom = find_dominant(restricted)
-    if dom is not None:
-        return dom
-    return min(range(len(restricted)), key=lambda i: -restricted[i].bit_count())
+    """Index of the candidate to commit, from its uncovered minterms: the
+    first with the most of them.  A mask strictly containing every other
+    one has strictly the most bits, so this is also the dominant one."""
+    return max(range(len(restricted)), key=lambda i: restricted[i].bit_count())
 
 
 @dataclass(frozen=True)
@@ -194,7 +187,7 @@ def verify_cover(cover: CoverResult | Sequence[Cube], f: LogicFunction) -> Cover
     for c in cubes:
         if c.width != f.n:
             raise ValueError(f"width mismatch: {c.width} vs {f.n}")
-    on_values = _on_values(f, DEFAULT_ON_EXPANSION_CAP)
+    on_values = _on_values(f)
     on = Slices.of_minterms(on_values, f.n)
     off = Slices([(z.left.value, z.right.value) for z in f.off], f.n)
     uncovered = (1 << on.count) - 1

@@ -39,10 +39,10 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 from .bitcube import BitVec, Cube, cube_points, cube_text, minterm_to_cube, table_cover
 # coverage_mask and generate_spi stay importable here: perfbench/tracing.py
 # wraps them by name
-from .cover import coverage_mask, direct_cover, find_dominant  # noqa: F401
+from .cover import coverage_mask, find_dominant  # noqa: F401
 from .errors import EmptyOnset
 from .pi_gen import generate_spi, prime_pairs  # noqa: F401
-from .pla_io import LogicFunction, MultiFunction
+from .pla_io import MultiFunction
 from .reduced_offset import OffPairs
 
 
@@ -103,23 +103,8 @@ def _best_pi(minterm: BitVec, off: OffPairs) -> tuple[int, int]:
     return min(prime_pairs(minterm, off), key=_literals)
 
 
-def _single_output_function(f: MultiFunction) -> LogicFunction:
-    n = f.n
-    on = [minterm_to_cube(BitVec(n, v)) for v in _ones(f.on[0])]
-    off = [
-        Cube(BitVec(n, left), BitVec(n, right))
-        for left, right in table_cover(f.off[0], n)
-    ]
-    dc = [minterm_to_cube(BitVec(n, v)) for v in _ones(f.dc[0])]
-    return LogicFunction(n, tuple(on), tuple(off), tuple(dc), name=f.name)
-
-
 def edsa_minimize(f: MultiFunction) -> list[TaggedCube]:
     """Cover every tagged minterm for every output in its tag."""
-    if f.m == 1:
-        # degenerate case: exactly the single-output direct cover
-        result = direct_cover(_single_output_function(f))
-        return [TaggedCube(c, frozenset({0})) for c in result.cubes]
     n = f.n
     off_columns = f.off
     # per output, the truth table of the minterms still to be covered for
@@ -174,8 +159,8 @@ def edsa_minimize(f: MultiFunction) -> list[TaggedCube]:
             universe &= live[j]
         masks = [cube_points(left, right) & universe for left, right in pis]
         dom = find_dominant(masks)
-        if dom is not None or len(pis) == 1:
-            commit(pis[dom if dom is not None else 0], tag)
+        if dom is not None:
+            commit(pis[dom], tag)
             continue
         union = 0
         inter = universe

@@ -65,13 +65,12 @@ class LogicFunction:
 
 @dataclass(frozen=True)
 class MultiFunction:
-    """Multi-output function as 2^n-bit output tables.
+    """Function of two or more outputs as 2^n-bit output tables; a
+    single output is a ``LogicFunction``.
 
     Bit v of ``on[j]`` is set when output j is 1 at the minterm of value
     v, and bit v of ``dc[j]`` when it is a don't care there; output j is
     0 at every other minterm.  The tables cap the inputs at 16.
-    ``cube_rows`` preserves the source file's cube lines for round-trip
-    checks.
     """
 
     n: int
@@ -80,7 +79,6 @@ class MultiFunction:
     dc: tuple[int, ...]
     name: str = ""
     labels: tuple[str, ...] = ()
-    cube_rows: tuple[tuple[Cube, str], ...] = ()
 
     def __post_init__(self) -> None:
         if self.n > TABLE_CAP:
@@ -88,9 +86,13 @@ class MultiFunction:
                 f"{self.n} inputs exceed the cap of {TABLE_CAP} "
                 "on 2^n-bit output tables"
             )
+        if self.m < 2:
+            raise ValueError(
+                f"a MultiFunction has at least 2 outputs, not {self.m}; "
+                "a single output is a LogicFunction"
+            )
         object.__setattr__(self, "on", tuple(self.on))
         object.__setattr__(self, "dc", tuple(self.dc))
-        object.__setattr__(self, "cube_rows", tuple(self.cube_rows))
         full = (1 << (1 << self.n)) - 1
         for kind, tables in (("on", self.on), ("dc", self.dc)):
             if len(tables) != self.m:
@@ -280,17 +282,15 @@ def _multi_output(raw: _RawPla, name: str) -> MultiFunction:
         )
     # a care value wins over a don't care
     dc = [d & ~(a | b) for d, a, b in zip(dc, on, off)]
-    return MultiFunction(
-        raw.n, raw.m, on, dc, name=name, labels=raw.ob, cube_rows=tuple(raw.rows)
-    )
+    return MultiFunction(raw.n, raw.m, on, dc, name=name, labels=raw.ob)
 
 
 def parse_pla(text: str, *, name: str = "") -> LogicFunction | MultiFunction:
     """Parse PLA text into a function value; single output gives LogicFunction."""
     raw = _scan(text)
-    if raw.m == 1:
-        return _single_output(raw, name)
-    return _multi_output(raw, name)
+    if raw.m > 1:
+        return _multi_output(raw, name)
+    return _single_output(raw, name)
 
 
 def write_pla(

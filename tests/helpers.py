@@ -20,7 +20,6 @@ from primecover import (
     MultiFunction,
     cube_contains,
     cube_text,
-    direct_cover,
     generate_sdm,
     minterm_to_cube,
     vectors_to_pis,
@@ -164,7 +163,7 @@ def reference_parse_multi(text: str) -> MultiFunction:
     rows = [
         (BitVec(raw.n, v), tuple(value_of[ch] for ch in states[v])) for v in sorted(states)
     ]
-    return multi_function(raw.n, raw.m, rows, labels=raw.ob, cube_rows=raw.rows)
+    return multi_function(raw.n, raw.m, rows, labels=raw.ob)
 
 
 # Three-input, three-output golden truth table; output j is y_j.
@@ -581,28 +580,12 @@ def reference_current_tags(rows, covered: set[tuple[int, int]]) -> dict[int, fro
     return tags
 
 
-def reference_single_output_function(f: MultiFunction) -> LogicFunction:
-    rows = rows_of(f)
-    values = {m.value: vals for m, vals in rows}
-    on = [minterm_to_cube(m) for m, vals in rows if vals[0] == 1]
-    off = [
-        minterm_to_cube(BitVec(f.n, v))
-        for v in range(1 << f.n)
-        if values.get(v, (0,))[0] == 0
-    ]
-    dc = [minterm_to_cube(m) for m, vals in rows if vals[0] is None]
-    return LogicFunction(f.n, tuple(on), tuple(off), tuple(dc), name=f.name)
-
-
 def reference_best_pi(minterm: BitVec, off) -> Cube:
     pis = reference_generate_spi(minterm, off)
     return min(pis, key=lambda c: (c.literal_count, cube_text(c)))
 
 
 def reference_edsa_minimize(f: MultiFunction) -> list[TaggedCube]:
-    if f.m == 1:
-        result = direct_cover(reference_single_output_function(f))
-        return [TaggedCube(c, frozenset({0})) for c in result.cubes]
     f_rows = rows_of(f)
     if not any(v == 1 for _, values in f_rows for v in values):
         raise EmptyOnset("no output is ever true")

@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from primecover import BitVec, CoverReport, generate_sdm, parse_pla
-from primecover import cli
+from primecover import cli, pla_io
 from primecover.cli import main
 from primecover.multi_output import edsa_minimize
 from helpers import TRI_OUTPUT_PLA, five_var_pla, random_function, tri_output_function
@@ -169,6 +169,35 @@ def test_verify_rejects_a_cover_with_other_outputs(tmp_path, capsys):
     single = write(tmp_path, "single.pla", ".i 3\n.o 1\n.type fr\n000 1\n.e\n")
     assert main(["verify", src, single]) == 2
     assert main(["verify", single, src]) == 2
+
+
+def test_verify_reads_a_17_input_cover_as_its_cube_lines(tmp_path, capsys):
+    # the cover has no .type, so fd; deriving its off-set would need a
+    # 2^17-bit table, and verify reads only its cube lines
+    src = write(
+        tmp_path,
+        "wide.pla",
+        ".i 17\n.o 1\n.type fr\n" + "1" * 17 + " 1\n1" + "0" * 16 + " 1\n0" + "-" * 16 + " 0\n.e\n",
+    )
+    cover = write(tmp_path, "wide.cover.pla", ".i 17\n.o 1\n1" + "-" * 16 + " 1\n.e\n")
+    assert main(["verify", src, cover]) == 0
+    assert "coverage: ok" in capsys.readouterr().out.splitlines()
+
+
+def test_verify_derives_no_off_set_for_the_cover(tmp_path, capsys, monkeypatch):
+    def refuse(cubes, n):
+        raise AssertionError("complement_cubes called")
+
+    monkeypatch.setattr(pla_io, "complement_cubes", refuse)
+    src = write(tmp_path, "f.pla", ".i 4\n.o 1\n.type fr\n1--- 1\n0--- 0\n.e\n")
+    # the 0 and - lines of a cover are ignored, whatever its type, also
+    # an fr 0 line inside one of its 1 lines
+    for type_line in ("", ".type fr\n"):
+        cover = write(
+            tmp_path, "f.cover.pla", f".i 4\n.o 1\n{type_line}1--- 1\n1111 0\n0001 -\n.e\n"
+        )
+        assert main(["verify", src, cover]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == "coverage: ok"
 
 
 def test_multi_output_parse_stops_at_the_table_cap(tmp_path, capsys):

@@ -21,6 +21,7 @@ from primecover import (
     text_cube,
     verify_cover,
 )
+from primecover import cover
 from primecover.cover import _select_index, expand_on_minterms, mask_members
 from helpers import (
     bv,
@@ -192,13 +193,14 @@ def test_irredundant_sweep_drops_redundant_cubes():
     assert verify_cover(swept, f).ok
 
 
-def test_expansion_cap_guard():
+def test_expansion_cap_guard(monkeypatch):
+    monkeypatch.setattr(cover, "ON_EXPANSION_CAP", 10)
     f = LogicFunction(5, (Cube.universal(5),), ())
     with pytest.raises(ValueError, match=r"^on-cube xxxxx alone expands past the cap of 10 minterms$"):
-        expand_on_minterms(f, cap=10)
+        expand_on_minterms(f)
     halves = LogicFunction(5, (text_cube("0xxx0"), text_cube("1xxx0")), ())
     with pytest.raises(ValueError, match=r"^on-set expands past the cap of 10 minterms$"):
-        expand_on_minterms(halves, cap=10)
+        expand_on_minterms(halves)
 
 
 def test_direct_cover_on_fd_file_with_cube_offset():

@@ -10,16 +10,15 @@ from primecover import (
     MultiFunction,
     coverage_mask,
     cube_text,
-    direct_cover,
     edsa_minimize,
     generate_sdm,
     generate_spi,
-    minterm_to_cube,
     subfunction_off,
     text_cube,
 )
 from primecover.bitcube import Cube, table_cover
 from primecover.multi_output import TaggedCube, verify_multi
+from primecover.pla_io import _scan
 from helpers import (
     TRI_OUTPUT_COVER,
     bv,
@@ -128,28 +127,6 @@ def test_no_cube_touches_an_off_minterm_of_its_tag():
             assert not reference_intersects(tc.cube, z)
 
 
-def test_single_output_degenerates_to_direct_cover():
-    rng = random.Random(60)
-    for _ in range(20):
-        n = rng.randint(2, 4)
-        rows = []
-        for v in range(1 << n):
-            r = rng.random()
-            rows.append((BitVec(n, v), (1 if r < 0.4 else (0 if r < 0.9 else None),)))
-        if not any(vals[0] == 1 for _, vals in rows):
-            continue
-        f = multi_function(n, 1, rows)
-        tagged = edsa_minimize(f)
-        on = tuple(minterm_to_cube(m) for m, vals in rows if vals[0] == 1)
-        off = tuple(minterm_to_cube(m) for m, vals in rows if vals[0] == 0)
-        dc = tuple(minterm_to_cube(m) for m, vals in rows if vals[0] is None)
-        from primecover import LogicFunction
-
-        plain = direct_cover(LogicFunction(n, on, off, dc))
-        assert [tc.cube for tc in tagged] == list(plain.cubes)
-        assert all(tc.tag == frozenset({0}) for tc in tagged)
-
-
 def test_identical_output_columns_share_cubes():
     rng = random.Random(61)
     for _ in range(10):
@@ -206,6 +183,8 @@ def test_constructor_rejects_malformed_tables():
         MultiFunction(2, 2, (0b0001, 0b10000), (0, 0))
     with pytest.raises(ValueError, match=r"dc table of output 0 has bits outside its 2\^2 minterms"):
         MultiFunction(2, 2, (0, 0), (-1, 0))
+    with pytest.raises(ValueError, match="at least 2 outputs, not 1; a single output is a LogicFunction"):
+        MultiFunction(3, 1, (1,), (0,))
 
 
 def test_golden_cover_survives_pla_round_trip():
@@ -213,8 +192,9 @@ def test_golden_cover_survives_pla_round_trip():
 
     f = tri_output_function()
     cover = edsa_minimize(f)
-    back = parse_pla(write_pla(cover, f.n, outputs=f.m))
-    got = {(cube_text(c), out) for c, out in back.cube_rows}
+    text = write_pla(cover, f.n, outputs=f.m)
+    back = parse_pla(text)
+    got = {(cube_text(c), out) for c, out in _scan(text).rows}
     want = {
         (cube_text(tc.cube), "".join("1" if j in tc.tag else "0" for j in range(f.m)))
         for tc in cover
@@ -230,10 +210,10 @@ def test_golden_cover_survives_pla_round_trip():
 
 @st.composite
 def multi_functions(draw) -> MultiFunction:
-    """Tables over 1-6 inputs and 1-4 outputs, each (minterm, output)
+    """Tables over 1-6 inputs and 2-4 outputs, each (minterm, output)
     value drawn on its own."""
     n = draw(st.integers(min_value=1, max_value=6))
-    m = draw(st.integers(min_value=1, max_value=4))
+    m = draw(st.integers(min_value=2, max_value=4))
     value = st.sampled_from((1, 0, None))
     rows = [(BitVec(n, v), tuple(draw(value) for _ in range(m))) for v in range(1 << n)]
     return multi_function(n, m, rows)

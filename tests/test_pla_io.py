@@ -19,7 +19,7 @@ from primecover import (
     verify_multi,
     write_pla,
 )
-from primecover.pla_io import complement_cubes
+from primecover.pla_io import _scan, complement_cubes
 from helpers import (
     TRI_OUTPUT_PLA,
     five_var_pla,
@@ -201,8 +201,7 @@ def test_round_trip_multi_output():
             if (cube_text(c), tag) not in seen:
                 seen.add((cube_text(c), tag))
                 cover.append(TaggedCube(c, tag))
-        back = parse_pla(write_pla(cover, n, outputs=m))
-        got = {(cube_text(c), out) for c, out in back.cube_rows}
+        got = {(cube_text(c), out) for c, out in _scan(write_pla(cover, n, outputs=m)).rows}
         want = {
             (cube_text(tc.cube), "".join("1" if j in tc.tag else "0" for j in range(m)))
             for tc in cover
@@ -276,17 +275,24 @@ def test_multi_output_parse_matches_reference_and_minimizes(text):
             parse_pla(text)
         return
     f = parse_pla(text)
-    assert (f.on, f.dc, f.cube_rows) == (want.on, want.dc, want.cube_rows)
+    assert (f.on, f.dc, f.labels) == (want.on, want.dc, want.labels)
     try:
         cover = edsa_minimize(f)
     except EmptyOnset:
         assert not any(f.on)
         return
     assert verify_multi(cover, f).ok
-    back = parse_pla(write_pla(cover, f.n, outputs=f.m))
-    assert back.cube_rows == tuple(
+    assert _scan(write_pla(cover, f.n, outputs=f.m)).rows == [
         (tc.cube, "".join("1" if j in tc.tag else "0" for j in range(f.m))) for tc in cover
-    )
+    ]
+
+
+def test_one_output_parses_to_a_logic_function():
+    # a MultiFunction has two or more outputs
+    for type_ in ("f", "fr", "fd", "fdr"):
+        f = parse_pla(f".i 2\n.o 1\n.type {type_}\n11 1\n.e\n")
+        assert isinstance(f, LogicFunction)
+        assert [cube_text(c) for c in f.on] == ["11"]
 
 
 def test_value_defaults_to_zero_for_missing_rows():
