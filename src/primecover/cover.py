@@ -72,16 +72,6 @@ def mask_members(mask: BitVec, items: Sequence[T]) -> list[T]:
     return out
 
 
-def find_dominant(restricted: Sequence[int]) -> int | None:
-    """Index of the mask strictly containing every other one, if any."""
-    for i, r in enumerate(restricted):
-        if all(
-            (o | r) == r and o != r for j, o in enumerate(restricted) if j != i
-        ):
-            return i
-    return None
-
-
 def _select_index(restricted: Sequence[int]) -> int:
     """Index of the candidate to commit, from its uncovered minterms: the
     first with the most of them.  A mask strictly containing every other

@@ -9,29 +9,34 @@ its cube in the AND of its tag's tables, and committing a cube clears
 its points from those tables.
 
 The loop always picks the uncovered minterm with the lightest current
-tag (ties by minterm value), builds the joint sub-function of exactly
-those outputs (off-set: minterms where the AND of the tagged output
-columns is 0, don't cares counting as 1), and generates its prime
-implicants.  The off-set is the OR of the tagged outputs' off tables,
-and is folded as a cube cover of exactly those points, converted to int
-pairs once per tag: a cube's difference indicator is the smallest of its
-minterms', so the primes are those of the minterm off-set.  Candidates
-stay ``(left, right)`` pairs in cube-text order; only committed cubes
-become ``Cube``s.
+tag (ties by minterm value), read from the tables: the minterms in
+exactly k of them are those in at least k and not in k + 1, and the
+origin is the lowest minterm of the first such set that is not empty.
+It builds the joint sub-function of exactly those outputs (off-set:
+minterms where the AND of the tagged output columns is 0, don't cares
+counting as 1), and generates its prime implicants.  The off-set is the
+OR of the tagged outputs' off tables, and is folded as a cube cover of
+exactly those points, converted to int pairs once per tag: a cube's
+difference indicator is the smallest of its minterms', so the primes
+are those of the minterm off-set.  Candidates stay ``(left, right)``
+pairs in cube-text order; only committed cubes become ``Cube``s.
 
-When no candidate dominates, the decision falls to neighbor lookahead.
-The neighbors of the origin are the minterms covered by some candidate
-but not all of them.  Committing a candidate consumes the neighbors it
-covers; each stranded neighbor still offers its own joint sub-function,
-whose best prime implicant we rate by literal count (fewer literals,
-bigger cube, better).  The candidate whose surviving neighbor offers
-the best such implicant wins, and that neighbor's implicant is
-committed alongside it, carrying the neighbor's possibly larger tag.
+A candidate dominates when its mask, the points it covers of the
+minterms still to be covered for the whole tag, holds every other
+candidate's strictly: exactly when it equals the union of the masks and
+no other mask does.  When no candidate dominates, the decision falls to
+neighbor lookahead.  The neighbors of the origin are the minterms
+covered by some candidate but not all of them.  Committing a candidate
+consumes the neighbors it covers; each stranded neighbor still offers
+its own joint sub-function, whose best prime implicant we rate by
+literal count (fewer literals, bigger cube, better).  The candidate
+whose surviving neighbor offers the best such implicant wins, and that
+neighbor's implicant is committed alongside it, carrying the neighbor's
+possibly larger tag.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple, Sequence
@@ -39,7 +44,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 from .bitcube import BitVec, Cube, cube_points, cube_text, minterm_to_cube, table_cover
 # coverage_mask and generate_spi stay importable here: perfbench/tracing.py
 # wraps them by name
-from .cover import coverage_mask, find_dominant  # noqa: F401
+from .cover import coverage_mask  # noqa: F401
 from .errors import EmptyOnset
 from .pi_gen import generate_spi, prime_pairs  # noqa: F401
 from .pla_io import MultiFunction
@@ -103,6 +108,22 @@ def _best_pi(minterm: BitVec, off: OffPairs) -> tuple[int, int]:
     return min(prime_pairs(minterm, off), key=_literals)
 
 
+def _lightest(live: Sequence[int]) -> int | None:
+    """The minterm held by the fewest of the tables, ties to the smallest
+    value; None when every table is empty."""
+    m = len(live)
+    # reach[k]: the minterms in at least k of the tables read so far
+    reach = [-1] + [0] * (m + 1)
+    for i, points in enumerate(live, 1):
+        for k in range(i, 0, -1):
+            reach[k] |= reach[k - 1] & points
+    for k in range(1, m + 1):
+        exact = reach[k] & ~reach[k + 1]
+        if exact:
+            return (exact & -exact).bit_length() - 1
+    return None
+
+
 def edsa_minimize(f: MultiFunction) -> list[TaggedCube]:
     """Cover every tagged minterm for every output in its tag."""
     n = f.n
@@ -114,14 +135,8 @@ def edsa_minimize(f: MultiFunction) -> list[TaggedCube]:
     def tag_of(v: int) -> frozenset[int]:
         return frozenset(j for j, points in enumerate(live) if points >> v & 1)
 
-    # (weight, value) of every on-minterm, and a new entry whenever a
-    # minterm's tag shrinks.  A minterm's lighter entry surfaces before its
-    # older ones, and an origin's tag always empties, so an entry at the
-    # top is stale exactly when its minterm's tag is empty
-    heap = [(len(tag_of(v)), v) for v in _ones(_joint(range(f.m), f.on))]
-    if not heap:
+    if not any(live):
         raise EmptyOnset("no output is ever true")
-    heapq.heapify(heap)
     # (left, right) pair and tag of each committed cube, in commit order
     committed: dict[tuple[tuple[int, int], frozenset[int]], None] = {}
     # tags recur across origins; each joint off-set is built once
@@ -136,37 +151,26 @@ def edsa_minimize(f: MultiFunction) -> list[TaggedCube]:
     def commit(pair: tuple[int, int], tag: frozenset[int]) -> None:
         committed[pair, tag] = None
         hit = cube_points(*pair)
-        # the covered minterms still to be covered for some output of the tag
-        shrunk = 0
         for j in tag:
-            shrunk |= live[j] & hit
             live[j] &= ~hit
-        for v in _members(shrunk):
-            rest = tag_of(v)
-            if rest:
-                heapq.heappush(heap, (len(rest), v))
 
-    while heap:
-        origin_value = heap[0][1]
+    while (origin_value := _lightest(live)) is not None:
         tag = tag_of(origin_value)
-        if not tag:
-            heapq.heappop(heap)
-            continue
         pis = prime_pairs(BitVec(n, origin_value), off_of(tag))
         # the minterms still to be covered for every output of the tag
         universe = -1
         for j in tag:
             universe &= live[j]
         masks = [cube_points(left, right) & universe for left, right in pis]
-        dom = find_dominant(masks)
-        if dom is not None:
-            commit(pis[dom], tag)
-            continue
         union = 0
         inter = universe
         for r in masks:
             union |= r
             inter &= r
+        # the dominant candidate: its mask alone is the union
+        if masks.count(union) == 1:
+            commit(pis[masks.index(union)], tag)
+            continue
         # the neighbours: minterms some candidates cover and others do not
         edge = union & ~inter
         best_by_neighbor = {

@@ -26,7 +26,7 @@ from primecover import (
 )
 from primecover.bitcube import Slices, minimal_ones
 from primecover.pla_io import _scan
-from primecover.cover import find_dominant, mask_members
+from primecover.cover import mask_members
 from primecover.multi_output import MultiCoverReport, TaggedCube
 
 bv = BitVec.from_text
@@ -502,6 +502,17 @@ def reference_generate_spi(P: BitVec, off_cubes) -> list[Cube]:
     return sorted(vectors_to_pis(P, [BitVec(P.width, v) for v in vectors]), key=cube_text)
 
 
+def reference_find_dominant(restricted) -> int | None:
+    """Index of the mask strictly containing every other one, if any, by
+    a pairwise scan."""
+    for i, r in enumerate(restricted):
+        if all(
+            (o | r) == r and o != r for j, o in enumerate(restricted) if j != i
+        ):
+            return i
+    return None
+
+
 # The direct cover loop as it ran on carriers: the listed off-cubes go to
 # reference_generate_spi on every origin, and candidates are (Cube, mask)
 # pairs chosen by dominance, uncovered count and cube text.
@@ -523,7 +534,7 @@ def reference_direct_cover(f: LogicFunction, *, irredundant: bool = False) -> Co
             (pi, on.mask_of(pi)) for pi in reference_generate_spi(origin, f.off)
         ]
         restricted = [mask.value & uncovered for _, mask in candidates]
-        idx = find_dominant(restricted)
+        idx = reference_find_dominant(restricted)
         if idx is None:
             idx = min(
                 range(len(candidates)),
@@ -622,7 +633,7 @@ def reference_edsa_minimize(f: MultiFunction) -> list[TaggedCube]:
         sliced = Slices.of_minterms(universe, f.n)
         candidates = [(pi, sliced.mask_of(pi)) for pi in pis]
         restricted = [mask.value for _, mask in candidates]
-        dom = find_dominant(restricted)
+        dom = reference_find_dominant(restricted)
         if dom is not None or len(candidates) == 1:
             commit(candidates[dom if dom is not None else 0][0], tag)
             continue

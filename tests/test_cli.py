@@ -73,6 +73,12 @@ def test_minimize_multi_exits_1_when_verification_fails(tmp_path, capsys, monkey
     assert "verification FAILED" in captured.out
 
 
+def test_minimize_multi_with_no_true_output_is_an_input_error(tmp_path, capsys):
+    src = write(tmp_path, "none.pla", ".i 2\n.o 2\n.type fr\n00 00\n01 0-\n1- -0\n.e\n")
+    assert main(["minimize", src, "--multi"]) == 2
+    assert "no output is ever true" in capsys.readouterr().err
+
+
 def test_minimize_missing_file(capsys):
     assert main(["minimize", "/nonexistent/nope.pla"]) == 2
 

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from primecover import (
@@ -17,7 +17,7 @@ from primecover import (
     text_cube,
 )
 from primecover.bitcube import Cube, table_cover
-from primecover.multi_output import TaggedCube, verify_multi
+from primecover.multi_output import TaggedCube, _lightest, verify_multi
 from primecover.pla_io import _scan
 from helpers import (
     TRI_OUTPUT_COVER,
@@ -230,6 +230,48 @@ def minimized(minimize, f):
 @given(multi_functions())
 def test_edsa_minimize_matches_reference(f):
     assert minimized(edsa_minimize, f) == minimized(reference_edsa_minimize, f)
+
+
+def test_lookahead_runs_when_two_candidates_share_the_union():
+    # output 0 is on at 011 and 110, output 1 at 000 and 100; the origin
+    # 000 (tag {1}) has the primes 0xx, x0x and xx0 against the off point
+    # 111, and of the minterms {000, 100} still to be covered for output 1
+    # x0x and xx0 both cover the union, so neither dominates
+    f = MultiFunction(3, 2, (0b01001000, 0b00010001), (0b00100010, 0b01101110))
+    off = subfunction_off(frozenset({1}), f)
+    assert [cube_text(c) for c in generate_spi(bv("000"), off)] == ["0xx", "x0x", "xx0"]
+    cover = edsa_minimize(f)
+    assert cover == reference_edsa_minimize(f)
+    # lookahead commits 0xx, stranding 100, and that neighbour's x0x with it
+    assert [str(tc) for tc in cover][:2] == ["0xx_{1}", "x0x_{1}"]
+
+
+@st.composite
+def output_tables(draw) -> tuple[int, list[int]]:
+    """Width and 2-8 tables over 0-8 inputs: drawn one by one, all
+    equal, or all empty but one."""
+    n = draw(st.integers(min_value=0, max_value=8))
+    m = draw(st.integers(min_value=2, max_value=8))
+    table = st.integers(min_value=0, max_value=(1 << (1 << n)) - 1)
+    shape = draw(st.sampled_from(("each", "equal", "one")))
+    if shape == "each":
+        return n, [draw(table) for _ in range(m)]
+    if shape == "equal":
+        return n, [draw(table)] * m
+    live = [0] * m
+    live[draw(st.integers(min_value=0, max_value=m - 1))] = draw(table)
+    return n, live
+
+
+@example((0, [0, 0]))
+@example((8, [0] * 8))
+@given(output_tables())
+def test_lightest_takes_the_fewest_tables_then_the_smallest_minterm(case):
+    n, live = case
+    weight = {v: sum(points >> v & 1 for points in live) for v in range(1 << n)}
+    tagged = [v for v, w in weight.items() if w]
+    want = min(tagged, key=lambda v: (weight[v], v)) if tagged else None
+    assert _lightest(live) == want
 
 
 @settings(deadline=None)
