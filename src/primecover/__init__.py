@@ -24,7 +24,6 @@ from .cover import (
 )
 from .errors import EmptyOffset, EmptyOnset, InconsistentFunction, PlaParseError
 from .multi_output import (
-    MultiCoverReport,
     TaggedCube,
     edsa_minimize,
     subfunction_off,
@@ -62,7 +61,6 @@ __all__ = [
     "EmptyOnset",
     "InconsistentFunction",
     "LogicFunction",
-    "MultiCoverReport",
     "MultiFunction",
     "PlaParseError",
     "TaggedCube",

@@ -16,7 +16,7 @@ from operator import or_
 from pathlib import Path
 
 from .bitcube import BitVec, Cube, cube_text
-from .cover import direct_cover, verify_cover
+from .cover import direct_cover, expand_on_minterms, verify_cover
 from .errors import EmptyOnset, InconsistentFunction, PlaParseError
 from .multi_output import TaggedCube, edsa_minimize, verify_multi
 from .oracle import _EQUIV_VAR_CAP, TruthTable, equivalent
@@ -61,7 +61,7 @@ def cmd_minimize(args: argparse.Namespace) -> int:
         text = write_pla(result.cubes, f.n)
         summary = (
             f"{f.name or args.input}: {len(result.cubes)} cubes, "
-            f"{len(result.on_minterms)} on-minterms, {elapsed:.2f} ms"
+            f"{len(expand_on_minterms(f))} on-minterms, {elapsed:.2f} ms"
         )
     summary += f", verification {'ok' if verified else 'FAILED'}"
     if args.out:
@@ -138,16 +138,15 @@ def _bench_one(path: Path) -> list[str]:
     try:
         started = time.perf_counter()
         f = _read_function(str(path))
-        if isinstance(f, MultiFunction):
-            cubes = len(edsa_minimize(f))
+        multi = isinstance(f, MultiFunction)
+        cubes = len(edsa_minimize(f)) if multi else len(direct_cover(f).cubes)
+        ms = (time.perf_counter() - started) * 1000.0
+        if multi:
             on = reduce(or_, f.on).bit_count()
             off = sum(table.bit_count() for table in f.off)
         else:
-            result = direct_cover(f)
-            cubes = len(result.cubes)
-            on = len(result.on_minterms)
+            on = len(expand_on_minterms(f))
             off = len(f.off)
-        ms = (time.perf_counter() - started) * 1000.0
         return [path.stem, str(f.n), str(on), str(off), str(cubes), f"{ms:.2f}"]
     except Exception as exc:  # noqa: BLE001  (a bad file must not stop the sweep)
         print(f"{path.name}: {exc}", file=sys.stderr)

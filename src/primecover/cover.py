@@ -26,15 +26,10 @@ ON_EXPANSION_CAP = 1 << 20
 T = TypeVar("T")
 
 
-def expand_on_minterms(f: LogicFunction) -> list[BitVec]:
-    """The indexed on-minterm list in canonical order."""
-    return [BitVec(f.n, v) for v in _on_values(f)]
-
-
-def _on_values(f: LogicFunction) -> list[int]:
-    """``expand_on_minterms`` as int values, at most ``ON_EXPANSION_CAP``
-    of them.  Within a cube the minterms come in ascending order, as
-    ``Cube.minterms`` gives them."""
+def expand_on_minterms(f: LogicFunction) -> list[int]:
+    """The on-minterm values in canonical order, at most
+    ``ON_EXPANSION_CAP`` of them.  Within a cube the minterms come in
+    ascending order, as ``Cube.minterms`` gives them."""
     cap = ON_EXPANSION_CAP
     out: dict[int, None] = {}
     for c in f.on:
@@ -51,13 +46,12 @@ def _on_values(f: LogicFunction) -> list[int]:
     return list(out)
 
 
-def _on_slices(on_minterms: Sequence[BitVec], n: int) -> Slices:
-    return Slices.of_minterms([m.value for m in on_minterms], n)
-
-
 def coverage_mask(pi: Cube, on_minterms: Sequence[BitVec]) -> BitVec:
     """Bit i set when the cube contains the i-th on-minterm (MSB is index 0)."""
-    return _on_slices(on_minterms, pi.width).mask_of(pi)
+    for m in on_minterms:
+        if m.width != pi.width:
+            raise ValueError(f"width mismatch: {pi.width} vs {m.width}")
+    return Slices.of_minterms([m.value for m in on_minterms], pi.width).mask_of(pi)
 
 
 def mask_members(mask: BitVec, items: Sequence[T]) -> list[T]:
@@ -82,8 +76,6 @@ def _select_index(restricted: Sequence[int]) -> int:
 @dataclass(frozen=True)
 class CoverResult:
     cubes: tuple[Cube, ...]
-    coverage: tuple[BitVec, ...]
-    on_minterms: tuple[BitVec, ...]
     iterations: int
 
 
@@ -113,8 +105,9 @@ def direct_cover(f: LogicFunction, *, irredundant: bool = False) -> CoverResult:
     """
     if not f.on:
         raise EmptyOnset("the on-set is empty")
+    n = f.n
     on_list = expand_on_minterms(f)
-    on = _on_slices(on_list, f.n)
+    on = Slices.of_minterms(on_list, n)
     off = _off_pairs(f)
     width = len(on_list)
     chosen: list[tuple[int, int]] = []
@@ -123,7 +116,7 @@ def direct_cover(f: LogicFunction, *, irredundant: bool = False) -> CoverResult:
     iterations = 0
     while uncovered:
         # the first uncovered origin is the highest set bit of ``uncovered``
-        origin = on_list[width - uncovered.bit_length()]
+        origin = BitVec(n, on_list[width - uncovered.bit_length()])
         pis = prime_pairs(origin, off)
         masks = [on.meets(left, right) for left, right in pis]
         idx = _select_index([mask & uncovered for mask in masks])
@@ -134,12 +127,8 @@ def direct_cover(f: LogicFunction, *, irredundant: bool = False) -> CoverResult:
     if irredundant:
         keep = _irredundant_indices(chosen_masks)
         chosen = [chosen[i] for i in keep]
-        chosen_masks = [chosen_masks[i] for i in keep]
-    n = f.n
     return CoverResult(
         cubes=tuple(Cube(BitVec(n, left), BitVec(n, right)) for left, right in chosen),
-        coverage=tuple(BitVec(width, mask) for mask in chosen_masks),
-        on_minterms=tuple(on_list),
         iterations=iterations,
     )
 
@@ -158,11 +147,14 @@ def _irredundant_indices(masks: Sequence[int]) -> list[int]:
 
 @dataclass(frozen=True)
 class CoverReport:
-    """Outcome of the three cover checks; violations are content, not errors."""
+    """Outcome of the three cover checks of ``verify_cover`` or
+    ``verify_multi``; violations are content, not errors.  Each verifier
+    says what it puts in each field.  Literal positions count from the
+    most significant variable."""
 
-    missing: tuple[BitVec, ...]
-    off_conflicts: tuple[tuple[Cube, Cube], ...]
-    removable_literals: tuple[tuple[Cube, int], ...]
+    missing: tuple
+    off_conflicts: tuple
+    removable_literals: tuple
 
     @property
     def ok(self) -> bool:
@@ -171,13 +163,19 @@ class CoverReport:
 
 def verify_cover(cover: CoverResult | Sequence[Cube], f: LogicFunction) -> CoverReport:
     """Check coverage of the on-set, disjointness from the off-set, and
-    primality of every cube by the literal-raising test.  The on-set is
-    queried as int values; only the missing minterms become ``BitVec``s."""
+    primality of every cube by the literal-raising test.
+
+    ``missing`` lists the on-minterms no cube covers, as ``BitVec``s in
+    canonical order; ``off_conflicts`` each ``(cube, off-cube)`` pair
+    that intersects; and ``removable_literals`` each ``(cube, position)``
+    whose literal can be raised while the cube misses the off-set.  The
+    on-set is queried as int values; only the missing minterms become
+    ``BitVec``s."""
     cubes = list(cover.cubes) if isinstance(cover, CoverResult) else list(cover)
     for c in cubes:
         if c.width != f.n:
             raise ValueError(f"width mismatch: {c.width} vs {f.n}")
-    on_values = _on_values(f)
+    on_values = expand_on_minterms(f)
     on = Slices.of_minterms(on_values, f.n)
     off = Slices([(z.left.value, z.right.value) for z in f.off], f.n)
     uncovered = (1 << on.count) - 1

@@ -39,9 +39,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .bitcube import BitVec, Cube, cube_points, cube_text, minterm_to_cube, table_cover
+from .cover import CoverReport
 # coverage_mask and generate_spi stay importable here: perfbench/tracing.py
 # wraps them by name
 from .cover import coverage_mask  # noqa: F401
@@ -197,28 +198,16 @@ def edsa_minimize(f: MultiFunction) -> list[TaggedCube]:
     ]
 
 
-class MultiCoverReport(NamedTuple):
-    """Outcome of the three tagged-cover checks; violations are content,
-    not errors.  Literal positions count from the most significant
-    variable, as in ``CoverReport``."""
-
-    missing: tuple[tuple[BitVec, int], ...]
-    off_conflicts: tuple[tuple[TaggedCube, BitVec], ...]
-    removable_literals: tuple[tuple[TaggedCube, int], ...]
-
-    @property
-    def ok(self) -> bool:
-        return not (self.missing or self.off_conflicts or self.removable_literals)
-
-
-def verify_multi(cover: Sequence[TaggedCube], f: MultiFunction) -> MultiCoverReport:
+def verify_multi(cover: Sequence[TaggedCube], f: MultiFunction) -> CoverReport:
     """Check a tagged cover against the output tables.
 
-    ``missing`` lists the on (minterm, output) pairs no cube tagged with
-    that output covers, by output and then minterm; ``off_conflicts``
-    the off points of its tag's joint off-set inside each cube; and
-    ``removable_literals`` each literal whose raising keeps the cube
-    clear of that joint off-set, i.e. each cube that is not prime.
+    ``missing`` lists the on ``(minterm, output)`` pairs, as ``(BitVec,
+    int)``, that no cube tagged with that output covers, by output and
+    then minterm; ``off_conflicts`` each ``(TaggedCube, BitVec)`` pair
+    of a cube and an off point of its tag's joint off-set inside it; and
+    ``removable_literals`` each ``(TaggedCube, position)`` whose literal
+    can be raised while the cube stays clear of that joint off-set, i.e.
+    each cube that is not prime.
     """
     n = f.n
     off_columns = f.off
@@ -247,4 +236,4 @@ def verify_multi(cover: Sequence[TaggedCube], f: MultiFunction) -> MultiCoverRep
         for j, on in enumerate(f.on)
         for v in _ones(on & ~covered[j])
     ]
-    return MultiCoverReport(tuple(missing), tuple(off_conflicts), tuple(removable))
+    return CoverReport(tuple(missing), tuple(off_conflicts), tuple(removable))

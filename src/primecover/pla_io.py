@@ -307,6 +307,9 @@ def write_pla(
     Multi-output covers use type fd: a '0' in a cover line means the term
     does not belong to that output, not that the minterm is off, and two
     overlapping cubes with different tags would otherwise contradict.
+    Raises ``ValueError`` for a cube of another width than ``n`` and for
+    a tag naming an output outside ``range(outputs)``, which
+    ``parse_pla`` could not read back.
     """
     lines_out: list[str] = []
     for item in cover:
@@ -314,7 +317,11 @@ def write_pla(
             cube, out_part = item, "1"
         else:
             cube = item.cube
+            if not all(0 <= j < outputs for j in item.tag):
+                raise ValueError(f"{item} names an output outside the {outputs} outputs")
             out_part = "".join("1" if j in item.tag else "0" for j in range(outputs))
+        if cube.width != n:
+            raise ValueError(f"width mismatch: {cube.width} vs {n}")
         lines_out.append(f"{cube_text(cube).replace('x', '-')} {out_part}")
     header = [f".i {n}", f".o {outputs}"]
     if ob:

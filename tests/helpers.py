@@ -27,7 +27,7 @@ from primecover import (
 from primecover.bitcube import Slices, minimal_ones
 from primecover.pla_io import _scan
 from primecover.cover import mask_members
-from primecover.multi_output import MultiCoverReport, TaggedCube
+from primecover.multi_output import TaggedCube
 
 bv = BitVec.from_text
 
@@ -555,8 +555,7 @@ def reference_direct_cover(f: LogicFunction, *, irredundant: bool = False) -> Co
             if chosen_masks[i].value & ~rest == 0:
                 keep.remove(i)
         chosen = [chosen[i] for i in keep]
-        chosen_masks = [chosen_masks[i] for i in keep]
-    return CoverResult(tuple(chosen), tuple(chosen_masks), tuple(on_list), iterations)
+    return CoverResult(tuple(chosen), iterations)
 
 
 # References for the multi-output loop: the joint off-set built by a
@@ -674,7 +673,7 @@ def reference_edsa_minimize(f: MultiFunction) -> list[TaggedCube]:
     return committed
 
 
-def reference_verify_multi(cover, f: MultiFunction) -> MultiCoverReport:
+def reference_verify_multi(cover, f: MultiFunction) -> CoverReport:
     """The three tagged-cover checks, one minterm at a time."""
     n = f.n
     values = {m.value: vals for m, vals in rows_of(f)}
@@ -709,7 +708,7 @@ def reference_verify_multi(cover, f: MultiFunction) -> MultiCoverReport:
                     raised.covers_value(v) and is_off(tc.tag, v) for v in range(1 << n)
                 ):
                     removable.append((tc, n - 1 - pos))
-    return MultiCoverReport(tuple(missing), tuple(off_conflicts), tuple(removable))
+    return CoverReport(tuple(missing), tuple(off_conflicts), tuple(removable))
 
 
 # Acceptance bookkeeping, printed in the terminal summary by conftest.

@@ -279,9 +279,15 @@ def test_bench_jobs_flag_is_rejected(tmp_path, capsys):
 
 def test_bench_on_counts_minterms(tmp_path, capsys):
     write(tmp_path, "pair.pla", ".i 3\n.o 1\n.type fd\n1-1 1\n.e\n")
+    # the on-cubes share 1110 and 1111: 6 on-minterms, not 8; the off-set
+    # is the 4 cubes of the table complement of the on and dc points
+    ovl = write(tmp_path, "ovl.pla", ".i 4\n.o 1\n.type fd\n1-1- 1\n11-- 1\n0000 -\n.e\n")
     assert main(["bench", "--dir", str(tmp_path)]) == 0
-    captured = capsys.readouterr()
-    assert captured.out.splitlines()[1].startswith("pair,3,2,")
+    rows = capsys.readouterr().out.splitlines()
+    assert rows[1].startswith("ovl,4,6,4,2,")
+    assert rows[2].startswith("pair,3,2,")
+    assert main(["minimize", ovl, "--out", str(tmp_path / "ovl.cover")]) == 0
+    assert ", 6 on-minterms, " in capsys.readouterr().out
 
 
 def test_bench_off_counts_multi_output_off_points(tmp_path, capsys):

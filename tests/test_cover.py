@@ -35,7 +35,7 @@ from helpers import (
 
 def test_coverage_mask_five_var():
     f = five_var_function()
-    on = expand_on_minterms(f)
+    on = [BitVec(f.n, v) for v in expand_on_minterms(f)]
     mask = coverage_mask(text_cube("1x0x0"), on)
     assert {m.to_text() for m in mask_members(mask, on)} == {
         "10000",
@@ -54,6 +54,12 @@ def test_coverage_mask_small():
 
 def test_coverage_mask_empty_list():
     assert coverage_mask(text_cube("10x"), []).width == 0
+
+
+def test_coverage_mask_rejects_a_width_mismatch():
+    on = [BitVec(5, 0b10000), bv("100"), bv("101")]
+    with pytest.raises(ValueError, match="^width mismatch: 3 vs 5$"):
+        coverage_mask(text_cube("10x"), on)
 
 
 # Candidates arrive in cube-text order, as ``direct_cover`` builds them,
@@ -93,11 +99,7 @@ def test_direct_cover_five_var():
     assert report.ok
     care = TruthTable.from_function(f)
     assert equivalent(list(result.cubes), list(f.on), care)
-    assert minimum_cover_size(f) <= len(result.cubes) <= len(result.on_minterms)
-    covered = 0
-    for mask in result.coverage:
-        covered |= mask.value
-    assert covered == (1 << len(result.on_minterms)) - 1
+    assert minimum_cover_size(f) <= len(result.cubes) <= len(expand_on_minterms(f))
     assert result.iterations == len(result.cubes)
 
 
@@ -141,7 +143,7 @@ def test_direct_cover_random_functions_verify_and_bounds():
         result = direct_cover(f)
         report = verify_cover(result, f)
         assert report.ok, (report.missing, report.off_conflicts, report.removable_literals)
-        assert len(result.cubes) <= len(result.on_minterms)
+        assert len(result.cubes) <= len(expand_on_minterms(f))
         if n <= 6:
             assert minimum_cover_size(f) <= len(result.cubes)
 
@@ -149,14 +151,14 @@ def test_direct_cover_random_functions_verify_and_bounds():
 def test_direct_cover_handles_on_cubes_with_dont_cares():
     f = LogicFunction(
         4,
-        (text_cube("1x1x"), text_cube("0000")),
+        (text_cube("1x1x"), text_cube("1x11"), text_cube("0000")),
         (text_cube("01xx"), minterm_to_cube(bv("0011"))),
     )
     result = direct_cover(f)
     assert verify_cover(result, f).ok
-    # canonical origin order: row order, don't cares in binary order
-    assert result.on_minterms[0] == bv("1010")
-    assert result.on_minterms[-1] == bv("0000")
+    # canonical origin order: row order, don't cares in binary order,
+    # duplicates (all of 1x11) kept once at first occurrence
+    assert expand_on_minterms(f) == [0b1010, 0b1011, 0b1110, 0b1111, 0b0000]
 
 
 def test_verify_cover_flags_constructed_violations():
@@ -196,11 +198,14 @@ def test_irredundant_sweep_drops_redundant_cubes():
 def test_expansion_cap_guard(monkeypatch):
     monkeypatch.setattr(cover, "ON_EXPANSION_CAP", 10)
     f = LogicFunction(5, (Cube.universal(5),), ())
-    with pytest.raises(ValueError, match=r"^on-cube xxxxx alone expands past the cap of 10 minterms$"):
-        expand_on_minterms(f)
     halves = LogicFunction(5, (text_cube("0xxx0"), text_cube("1xxx0")), ())
-    with pytest.raises(ValueError, match=r"^on-set expands past the cap of 10 minterms$"):
-        expand_on_minterms(halves)
+    for check in (expand_on_minterms, lambda g: verify_cover([], g)):
+        with pytest.raises(
+            ValueError, match=r"^on-cube xxxxx alone expands past the cap of 10 minterms$"
+        ):
+            check(f)
+        with pytest.raises(ValueError, match=r"^on-set expands past the cap of 10 minterms$"):
+            check(halves)
 
 
 def test_direct_cover_on_fd_file_with_cube_offset():
@@ -216,7 +221,8 @@ def test_direct_cover_on_fd_file_with_cube_offset():
     care = TruthTable.from_function(f)
     assert equivalent(list(result.cubes), list(f.on), care)
     primes = all_primes(f)
-    for m in result.on_minterms:
+    for v in expand_on_minterms(f):
+        m = BitVec(f.n, v)
         assert set(generate_spi(m, f.off)) == primes_containing(primes, m)
 
 

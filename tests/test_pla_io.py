@@ -170,6 +170,22 @@ def test_write_pla_examples():
     assert "1-1 101" in tagged
 
 
+def test_write_pla_rejects_a_cube_of_another_width():
+    # '.i 4' above '10- 1' would not parse back
+    with pytest.raises(ValueError, match="^width mismatch: 3 vs 4$"):
+        write_pla([text_cube("10x")], 4)
+    tagged = TaggedCube(text_cube("10x"), frozenset({0}))
+    with pytest.raises(ValueError, match="^width mismatch: 3 vs 4$"):
+        write_pla([tagged], 4, outputs=2)
+
+
+def test_write_pla_rejects_a_tag_past_the_outputs():
+    # output 3 of 3 would be written as a line on for no output
+    tagged = TaggedCube(text_cube("10x"), frozenset({0, 3}))
+    with pytest.raises(ValueError, match=r"^10x_\{0,3\} names an output outside the 3 outputs$"):
+        write_pla([tagged], 3, outputs=3)
+
+
 def test_round_trip_single_output():
     rng = random.Random(32)
     for _ in range(100):
