@@ -14,10 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence, TypeVar
 
-from .bitcube import BitVec, Cube, Slices, cube_points, cube_text, free_subsets, table_cover
+from .bitcube import BitVec, Cube, Slices, cube_points, cube_text, free_subsets
 from .errors import EmptyOnset
 # generate_spi stays importable here: perfbench/tracing.py wraps it by name
-from .pi_gen import generate_spi, prime_pairs  # noqa: F401
+from .pi_gen import generate_spi, prime_pairs, table_primes  # noqa: F401
 from .pla_io import TABLE_CAP, LogicFunction
 from .reduced_offset import OffPairs
 
@@ -79,36 +79,31 @@ class CoverResult:
     iterations: int
 
 
-def _off_pairs(f: LogicFunction) -> OffPairs:
-    """The off-set of ``f`` for its folds.  Up to the 2^n-table cap it is
-    the ``table_cover`` of the off points, when that has fewer cubes than
-    the list: the primes depend only on the points."""
-    listed = [(z.left.value, z.right.value) for z in f.off]
-    if f.n <= TABLE_CAP:
-        points = 0
-        for left, right in listed:
-            points |= cube_points(left, right)
-        compact = table_cover(points, f.n)
-        if len(compact) < len(listed):
-            listed = compact
-    return OffPairs(listed, f.off)
-
-
 def direct_cover(f: LogicFunction, *, irredundant: bool = False) -> CoverResult:
     """Cover the whole on-set with prime implicants of the off-complement.
 
-    Raises ``InconsistentFunction`` when an on-minterm lies in an off-cube:
+    Up to ``TABLE_CAP`` inputs the off-cubes are ORed into one 2^n-bit
+    table and each origin's primes are read from it by ``table_primes``;
+    above it every origin folds the listed off-cubes.  Raises
+    ``InconsistentFunction`` when an on-minterm lies in an off-cube:
     every prime misses every off-cube, so that minterm stays uncovered
-    until it is an origin, whose indicator fold rejects it.  Candidates
-    are ``(left, right)`` pairs in cube-text order, so the first of the
-    best ones wins the tie-break.
+    until it is an origin, and the listed fold rejects it, naming the
+    first off-cube that holds it.  Candidates are ``(left, right)``
+    pairs in cube-text order, so the first of the best ones wins the
+    tie-break.
     """
     if not f.on:
         raise EmptyOnset("the on-set is empty")
     n = f.n
     on_list = expand_on_minterms(f)
     on = Slices.of_minterms(on_list, n)
-    off = _off_pairs(f)
+    listed = [(z.left.value, z.right.value) for z in f.off]
+    off = OffPairs(listed, f.off)
+    table = None
+    if n <= TABLE_CAP:
+        table = 0
+        for left, right in listed:
+            table |= cube_points(left, right)
     width = len(on_list)
     chosen: list[tuple[int, int]] = []
     chosen_masks: list[int] = []
@@ -116,8 +111,11 @@ def direct_cover(f: LogicFunction, *, irredundant: bool = False) -> CoverResult:
     iterations = 0
     while uncovered:
         # the first uncovered origin is the highest set bit of ``uncovered``
-        origin = BitVec(n, on_list[width - uncovered.bit_length()])
-        pis = prime_pairs(origin, off)
+        p = on_list[width - uncovered.bit_length()]
+        if table is None or table >> p & 1:
+            pis = prime_pairs(BitVec(n, p), off)
+        else:
+            pis = table_primes(p, table, n)
         masks = [on.meets(left, right) for left, right in pis]
         idx = _select_index([mask & uncovered for mask in masks])
         chosen.append(pis[idx])

@@ -17,6 +17,11 @@ without multiplying every vector out and absorbing the products.
 ``generate_spi`` (listed off-cubes) and ``prime_pairs`` (an ``OffPairs``
 off-set) run this expansion on ints through one helper; ``generate_n``,
 ``cross_or`` and ``vectors_to_pis`` expose its steps on ``BitVec``s.
+
+``table_primes`` returns the same primes without indicators, from an
+off-set given as one 2^n-bit truth table: 2n masked shift-ORs over the
+table per minterm, with the masks cached per input count.
+``direct_cover`` reads its primes there up to the 16-input table cap.
 """
 
 from __future__ import annotations
@@ -167,3 +172,70 @@ def prime_pairs(P: BitVec, off: OffPairs) -> list[tuple[int, int]]:
     except EmptyOffset:
         indicators = []
     return _primes(P, indicators)
+
+
+# per input count n: the 2^n-bit table of every value, and for each
+# position i, 2^i and the table of the values with bit i clear
+_TABLE_MASKS: dict[int, tuple[int, list[tuple[int, int]]]] = {}
+
+
+def _table_masks(n: int) -> tuple[int, list[tuple[int, int]]]:
+    masks = _TABLE_MASKS.get(n)
+    if masks is None:
+        size = 1 << n
+        everything = (1 << size) - 1
+        per_bit = []
+        for i in range(n):
+            step = 1 << i
+            low = (1 << step) - 1
+            period = 2 * step
+            while period < size:
+                low |= low << period
+                period *= 2
+            per_bit.append((step, low))
+        masks = _TABLE_MASKS[n] = (everything, per_bit)
+    return masks
+
+
+def table_primes(p: int, off: int, n: int) -> list[tuple[int, int]]:
+    """``prime_pairs`` on a truth table: the primes covering the minterm
+    of value ``p`` as ``(left, right)`` pair values, in the cube-text
+    order of the primes, where bit v of ``off`` is set when the minterm
+    of value v is off.  ``p`` must not be off.
+
+    The cube through p with free positions F misses the off-set exactly
+    when no off point y has ``p ^ y`` inside F.  Closing the off points
+    "away from p", one masked shift-OR per position (up where p has a 0,
+    down where it has a 1), leaves clear exactly the points y whose cube
+    with free positions ``p ^ y`` misses the off-set.  The primes are the
+    maximal ones, those from which every one-step move away from p lands
+    on a closed point: one more masked shift per position.  This is the
+    sum-over-subsets pass (Yates, 1937) on a 2^n-bit int.  Ascending F
+    is descending literal-position vectors, the order ``_primes``
+    returns.
+    """
+    everything, per_bit = _table_masks(n)
+    bad = off
+    for step, low in per_bit:
+        if p & step:
+            bad |= (bad >> step) & low
+        else:
+            bad |= (bad & low) << step
+    good = everything ^ bad
+    blocked = 0
+    for step, low in per_bit:
+        if p & step:
+            blocked |= (good & low) << step
+        else:
+            blocked |= (good >> step) & low
+    # the set bits of a wide int are found fastest in its binary text
+    bits = format(good & ~blocked, "b")
+    top = len(bits) - 1
+    frees = []
+    i = bits.find("1")
+    while i >= 0:
+        frees.append(p ^ (top - i))
+        i = bits.find("1", i + 1)
+    frees.sort()
+    full = (1 << n) - 1
+    return [((full ^ p) | free, p | free) for free in frees]

@@ -307,9 +307,9 @@ def write_pla(
     Multi-output covers use type fd: a '0' in a cover line means the term
     does not belong to that output, not that the minterm is off, and two
     overlapping cubes with different tags would otherwise contradict.
-    Raises ``ValueError`` for a cube of another width than ``n`` and for
-    a tag naming an output outside ``range(outputs)``, which
-    ``parse_pla`` could not read back.
+    Raises ``ValueError`` for a cube of another width than ``n``, for
+    a tag naming an output outside ``range(outputs)`` and for an empty
+    tag, which ``parse_pla`` could not read back.
     """
     lines_out: list[str] = []
     for item in cover:
@@ -319,6 +319,8 @@ def write_pla(
             cube = item.cube
             if not all(0 <= j < outputs for j in item.tag):
                 raise ValueError(f"{item} names an output outside the {outputs} outputs")
+            if not item.tag:
+                raise ValueError(f"{item} names no output")
             out_part = "".join("1" if j in item.tag else "0" for j in range(outputs))
         if cube.width != n:
             raise ValueError(f"width mismatch: {cube.width} vs {n}")

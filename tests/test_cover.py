@@ -18,6 +18,7 @@ from primecover import (
     equivalent,
     minimum_cover_size,
     minterm_to_cube,
+    parse_pla,
     text_cube,
     verify_cover,
 )
@@ -210,7 +211,7 @@ def test_expansion_cap_guard(monkeypatch):
 
 def test_direct_cover_on_fd_file_with_cube_offset():
     # the derived off-set arrives as cubes, not minterms
-    from primecover import all_primes, generate_spi, parse_pla
+    from primecover import all_primes, generate_spi
     from primecover.oracle import primes_containing
 
     text = ".i 4\n.o 1\n.type fd\n1--1 1\n0110 1\n0000 -\n.e\n"
@@ -246,7 +247,43 @@ def test_direct_cover_medium_scale_cube_rows():
     assert elapsed_ms < 5000
 
 
-# direct_cover folds one compacted int-pair off-set per call; the
+def count_pla(n: int, counts: set[int]) -> str:
+    """The ``.type fd`` file of the symmetric function that is 1 where
+    the number of ones is in ``counts``, one on line per minterm; the
+    parser derives its off-set."""
+    rows = [f"{v:0{n}b} 1" for v in range(1 << n) if bin(v).count("1") in counts]
+    return "\n".join([f".i {n}", ".o 1", ".type fd", *rows, ".e"]) + "\n"
+
+
+def test_direct_cover_of_a_dense_symmetric_function_below_the_table_cap():
+    # count-{3,5,7}: every on-minterm's neighbours are off, so every prime
+    # is a minterm; folding the derived off-cubes per origin takes seconds
+    f = parse_pla(count_pla(12, {3, 5, 7}))
+    result = direct_cover(f)
+    assert len(result.cubes) == 1804
+    assert sum(c.literal_count for c in result.cubes) == 21648
+    assert verify_cover(result, f).ok
+
+
+def test_direct_cover_above_the_table_cap_folds_the_listed_off_cubes():
+    from helpers import random_cube
+
+    rng = random.Random(53)
+    n = 17
+    on = [random_cube(rng, n, dc_prob=0.3) for _ in range(20)]
+    off: list[Cube] = []
+    while len(off) < 60:
+        z = random_cube(rng, n, dc_prob=0.5)
+        if not any(reference_intersects(c, z) for c in on):
+            off.append(z)
+    f = LogicFunction(n, tuple(on), tuple(off))
+    result = direct_cover(f)
+    assert result == reference_direct_cover(f)
+    assert verify_cover(result, f).ok
+
+
+# Up to the table cap direct_cover reads its primes from one off table,
+# and folds the listed off-cubes only for an origin inside it; the
 # reference folds the listed off-cubes through generate_spi per origin.
 
 

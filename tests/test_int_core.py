@@ -21,7 +21,7 @@ from primecover import (
     reform_sdm,
     text_cube,
 )
-from primecover.pi_gen import _expand, prime_pairs
+from primecover.pi_gen import _expand, prime_pairs, table_primes
 from primecover.reduced_offset import OffPairs
 from helpers import (
     reference_cross_or,
@@ -182,6 +182,39 @@ def test_prime_pairs_match_reference(data):
     pairs = OffPairs([(z.left.value, z.right.value) for z in off], off)
     want = [(c.left.value, c.right.value) for c in reference_generate_spi(p, off)]
     assert prime_pairs(p, pairs) == want
+
+
+def listed_primes(n: int, p: int, off: int) -> list[tuple[int, int]]:
+    """``prime_pairs`` of ``p`` over the off minterms of the table ``off``."""
+    full = (1 << n) - 1
+    points = [v for v in range(1 << n) if off >> v & 1]
+    return prime_pairs(BitVec(n, p), OffPairs([(full ^ v, v) for v in points]))
+
+
+@given(st.data())
+def test_table_primes_match_the_listed_fold(data):
+    """The truth-table routine gives the fold's pairs, in the same order,
+    for any off table without the origin, dense or sparse."""
+    n = data.draw(st.integers(1, 10))
+    p = data.draw(st.integers(0, (1 << n) - 1))
+    sparse = st.lists(st.integers(0, (1 << n) - 1), max_size=12).map(
+        lambda vs: sum({1 << v for v in vs})
+    )
+    table = data.draw(st.one_of(st.integers(0, (1 << (1 << n)) - 1), sparse))
+    table &= ~(1 << p)
+    assert table_primes(p, table, n) == listed_primes(n, p, table)
+
+
+def test_table_primes_on_the_empty_and_the_fullest_tables():
+    """No off point leaves the universal cube; every point but the origin
+    leaves the origin's minterm."""
+    for n in range(1, 7):
+        full = (1 << n) - 1
+        everything = (1 << (1 << n)) - 1
+        for p in range(1 << n):
+            assert table_primes(p, 0, n) == listed_primes(n, p, 0) == [(full, full)]
+            rest = everything ^ (1 << p)
+            assert table_primes(p, rest, n) == listed_primes(n, p, rest) == [(full ^ p, p)]
 
 
 @given(st.data())

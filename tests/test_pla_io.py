@@ -186,6 +186,13 @@ def test_write_pla_rejects_a_tag_past_the_outputs():
         write_pla([tagged], 3, outputs=3)
 
 
+def test_write_pla_rejects_an_empty_tag():
+    # the line '10- 00' would read back on for no output: the cube is lost
+    tagged = TaggedCube(text_cube("10x"), frozenset())
+    with pytest.raises(ValueError, match=r"^10x_\{\} names no output$"):
+        write_pla([tagged], 3, outputs=2)
+
+
 def test_round_trip_single_output():
     rng = random.Random(32)
     for _ in range(100):
