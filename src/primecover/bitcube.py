@@ -154,6 +154,21 @@ def free_subsets(free: int) -> Iterator[int]:
             return
 
 
+def set_bits(x: int) -> list[int]:
+    """Positions of the set bits of ``x >= 0``, ascending.  One scan of
+    the binary text, which finds the bits of a wide int faster than
+    peeling them off one at a time; ``bin`` writes that text faster
+    than ``format``."""
+    bits = bin(x)
+    top = len(bits) - 1
+    out = []
+    i = bits.rfind("1")
+    while i >= 0:
+        out.append(top - i)
+        i = bits.rfind("1", 0, i)
+    return out
+
+
 def minimal_ones(values: Sequence[int]) -> list[int]:
     """The values whose ones contain no other value's ones, in input order;
     of equal values only the first is kept.

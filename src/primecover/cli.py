@@ -19,7 +19,6 @@ from .bitcube import BitVec, Cube, cube_text
 from .cover import direct_cover, expand_on_minterms, verify_cover
 from .errors import EmptyOnset, InconsistentFunction, PlaParseError
 from .multi_output import TaggedCube, edsa_minimize, verify_multi
-from .oracle import _EQUIV_VAR_CAP, TruthTable, equivalent
 from .pi_gen import cross_or, generate_m, generate_spi
 from .pla_io import MultiFunction, _scan, parse_pla, write_pla
 from .reduced_offset import DiSet, generate_di, reform_sdm
@@ -210,7 +209,9 @@ def _verify_multi(f: MultiFunction, rows: list[tuple[Cube, str]]) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     """The cover file is read as its cube lines, of any type and width:
-    the cubes are its lines with a 1 output, and no off-set is derived."""
+    the cubes are its lines with a 1 output, and no off-set is derived.
+    A parsed function is consistent, so a cover agrees with it on every
+    care minterm exactly when the coverage and off-set checks pass."""
     f = _read_function(args.input)
     cover = _scan(Path(args.cover).read_text(encoding="utf-8"))
     if cover.m != (f.m if isinstance(f, MultiFunction) else 1):
@@ -228,8 +229,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     rows = [(cube, out) for cube, out in cover.rows if "1" in out]
     if isinstance(f, MultiFunction):
         return _verify_multi(f, rows)
-    cubes = [cube for cube, _ in rows]
-    report = verify_cover(cubes, f)
+    report = verify_cover([cube for cube, _ in rows], f)
     _print_checks(
         [str(m) for m in report.missing[:8]],
         len(report.missing),
@@ -242,12 +242,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             for cube, pos in report.removable_literals[:8]
         ],
     )
-    equal = True
-    if f.n <= _EQUIV_VAR_CAP:
-        care = TruthTable.from_function(f)
-        equal = equivalent(cubes, list(f.on), care)
-        print(f"equivalence on care set: {'ok' if equal else 'FAIL'}")
-    return EXIT_OK if report.ok and equal else EXIT_VERIFY_FAILED
+    return EXIT_OK if report.ok else EXIT_VERIFY_FAILED
 
 
 def _build_parser() -> argparse.ArgumentParser:

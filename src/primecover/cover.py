@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence, TypeVar
 
-from .bitcube import BitVec, Cube, Slices, cube_points, cube_text, free_subsets
+from .bitcube import BitVec, Cube, Slices, cube_points, cube_text, free_subsets, set_bits
 from .errors import EmptyOnset
 # generate_spi stays importable here: perfbench/tracing.py wraps it by name
 from .pi_gen import generate_spi, prime_pairs, table_primes  # noqa: F401
@@ -56,14 +56,8 @@ def coverage_mask(pi: Cube, on_minterms: Sequence[BitVec]) -> BitVec:
 
 def mask_members(mask: BitVec, items: Sequence[T]) -> list[T]:
     """The items whose index bit is set in ``mask`` (MSB is index 0), in order."""
-    width = len(items)
-    out = []
-    rest = mask.value
-    while rest:
-        top = rest.bit_length()
-        out.append(items[width - top])
-        rest ^= 1 << (top - 1)
-    return out
+    last = len(items) - 1
+    return [items[last - i] for i in reversed(set_bits(mask.value))]
 
 
 def _select_index(restricted: Sequence[int]) -> int:
@@ -98,7 +92,7 @@ def direct_cover(f: LogicFunction, *, irredundant: bool = False) -> CoverResult:
     on_list = expand_on_minterms(f)
     on = Slices.of_minterms(on_list, n)
     listed = [(z.left.value, z.right.value) for z in f.off]
-    off = OffPairs(listed, f.off)
+    off = OffPairs(listed)
     table = None
     if n <= TABLE_CAP:
         table = 0

@@ -39,9 +39,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
-from .bitcube import BitVec, Cube, cube_points, cube_text, minterm_to_cube, table_cover
+from .bitcube import (
+    BitVec,
+    Cube,
+    cube_points,
+    cube_text,
+    minterm_to_cube,
+    set_bits,
+    table_cover,
+)
 from .cover import CoverReport
 # coverage_mask and generate_spi stay importable here: perfbench/tracing.py
 # wraps them by name
@@ -70,21 +78,6 @@ def _joint(tag: Iterable[int], columns: Sequence[int]) -> int:
     return points
 
 
-def _ones(points: int) -> list[int]:
-    """Values of the set bits, ascending; one scan of the binary text,
-    for dense tables."""
-    return [v for v, ch in enumerate(reversed(f"{points:b}")) if ch == "1"]
-
-
-def _members(points: int) -> Iterator[int]:
-    """Values of the set bits, ascending, one bit at a time, for sparse
-    tables."""
-    while points:
-        low = points & -points
-        yield low.bit_length() - 1
-        points ^= low
-
-
 def subfunction_off(tag: "frozenset[int] | set[int]", f: MultiFunction) -> list[Cube]:
     """Off-set of the joint sub-function of the tagged outputs, as minterms
     in ascending order.
@@ -95,7 +88,7 @@ def subfunction_off(tag: "frozenset[int] | set[int]", f: MultiFunction) -> list[
     if not tag:
         raise ValueError("empty output tag")
     off = _joint(tag, f.off)
-    return [minterm_to_cube(BitVec(f.n, v)) for v in _ones(off)]
+    return [minterm_to_cube(BitVec(f.n, v)) for v in set_bits(off)]
 
 
 def _literals(pair: tuple[int, int]) -> int:
@@ -175,12 +168,12 @@ def edsa_minimize(f: MultiFunction) -> list[TaggedCube]:
         # the neighbours: minterms some candidates cover and others do not
         edge = union & ~inter
         best_by_neighbor = {
-            nv: _best_pi(BitVec(n, nv), off_of(tag_of(nv))) for nv in _members(edge)
+            nv: _best_pi(BitVec(n, nv), off_of(tag_of(nv))) for nv in set_bits(edge)
         }
 
         def score(i: int) -> tuple[float, int]:
             quality = min(
-                (_literals(best_by_neighbor[nv]) for nv in _members(edge & ~masks[i])),
+                (_literals(best_by_neighbor[nv]) for nv in set_bits(edge & ~masks[i])),
                 default=math.inf,
             )
             return (quality, -masks[i].bit_count())
@@ -188,7 +181,7 @@ def edsa_minimize(f: MultiFunction) -> list[TaggedCube]:
         # the first best candidate has the smallest cube text
         i = min(range(len(pis)), key=score)
         commit(pis[i], tag)
-        stranded = list(_members(edge & ~masks[i]))
+        stranded = set_bits(edge & ~masks[i])
         if stranded:
             best_nv = min(stranded, key=lambda nv: (_literals(best_by_neighbor[nv]), nv))
             commit(best_by_neighbor[best_nv], tag_of(best_nv))
@@ -220,7 +213,7 @@ def verify_multi(cover: Sequence[TaggedCube], f: MultiFunction) -> CoverReport:
             raise ValueError(f"width mismatch: {c.width} vs {n}")
         points = cube_points(c.left.value, c.right.value)
         off = _joint(tc.tag, off_columns)
-        off_conflicts.extend((tc, BitVec(n, v)) for v in _ones(points & off))
+        off_conflicts.extend((tc, BitVec(n, v)) for v in set_bits(points & off))
         for j in tc.tag:
             covered[j] |= points
         spec = c.specified_mask
@@ -234,6 +227,6 @@ def verify_multi(cover: Sequence[TaggedCube], f: MultiFunction) -> CoverReport:
     missing = [
         (BitVec(n, v), j)
         for j, on in enumerate(f.on)
-        for v in _ones(on & ~covered[j])
+        for v in set_bits(on & ~covered[j])
     ]
     return CoverReport(tuple(missing), tuple(off_conflicts), tuple(removable))

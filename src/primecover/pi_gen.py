@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from .bitcube import BitVec, Cube, minimal_ones
+from .bitcube import BitVec, Cube, minimal_ones, set_bits
 from .errors import EmptyOffset
 from .reduced_offset import DiSet, OffPairs, generate_sdm
 
@@ -228,14 +228,6 @@ def table_primes(p: int, off: int, n: int) -> list[tuple[int, int]]:
             blocked |= (good & low) << step
         else:
             blocked |= (good >> step) & low
-    # the set bits of a wide int are found fastest in its binary text
-    bits = format(good & ~blocked, "b")
-    top = len(bits) - 1
-    frees = []
-    i = bits.find("1")
-    while i >= 0:
-        frees.append(p ^ (top - i))
-        i = bits.find("1", i + 1)
-    frees.sort()
+    frees = sorted([p ^ y for y in set_bits(good & ~blocked)])
     full = (1 << n) - 1
     return [((full ^ p) | free, p | free) for free in frees]

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 from .bitcube import BitVec, Cube, minimal_ones, minterm_to_cube
 from .errors import EmptyOffset, InconsistentFunction
@@ -67,21 +67,14 @@ class OffPairs:
 
     Built from ``(left, right)`` cube pair values, it keeps one
     ``(right, left ^ right)`` pair per cube, so that the indicator of the
-    minterm of value p is ``(p ^ right) & spec``.  ``listed`` are the
-    off-cubes as the caller gave them, with the same minterms; they are
-    read only after a zero indicator, to raise what a fold over them
-    raises.
+    minterm of value p is ``(p ^ right) & spec``; the cube of a pair
+    ``(r, s)`` is ``Cube(BitVec(n, s ^ r), BitVec(n, r))``.
     """
 
-    __slots__ = ("pairs", "listed")
+    __slots__ = ("pairs",)
 
-    def __init__(
-        self,
-        cubes: "Iterable[tuple[int, int]]",
-        listed: "Sequence[Cube | BitVec]" = (),
-    ) -> None:
+    def __init__(self, cubes: "Iterable[tuple[int, int]]") -> None:
         self.pairs = [(right, left ^ right) for left, right in cubes]
-        self.listed = listed
 
     def __len__(self) -> int:
         return len(self.pairs)
@@ -181,8 +174,8 @@ def generate_sdm(
     Seeds the all-ones sentinel, then folds one indicator per off-cube.
     Raises ``EmptyOffset`` for an empty off-set (the caller maps that to
     the universal cube) and propagates ``InconsistentFunction`` when P
-    lies inside some off-cube.  An ``OffPairs`` off-set gives a set of
-    int values.
+    lies inside some off-cube, naming the first such cube.  An
+    ``OffPairs`` off-set gives a set of int values.
     """
     prepared = isinstance(off_cubes, OffPairs)
     off = off_cubes if prepared else list(off_cubes)
@@ -198,9 +191,9 @@ def generate_sdm(
     # a zero indicator replaces every element and absorbs every later one,
     # so it leaves exactly the element 0
     if not elements[0]:
-        for _ in _indicators(P, off.listed):
-            pass
-        raise InconsistentFunction(f"minterm {P} is contained in the off-set")
+        r, s = next((r, s) for r, s in off.pairs if not (p ^ r) & s)
+        z = Cube(BitVec(width, s ^ r), BitVec(width, r))
+        raise InconsistentFunction(f"minterm {P} is contained in off-cube {z}")
     return DiSet(elements, comparisons, absorptions)
 
 

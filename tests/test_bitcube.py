@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from primecover import BitVec, Cube, cube_contains, cube_text, minterm_to_cube, text_cube
-from primecover.bitcube import cube_points, table_cover
+from primecover.bitcube import cube_points, set_bits, table_cover
 from helpers import bv, enumerate_all_cubes, reference_intersects, reference_raise_literal
 
 
@@ -194,3 +194,21 @@ def test_table_cover_examples():
     # minterms 0, 1, 2, 3 and 5: the cube from 0 frees positions 0 and 1,
     # the one from 5 grows towards 1
     assert texts(0b101111, 3) == ["0xx", "x01"]
+
+
+def wide_ints() -> st.SearchStrategy[int]:
+    """Ints of up to 2^16 bits: 0, single bits, dense ints of any length
+    and sparse ones with a few bits anywhere."""
+    top = 1 << 16
+    return st.one_of(
+        st.just(0),
+        st.integers(0, top - 1).map(lambda i: 1 << i),
+        st.integers(1, top).flatmap(lambda k: st.integers(0, (1 << k) - 1)),
+        st.lists(st.integers(0, top - 1), max_size=12).map(lambda vs: sum({1 << v for v in vs})),
+    )
+
+
+@settings(deadline=None)
+@given(wide_ints())
+def test_set_bits_match_the_bit_by_bit_scan(x):
+    assert set_bits(x) == [i for i in range(x.bit_length()) if x >> i & 1]

@@ -130,7 +130,12 @@ def test_verify_ok_and_failures(tmp_path, capsys):
     capsys.readouterr()
 
     assert main(["verify", src, str(out)]) == 0
-    capsys.readouterr()
+    # one output prints the same three check lines as several
+    assert capsys.readouterr().out.splitlines() == [
+        "coverage: ok",
+        "off-set: ok (no cube touches it)",
+        "primality: ok (every literal is needed)",
+    ]
 
     # a cover that reaches into the off-set
     bad = write(tmp_path, "bad.pla", ".i 5\n.o 1\n.type fr\n----- 1\n.e\n")

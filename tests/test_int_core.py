@@ -108,7 +108,7 @@ def test_generate_sdm_on_off_pairs_matches_the_listed_fold(data):
     p = data.draw(minterms(width))
     extra = st.just(Cube(~p, p))
     off = data.draw(st.lists(st.one_of(cubes(width), extra), max_size=20))
-    pairs = OffPairs([(z.left.value, z.right.value) for z in off], off)
+    pairs = OffPairs([(z.left.value, z.right.value) for z in off])
     got = outcome(generate_sdm, p, pairs)
     want = outcome(generate_sdm, p, off)
     if isinstance(want, DiSet):
@@ -179,7 +179,7 @@ def test_prime_pairs_match_reference(data):
     p = data.draw(minterms(width))
     off = data.draw(st.lists(cubes(width), max_size=30))
     off = [z for z in off if not contains(z, p)]
-    pairs = OffPairs([(z.left.value, z.right.value) for z in off], off)
+    pairs = OffPairs([(z.left.value, z.right.value) for z in off])
     want = [(c.left.value, c.right.value) for c in reference_generate_spi(p, off)]
     assert prime_pairs(p, pairs) == want
 

@@ -13,6 +13,7 @@ from primecover import (
     verify_cover,
 )
 from primecover.bitcube import BitVec, Slices
+from primecover.oracle import TruthTable, equivalent
 from helpers import (
     reference_coverage_mask,
     reference_intersects,
@@ -121,5 +122,11 @@ def test_verify_cover_matches_pairwise_on_injected_violations(data):
         )
         covers.append(good[:k] + [narrowed] + good[k + 1 :])
     covers.append(data.draw(st.lists(cubes(f.n), max_size=6)))
+    care = TruthTable.from_function(f)
     for cover in covers:
-        assert verify_cover(cover, f) == reference_verify_cover(cover, f)
+        report = verify_cover(cover, f)
+        assert report == reference_verify_cover(cover, f)
+        # for a consistent function the coverage and off-set checks decide
+        # agreement on the care set, which the oracle tests minterm by minterm
+        agrees = not report.missing and not report.off_conflicts
+        assert equivalent(list(cover), list(f.on), care) == agrees
