@@ -7,7 +7,11 @@ equal-width bit vectors in positional notation: per variable the
 (left, right) bit pair encodes 10 for value 0, 01 for value 1 and 11
 for a don't care.  There is no 00 pair, so every cube holds a minterm.
 ``Slices`` indexes a whole cube list by variable, so that the cubes
-meeting a query cube come out of one AND per query literal.
+meeting a query cube come out of one AND per query literal.  A truth
+table is one 2^n-bit int with bit v set for the minterm of value v:
+``cube_points`` gives a cube's, ``table_of`` a cube list's, and
+``raisable_literals`` tests a cube's literals against one, one mirror
+shift each.
 
 Convention: the leftmost character of any text form is the most
 significant bit, so printed values read like product terms over
@@ -17,7 +21,7 @@ x1..xn.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 
 def _mask(width: int) -> int:
@@ -212,6 +216,34 @@ def cube_points(left: int, right: int) -> int:
         points |= points << low
         free ^= low
     return points
+
+
+def table_of(pairs: Iterable[tuple[int, int]]) -> int:
+    """Truth table of the union of the cubes given by their ``(left,
+    right)`` pair values: the OR of their ``cube_points``."""
+    points = 0
+    for left, right in pairs:
+        points |= cube_points(left, right)
+    return points
+
+
+def raisable_literals(left: int, right: int, points: int, off: int, n: int) -> list[int]:
+    """The literals of the cube ``(left, right)`` whose raising keeps it
+    clear of the truth table ``off``, as positions counted from the most
+    significant variable, the least significant variable first.
+    ``points`` is the cube's own table.  Raising the literal at bit
+    position p adds the cube's mirror image across p, its points shifted
+    by 2^p towards the other value, so each literal costs one shift and
+    one AND."""
+    out = []
+    spec = left ^ right
+    while spec:
+        bit = spec & -spec
+        mirror = points >> bit if right & bit else points << bit
+        if not (points | mirror) & off:
+            out.append(n - bit.bit_length())
+        spec ^= bit
+    return out
 
 
 def table_cover(points: int, n: int) -> list[tuple[int, int]]:

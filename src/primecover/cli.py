@@ -226,7 +226,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return EXIT_INPUT
-    rows = [(cube, out) for cube, out in cover.rows if "1" in out]
+    rows = [
+        (Cube(BitVec(f.n, left), BitVec(f.n, right)), out)
+        for (left, right), out in cover.rows
+        if "1" in out
+    ]
     if isinstance(f, MultiFunction):
         return _verify_multi(f, rows)
     report = verify_cover([cube for cube, _ in rows], f)

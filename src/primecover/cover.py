@@ -7,6 +7,13 @@ cube's don't-care positions enumerated in binary order, duplicates kept
 once at first occurrence.  Candidate scoring counts only minterms still
 uncovered; ties break on the lexicographically smallest cube text, so a
 given input always produces the same cover.
+
+Up to ``TABLE_CAP`` inputs the cover loop and ``verify_cover`` run on
+the function's 2^n-bit on and off truth tables: a candidate's mask is
+its points on the on table, an off-set test is one AND, and a literal's
+primality test one mirror shift and one AND.  Above the cap the on-set
+is a sliced minterm list and the off-set a sliced cube list
+(``bitcube.Slices``), queried one AND per literal.
 """
 
 from __future__ import annotations
@@ -14,7 +21,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence, TypeVar
 
-from .bitcube import BitVec, Cube, Slices, cube_points, cube_text, free_subsets, set_bits
+from .bitcube import (
+    BitVec,
+    Cube,
+    Slices,
+    cube_points,
+    cube_text,
+    free_subsets,
+    raisable_literals,
+    set_bits,
+)
 from .errors import EmptyOnset
 # generate_spi stays importable here: perfbench/tracing.py wraps it by name
 from .pi_gen import generate_spi, prime_pairs, table_primes  # noqa: F401
@@ -76,9 +92,12 @@ class CoverResult:
 def direct_cover(f: LogicFunction, *, irredundant: bool = False) -> CoverResult:
     """Cover the whole on-set with prime implicants of the off-complement.
 
-    Up to ``TABLE_CAP`` inputs the off-cubes are ORed into one 2^n-bit
-    table and each origin's primes are read from it by ``table_primes``;
-    above it every origin folds the listed off-cubes.  Raises
+    Up to ``TABLE_CAP`` inputs each origin's primes are read from the
+    off table by ``table_primes``, a candidate's mask is its points on
+    the on table, and the uncovered on-minterms are a table too; above
+    it every origin folds the listed off-cubes, and masks and the
+    uncovered set index the on-minterm list.  Either way a mask holds
+    the same on-minterms, so the counts compared are the same.  Raises
     ``InconsistentFunction`` when an on-minterm lies in an off-cube:
     every prime misses every off-cube, so that minterm stays uncovered
     until it is an origin, and the listed fold rejects it, naming the
@@ -90,27 +109,39 @@ def direct_cover(f: LogicFunction, *, irredundant: bool = False) -> CoverResult:
         raise EmptyOnset("the on-set is empty")
     n = f.n
     on_list = expand_on_minterms(f)
-    on = Slices.of_minterms(on_list, n)
-    listed = [(z.left.value, z.right.value) for z in f.off]
-    off = OffPairs(listed)
-    table = None
+    # the listed off-cubes, converted on the first origin that folds them
+    off = None
     if n <= TABLE_CAP:
-        table = 0
-        for left, right in listed:
-            table |= cube_points(left, right)
-    width = len(on_list)
+        table = f.off_table
+        on_table = uncovered = f.on_table
+        # the bit of the i-th origin in a mask is its minterm value
+        bit_of: Sequence[int] = on_list
+
+        def mask_of(left: int, right: int) -> int:
+            return cube_points(left, right) & on_table
+
+    else:
+        table = None
+        width = len(on_list)
+        uncovered = (1 << width) - 1
+        bit_of = range(width - 1, -1, -1)
+        mask_of = Slices.of_minterms(on_list, n).meets
     chosen: list[tuple[int, int]] = []
     chosen_masks: list[int] = []
-    uncovered = (1 << width) - 1
     iterations = 0
+    i = 0
     while uncovered:
-        # the first uncovered origin is the highest set bit of ``uncovered``
-        p = on_list[width - uncovered.bit_length()]
+        # the origin is the first on-minterm still uncovered
+        while not uncovered >> bit_of[i] & 1:
+            i += 1
+        p = on_list[i]
         if table is None or table >> p & 1:
+            if off is None:
+                off = OffPairs([(z.left.value, z.right.value) for z in f.off])
             pis = prime_pairs(BitVec(n, p), off)
         else:
             pis = table_primes(p, table, n)
-        masks = [on.meets(left, right) for left, right in pis]
+        masks = [mask_of(left, right) for left, right in pis]
         idx = _select_index([mask & uncovered for mask in masks])
         chosen.append(pis[idx])
         chosen_masks.append(masks[idx])
@@ -160,29 +191,60 @@ def verify_cover(cover: CoverResult | Sequence[Cube], f: LogicFunction) -> Cover
     ``missing`` lists the on-minterms no cube covers, as ``BitVec``s in
     canonical order; ``off_conflicts`` each ``(cube, off-cube)`` pair
     that intersects; and ``removable_literals`` each ``(cube, position)``
-    whose literal can be raised while the cube misses the off-set.  The
-    on-set is queried as int values; only the missing minterms become
-    ``BitVec``s."""
+    whose literal can be raised while the cube misses the off-set.
+
+    Up to ``TABLE_CAP`` inputs the checks read the function's truth
+    tables: the cubes' points are ORed against the on table, and each
+    cube's points ANDed with the off table and with its mirror images
+    (``raisable_literals``).  The on-minterm list is expanded only to
+    list missing minterms, and the off-cubes sliced only to list those a
+    cube meets.  Above the cap the on-minterms and the off-cubes are
+    sliced and queried, one off-set query per cube and per raised
+    literal.
+    """
     cubes = list(cover.cubes) if isinstance(cover, CoverResult) else list(cover)
+    n = f.n
     for c in cubes:
-        if c.width != f.n:
-            raise ValueError(f"width mismatch: {c.width} vs {f.n}")
+        if c.width != n:
+            raise ValueError(f"width mismatch: {c.width} vs {n}")
+    off_conflicts: list[tuple[Cube, Cube]] = []
+    removable: list[tuple[Cube, int]] = []
+    if n <= TABLE_CAP:
+        off_table = f.off_table
+        off = None
+        covered = 0
+        for c in cubes:
+            left, right = c.left.value, c.right.value
+            points = cube_points(left, right)
+            covered |= points
+            if points & off_table:
+                if off is None:
+                    off = Slices([(z.left.value, z.right.value) for z in f.off], n)
+                off_conflicts.extend((c, z) for z in mask_members(off.mask_of(c), f.off))
+            removable.extend(
+                (c, pos) for pos in raisable_literals(left, right, points, off_table, n)
+            )
+        uncovered = f.on_table & ~covered
+        missing = (
+            [BitVec(n, v) for v in expand_on_minterms(f) if uncovered >> v & 1]
+            if uncovered
+            else []
+        )
+        return CoverReport(tuple(missing), tuple(off_conflicts), tuple(removable))
     on_values = expand_on_minterms(f)
-    on = Slices.of_minterms(on_values, f.n)
-    off = Slices([(z.left.value, z.right.value) for z in f.off], f.n)
+    on = Slices.of_minterms(on_values, n)
+    off = Slices([(z.left.value, z.right.value) for z in f.off], n)
     uncovered = (1 << on.count) - 1
     for c in cubes:
         uncovered &= ~on.meets(c.left.value, c.right.value)
-    missing = [
-        BitVec(f.n, v) for v in mask_members(BitVec(on.count, uncovered), on_values)
-    ]
-    off_conflicts: list[tuple[Cube, Cube]] = []
-    removable: list[tuple[Cube, int]] = []
+    missing = [BitVec(n, v) for v in mask_members(BitVec(on.count, uncovered), on_values)]
     for c in cubes:
-        off_conflicts.extend((c, z) for z in mask_members(off.mask_of(c), f.off))
-        left, right, spec = c.left.value, c.right.value, c.specified_mask
-        for pos in range(c.width):
+        left, right = c.left.value, c.right.value
+        if off.meets(left, right):
+            off_conflicts.extend((c, z) for z in mask_members(off.mask_of(c), f.off))
+        spec = left ^ right
+        for pos in range(n):
             bit = 1 << pos
             if spec & bit and not off.meets(left | bit, right | bit):
-                removable.append((c, c.width - 1 - pos))
+                removable.append((c, n - 1 - pos))
     return CoverReport(tuple(missing), tuple(off_conflicts), tuple(removable))

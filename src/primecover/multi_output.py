@@ -47,6 +47,7 @@ from .bitcube import (
     cube_points,
     cube_text,
     minterm_to_cube,
+    raisable_literals,
     set_bits,
     table_cover,
 )
@@ -216,14 +217,10 @@ def verify_multi(cover: Sequence[TaggedCube], f: MultiFunction) -> CoverReport:
         off_conflicts.extend((tc, BitVec(n, v)) for v in set_bits(points & off))
         for j in tc.tag:
             covered[j] |= points
-        spec = c.specified_mask
-        for pos in range(n):
-            bit = 1 << pos
-            if spec & bit:
-                # raising the literal adds the mirror image across position pos
-                mirror = points >> bit if c.right.value & bit else points << bit
-                if not (points | mirror) & off:
-                    removable.append((tc, n - 1 - pos))
+        removable.extend(
+            (tc, pos)
+            for pos in raisable_literals(c.left.value, c.right.value, points, off, n)
+        )
     missing = [
         (BitVec(n, v), j)
         for j, on in enumerate(f.on)

@@ -6,24 +6,40 @@ ignored.  Input-part characters are {0, 1, -}; an 'x' in a PLA file is
 rejected (the cube text alias applies to diagnostic output only).
 Output-part characters are {0, 1, -, ~}: '1' marks the row on for that
 output, '0' marks it off under type fr/fdr and carries no information
-under f/fd, '-' is a don't care and '~' carries no information.
+under f/fd, '-' is a don't care and '~' carries no information.  Each
+cube line is scanned into its ``(left, right)`` pair values, checked
+once and converted by one translation per half.
 
 Single-output files produce a ``LogicFunction`` holding the cube lists
 as written.  For types f and fd the off-set is derived on the 2^n-bit
 truth table: the complement of on plus dc, covered by
-``bitcube.table_cover``.  Multi-output files produce a ``MultiFunction``
-of 2^n-bit on and don't-care tables, one per output, each cube line
-ORed into them whole.  Every 2^n-bit table stops at ``TABLE_CAP`` (16)
-inputs; only fr/fdr single-output files, which list their off-set, go
-past it.
+``bitcube.table_cover``.  Up to ``TABLE_CAP`` inputs a
+``LogicFunction`` also holds its on and off truth tables, built on
+first use, and ``validate``, ``direct_cover`` and ``verify_cover`` read
+them.  Multi-output files produce a ``MultiFunction`` of 2^n-bit on and
+don't-care tables, one per output, each cube line ORed into them whole.
+Every 2^n-bit table stops at ``TABLE_CAP`` (16) inputs; only fr/fdr
+single-output files, which list their off-set, go past it, and there
+every step queries the listed cubes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
-from .bitcube import BitVec, Cube, Slices, cube_points, cube_text, table_cover, text_cube
+from .bitcube import (
+    _LEFT_OF_CHAR,
+    _RIGHT_OF_CHAR,
+    BitVec,
+    Cube,
+    Slices,
+    cube_points,
+    cube_text,
+    table_cover,
+    table_of,
+)
 from .errors import InconsistentFunction, PlaParseError
 
 TABLE_CAP = 16
@@ -47,13 +63,37 @@ class LogicFunction:
             if c.width != self.n:
                 raise ValueError(f"cube {c} does not have {self.n} variables")
 
+    @cached_property
+    def on_table(self) -> int:
+        """The 2^n-bit truth table of the on-set: bit v is set when the
+        minterm of value v is on.  Built on first use; up to ``TABLE_CAP``
+        inputs only."""
+        return self._table(self.on)
+
+    @cached_property
+    def off_table(self) -> int:
+        """The 2^n-bit truth table of the off-set, as ``on_table``."""
+        return self._table(self.off)
+
+    def _table(self, cubes: Sequence[Cube]) -> int:
+        if self.n > TABLE_CAP:
+            raise ValueError(
+                f"{self.n} inputs exceed the cap of {TABLE_CAP} on 2^n-bit truth tables"
+            )
+        return table_of((c.left.value, c.right.value) for c in cubes)
+
     def validate(self) -> None:
         """Reject functions whose on-set and off-set share a minterm.
 
-        The message names the first such on-cube and the first off-cube it
-        meets.  Costs O((|on| + |off|) * n) big-int operations.
+        Up to ``TABLE_CAP`` inputs a consistent function costs one AND of
+        its truth tables.  Otherwise, and to name the culprits, the off-set
+        is sliced and each on-cube queried, O((|on| + |off|) * n) big-int
+        operations; the message names the first on-cube meeting an
+        off-cube and the first off-cube it meets.
         """
         if not (self.on and self.off):
+            return
+        if self.n <= TABLE_CAP and not self.on_table & self.off_table:
             return
         off = Slices([(b.left.value, b.right.value) for b in self.off], self.n)
         for a in self.on:
@@ -124,18 +164,18 @@ class MultiFunction:
 def complement_cubes(cubes: Sequence[Cube], n: int) -> list[Cube]:
     """A cover of the minterms in none of ``cubes``: the ``table_cover``
     of the complement of their 2^n-bit truth table."""
-    points = 0
-    for c in cubes:
-        points |= cube_points(c.left.value, c.right.value)
+    points = table_of((c.left.value, c.right.value) for c in cubes)
     rest = ((1 << (1 << n)) - 1) ^ points
     return [Cube(BitVec(n, l), BitVec(n, r)) for l, r in table_cover(rest, n)]
 
 
-# deleting the legal input characters leaves the illegal ones, in order
+# deleting the legal characters leaves the illegal ones, in order
 _INPUT_CHARS = str.maketrans("", "", "01-")
+_OUTPUT_CHARS = str.maketrans("", "", "01-~")
 
 
-def _parse_input_part(token: str, n: int, lineno: int) -> Cube:
+def _parse_input_part(token: str, n: int, lineno: int) -> tuple[int, int]:
+    """The ``(left, right)`` pair values of a cube line's input part."""
     if len(token) != n:
         raise PlaParseError(f"line {lineno}: input part {token!r} is not {n} characters")
     illegal = token.translate(_INPUT_CHARS)
@@ -143,15 +183,18 @@ def _parse_input_part(token: str, n: int, lineno: int) -> Cube:
         raise PlaParseError(
             f"line {lineno}: illegal input character {illegal[0]!r} (use 0, 1 or -)"
         )
-    return text_cube(token)
+    return int(token.translate(_LEFT_OF_CHAR), 2), int(token.translate(_RIGHT_OF_CHAR), 2)
 
 
 @dataclass
 class _RawPla:
+    """A scanned PLA file; each row is an input part as its ``(left,
+    right)`` pair values and its output part as text."""
+
     n: int
     m: int
     type_: str
-    rows: list[tuple[Cube, str]]
+    rows: list[tuple[tuple[int, int], str]]
     ob: tuple[str, ...]
 
 
@@ -159,7 +202,7 @@ def _scan(text: str) -> _RawPla:
     n = m = None
     type_ = "fd"
     ob: tuple[str, ...] | None = None
-    rows: list[tuple[Cube, str]] = []
+    rows: list[tuple[tuple[int, int], str]] = []
     ended = False
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -205,16 +248,16 @@ def _scan(text: str) -> _RawPla:
         tokens = line.split()
         if len(tokens) < 2:
             raise PlaParseError(f"line {lineno}: expected input and output parts")
-        cube = _parse_input_part(tokens[0], n, lineno)
+        pair = _parse_input_part(tokens[0], n, lineno)
         outputs = "".join(tokens[1:])
         if len(outputs) != m:
             raise PlaParseError(
                 f"line {lineno}: output part {outputs!r} is not {m} characters"
             )
-        for ch in outputs:
-            if ch not in "01-~":
-                raise PlaParseError(f"line {lineno}: illegal output character {ch!r}")
-        rows.append((cube, outputs))
+        illegal = outputs.translate(_OUTPUT_CHARS)
+        if illegal:
+            raise PlaParseError(f"line {lineno}: illegal output character {illegal[0]!r}")
+        rows.append((pair, outputs))
     if n is None or m is None:
         raise PlaParseError("missing .i/.o declarations")
     if ob is not None and len(ob) != m:
@@ -227,15 +270,15 @@ def _single_output(raw: _RawPla, name: str) -> LogicFunction:
     off: list[Cube] = []
     dc: list[Cube] = []
     explicit_off = raw.type_ in ("fr", "fdr")
-    for cube, out in raw.rows:
-        ch = out[0]
-        if ch == "1":
-            on.append(cube)
-        elif ch == "0" and explicit_off:
-            off.append(cube)
-        elif ch == "-":
-            dc.append(cube)
-        # '~' and a '0' under f/fd carry no information
+    lists = {"1": on, "-": dc}
+    if explicit_off:
+        lists["0"] = off
+    # '~', and a '0' under f/fd, carry no information
+    n = raw.n
+    for (left, right), out in raw.rows:
+        cubes = lists.get(out)
+        if cubes is not None:
+            cubes.append(Cube(BitVec(n, left), BitVec(n, right)))
     if not explicit_off:
         if raw.n > TABLE_CAP:
             raise PlaParseError(
@@ -263,8 +306,8 @@ def _multi_output(raw: _RawPla, name: str) -> MultiFunction:
     tables = {"1": on, "-": dc}
     if raw.type_ in ("fr", "fdr"):
         tables["0"] = off
-    for cube, out in raw.rows:
-        points = cube_points(cube.left.value, cube.right.value)
+    for (left, right), out in raw.rows:
+        points = cube_points(left, right)
         for j, ch in enumerate(out):
             table = tables.get(ch)
             if table is not None:

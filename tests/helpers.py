@@ -137,6 +137,13 @@ def rows_of(f: MultiFunction) -> list[tuple[BitVec, tuple[int | None, ...]]]:
     return rows
 
 
+def pair_cube(n: int, pair: tuple[int, int]) -> Cube:
+    """The ``Cube`` of a ``(left, right)`` pair, as ``_scan`` rows hold
+    their input parts."""
+    left, right = pair
+    return Cube(BitVec(n, left), BitVec(n, right))
+
+
 def reference_parse_multi(text: str) -> MultiFunction:
     """A multi-output PLA text parsed one minterm at a time: each cube
     line is expanded into its minterms and each (minterm, output) state
@@ -145,8 +152,8 @@ def reference_parse_multi(text: str) -> MultiFunction:
     explicit_off = raw.type_ in ("fr", "fdr")
     # per (minterm, output): "1", "0" (explicit) or "-"; unmentioned stays 0
     states: dict[int, list[str | None]] = {}
-    for cube, out in raw.rows:
-        for minterm in cube.minterms():
+    for pair, out in raw.rows:
+        for minterm in pair_cube(raw.n, pair).minterms():
             row = states.setdefault(minterm.value, [None] * raw.m)
             for j, ch in enumerate(out):
                 if ch == "~" or (ch == "0" and not explicit_off):
@@ -326,7 +333,7 @@ def reference_on_minterms(f: LogicFunction) -> list[BitVec]:
     return list(out.values())
 
 
-def reference_verify_cover(cover, f: LogicFunction) -> CoverReport:
+def pairwise_verify_cover(cover, f: LogicFunction) -> CoverReport:
     cubes = list(cover.cubes) if isinstance(cover, CoverResult) else list(cover)
     missing = [
         m
@@ -341,6 +348,35 @@ def reference_verify_cover(cover, f: LogicFunction) -> CoverReport:
                 continue
             raised = reference_raise_literal(c, pos)
             if not any(reference_intersects(raised, z) for z in f.off):
+                removable.append((c, c.width - 1 - pos))
+    return CoverReport(tuple(missing), tuple(off_conflicts), tuple(removable))
+
+
+def reference_verify_cover(cover, f: LogicFunction) -> CoverReport:
+    """``verify_cover`` on the listed sets at every width: the on-minterms
+    and the off-cubes sliced, one off-set query per cube and one per
+    raised literal, and each cube's off-conflicts listed from its mask."""
+    cubes = list(cover.cubes) if isinstance(cover, CoverResult) else list(cover)
+    for c in cubes:
+        if c.width != f.n:
+            raise ValueError(f"width mismatch: {c.width} vs {f.n}")
+    on_values = [m.value for m in reference_on_minterms(f)]
+    on = Slices.of_minterms(on_values, f.n)
+    off = Slices([(z.left.value, z.right.value) for z in f.off], f.n)
+    uncovered = (1 << on.count) - 1
+    for c in cubes:
+        uncovered &= ~on.meets(c.left.value, c.right.value)
+    missing = [
+        BitVec(f.n, v) for v in mask_members(BitVec(on.count, uncovered), on_values)
+    ]
+    off_conflicts: list[tuple[Cube, Cube]] = []
+    removable: list[tuple[Cube, int]] = []
+    for c in cubes:
+        off_conflicts.extend((c, z) for z in mask_members(off.mask_of(c), f.off))
+        left, right, spec = c.left.value, c.right.value, c.specified_mask
+        for pos in range(c.width):
+            bit = 1 << pos
+            if spec & bit and not off.meets(left | bit, right | bit):
                 removable.append((c, c.width - 1 - pos))
     return CoverReport(tuple(missing), tuple(off_conflicts), tuple(removable))
 

@@ -27,10 +27,12 @@ from primecover.cover import _select_index, expand_on_minterms, mask_members
 from helpers import (
     bv,
     five_var_function,
+    pairwise_verify_cover,
     random_function,
     reference_direct_cover,
     reference_intersects,
     reference_raise_literal,
+    reference_verify_cover,
 )
 
 
@@ -364,3 +366,90 @@ def test_direct_cover_error_messages():
         InconsistentFunction, match="^minterm 10 is contained in off-cube 1x$"
     ):
         direct_cover(LogicFunction(2, on, off))
+
+
+def test_irredundant_sweep_counts_only_on_points():
+    # the first cube, 00xx, is chosen for the on-points 0001 and 0011,
+    # which the next two cubes cover as well; only its don't-care points
+    # 0000 and 0010 are its own, so the sweep drops it
+    f = parse_pla(".i 4\n.o 1\n.type fd\n0-01 1\n00-- -\n-011 1\n.e\n")
+    assert [cube_text(c) for c in direct_cover(f).cubes] == ["00xx", "0x01", "x011"]
+    swept = direct_cover(f, irredundant=True)
+    assert [cube_text(c) for c in swept.cubes] == ["0x01", "x011"]
+    assert swept == reference_direct_cover(f, irredundant=True)
+
+
+def narrowed(c: Cube, pos: int, value: bool) -> Cube:
+    """``c`` with its free bit position ``pos`` fixed to ``value``."""
+    bit = 1 << pos
+    return Cube(
+        BitVec(c.width, c.left.value & ~bit if value else c.left.value),
+        BitVec(c.width, c.right.value if value else c.right.value & ~bit),
+    )
+
+
+def assert_same_report(cover_: list[Cube], f: LogicFunction) -> None:
+    got, want = verify_cover(cover_, f), reference_verify_cover(cover_, f)
+    assert got.missing == want.missing
+    assert got.off_conflicts == want.off_conflicts
+    assert got.removable_literals == want.removable_literals
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_verify_cover_reads_the_listed_report_from_the_tables(data):
+    """Up to the table cap verify_cover reads the truth tables; its report
+    equals the listed one field for field and in order: on the direct
+    cover, with a cube dropped, with a cube narrowed off a prime, with the
+    universal cube added, and on random covers, also of functions whose
+    on-set meets the off-set."""
+    n = data.draw(st.integers(1, 10))
+    minterms = st.lists(st.integers(0, (1 << n) - 1), max_size=12).map(
+        lambda vs: [minterm_to_cube(BitVec(n, v)) for v in vs]
+    )
+    off = data.draw(st.permutations(data.draw(cube_lists(n, 6)) + data.draw(minterms)))
+    on = data.draw(cube_lists(n, 6))
+    consistent = data.draw(st.booleans())
+    if consistent:
+        on = [c for c in on if not any(reference_intersects(c, z) for z in off)]
+    f = LogicFunction(n, tuple(on), tuple(off), tuple(data.draw(cube_lists(n, 2))))
+    universal = Cube.universal(n)
+    covers = [[universal], data.draw(cube_lists(n, 6)), data.draw(cube_lists(n, 6))]
+    if consistent and on:
+        good = list(direct_cover(f).cubes)
+        k = data.draw(st.integers(0, len(good) - 1))
+        covers += [good, good[:k] + good[k + 1 :], good + [universal]]
+        free = [p for p in range(n) if good[k].dc_mask >> p & 1]
+        if free:
+            c = narrowed(good[k], data.draw(st.sampled_from(free)), data.draw(st.booleans()))
+            covers.append(good[:k] + [c] + good[k + 1 :])
+    for cover_ in covers:
+        assert_same_report(cover_, f)
+
+
+def test_verify_cover_above_the_table_cap_lists_the_same_report():
+    from helpers import random_cube
+
+    rng = random.Random(71)
+    n = 17
+    on = [random_cube(rng, n, dc_prob=0.3) for _ in range(12)]
+    off: list[Cube] = []
+    while len(off) < 40:
+        z = random_cube(rng, n, dc_prob=0.5)
+        if not any(reference_intersects(c, z) for c in on):
+            off.append(z)
+    f = LogicFunction(n, tuple(on), tuple(off))
+    good = list(direct_cover(f).cubes)
+    k = next(i for i, c in enumerate(good) if c.dc_mask)
+    pos = (good[k].dc_mask & -good[k].dc_mask).bit_length() - 1
+    covers = [
+        good,
+        good[1:],
+        good[:k] + [narrowed(good[k], pos, True)] + good[k + 1 :],
+        good + [Cube.universal(n)],
+    ]
+    for cover_ in covers:
+        assert_same_report(cover_, f)
+        assert verify_cover(cover_, f) == pairwise_verify_cover(cover_, f)
+    assert verify_cover(good, f).ok
+    assert not any(verify_cover(cover_, f).ok for cover_ in covers[1:])

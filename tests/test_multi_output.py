@@ -23,6 +23,7 @@ from helpers import (
     TRI_OUTPUT_COVER,
     bv,
     multi_function,
+    pair_cube,
     reference_edsa_minimize,
     reference_intersects,
     reference_subfunction_off,
@@ -194,7 +195,7 @@ def test_golden_cover_survives_pla_round_trip():
     cover = edsa_minimize(f)
     text = write_pla(cover, f.n, outputs=f.m)
     back = parse_pla(text)
-    got = {(cube_text(c), out) for c, out in _scan(text).rows}
+    got = {(cube_text(pair_cube(f.n, pair)), out) for pair, out in _scan(text).rows}
     want = {
         (cube_text(tc.cube), "".join("1" if j in tc.tag else "0" for j in range(f.m)))
         for tc in cover

@@ -23,9 +23,11 @@ from primecover.pla_io import _scan, complement_cubes
 from helpers import (
     TRI_OUTPUT_PLA,
     five_var_pla,
+    pair_cube,
     random_cube,
     reference_complement,
     reference_parse_multi,
+    reference_validate,
 )
 
 
@@ -224,7 +226,10 @@ def test_round_trip_multi_output():
             if (cube_text(c), tag) not in seen:
                 seen.add((cube_text(c), tag))
                 cover.append(TaggedCube(c, tag))
-        got = {(cube_text(c), out) for c, out in _scan(write_pla(cover, n, outputs=m)).rows}
+        got = {
+            (cube_text(pair_cube(n, pair)), out)
+            for pair, out in _scan(write_pla(cover, n, outputs=m)).rows
+        }
         want = {
             (cube_text(tc.cube), "".join("1" if j in tc.tag else "0" for j in range(m)))
             for tc in cover
@@ -305,9 +310,9 @@ def test_multi_output_parse_matches_reference_and_minimizes(text):
         assert not any(f.on)
         return
     assert verify_multi(cover, f).ok
-    assert _scan(write_pla(cover, f.n, outputs=f.m)).rows == [
-        (tc.cube, "".join("1" if j in tc.tag else "0" for j in range(f.m))) for tc in cover
-    ]
+    assert [
+        (pair_cube(f.n, pair), out) for pair, out in _scan(write_pla(cover, f.n, outputs=f.m)).rows
+    ] == [(tc.cube, "".join("1" if j in tc.tag else "0" for j in range(f.m))) for tc in cover]
 
 
 def test_one_output_parses_to_a_logic_function():
@@ -318,7 +323,40 @@ def test_one_output_parses_to_a_logic_function():
         assert [cube_text(c) for c in f.on] == ["11"]
 
 
+def test_truth_tables_up_to_the_cap():
+    f = parse_pla(".i 2\n.o 1\n.type fr\n1- 1\n00 0\n.e\n")
+    assert (f.on_table, f.off_table) == (0b1100, 0b0001)
+    wide = parse_pla(".i 17\n.o 1\n.type fr\n1---------------- 1\n0---------------- 0\n.e\n")
+    with pytest.raises(ValueError, match="17 inputs exceed the cap of 16"):
+        wide.on_table
+
+
 def test_value_defaults_to_zero_for_missing_rows():
     f = parse_pla(".i 2\n.o 2\n.type fr\n11 11\n.e\n")
     assert f.value(0b00, 0) == 0
     assert f.value(0b11, 1) == 1
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_validate_names_the_clash_the_listed_scan_names(data):
+    """An fr text with an off row meeting an on row: parsing raises the
+    message of the pairwise scan, which names the first on-cube meeting
+    an off-cube and the first off-cube it meets, although up to the
+    table cap a consistent function is checked by one AND."""
+    n = data.draw(st.integers(1, 10))
+    part = st.text(alphabet="01-", min_size=n, max_size=n)
+    rows = data.draw(st.lists(st.tuples(part, st.sampled_from("10-~")), max_size=10))
+    on_part = data.draw(part)
+    # raising some of its positions keeps the on row's points in the off row
+    off_part = "".join(ch if data.draw(st.booleans()) else "-" for ch in on_part)
+    for row in ((on_part, "1"), (off_part, "0")):
+        rows.insert(data.draw(st.integers(0, len(rows))), row)
+    text = "\n".join([f".i {n}", ".o 1", ".type fr", *(f"{a} {b}" for a, b in rows), ".e"])
+    on = tuple(text_cube(a) for a, b in rows if b == "1")
+    off = tuple(text_cube(a) for a, b in rows if b == "0")
+    with pytest.raises(InconsistentFunction) as want:
+        reference_validate(LogicFunction(n, on, off))
+    with pytest.raises(InconsistentFunction) as got:
+        parse_pla(text)
+    assert str(got.value) == str(want.value)
