@@ -145,7 +145,7 @@ def _bench_one(path: Path) -> list[str]:
             off = sum(table.bit_count() for table in f.off)
         else:
             on = len(expand_on_minterms(f))
-            off = len(f.off)
+            off = len(f.off_pairs)
         return [path.stem, str(f.n), str(on), str(off), str(cubes), f"{ms:.2f}"]
     except Exception as exc:  # noqa: BLE001  (a bad file must not stop the sweep)
         print(f"{path.name}: {exc}", file=sys.stderr)

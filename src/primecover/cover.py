@@ -13,7 +13,9 @@ the function's 2^n-bit on and off truth tables: a candidate's mask is
 its points on the on table, an off-set test is one AND, and a literal's
 primality test one mirror shift and one AND.  Above the cap the on-set
 is a sliced minterm list and the off-set a sliced cube list
-(``bitcube.Slices``), queried one AND per literal.
+(``bitcube.Slices``), queried one AND per literal.  Either way the
+function is read as its ``(left, right)`` pairs and tables; its ``Cube``
+tuples are read only to name the off-cubes a failed check meets.
 """
 
 from __future__ import annotations
@@ -48,15 +50,19 @@ def expand_on_minterms(f: LogicFunction) -> list[int]:
     ascending order, as ``Cube.minterms`` gives them."""
     cap = ON_EXPANSION_CAP
     out: dict[int, None] = {}
-    for c in f.on:
-        if c.count_minterms() > cap:
-            raise ValueError(
-                f"on-cube {cube_text(c)} alone expands past the cap of {cap} minterms"
-            )
-        free = c.dc_mask
-        base = c.right.value ^ free
-        for sub in free_subsets(free):
-            out[base | sub] = None
+    for left, right in f.on_pairs:
+        free = left & right
+        if not free:
+            out[right] = None
+        else:
+            if 1 << free.bit_count() > cap:
+                c = Cube(BitVec(f.n, left), BitVec(f.n, right))
+                raise ValueError(
+                    f"on-cube {cube_text(c)} alone expands past the cap of {cap} minterms"
+                )
+            base = right ^ free
+            for sub in free_subsets(free):
+                out[base | sub] = None
         if len(out) > cap:
             raise ValueError(f"on-set expands past the cap of {cap} minterms")
     return list(out)
@@ -105,7 +111,7 @@ def direct_cover(f: LogicFunction, *, irredundant: bool = False) -> CoverResult:
     pairs in cube-text order, so the first of the best ones wins the
     tie-break.
     """
-    if not f.on:
+    if not f.on_pairs:
         raise EmptyOnset("the on-set is empty")
     n = f.n
     on_list = expand_on_minterms(f)
@@ -137,7 +143,7 @@ def direct_cover(f: LogicFunction, *, irredundant: bool = False) -> CoverResult:
         p = on_list[i]
         if table is None or table >> p & 1:
             if off is None:
-                off = OffPairs([(z.left.value, z.right.value) for z in f.off])
+                off = OffPairs(f.off_pairs)
             pis = prime_pairs(BitVec(n, p), off)
         else:
             pis = table_primes(p, table, n)
@@ -219,7 +225,7 @@ def verify_cover(cover: CoverResult | Sequence[Cube], f: LogicFunction) -> Cover
             covered |= points
             if points & off_table:
                 if off is None:
-                    off = Slices([(z.left.value, z.right.value) for z in f.off], n)
+                    off = Slices(f.off_pairs, n)
                 off_conflicts.extend((c, z) for z in mask_members(off.mask_of(c), f.off))
             removable.extend(
                 (c, pos) for pos in raisable_literals(left, right, points, off_table, n)
@@ -233,7 +239,7 @@ def verify_cover(cover: CoverResult | Sequence[Cube], f: LogicFunction) -> Cover
         return CoverReport(tuple(missing), tuple(off_conflicts), tuple(removable))
     on_values = expand_on_minterms(f)
     on = Slices.of_minterms(on_values, n)
-    off = Slices([(z.left.value, z.right.value) for z in f.off], n)
+    off = Slices(f.off_pairs, n)
     uncovered = (1 << on.count) - 1
     for c in cubes:
         uncovered &= ~on.meets(c.left.value, c.right.value)

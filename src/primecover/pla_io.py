@@ -7,20 +7,24 @@ rejected (the cube text alias applies to diagnostic output only).
 Output-part characters are {0, 1, -, ~}: '1' marks the row on for that
 output, '0' marks it off under type fr/fdr and carries no information
 under f/fd, '-' is a don't care and '~' carries no information.  Each
-cube line is scanned into its ``(left, right)`` pair values, checked
-once and converted by one translation per half.
+cube line is scanned into its ``(left, right)`` pair values and checked
+once: an input part without '-' is read as one binary int, one with '-'
+by one translation per half, and an output part is checked the first
+time it appears.
 
-Single-output files produce a ``LogicFunction`` holding the cube lists
-as written.  For types f and fd the off-set is derived on the 2^n-bit
-truth table: the complement of on plus dc, covered by
-``bitcube.table_cover``.  Up to ``TABLE_CAP`` inputs a
-``LogicFunction`` also holds its on and off truth tables, built on
-first use, and ``validate``, ``direct_cover`` and ``verify_cover`` read
-them.  Multi-output files produce a ``MultiFunction`` of 2^n-bit on and
-don't-care tables, one per output, each cube line ORed into them whole.
-Every 2^n-bit table stops at ``TABLE_CAP`` (16) inputs; only fr/fdr
-single-output files, which list their off-set, go past it, and there
-every step queries the listed cubes.
+Single-output files produce a ``LogicFunction`` holding its rows as
+pairs, with no ``Cube`` per row; its ``on``, ``off`` and ``dc`` cube
+tuples are built only when read.  For types f and fd the off-set is
+derived on the 2^n-bit truth table: the complement of on plus dc is the
+function's off table, and its off-cubes, the ``bitcube.table_cover`` of
+that table, are derived only when read.  Up to ``TABLE_CAP`` inputs a
+``LogicFunction`` holds its on and off truth tables, and ``validate``,
+``direct_cover`` and ``verify_cover`` read them.  Multi-output files
+produce a ``MultiFunction`` of 2^n-bit on and don't-care tables, one per
+output, each cube line ORed into them whole.  Every 2^n-bit table stops
+at ``TABLE_CAP`` (16) inputs; only fr/fdr single-output files, which
+list their off-set, go past it, and there every step queries the listed
+pairs.
 """
 
 from __future__ import annotations
@@ -45,42 +49,132 @@ from .errors import InconsistentFunction, PlaParseError
 TABLE_CAP = 16
 
 
-@dataclass(frozen=True)
+def _pairs(cubes: Sequence[Cube]) -> tuple[tuple[int, int], ...]:
+    return tuple([(c.left.value, c.right.value) for c in cubes])
+
+
 class LogicFunction:
-    """Single-output function as on/off/dc cube lists."""
+    """Single-output function over ``n`` inputs: its on-, off- and
+    don't-care cubes, held as ``(left, right)`` pair values.
 
-    n: int
-    on: tuple[Cube, ...]
-    off: tuple[Cube, ...]
-    dc: tuple[Cube, ...] = ()
-    name: str = ""
+    ``LogicFunction(n, on, off, dc, name=...)`` takes ``Cube``s of width
+    ``n``; ``parse_pla`` builds one from the pairs it scans, with no
+    ``Cube`` per row.  ``on``, ``off`` and ``dc`` are ``Cube`` tuples
+    built on first read from ``on_pairs``, ``off_pairs`` and
+    ``dc_pairs``.  A function parsed from an f/fd file lists no off-set:
+    its ``off_table`` is the complement of on plus dc, and its
+    ``off_pairs`` are the ``bitcube.table_cover`` of that table, derived
+    on first read.  Equality and hashing read ``n``, ``name`` and the
+    pairs, so a parsed function equals the one built from the same
+    cubes.  Immutable.
+    """
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "on", tuple(self.on))
-        object.__setattr__(self, "off", tuple(self.off))
-        object.__setattr__(self, "dc", tuple(self.dc))
-        for c in (*self.on, *self.off, *self.dc):
-            if c.width != self.n:
-                raise ValueError(f"cube {c} does not have {self.n} variables")
+    def __init__(
+        self,
+        n: int,
+        on: Iterable[Cube],
+        off: Iterable[Cube],
+        dc: Iterable[Cube] = (),
+        name: str = "",
+    ) -> None:
+        on, off, dc = tuple(on), tuple(off), tuple(dc)
+        for c in (*on, *off, *dc):
+            if c.width != n:
+                raise ValueError(f"cube {c} does not have {n} variables")
+        self.__dict__.update(
+            n=n,
+            name=name,
+            on=on,
+            off=off,
+            dc=dc,
+            on_pairs=_pairs(on),
+            off_pairs=_pairs(off),
+            dc_pairs=_pairs(dc),
+        )
+
+    @classmethod
+    def _of_pairs(
+        cls,
+        n: int,
+        name: str,
+        on: Sequence[tuple[int, int]],
+        off: Sequence[tuple[int, int]] | None,
+        dc: Sequence[tuple[int, int]],
+        **tables: int,
+    ) -> LogicFunction:
+        """The function of scanned pairs, built without a ``Cube``.  An
+        f/fd file passes ``off=None`` and its ``on_table`` and
+        ``off_table`` in ``tables``."""
+        f = cls.__new__(cls)
+        f.__dict__.update(tables, n=n, name=name, on_pairs=tuple(on), dc_pairs=tuple(dc))
+        if off is not None:
+            f.__dict__["off_pairs"] = tuple(off)
+        return f
+
+    def __setattr__(self, key: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to {key!r}: a LogicFunction is immutable")
+
+    def __delattr__(self, key: str) -> None:
+        raise AttributeError(f"cannot delete {key!r}: a LogicFunction is immutable")
+
+    def _key(self) -> tuple:
+        return (self.n, self.name, self.on_pairs, self.off_pairs, self.dc_pairs)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return (
+            f"LogicFunction(n={self.n!r}, on={self.on!r}, off={self.off!r}, "
+            f"dc={self.dc!r}, name={self.name!r})"
+        )
+
+    @cached_property
+    def off_pairs(self) -> tuple[tuple[int, int], ...]:
+        """Derived only for an f/fd file, whose off-set is not listed:
+        the ``table_cover`` of its off table, the cubes
+        ``complement_cubes(on + dc, n)`` gives."""
+        return tuple(table_cover(self.off_table, self.n))
+
+    def _cubes(self, pairs: Sequence[tuple[int, int]]) -> tuple[Cube, ...]:
+        n = self.n
+        return tuple([Cube(BitVec(n, left), BitVec(n, right)) for left, right in pairs])
+
+    @cached_property
+    def on(self) -> tuple[Cube, ...]:
+        return self._cubes(self.on_pairs)
+
+    @cached_property
+    def off(self) -> tuple[Cube, ...]:
+        return self._cubes(self.off_pairs)
+
+    @cached_property
+    def dc(self) -> tuple[Cube, ...]:
+        return self._cubes(self.dc_pairs)
 
     @cached_property
     def on_table(self) -> int:
         """The 2^n-bit truth table of the on-set: bit v is set when the
         minterm of value v is on.  Built on first use; up to ``TABLE_CAP``
         inputs only."""
-        return self._table(self.on)
+        return self._table(self.on_pairs)
 
     @cached_property
     def off_table(self) -> int:
         """The 2^n-bit truth table of the off-set, as ``on_table``."""
-        return self._table(self.off)
+        return self._table(self.off_pairs)
 
-    def _table(self, cubes: Sequence[Cube]) -> int:
+    def _table(self, pairs: Sequence[tuple[int, int]]) -> int:
         if self.n > TABLE_CAP:
             raise ValueError(
                 f"{self.n} inputs exceed the cap of {TABLE_CAP} on 2^n-bit truth tables"
             )
-        return table_of((c.left.value, c.right.value) for c in cubes)
+        return table_of(pairs)
 
     def validate(self) -> None:
         """Reject functions whose on-set and off-set share a minterm.
@@ -91,15 +185,15 @@ class LogicFunction:
         operations; the message names the first on-cube meeting an
         off-cube and the first off-cube it meets.
         """
-        if not (self.on and self.off):
+        if not self.on_pairs:
             return
         if self.n <= TABLE_CAP and not self.on_table & self.off_table:
             return
-        off = Slices([(b.left.value, b.right.value) for b in self.off], self.n)
-        for a in self.on:
-            hit = off.meets(a.left.value, a.right.value)
+        off = Slices(self.off_pairs, self.n)
+        for i, (left, right) in enumerate(self.on_pairs):
+            hit = off.meets(left, right)
             if hit:
-                b = self.off[off.count - hit.bit_length()]
+                a, b = self.on[i], self.off[off.count - hit.bit_length()]
                 raise InconsistentFunction(f"on-cube {a} intersects off-cube {b}")
 
 
@@ -163,7 +257,10 @@ class MultiFunction:
 
 def complement_cubes(cubes: Sequence[Cube], n: int) -> list[Cube]:
     """A cover of the minterms in none of ``cubes``: the ``table_cover``
-    of the complement of their 2^n-bit truth table."""
+    of the complement of their 2^n-bit truth table.  The parser no
+    longer calls it (an f/fd function's ``off_pairs`` are these cubes of
+    on plus dc, read from its off table); it stays because
+    ``perfbench/tracing.py`` wraps it by name."""
     points = table_of((c.left.value, c.right.value) for c in cubes)
     rest = ((1 << (1 << n)) - 1) ^ points
     return [Cube(BitVec(n, l), BitVec(n, r)) for l, r in table_cover(rest, n)]
@@ -172,18 +269,6 @@ def complement_cubes(cubes: Sequence[Cube], n: int) -> list[Cube]:
 # deleting the legal characters leaves the illegal ones, in order
 _INPUT_CHARS = str.maketrans("", "", "01-")
 _OUTPUT_CHARS = str.maketrans("", "", "01-~")
-
-
-def _parse_input_part(token: str, n: int, lineno: int) -> tuple[int, int]:
-    """The ``(left, right)`` pair values of a cube line's input part."""
-    if len(token) != n:
-        raise PlaParseError(f"line {lineno}: input part {token!r} is not {n} characters")
-    illegal = token.translate(_INPUT_CHARS)
-    if illegal:
-        raise PlaParseError(
-            f"line {lineno}: illegal input character {illegal[0]!r} (use 0, 1 or -)"
-        )
-    return int(token.translate(_LEFT_OF_CHAR), 2), int(token.translate(_RIGHT_OF_CHAR), 2)
 
 
 @dataclass
@@ -200,15 +285,18 @@ class _RawPla:
 
 def _scan(text: str) -> _RawPla:
     n = m = None
+    full = 0  # the n-bit mask, set with n
     type_ = "fd"
     ob: tuple[str, ...] | None = None
     rows: list[tuple[tuple[int, int], str]] = []
-    ended = False
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line or ended:
+    legal: set[str] = set()  # output parts already checked
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if "#" in line:
+            line = line.split("#", 1)[0]
+        line = line.strip()
+        if not line:
             continue
-        if line.startswith("."):
+        if line[0] == ".":
             parts = line.split()
             key = parts[0]
             try:
@@ -220,6 +308,7 @@ def _scan(text: str) -> _RawPla:
                         raise PlaParseError(f"line {lineno}: {key} {count} is below 1")
                     if key == ".i":
                         n = count
+                        full = (1 << n) - 1
                     else:
                         m = count
                 elif key == ".p":
@@ -235,7 +324,7 @@ def _scan(text: str) -> _RawPla:
                     if type_ not in ("f", "fr", "fd", "fdr"):
                         raise PlaParseError(f"line {lineno}: unsupported type {type_!r}")
                 elif key in (".e", ".end"):
-                    ended = True
+                    break
                 else:
                     raise PlaParseError(f"line {lineno}: unknown directive {key!r}")
             except (IndexError, ValueError) as exc:
@@ -248,15 +337,33 @@ def _scan(text: str) -> _RawPla:
         tokens = line.split()
         if len(tokens) < 2:
             raise PlaParseError(f"line {lineno}: expected input and output parts")
-        pair = _parse_input_part(tokens[0], n, lineno)
-        outputs = "".join(tokens[1:])
-        if len(outputs) != m:
-            raise PlaParseError(
-                f"line {lineno}: output part {outputs!r} is not {m} characters"
-            )
-        illegal = outputs.translate(_OUTPUT_CHARS)
+        token = tokens[0]
+        if len(token) != n:
+            raise PlaParseError(f"line {lineno}: input part {token!r} is not {n} characters")
+        illegal = token.translate(_INPUT_CHARS)
         if illegal:
-            raise PlaParseError(f"line {lineno}: illegal output character {illegal[0]!r}")
+            raise PlaParseError(
+                f"line {lineno}: illegal input character {illegal[0]!r} (use 0, 1 or -)"
+            )
+        # int(token, 2) alone would accept '_' and '+': the check above comes first
+        if "-" in token:
+            pair = (
+                int(token.translate(_LEFT_OF_CHAR), 2),
+                int(token.translate(_RIGHT_OF_CHAR), 2),
+            )
+        else:
+            right = int(token, 2)
+            pair = (full ^ right, right)
+        outputs = tokens[1] if len(tokens) == 2 else "".join(tokens[1:])
+        if outputs not in legal:
+            if len(outputs) != m:
+                raise PlaParseError(
+                    f"line {lineno}: output part {outputs!r} is not {m} characters"
+                )
+            illegal = outputs.translate(_OUTPUT_CHARS)
+            if illegal:
+                raise PlaParseError(f"line {lineno}: illegal output character {illegal[0]!r}")
+            legal.add(outputs)
         rows.append((pair, outputs))
     if n is None or m is None:
         raise PlaParseError("missing .i/.o declarations")
@@ -266,31 +373,32 @@ def _scan(text: str) -> _RawPla:
 
 
 def _single_output(raw: _RawPla, name: str) -> LogicFunction:
-    on: list[Cube] = []
-    off: list[Cube] = []
-    dc: list[Cube] = []
+    on: list[tuple[int, int]] = []
+    off: list[tuple[int, int]] = []
+    dc: list[tuple[int, int]] = []
     explicit_off = raw.type_ in ("fr", "fdr")
     lists = {"1": on, "-": dc}
     if explicit_off:
         lists["0"] = off
     # '~', and a '0' under f/fd, carry no information
+    for pair, out in raw.rows:
+        pairs = lists.get(out)
+        if pairs is not None:
+            pairs.append(pair)
     n = raw.n
-    for (left, right), out in raw.rows:
-        cubes = lists.get(out)
-        if cubes is not None:
-            cubes.append(Cube(BitVec(n, left), BitVec(n, right)))
-    if not explicit_off:
-        if raw.n > TABLE_CAP:
-            raise PlaParseError(
-                f"deriving the off-set needs a complement over {raw.n} variables "
-                f"(cap {TABLE_CAP}); supply fr/fdr input"
-            )
-        off = complement_cubes(on + dc, raw.n)
-    f = LogicFunction(raw.n, tuple(on), tuple(off), tuple(dc), name=name)
     if explicit_off:
-        # a derived off-set is the complement of on plus dc: it meets no on-cube
+        f = LogicFunction._of_pairs(n, name, on, off, dc)
         f.validate()
-    return f
+        return f
+    if n > TABLE_CAP:
+        raise PlaParseError(
+            f"deriving the off-set needs a complement over {n} variables "
+            f"(cap {TABLE_CAP}); supply fr/fdr input"
+        )
+    # the off-set is the complement of on plus dc: it meets no on-cube
+    on_table = table_of(on)
+    off_table = ((1 << (1 << n)) - 1) ^ (on_table | table_of(dc))
+    return LogicFunction._of_pairs(n, name, on, None, dc, on_table=on_table, off_table=off_table)
 
 
 def _multi_output(raw: _RawPla, name: str) -> MultiFunction:

@@ -22,6 +22,7 @@ from primecover import (
     cube_text,
     generate_sdm,
     minterm_to_cube,
+    text_cube,
     vectors_to_pis,
 )
 from primecover.bitcube import Slices, minimal_ones
@@ -171,6 +172,46 @@ def reference_parse_multi(text: str) -> MultiFunction:
         (BitVec(raw.n, v), tuple(value_of[ch] for ch in states[v])) for v in sorted(states)
     ]
     return multi_function(raw.n, raw.m, rows, labels=raw.ob)
+
+
+def reference_table(cubes) -> int:
+    """The 2^n-bit truth table of a cube list, one minterm at a time."""
+    return sum(1 << v for v in {m.value for c in cubes for m in c.minterms()})
+
+
+def reference_parse_single(text: str, name: str = "") -> LogicFunction:
+    """A well-formed single-output PLA text parsed line by line: each
+    cube line's input part through ``text_cube``, its output part the
+    rest of the line, and for types f and fd the off-set the
+    ``reference_complement`` of on plus dc.  '~', and a '0' under f/fd,
+    carry no information."""
+    n = None
+    type_ = "fd"
+    on, off, dc = [], [], []
+    for line in text.splitlines():
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if line.startswith("."):
+            key, *args = line.split()
+            if key == ".i":
+                n = int(args[0])
+            elif key == ".type":
+                type_ = args[0]
+            elif key in (".e", ".end"):
+                break
+            continue
+        inputs, *outputs = line.split()
+        kind = "".join(outputs)
+        if kind == "1":
+            on.append(text_cube(inputs))
+        elif kind == "-":
+            dc.append(text_cube(inputs))
+        elif kind == "0" and type_ in ("fr", "fdr"):
+            off.append(text_cube(inputs))
+    if type_ in ("f", "fd"):
+        off = reference_complement(on + dc, n)
+    return LogicFunction(n, on, off, dc, name=name)
 
 
 # Three-input, three-output golden truth table; output j is y_j.

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -26,7 +27,10 @@ from helpers import (
     pair_cube,
     random_cube,
     reference_complement,
+    reference_intersects,
     reference_parse_multi,
+    reference_parse_single,
+    reference_table,
     reference_validate,
 )
 
@@ -360,3 +364,157 @@ def test_validate_names_the_clash_the_listed_scan_names(data):
     with pytest.raises(InconsistentFunction) as got:
         parse_pla(text)
     assert str(got.value) == str(want.value)
+
+
+@st.composite
+def single_pla_texts(draw) -> tuple[str, str]:
+    """Single-output PLA texts over 1-10 inputs, of every type, and their
+    type: rows with 1, 0, - and ~ outputs that may overlap, separated by
+    spaces or tabs, between comments and blank lines, with LF or CRLF
+    line ends.  Under fr/fdr no 0 row meets a 1 row."""
+    n = draw(st.integers(min_value=1, max_value=10))
+    type_ = draw(st.sampled_from(("f", "fr", "fd", "fdr")))
+    rows = draw(
+        st.lists(st.tuples(st.text("01-", min_size=n, max_size=n), st.sampled_from("10-~")))
+    )
+    if type_ in ("fr", "fdr"):
+        on = [text_cube(a) for a, b in rows if b == "1"]
+        rows = [
+            (a, b)
+            for a, b in rows
+            if b != "0" or not any(reference_intersects(text_cube(a), c) for c in on)
+        ]
+    lines = [f".i {n}", ".o 1"]
+    if type_ != "fd" or draw(st.booleans()):
+        lines.append(f".type {type_}")
+    for a, b in rows:
+        sep = draw(st.sampled_from((" ", "\t", "   ", " \t ")))
+        comment = draw(st.sampled_from(("", " # note", "#x")))
+        lines.append(f"{a}{sep}{b}{comment}")
+        if draw(st.integers(0, 7)) == 0:
+            lines.append(draw(st.sampled_from(("", "# a comment line", "  "))))
+    lines.append(".e")
+    end = draw(st.sampled_from(("\n", "\r\n")))
+    return end.join(lines) + end, type_
+
+
+def _assert_parses_as_the_reference(text: str, type_: str) -> None:
+    want = reference_parse_single(text, name="g")
+    f = parse_pla(text, name="g")
+    n = want.n
+    # the f/fd off-set is the table_cover of the complement, as complement_cubes gives it
+    off = want.off if type_ in ("fr", "fdr") else tuple(complement_cubes(want.on + want.dc, n))
+    built = LogicFunction(n, want.on, off, want.dc, name="g")
+    # compared before any Cube view of the parsed function is read
+    assert f == built and hash(f) == hash(built)
+    assert (f.n, f.name, f.on, f.off, f.dc) == (n, "g", want.on, off, want.dc)
+    assert reference_table(f.off) == reference_table(want.off)
+    if n <= 16:
+        assert f.on_table == reference_table(want.on)
+        assert f.off_table == reference_table(want.off)
+    else:
+        for table in ("on_table", "off_table"):
+            with pytest.raises(ValueError, match=f"^{n} inputs exceed the cap of 16 "):
+                getattr(f, table)
+
+
+@settings(deadline=None)
+@given(single_pla_texts())
+def test_single_output_parse_matches_the_line_by_line_reference(case):
+    _assert_parses_as_the_reference(*case)
+
+
+def test_single_output_parse_matches_the_reference_at_17_inputs():
+    rng = random.Random(17)
+    on = [cube_text(random_cube(rng, 17, 0.3)) for _ in range(12)]
+    rows = [(a, "1") for a in on]
+    while len(rows) < 60:
+        z = random_cube(rng, 17, 0.5)
+        if not any(reference_intersects(z, text_cube(a)) for a in on):
+            rows.append((cube_text(z), rng.choice("0-~")))
+    rng.shuffle(rows)
+    body = [f"{a.replace('x', '-')} {b}" for a, b in rows]
+    text = "\n".join([".i 17", ".o 1", ".type fr", "# wide", *body, ".e"]) + "\n"
+    _assert_parses_as_the_reference(text, "fr")
+
+
+def test_parsing_a_single_output_file_builds_no_cube(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a Cube or BitVec was built")
+
+    monkeypatch.setattr("primecover.pla_io.Cube", refuse)
+    monkeypatch.setattr("primecover.pla_io.BitVec", refuse)
+    for text in (five_var_pla(), ".i 4\n.o 1\n.type fd\n1--1 1\n0110 1\n0000 -\n.e\n"):
+        f = parse_pla(text)
+        assert f.on_pairs and f.on_table and f.off_table
+
+
+def _after_minterm_rows(n: int, parts: str, bad: str, count: int = 300) -> tuple[str, int]:
+    """An fr text of ``count`` valid minterm rows, their output parts from
+    ``parts`` in turn, then the line ``bad``; and that line's number."""
+    rng = random.Random(count)
+    m = len(parts.split()[0])
+    head = [f".i {n}", f".o {m}", ".type fr"]
+    choices = parts.split()
+    rows = [f"{rng.getrandbits(n):0{n}b} {choices[i % len(choices)]}" for i in range(count)]
+    lines = head + rows + [bad, ".e"]
+    return "\n".join(lines) + "\n", len(head) + count + 1
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ("0101 1", "input part '0101' is not 3 characters"),
+        ("01 1", "input part '01' is not 3 characters"),
+        ("01-- 1", "input part '01--' is not 3 characters"),
+    ],
+)
+def test_input_width_error_after_many_rows(bad, message):
+    text, lineno = _after_minterm_rows(3, "1 0 - ~", bad)
+    with pytest.raises(PlaParseError, match=f"^line {lineno}: {re.escape(message)}$"):
+        parse_pla(text)
+
+
+@pytest.mark.parametrize(
+    "parts, bad, message",
+    [
+        ("1 0", "010 11", "output part '11' is not 1 characters"),
+        ("1 0", "010 1 1", "output part '11' is not 1 characters"),
+        ("1 0", "010 -~", "output part '-~' is not 1 characters"),
+        ("10 01 1- ~1", "010 1", "output part '1' is not 2 characters"),
+        ("10 01 1- ~1", "010 1 0 1", "output part '101' is not 2 characters"),
+    ],
+)
+def test_output_width_error_after_many_rows(parts, bad, message):
+    text, lineno = _after_minterm_rows(3, parts, bad)
+    with pytest.raises(PlaParseError, match=f"^line {lineno}: {re.escape(message)}$"):
+        parse_pla(text)
+
+
+@pytest.mark.parametrize(
+    "bad, char",
+    # int(part, 2) alone would read 0_1 as 1 and +01 as 1
+    [("0_1 1", "_"), ("+01 1", "+"), ("1-_ 1", "_"), ("01x 1", "x")],
+)
+def test_illegal_input_character_after_many_rows(bad, char):
+    text, lineno = _after_minterm_rows(3, "1 0", bad)
+    message = f"illegal input character {char!r} (use 0, 1 or -)"
+    with pytest.raises(PlaParseError, match=f"^line {lineno}: {re.escape(message)}$"):
+        parse_pla(text)
+
+
+@pytest.mark.parametrize(
+    "parts, bad, char",
+    [
+        ("1", "010 2", "2"),
+        ("1 0 - ~", "010 x", "x"),
+        ("10 01 1- ~1", "010 1x", "x"),
+        ("10 01 1- ~1", "010 1 2", "2"),
+    ],
+)
+def test_illegal_output_character_after_legal_rows(parts, bad, char):
+    # every earlier output part was legal and checked; this one is new
+    text, lineno = _after_minterm_rows(3, parts, bad)
+    message = f"illegal output character {char!r}"
+    with pytest.raises(PlaParseError, match=f"^line {lineno}: {re.escape(message)}$"):
+        parse_pla(text)
