@@ -17,7 +17,7 @@ from pathlib import Path
 
 from .bitcube import BitVec, Cube, cube_text
 from .cover import direct_cover, expand_on_minterms, verify_cover
-from .errors import EmptyOnset, InconsistentFunction, PlaParseError
+from .errors import InconsistentFunction
 from .multi_output import TaggedCube, edsa_minimize, verify_multi
 from .pi_gen import cross_or, generate_m, generate_spi
 from .pla_io import MultiFunction, _scan, parse_pla, write_pla
@@ -42,12 +42,6 @@ def cmd_minimize(args: argparse.Namespace) -> int:
     f = _read_function(args.input)
     started = time.perf_counter()
     if isinstance(f, MultiFunction):
-        if not args.multi:
-            print(
-                f"{args.input}: {f.m} outputs; pass --multi to minimize jointly",
-                file=sys.stderr,
-            )
-            return EXIT_INPUT
         cover = edsa_minimize(f)
         elapsed = (time.perf_counter() - started) * 1000.0
         verified = verify_multi(cover, f).ok
@@ -88,12 +82,11 @@ def cmd_primes(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return EXIT_INPUT
-    if any(z.covers_value(P.value) for z in f.off):
-        print(f"minterm {P} lies in the off-set", file=sys.stderr)
-        return EXIT_INCONSISTENT
+    # an off minterm raises InconsistentFunction here, before any output
+    primes = generate_spi(P, f.off)
     if args.trace:
         _print_trace(P, f.off)
-    for c in generate_spi(P, f.off):
+    for c in primes:
         print(cube_text(c))
     return EXIT_OK
 
@@ -259,7 +252,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_min = sub.add_parser("minimize", help="compute a prime cover of the on-set")
     p_min.add_argument("input")
     p_min.add_argument("--out", default=None, help="write the cover here instead of stdout")
-    p_min.add_argument("--multi", action="store_true", help="minimize all outputs jointly")
     p_min.set_defaults(func=cmd_minimize)
 
     p_primes = sub.add_parser("primes", help="list every prime implicant covering a minterm")
@@ -288,7 +280,7 @@ def main(argv: list[str] | None = None) -> int:
     except InconsistentFunction as exc:
         print(f"inconsistent function: {exc}", file=sys.stderr)
         return EXIT_INCONSISTENT
-    except (PlaParseError, EmptyOnset, FileNotFoundError, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -1,9 +1,10 @@
 """Espresso-style PLA reading and writing.
 
-Supported directives: .i .o .p .ilb .ob .type .e/.end.  .i and .o come
-before the first cube line and are at least 1; .ilb is accepted and
-ignored.  Input-part characters are {0, 1, -}; an 'x' in a PLA file is
-rejected (the cube text alias applies to diagnostic output only).
+Supported directives: .i .o .p .ilb .ob .type .e/.end.  .i, .o and
+.type come before the first cube line, and .i and .o are at least 1;
+.ilb is accepted and ignored.  Input-part characters are {0, 1, -};
+an 'x' in a PLA file is rejected (the cube text alias applies to
+diagnostic output only).
 Output-part characters are {0, 1, -, ~}: '1' marks the row on for that
 output, '0' marks it off under type fr/fdr and carries no information
 under f/fd, '-' is a don't care and '~' carries no information.  Each
@@ -57,9 +58,9 @@ class LogicFunction:
     """Single-output function over ``n`` inputs: its on-, off- and
     don't-care cubes, held as ``(left, right)`` pair values.
 
-    ``LogicFunction(n, on, off, dc, name=...)`` takes ``Cube``s of width
-    ``n``; ``parse_pla`` builds one from the pairs it scans, with no
-    ``Cube`` per row.  ``on``, ``off`` and ``dc`` are ``Cube`` tuples
+    ``LogicFunction(n, on, off, dc, name=...)`` takes ``n >= 1`` and
+    ``Cube``s of width ``n``; ``parse_pla`` builds one from the pairs it
+    scans, with no ``Cube`` per row.  ``on``, ``off`` and ``dc`` are ``Cube`` tuples
     built on first read from ``on_pairs``, ``off_pairs`` and
     ``dc_pairs``.  A function parsed from an f/fd file lists no off-set:
     its ``off_table`` is the complement of on plus dc, and its
@@ -77,6 +78,8 @@ class LogicFunction:
         dc: Iterable[Cube] = (),
         name: str = "",
     ) -> None:
+        if n < 1:
+            raise ValueError(f"a LogicFunction has at least 1 input, not {n}")
         on, off, dc = tuple(on), tuple(off), tuple(dc)
         for c in (*on, *off, *dc):
             if c.width != n:
@@ -204,7 +207,8 @@ class MultiFunction:
 
     Bit v of ``on[j]`` is set when output j is 1 at the minterm of value
     v, and bit v of ``dc[j]`` when it is a don't care there; output j is
-    0 at every other minterm.  The tables cap the inputs at 16.
+    0 at every other minterm.  ``n`` is at least 1, and the tables cap
+    it at 16.
     """
 
     n: int
@@ -215,6 +219,8 @@ class MultiFunction:
     labels: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
+        if self.n < 1:
+            raise ValueError(f"a MultiFunction has at least 1 input, not {self.n}")
         if self.n > TABLE_CAP:
             raise ValueError(
                 f"{self.n} inputs exceed the cap of {TABLE_CAP} "
@@ -247,7 +253,12 @@ class MultiFunction:
         return tuple(full ^ (on | dc) for on, dc in zip(self.on, self.dc))
 
     def value(self, minterm_value: int, output: int) -> int | None:
-        """1, 0, or None for a don't care."""
+        """1, 0, or None for a don't care; ``ValueError`` for a minterm
+        or an output out of range."""
+        if not 0 <= output < self.m:
+            raise ValueError(f"output {output} is outside the {self.m} outputs")
+        if not 0 <= minterm_value < 1 << self.n:
+            raise ValueError(f"minterm value {minterm_value} is outside the 2^{self.n} minterms")
         if self.on[output] >> minterm_value & 1:
             return 1
         if self.dc[output] >> minterm_value & 1:
@@ -300,9 +311,11 @@ def _scan(text: str) -> _RawPla:
             parts = line.split()
             key = parts[0]
             try:
+                # .i and .o fix how a row is read and .type, applied once all
+                # are scanned, what it means: none may follow a row
+                if rows and key in (".i", ".o", ".type"):
+                    raise PlaParseError(f"line {lineno}: {key} after the first cube line")
                 if key in (".i", ".o"):
-                    if rows:
-                        raise PlaParseError(f"line {lineno}: {key} after the first cube line")
                     count = int(parts[1])
                     if count < 1:
                         raise PlaParseError(f"line {lineno}: {key} {count} is below 1")

@@ -88,6 +88,11 @@ def test_bitvec_validation_and_ordering():
         BitVec(3, 8)
     with pytest.raises(ValueError):
         BitVec(-1, 0)
+    for text in ("", "10a", "1 0"):
+        with pytest.raises(ValueError, match="not a bit string"):
+            BitVec.from_text(text)
+    with pytest.raises(ValueError, match="left/right width mismatch: 3 vs 2"):
+        Cube(bv("111"), bv("11"))
     assert BitVec(3, 2) < BitVec(3, 5) < BitVec(4, 0)
     assert len({BitVec(3, 2), BitVec(3, 2), BitVec(4, 2)}) == 2
 

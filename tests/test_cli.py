@@ -11,7 +11,13 @@ from primecover import BitVec, CoverReport, generate_sdm, parse_pla
 from primecover import cli, pla_io
 from primecover.cli import main
 from primecover.multi_output import edsa_minimize
-from helpers import TRI_OUTPUT_PLA, five_var_pla, random_function, tri_output_function
+from helpers import (
+    TRI_OUTPUT_COVER,
+    TRI_OUTPUT_PLA,
+    five_var_pla,
+    random_function,
+    tri_output_function,
+)
 
 
 def write(tmp_path: Path, name: str, text: str) -> str:
@@ -50,15 +56,22 @@ def test_minimize_exits_1_when_verification_fails(tmp_path, capsys, monkeypatch)
     assert "verification FAILED" in captured.out
 
 
-def test_minimize_multi_requires_flag(tmp_path, capsys):
+def test_minimize_multi_output_file_is_minimized_jointly(tmp_path, capsys):
+    # the file's .o line, not a flag, selects the joint cover
     src = write(tmp_path, "tri.pla", TRI_OUTPUT_PLA)
-    assert main(["minimize", src]) == 2
-    capsys.readouterr()
-    rc = main(["minimize", src, "--multi"])
+    rc = main(["minimize", src])
     captured = capsys.readouterr()
     assert rc == 0
     assert "5 cubes" in captured.err
     assert "verification ok" in captured.err
+    rows = {tuple(line.split()) for line in captured.out.splitlines() if line[0] in "01-"}
+    assert rows == {
+        (text.replace("x", "-"), "".join("1" if j in tag else "0" for j in range(3)))
+        for text, tag in TRI_OUTPUT_COVER
+    }
+    with pytest.raises(SystemExit) as exc:
+        main(["minimize", src, "--multi"])
+    assert exc.value.code == 2
 
 
 def test_minimize_multi_exits_1_when_verification_fails(tmp_path, capsys, monkeypatch):
@@ -66,7 +79,7 @@ def test_minimize_multi_exits_1_when_verification_fails(tmp_path, capsys, monkey
     # the golden cover without x00 on y0 leaves (000, y0) and (100, y0) uncovered
     dropped = [tc for tc in edsa_minimize(tri_output_function()) if str(tc.cube) != "x00"]
     monkeypatch.setattr(cli, "edsa_minimize", lambda f: dropped)
-    rc = main(["minimize", src, "--multi", "--out", str(tmp_path / "cover.pla")])
+    rc = main(["minimize", src, "--out", str(tmp_path / "cover.pla")])
     captured = capsys.readouterr()
     assert rc == 1
     assert "4 cubes" in captured.out
@@ -75,7 +88,7 @@ def test_minimize_multi_exits_1_when_verification_fails(tmp_path, capsys, monkey
 
 def test_minimize_multi_with_no_true_output_is_an_input_error(tmp_path, capsys):
     src = write(tmp_path, "none.pla", ".i 2\n.o 2\n.type fr\n00 00\n01 0-\n1- -0\n.e\n")
-    assert main(["minimize", src, "--multi"]) == 2
+    assert main(["minimize", src]) == 2
     assert "no output is ever true" in capsys.readouterr().err
 
 
@@ -115,12 +128,28 @@ def test_primes_trace_carries_the_fold_counters(tmp_path, capsys):
 
 def test_primes_off_minterm_exits_3(tmp_path, capsys):
     src = write(tmp_path, "fivevar.pla", five_var_pla())
-    assert main(["primes", src, "--minterm", "11011"]) == 3
+    # the fold raises before the trace or any prime is printed
+    for trace in ([], ["--trace"]):
+        assert main(["primes", src, "--minterm", "11011", *trace]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "inconsistent function: minterm 11011 is contained in off-cube 11011\n"
+        )
 
 
 def test_primes_width_mismatch_exits_2(tmp_path, capsys):
     src = write(tmp_path, "fivevar.pla", five_var_pla())
     assert main(["primes", src, "--minterm", "110"]) == 2
+
+
+def test_primes_input_errors_exit_2(tmp_path, capsys):
+    src = write(tmp_path, "fivevar.pla", five_var_pla())
+    assert main(["primes", src, "--minterm", "11a10"]) == 2
+    assert "bad --minterm: not a bit string: '11a10'" in capsys.readouterr().err
+    tri = write(tmp_path, "tri.pla", TRI_OUTPUT_PLA)
+    assert main(["primes", tri, "--minterm", "000"]) == 2
+    assert "primes needs a single-output file" in capsys.readouterr().err
 
 
 def test_verify_ok_and_failures(tmp_path, capsys):
@@ -149,11 +178,22 @@ def test_verify_ok_and_failures(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "coverage: FAIL" in captured.out
 
+    # the on-minterm 00000 as a cube of its own is not prime
+    extra = write(
+        tmp_path, "extra.pla", out.read_text(encoding="utf-8").replace(".e", "00000 1\n.e")
+    )
+    assert main(["verify", src, extra]) == 1
+    assert capsys.readouterr().out.splitlines()[2:] == [
+        "primality: FAIL, cube 00000 literal 3 is removable",
+        "primality: FAIL, cube 00000 literal 1 is removable",
+        "primality: FAIL, cube 00000 literal 0 is removable",
+    ]
+
 
 def test_verify_multi_output_cover(tmp_path, capsys):
     src = write(tmp_path, "tri.pla", TRI_OUTPUT_PLA)
     out = tmp_path / "cover.pla"
-    assert main(["minimize", src, "--multi", "--out", str(out)]) == 0
+    assert main(["minimize", src, "--out", str(out)]) == 0
     capsys.readouterr()
 
     assert main(["verify", src, str(out)]) == 0
@@ -215,7 +255,7 @@ def test_multi_output_parse_stops_at_the_table_cap(tmp_path, capsys):
     src = write(
         tmp_path, "wide.pla", ".i 17\n.o 2\n.type fr\n" + "0" * 17 + " 10\n" + "1" * 17 + " 01\n.e\n"
     )
-    assert main(["minimize", src, "--multi"]) == 2
+    assert main(["minimize", src]) == 2
     captured = capsys.readouterr()
     assert "2^n-bit output tables, capped at 16 inputs; this file has 17" in captured.err
 
@@ -236,7 +276,7 @@ def test_max_expand_flag_is_rejected(tmp_path, capsys, command):
 
 def test_ob_label_count_must_match_outputs(tmp_path, capsys):
     src = write(tmp_path, "ob.pla", ".i 2\n.o 2\n.ob a\n.type fr\n01 11\n11 10\n.e\n")
-    assert main(["minimize", src, "--multi"]) == 2
+    assert main(["minimize", src]) == 2
     assert ".ob names 1 outputs but .o declares 2" in capsys.readouterr().err
 
 
@@ -259,6 +299,12 @@ def test_bench_directory(tmp_path, capsys):
     assert lines[1].startswith("broken,,,,,error:")
     assert lines[2].startswith("fivevar,5,13,16,")
     assert lines[3].startswith("tri,3,8,10,5,")
+
+
+def test_bench_not_a_directory(tmp_path, capsys):
+    src = write(tmp_path, "fivevar.pla", five_var_pla())
+    assert main(["bench", "--dir", src]) == 2
+    assert f"not a directory: {src}" in capsys.readouterr().err
 
 
 def test_bench_empty_directory(tmp_path, capsys):

@@ -175,6 +175,8 @@ def test_verify_cover_flags_constructed_violations():
     report = verify_cover([], f)
     assert len(report.missing) == 13
     assert not report.ok
+    with pytest.raises(ValueError, match="width mismatch: 4 vs 5"):
+        verify_cover([*good, text_cube("1xx0")], f)
 
 
 def test_verify_cover_flags_non_prime_cube():

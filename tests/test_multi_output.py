@@ -186,6 +186,8 @@ def test_constructor_rejects_malformed_tables():
         MultiFunction(2, 2, (0, 0), (-1, 0))
     with pytest.raises(ValueError, match="at least 2 outputs, not 1; a single output is a LogicFunction"):
         MultiFunction(3, 1, (1,), (0,))
+    with pytest.raises(ValueError, match="at least 1 input, not 0"):
+        MultiFunction(0, 2, (0, 0), (0, 0))
 
 
 def test_golden_cover_survives_pla_round_trip():
@@ -330,6 +332,8 @@ def test_verify_multi_reports_a_corrupted_cover():
     assert report == reference_verify_multi(cover, f)
     dropped = [tc for tc in edsa_minimize(f) if cube_text(tc.cube) != "x00"]
     assert verify_multi(dropped, f).missing == ((bv("000"), 0), (bv("100"), 0))
+    with pytest.raises(ValueError, match="width mismatch: 2 vs 3"):
+        verify_multi([*dropped, TaggedCube(text_cube("1x"), y0)], f)
 
 
 @st.composite

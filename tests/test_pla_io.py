@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from primecover import (
+    BitVec,
     Cube,
     EmptyOnset,
     InconsistentFunction,
@@ -80,6 +81,13 @@ def test_directive_errors():
         parse_pla(".i 3\n.o 1\n000 2\n")  # bad output char
     with pytest.raises(PlaParseError, match="line 4: .i after the first cube line"):
         parse_pla(".i 3\n.o 1\n1-1 1\n.i 2\n.e\n")
+    # the type decides what the rows above it meant: under fr 00 would be off
+    with pytest.raises(PlaParseError, match="^line 5: .type after the first cube line$"):
+        parse_pla(".i 2\n.o 1\n00 0\n01 1\n.type fr\n.e\n")
+    with pytest.raises(PlaParseError, match="^line 3: expected input and output parts$"):
+        parse_pla(".i 3\n.o 1\n101\n.e\n")
+    with pytest.raises(PlaParseError, match="^missing .i/.o declarations$"):
+        parse_pla(".i 3\n.p 0\n.e\n")
     with pytest.raises(PlaParseError, match="line 1: .i -1 is below 1"):
         parse_pla(".i -1\n.o 1\n.e\n")
     with pytest.raises(PlaParseError, match="line 2: .o -3 is below 1"):
@@ -89,6 +97,7 @@ def test_directive_errors():
     with pytest.raises(PlaParseError, match="^line 3: .p -4 is below 0$"):
         parse_pla(".i 3\n.o 1\n.p -4\n1-1 1\n.e\n")
     assert parse_pla(".i 3\n.o 1\n.p 0\n.e\n").on == ()
+    assert parse_pla(".i 3\n.o 1\n.ilb a b c\n101 1\n.e\n").on_pairs == ((0b010, 0b101),)
     with pytest.raises(PlaParseError, match=".ob names 1 outputs but .o declares 2"):
         parse_pla(".i 2\n.o 2\n.ob a\n.type fr\n01 11\n.e\n")
     with pytest.raises(PlaParseError, match=".ob names 0 outputs but .o declares 1"):
@@ -339,6 +348,32 @@ def test_value_defaults_to_zero_for_missing_rows():
     f = parse_pla(".i 2\n.o 2\n.type fr\n11 11\n.e\n")
     assert f.value(0b00, 0) == 0
     assert f.value(0b11, 1) == 1
+
+
+def test_value_rejects_a_minterm_or_output_out_of_range():
+    f = parse_pla(".i 2\n.o 2\n.type fr\n11 11\n.e\n")
+    for v, j, message in (
+        (0, -1, "output -1 is outside the 2 outputs"),
+        (0, 2, "output 2 is outside the 2 outputs"),
+        (-1, 0, r"minterm value -1 is outside the 2\^2 minterms"),
+        (4, 1, r"minterm value 4 is outside the 2\^2 minterms"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            f.value(v, j)
+
+
+def test_logic_function_is_an_immutable_value():
+    f = parse_pla(".i 2\n.o 1\n.type fr\n1- 1\n00 0\n.e\n", name="g")
+    with pytest.raises(AttributeError, match="cannot assign to 'n'"):
+        f.n = 3
+    with pytest.raises(AttributeError, match="cannot delete 'name'"):
+        del f.name
+    namespace = {"LogicFunction": LogicFunction, "Cube": Cube, "BitVec": BitVec}
+    assert eval(repr(f), namespace) == f
+    assert f.__eq__("g") is NotImplemented and f != "g"
+    # as .i 0 is a parse error, a function of no inputs is refused
+    with pytest.raises(ValueError, match="at least 1 input, not 0"):
+        LogicFunction(0, (), ())
 
 
 @settings(deadline=None)

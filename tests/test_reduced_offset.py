@@ -111,12 +111,16 @@ def test_reduce_off_cube_examples():
     assert cube_text(reduce_off_cube(bv("001"), bv("000"))) == "xx0"
     assert cube_text(reduce_off_cube(bv("001"), bv("111"))) == "11x"
     assert cube_text(reduce_off_cube(bv("101"), bv("110"))) == "x10"
+    with pytest.raises(ValueError, match="width mismatch: 3 vs 4"):
+        reduce_off_cube(bv("101"), bv("1100"))
 
 
 def test_derive_rc_examples():
     assert cube_text(derive_rc(bv("101"), bv("100"))) == "0xx"
     assert cube_text(derive_rc(bv("101"), bv("011"))) == "x10"
     assert cube_text(derive_rc(bv("101"), bv("111"))) == "010"
+    with pytest.raises(ValueError, match="width mismatch: 3 vs 2"):
+        derive_rc(bv("101"), bv("11"))
 
 
 def test_minimize_sr_examples():
