@@ -51,7 +51,7 @@ def cmd_minimize(args: argparse.Namespace) -> int:
         result = direct_cover(f)
         elapsed = (time.perf_counter() - started) * 1000.0
         verified = verify_cover(result, f).ok
-        text = write_pla(result.cubes, f.n)
+        text = write_pla(result.cubes, f.n, ob=f.labels)
         summary = (
             f"{f.name or args.input}: {len(result.cubes)} cubes, "
             f"{len(expand_on_minterms(f))} on-minterms, {elapsed:.2f} ms"

@@ -201,7 +201,9 @@ def verify_multi(cover: Sequence[TaggedCube], f: MultiFunction) -> CoverReport:
     of a cube and an off point of its tag's joint off-set inside it; and
     ``removable_literals`` each ``(TaggedCube, position)`` whose literal
     can be raised while the cube stays clear of that joint off-set, i.e.
-    each cube that is not prime.
+    each cube that is not prime.  Raises ``ValueError`` for a cube of
+    another width than ``f.n`` and for a tag naming an output outside
+    ``range(f.m)``.
     """
     n = f.n
     off_columns = f.off
@@ -212,6 +214,8 @@ def verify_multi(cover: Sequence[TaggedCube], f: MultiFunction) -> CoverReport:
         c = tc.cube
         if c.width != n:
             raise ValueError(f"width mismatch: {c.width} vs {n}")
+        if not all(0 <= j < f.m for j in tc.tag):
+            raise ValueError(f"{tc} names an output outside the {f.m} outputs")
         points = cube_points(c.left.value, c.right.value)
         off = _joint(tc.tag, off_columns)
         off_conflicts.extend((tc, BitVec(n, v)) for v in set_bits(points & off))

@@ -14,9 +14,10 @@ extension is kept unless some hit vector lies inside it; the vectors
 form an antichain and the missed ones hold no clause bit, so nothing
 else can absorb it.  The working set thus stays absorption-minimal
 without multiplying every vector out and absorbing the products.
-``generate_spi`` (listed off-cubes) and ``prime_pairs`` (an ``OffPairs``
-off-set) run this expansion on ints through one helper; ``generate_n``,
-``cross_or`` and ``vectors_to_pis`` expose its steps on ``BitVec``s.
+``prime_pairs`` runs this expansion on ints over an ``OffPairs``
+off-set, and ``generate_spi`` gives its primes as ``Cube``s for a listed
+off-set; ``generate_n``, ``cross_or`` and ``vectors_to_pis`` expose its
+steps on ``BitVec``s.
 
 ``table_primes`` returns the same primes without indicators, from an
 off-set given as one 2^n-bit truth table: 2n masked shift-ORs over the
@@ -129,49 +130,39 @@ def vectors_to_pis(P: BitVec, vectors: Sequence[BitVec]) -> list[Cube]:
     return out
 
 
-def _primes(P: BitVec, indicators: Iterable[int]) -> list[tuple[int, int]]:
-    """The primes covering ``P`` from its minimal difference-indicator
-    values, as ``(left, right)`` pair values in the cube-text order of the
-    primes; no indicator leaves the universal cube.
-
-    Every prime holds P, so two primes differ only at positions where one
-    keeps P's literal and the other is free; at the first of them from
-    the left the literal, '0' or '1', sorts before 'x'.  Literal-position
-    vectors in descending order therefore give the cube-text order.
-    """
-    vectors = [0]
-    for d in indicators:
-        vectors = _expand(vectors, d)
-    full = (1 << P.width) - 1
-    p = P.value
-    return [(full ^ (p & e), p | (full ^ e)) for e in sorted(vectors, reverse=True)]
-
-
 def generate_spi(P: BitVec, off_cubes: Sequence[Cube | BitVec]) -> list[Cube]:
     """All prime implicants covering ``P``, sorted by cube text.
 
     The function minimized is the complement of the off-set; an empty
     off-set therefore yields the single universal cube.
     """
-    try:
-        indicators = [d.value for d in generate_sdm(P, list(off_cubes))]
-    except EmptyOffset:
-        indicators = []
     width = P.width
     return [
         Cube(BitVec(width, left), BitVec(width, right))
-        for left, right in _primes(P, indicators)
+        for left, right in prime_pairs(P, OffPairs.listed(P, off_cubes))
     ]
 
 
 def prime_pairs(P: BitVec, off: OffPairs) -> list[tuple[int, int]]:
     """``generate_spi`` on ints: the primes covering ``P`` as ``(left,
-    right)`` pair values, in the cube-text order of the primes."""
+    right)`` pair values, in the cube-text order of the primes; an empty
+    off-set leaves the universal cube.
+
+    Every prime holds P, so two primes differ only at positions where one
+    keeps P's literal and the other is free; at the first of them from
+    the left the literal, '0' or '1', sorts before 'x'.  Literal-position
+    vectors in descending order therefore give the cube-text order.
+    """
     try:
         indicators = generate_sdm(P, off).elements
     except EmptyOffset:
         indicators = []
-    return _primes(P, indicators)
+    vectors = [0]
+    for d in indicators:
+        vectors = _expand(vectors, d)
+    full = (1 << P.width) - 1
+    p = P.value
+    return [(full ^ (p & e), p | (full ^ e)) for e in sorted(vectors, reverse=True)]
 
 
 # per input count n: the 2^n-bit table of every value, and for each
@@ -211,7 +202,7 @@ def table_primes(p: int, off: int, n: int) -> list[tuple[int, int]]:
     maximal ones, those from which every one-step move away from p lands
     on a closed point: one more masked shift per position.  This is the
     sum-over-subsets pass (Yates, 1937) on a 2^n-bit int.  Ascending F
-    is descending literal-position vectors, the order ``_primes``
+    is descending literal-position vectors, the order ``prime_pairs``
     returns.
     """
     everything, per_bit = _table_masks(n)

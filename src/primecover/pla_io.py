@@ -65,9 +65,11 @@ class LogicFunction:
     ``dc_pairs``.  A function parsed from an f/fd file lists no off-set:
     its ``off_table`` is the complement of on plus dc, and its
     ``off_pairs`` are the ``bitcube.table_cover`` of that table, derived
-    on first read.  Equality and hashing read ``n``, ``name`` and the
-    pairs, so a parsed function equals the one built from the same
-    cubes.  Immutable.
+    on first read.  ``labels`` holds the output label of a ``.ob`` line,
+    and is ``()`` for a function built by ``LogicFunction(...)``.
+    Equality, hashing and ``repr`` read ``n``, ``name`` and the pairs,
+    not ``labels``, so a parsed function equals the one built from the
+    same cubes.  Immutable.
     """
 
     def __init__(
@@ -87,6 +89,7 @@ class LogicFunction:
         self.__dict__.update(
             n=n,
             name=name,
+            labels=(),
             on=on,
             off=off,
             dc=dc,
@@ -103,13 +106,16 @@ class LogicFunction:
         on: Sequence[tuple[int, int]],
         off: Sequence[tuple[int, int]] | None,
         dc: Sequence[tuple[int, int]],
+        labels: tuple[str, ...],
         **tables: int,
     ) -> LogicFunction:
         """The function of scanned pairs, built without a ``Cube``.  An
         f/fd file passes ``off=None`` and its ``on_table`` and
         ``off_table`` in ``tables``."""
         f = cls.__new__(cls)
-        f.__dict__.update(tables, n=n, name=name, on_pairs=tuple(on), dc_pairs=tuple(dc))
+        f.__dict__.update(
+            tables, n=n, name=name, labels=labels, on_pairs=tuple(on), dc_pairs=tuple(dc)
+        )
         if off is not None:
             f.__dict__["off_pairs"] = tuple(off)
         return f
@@ -400,7 +406,7 @@ def _single_output(raw: _RawPla, name: str) -> LogicFunction:
             pairs.append(pair)
     n = raw.n
     if explicit_off:
-        f = LogicFunction._of_pairs(n, name, on, off, dc)
+        f = LogicFunction._of_pairs(n, name, on, off, dc, raw.ob)
         f.validate()
         return f
     if n > TABLE_CAP:
@@ -411,7 +417,9 @@ def _single_output(raw: _RawPla, name: str) -> LogicFunction:
     # the off-set is the complement of on plus dc: it meets no on-cube
     on_table = table_of(on)
     off_table = ((1 << (1 << n)) - 1) ^ (on_table | table_of(dc))
-    return LogicFunction._of_pairs(n, name, on, None, dc, on_table=on_table, off_table=off_table)
+    return LogicFunction._of_pairs(
+        n, name, on, None, dc, raw.ob, on_table=on_table, off_table=off_table
+    )
 
 
 def _multi_output(raw: _RawPla, name: str) -> MultiFunction:
@@ -472,9 +480,12 @@ def write_pla(
     does not belong to that output, not that the minterm is off, and two
     overlapping cubes with different tags would otherwise contradict.
     Raises ``ValueError`` for a cube of another width than ``n``, for
-    a tag naming an output outside ``range(outputs)`` and for an empty
-    tag, which ``parse_pla`` could not read back.
+    a tag naming an output outside ``range(outputs)``, for an empty tag
+    and for ``ob`` labels that do not number ``outputs``, which
+    ``parse_pla`` could not read back.
     """
+    if ob and len(ob) != outputs:
+        raise ValueError(f"ob names {len(ob)} outputs but the cover has {outputs}")
     lines_out: list[str] = []
     for item in cover:
         if outputs == 1:

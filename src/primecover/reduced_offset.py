@@ -6,9 +6,10 @@ reduced cube suffices: bit i set means variable i appears there (with
 the complement of p_i), bit i clear means the position is a don't care.
 ``generate_sdm`` folds a whole off-set into the absorption-minimal set
 of such difference indicators without ever materialising the unreduced
-offset; the fold runs on plain ints, and ``BitVec`` wraps only its
-result.  An ``OffPairs`` off-set is converted to ints once for the folds
-of many minterms, and its folds return plain ints.
+offset.  The fold reads one form, an ``OffPairs`` of int pairs: a
+listed off-set is converted in one pass, and only its result is wrapped
+in ``BitVec``s; an ``OffPairs`` built once serves the folds of many
+minterms, which return plain ints.
 
 Polarity runs opposite to cube size: more 1-bits means more literals and
 a smaller cube, so vector s absorbs vector d exactly when the ones of s
@@ -23,7 +24,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .bitcube import BitVec, Cube, minimal_ones, minterm_to_cube
 from .errors import EmptyOffset, InconsistentFunction
@@ -79,33 +80,38 @@ class OffPairs:
     def __len__(self) -> int:
         return len(self.pairs)
 
+    @classmethod
+    def listed(cls, P: BitVec, off_cubes: "Iterable[Cube | BitVec]") -> OffPairs:
+        """A listed off-set of ``Cube``s and minterm ``BitVec``s, in one pass.
 
-def _as_cube(z: Cube | BitVec) -> Cube:
-    return minterm_to_cube(z) if isinstance(z, BitVec) else z
-
-
-def _indicators(P: BitVec, off_cubes: "Iterable[Cube | BitVec]") -> Iterator[int]:
-    """Difference indicator values of the off-cubes against ``P``, in order.
-
-    Lazy, so an error surfaces at its off-cube after the earlier ones
-    have been folded, exactly as a one-at-a-time fold would raise it.
-    """
-    p, width = P.value, P.width
-    for z in off_cubes:
-        if isinstance(z, BitVec):
+        The first off-cube of another width than ``P`` raises
+        ``ValueError``, unless an earlier one holds P, which raises
+        ``InconsistentFunction`` as the fold would.
+        """
+        width = P.width
+        full = (1 << width) - 1
+        off = cls(())
+        pairs = off.pairs
+        for z in off_cubes:
             if z.width != width:
+                _raise_on_holder(P, pairs)
                 raise ValueError(f"width mismatch: {width} vs {z.width}")
-            d = p ^ z.value
-        else:
-            left, right = z.left, z.right
-            if left.width != width:
-                raise ValueError(f"width mismatch: {width} vs {left.width}")
-            d = (p ^ right.value) & (left.value ^ right.value)
-        if not d:
-            raise InconsistentFunction(
-                f"minterm {P} is contained in off-cube {_as_cube(z)}"
-            )
-        yield d
+            if isinstance(z, BitVec):
+                pairs.append((z.value, full))
+            else:
+                right = z.right.value
+                pairs.append((right, z.left.value ^ right))
+        return off
+
+
+def _raise_on_holder(P: BitVec, pairs: "Iterable[tuple[int, int]]") -> None:
+    """Raise ``InconsistentFunction`` naming the first off-cube of the
+    ``(right, spec)`` pairs that holds ``P``, if one does."""
+    p, width = P.value, P.width
+    for r, s in pairs:
+        if not (p ^ r) & s:
+            z = Cube(BitVec(width, s ^ r), BitVec(width, r))
+            raise InconsistentFunction(f"minterm {P} is contained in off-cube {z}")
 
 
 def generate_di(P: BitVec, Z: Cube | BitVec) -> BitVec:
@@ -115,7 +121,10 @@ def generate_di(P: BitVec, Z: Cube | BitVec) -> BitVec:
     from p_i.  For a minterm Z this degenerates to plain XOR.  A zero
     result means P lies inside Z, which contradicts P being an on-minterm.
     """
-    return BitVec(P.width, next(_indicators(P, (Z,))))
+    pairs = OffPairs.listed(P, (Z,)).pairs
+    _raise_on_holder(P, pairs)
+    (r, s), = pairs
+    return BitVec(P.width, (P.value ^ r) & s)
 
 
 def _fold(elements: list[int], indicators: "Iterable[int]") -> tuple[int, int]:
@@ -174,26 +183,23 @@ def generate_sdm(
     Seeds the all-ones sentinel, then folds one indicator per off-cube.
     Raises ``EmptyOffset`` for an empty off-set (the caller maps that to
     the universal cube) and propagates ``InconsistentFunction`` when P
-    lies inside some off-cube, naming the first such cube.  An
-    ``OffPairs`` off-set gives a set of int values.
+    lies inside some off-cube, naming the first such cube.  A listed
+    off-set is read by ``OffPairs.listed`` and gives a set of ``BitVec``s;
+    an ``OffPairs`` off-set gives a set of int values.
     """
     prepared = isinstance(off_cubes, OffPairs)
-    off = off_cubes if prepared else list(off_cubes)
+    off = off_cubes if prepared else OffPairs.listed(P, off_cubes)
     if not off:
         raise EmptyOffset("off-set is empty; every point is coverable by the universal cube")
-    width = P.width
+    width, p = P.width, P.value
     elements = [(1 << width) - 1]
-    if not prepared:
-        comparisons, absorptions = _fold(elements, _indicators(P, off))
-        return DiSet([BitVec(width, e) for e in elements], comparisons, absorptions)
-    p = P.value
     comparisons, absorptions = _fold(elements, [(p ^ r) & s for r, s in off.pairs])
     # a zero indicator replaces every element and absorbs every later one,
     # so it leaves exactly the element 0
     if not elements[0]:
-        r, s = next((r, s) for r, s in off.pairs if not (p ^ r) & s)
-        z = Cube(BitVec(width, s ^ r), BitVec(width, r))
-        raise InconsistentFunction(f"minterm {P} is contained in off-cube {z}")
+        _raise_on_holder(P, off.pairs)
+    if not prepared:
+        elements = [BitVec(width, e) for e in elements]
     return DiSet(elements, comparisons, absorptions)
 
 
@@ -204,7 +210,8 @@ def reduce_off_cube(P: BitVec, Z: Cube | BitVec) -> Cube:
     position becomes a don't care.  A fully-x result is legal here; the
     vector path rejects it instead.
     """
-    Z = _as_cube(Z)
+    if isinstance(Z, BitVec):
+        Z = minterm_to_cube(Z)
     if P.width != Z.width:
         raise ValueError(f"width mismatch: {P.width} vs {Z.width}")
     full = (1 << P.width) - 1

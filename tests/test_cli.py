@@ -280,6 +280,15 @@ def test_ob_label_count_must_match_outputs(tmp_path, capsys):
     assert ".ob names 1 outputs but .o declares 2" in capsys.readouterr().err
 
 
+def test_minimize_keeps_a_single_output_label(tmp_path, capsys):
+    src = write(tmp_path, "y.pla", ".i 2\n.o 1\n.ob y\n.type fr\n11 1\n00 0\n.e\n")
+    out = tmp_path / "y.cover.pla"
+    assert main(["minimize", src, "--out", str(out)]) == 0
+    text = out.read_text()
+    assert ".ob y\n" in text and "\n1- 1\n" in text
+    assert main(["verify", src, str(out)]) == 0
+
+
 def test_verify_width_mismatch(tmp_path, capsys):
     src = write(tmp_path, "fivevar.pla", five_var_pla())
     other = write(tmp_path, "small.pla", ".i 2\n.o 1\n.type fr\n11 1\n.e\n")

@@ -57,6 +57,7 @@ def test_coverage_mask_small():
 
 def test_coverage_mask_empty_list():
     assert coverage_mask(text_cube("10x"), []).width == 0
+    assert str(coverage_mask(text_cube("10x"), [])) == ""
 
 
 def test_coverage_mask_rejects_a_width_mismatch():

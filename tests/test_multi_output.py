@@ -55,6 +55,8 @@ def test_subfunction_off_examples():
     g = multi_function(2, 2, [("11", (1, 1))])
     off = {cube_text(c) for c in subfunction_off(frozenset({0, 1}), g)}
     assert "11" not in off and len(off) == 3
+    with pytest.raises(ValueError, match="^empty output tag$"):
+        subfunction_off(frozenset(), f)
 
 
 def test_golden_tagged_cover():
@@ -334,6 +336,20 @@ def test_verify_multi_reports_a_corrupted_cover():
     assert verify_multi(dropped, f).missing == ((bv("000"), 0), (bv("100"), 0))
     with pytest.raises(ValueError, match="width mismatch: 2 vs 3"):
         verify_multi([*dropped, TaggedCube(text_cube("1x"), y0)], f)
+
+
+def test_verify_multi_rejects_a_tag_past_the_outputs():
+    """A tag member outside ``range(m)`` is refused with ``write_pla``'s
+    wording, not read as output m - 1 or raised as an ``IndexError``."""
+    f = tri_output_function()
+    cover = edsa_minimize(f)
+    for tag, message in (
+        ({-1}, r"^10x_\{-1\} names an output outside the 3 outputs$"),
+        ({0, 5}, r"^10x_\{0,5\} names an output outside the 3 outputs$"),
+        ({3}, r"^10x_\{3\} names an output outside the 3 outputs$"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            verify_multi([*cover, TaggedCube(text_cube("10x"), frozenset(tag))], f)
 
 
 @st.composite

@@ -5,6 +5,7 @@ import pytest
 from primecover import (
     BitVec,
     Cube,
+    InconsistentFunction,
     LogicFunction,
     TruthTable,
     all_primes,
@@ -13,6 +14,7 @@ from primecover import (
     equivalent,
     minimum_cover_size,
     minterm_to_cube,
+    text_cube,
 )
 from primecover.oracle import primes_containing
 from helpers import (
@@ -68,6 +70,11 @@ def test_guards():
     seven = LogicFunction(7, (Cube.universal(7),), ())
     with pytest.raises(ValueError):
         minimum_cover_size(seven)
+    clash = LogicFunction(2, (text_cube("1x"),), (text_cube("11"),))
+    with pytest.raises(InconsistentFunction, match="^minterm 11 is both on and off$"):
+        TruthTable.from_function(clash)
+    with pytest.raises(ValueError, match="^equivalence cap is 20 variables, got 21$"):
+        equivalent([], [], TruthTable(21, ()))
 
 
 def test_equivalent_examples():
@@ -91,6 +98,7 @@ def test_minimum_cover_size_known_cases():
         tuple(minterm_to_cube(bv(t)) for t in ("01", "10", "11")),
     )
     assert minimum_cover_size(g) == 1
+    assert minimum_cover_size(LogicFunction(3, (), (Cube.universal(3),))) == 0
 
 
 def test_minimum_cover_size_vs_exhaustive_subsets():

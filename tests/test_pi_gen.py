@@ -82,6 +82,15 @@ def test_cross_or_preconditions():
         cross_or([bv("1")], [])
 
 
+def test_generate_n_and_vectors_to_pis_preconditions():
+    with pytest.raises(ValueError, match="^need at least one difference indicator$"):
+        generate_n([])
+    with pytest.raises(ValueError, match="^zero difference indicator$"):
+        generate_n([BitVec(3, 0)])
+    with pytest.raises(ValueError, match="^width mismatch: 3 vs 2$"):
+        vectors_to_pis(bv("101"), [bv("100"), bv("01")])
+
+
 def test_trace_steps_match_the_pipeline_expansion():
     """``primes --trace`` steps ``cross_or`` over each clause's one-hot
     vectors; after every clause it holds the vectors ``_expand`` holds, in

@@ -201,6 +201,16 @@ def test_write_pla_rejects_a_tag_past_the_outputs():
         write_pla([tagged], 3, outputs=3)
 
 
+def test_write_pla_rejects_labels_that_do_not_number_the_outputs():
+    # '.o 1' under '.ob a b' would not parse back
+    with pytest.raises(ValueError, match="^ob names 2 outputs but the cover has 1$"):
+        write_pla([text_cube("10x")], 3, ob=("a", "b"))
+    tagged = TaggedCube(text_cube("10x"), frozenset({0}))
+    with pytest.raises(ValueError, match="^ob names 1 outputs but the cover has 2$"):
+        write_pla([tagged], 3, outputs=2, ob=("a",))
+    assert ".ob y\n" in write_pla([text_cube("10x")], 3, ob=("y",))
+
+
 def test_write_pla_rejects_an_empty_tag():
     # the line '10- 00' would read back on for no output: the cube is lost
     tagged = TaggedCube(text_cube("10x"), frozenset())
@@ -374,6 +384,19 @@ def test_logic_function_is_an_immutable_value():
     # as .i 0 is a parse error, a function of no inputs is refused
     with pytest.raises(ValueError, match="at least 1 input, not 0"):
         LogicFunction(0, (), ())
+    with pytest.raises(ValueError, match="^cube 1x does not have 3 variables$"):
+        LogicFunction(3, (), (text_cube("1x"),))
+
+
+def test_a_single_output_label_is_kept_outside_equality():
+    text = ".i 2\n.o 1\n.ob y\n.type {}\n11 1\n00 0\n.e\n"
+    for type_ in ("fr", "fd"):
+        f = parse_pla(text.format(type_))
+        assert f.labels == ("y",)
+        built = LogicFunction(2, f.on, f.off, f.dc)
+        assert built.labels == () and built == f and hash(built) == hash(f)
+        assert repr(built) == repr(f)
+    assert parse_pla(".i 2\n.o 1\n11 1\n.e\n").labels == ()
 
 
 @settings(deadline=None)

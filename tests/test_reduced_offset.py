@@ -65,6 +65,11 @@ def test_reform_sdm_rejects_zero():
         reform_sdm(DiSet([bv("100")]), BitVec(3, 0))
 
 
+def test_an_empty_di_set_has_no_width():
+    with pytest.raises(ValueError, match="^empty set has no width$"):
+        DiSet().width
+
+
 def test_golden_trace_totals_and_checkpoints():
     """Stepping reform_sdm over the golden off-set, as ``primes --trace``
     does, passes the worked example's checkpoints and ends at the set and
