@@ -202,7 +202,8 @@ def _verify_multi(f: MultiFunction, rows: list[tuple[Cube, str]]) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     """The cover file is read as its cube lines, of any type and width:
-    the cubes are its lines with a 1 output, and no off-set is derived.
+    the cubes are its lines with a 1 output, taken output part by output
+    part in the order each part first appears, and no off-set is derived.
     A parsed function is consistent, so a cover agrees with it on every
     care minterm exactly when the coverage and off-set checks pass."""
     f = _read_function(args.input)
@@ -221,8 +222,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
         return EXIT_INPUT
     rows = [
         (Cube(BitVec(f.n, left), BitVec(f.n, right)), out)
-        for (left, right), out in cover.rows
+        for out, pairs in cover.groups.items()
         if "1" in out
+        for left, right in pairs
     ]
     if isinstance(f, MultiFunction):
         return _verify_multi(f, rows)

@@ -1,17 +1,20 @@
 """Espresso-style PLA reading and writing.
 
-Supported directives: .i .o .p .ilb .ob .type .e/.end.  .i, .o and
-.type come before the first cube line, and .i and .o are at least 1;
-.ilb is accepted and ignored.  Input-part characters are {0, 1, -};
-an 'x' in a PLA file is rejected (the cube text alias applies to
-diagnostic output only).
-Output-part characters are {0, 1, -, ~}: '1' marks the row on for that
-output, '0' marks it off under type fr/fdr and carries no information
-under f/fd, '-' is a don't care and '~' carries no information.  Each
-cube line is scanned into its ``(left, right)`` pair values and checked
-once: an input part without '-' is read as one binary int, one with '-'
-by one translation per half, and an output part is checked the first
-time it appears.
+Supported directives: .i .o .p .ilb .ob .type .e/.end.  .i, .o, .p
+and .type take exactly one value, and .i, .o and .type come before the
+first cube line; .i and .o are at least 1, and .ilb is accepted and
+ignored.  Input-part characters are {0, 1, -}; an 'x' in a PLA file is
+rejected (the cube text alias applies to diagnostic output only).
+Output-part characters are {0, 1, -, ~}, read the same way for one
+output and for many: '1' marks the row on for that output, '0' marks it
+off under type fr/fdr and carries no information under f/fd, '-' is a
+don't care unless a care value marks the same point, and '~' carries no
+information.  A point no line marks is off under f/fd and a don't care
+under fr/fdr.  Each cube line is scanned into its ``(left, right)``
+pair values and checked once: an input part without '-' is read as one
+binary int, one with '-' by one translation per half.  The lines are
+grouped by output part, in file order, and an output part is checked
+when it opens its group.
 
 Single-output files produce a ``LogicFunction`` holding its rows as
 pairs, with no ``Cube`` per row; its ``on``, ``off`` and ``dc`` cube
@@ -22,10 +25,10 @@ that table, are derived only when read.  Up to ``TABLE_CAP`` inputs a
 ``LogicFunction`` holds its on and off truth tables, and ``validate``,
 ``direct_cover`` and ``verify_cover`` read them.  Multi-output files
 produce a ``MultiFunction`` of 2^n-bit on and don't-care tables, one per
-output, each cube line ORed into them whole.  Every 2^n-bit table stops
-at ``TABLE_CAP`` (16) inputs; only fr/fdr single-output files, which
-list their off-set, go past it, and there every step queries the listed
-pairs.
+output, each group's points ORed into the tables its characters name.
+Every 2^n-bit table stops at ``TABLE_CAP`` (16) inputs; only fr/fdr
+single-output files, which list their off-set, go past it, and there
+every step queries the listed pairs.
 """
 
 from __future__ import annotations
@@ -40,7 +43,6 @@ from .bitcube import (
     BitVec,
     Cube,
     Slices,
-    cube_points,
     cube_text,
     table_cover,
     table_of,
@@ -290,13 +292,14 @@ _OUTPUT_CHARS = str.maketrans("", "", "01-~")
 
 @dataclass
 class _RawPla:
-    """A scanned PLA file; each row is an input part as its ``(left,
-    right)`` pair values and its output part as text."""
+    """A scanned PLA file: its cube lines grouped by output part, each
+    group the ``(left, right)`` pair values of its input parts in file
+    order."""
 
     n: int
     m: int
     type_: str
-    rows: list[tuple[tuple[int, int], str]]
+    groups: dict[str, list[tuple[int, int]]]
     ob: tuple[str, ...]
 
 
@@ -305,8 +308,7 @@ def _scan(text: str) -> _RawPla:
     full = 0  # the n-bit mask, set with n
     type_ = "fd"
     ob: tuple[str, ...] | None = None
-    rows: list[tuple[tuple[int, int], str]] = []
-    legal: set[str] = set()  # output parts already checked
+    groups: dict[str, list[tuple[int, int]]] = {}  # an output part is checked once
     for lineno, line in enumerate(text.splitlines(), start=1):
         if "#" in line:
             line = line.split("#", 1)[0]
@@ -314,15 +316,16 @@ def _scan(text: str) -> _RawPla:
         if not line:
             continue
         if line[0] == ".":
-            parts = line.split()
-            key = parts[0]
+            key, *values = line.split()
             try:
                 # .i and .o fix how a row is read and .type, applied once all
                 # are scanned, what it means: none may follow a row
-                if rows and key in (".i", ".o", ".type"):
+                if groups and key in (".i", ".o", ".type"):
                     raise PlaParseError(f"line {lineno}: {key} after the first cube line")
+                if key in (".i", ".o", ".p", ".type"):
+                    (value,) = values  # exactly one value, or a malformed directive
                 if key in (".i", ".o"):
-                    count = int(parts[1])
+                    count = int(value)
                     if count < 1:
                         raise PlaParseError(f"line {lineno}: {key} {count} is below 1")
                     if key == ".i":
@@ -331,22 +334,22 @@ def _scan(text: str) -> _RawPla:
                     else:
                         m = count
                 elif key == ".p":
-                    terms = int(parts[1])  # the term count is checked, not kept
+                    terms = int(value)  # the term count is checked, not kept
                     if terms < 0:
                         raise PlaParseError(f"line {lineno}: .p {terms} is below 0")
                 elif key == ".ilb":
                     pass  # input labels are accepted and not kept
                 elif key == ".ob":
-                    ob = tuple(parts[1:])
+                    ob = tuple(values)
                 elif key == ".type":
-                    type_ = parts[1]
+                    type_ = value
                     if type_ not in ("f", "fr", "fd", "fdr"):
                         raise PlaParseError(f"line {lineno}: unsupported type {type_!r}")
                 elif key in (".e", ".end"):
                     break
                 else:
                     raise PlaParseError(f"line {lineno}: unknown directive {key!r}")
-            except (IndexError, ValueError) as exc:
+            except ValueError as exc:
                 if isinstance(exc, PlaParseError):
                     raise
                 raise PlaParseError(f"line {lineno}: malformed directive {line!r}") from exc
@@ -374,7 +377,8 @@ def _scan(text: str) -> _RawPla:
             right = int(token, 2)
             pair = (full ^ right, right)
         outputs = tokens[1] if len(tokens) == 2 else "".join(tokens[1:])
-        if outputs not in legal:
+        group = groups.get(outputs)
+        if group is None:
             if len(outputs) != m:
                 raise PlaParseError(
                     f"line {lineno}: output part {outputs!r} is not {m} characters"
@@ -382,31 +386,21 @@ def _scan(text: str) -> _RawPla:
             illegal = outputs.translate(_OUTPUT_CHARS)
             if illegal:
                 raise PlaParseError(f"line {lineno}: illegal output character {illegal[0]!r}")
-            legal.add(outputs)
-        rows.append((pair, outputs))
+            group = groups[outputs] = []
+        group.append(pair)
     if n is None or m is None:
         raise PlaParseError("missing .i/.o declarations")
     if ob is not None and len(ob) != m:
         raise PlaParseError(f".ob names {len(ob)} outputs but .o declares {m}")
-    return _RawPla(n, m, type_, rows, ob or ())
+    return _RawPla(n, m, type_, groups, ob or ())
 
 
 def _single_output(raw: _RawPla, name: str) -> LogicFunction:
-    on: list[tuple[int, int]] = []
-    off: list[tuple[int, int]] = []
-    dc: list[tuple[int, int]] = []
-    explicit_off = raw.type_ in ("fr", "fdr")
-    lists = {"1": on, "-": dc}
-    if explicit_off:
-        lists["0"] = off
+    n, groups = raw.n, raw.groups
     # '~', and a '0' under f/fd, carry no information
-    for pair, out in raw.rows:
-        pairs = lists.get(out)
-        if pairs is not None:
-            pairs.append(pair)
-    n = raw.n
-    if explicit_off:
-        f = LogicFunction._of_pairs(n, name, on, off, dc, raw.ob)
+    on, dc = groups.get("1", ()), groups.get("-", ())
+    if raw.type_ in ("fr", "fdr"):
+        f = LogicFunction._of_pairs(n, name, on, groups.get("0", ()), dc, raw.ob)
         f.validate()
         return f
     if n > TABLE_CAP:
@@ -423,20 +417,19 @@ def _single_output(raw: _RawPla, name: str) -> LogicFunction:
 
 
 def _multi_output(raw: _RawPla, name: str) -> MultiFunction:
-    if raw.n > TABLE_CAP:
+    n, m = raw.n, raw.m
+    if n > TABLE_CAP:
         raise PlaParseError(
             f"multi-output minimization builds 2^n-bit output tables, capped at "
-            f"{TABLE_CAP} inputs; this file has {raw.n}"
+            f"{TABLE_CAP} inputs; this file has {n}"
         )
-    on = [0] * raw.m
-    dc = [0] * raw.m
-    off = [0] * raw.m
-    # '~', and a '0' under f/fd, carry no information
-    tables = {"1": on, "-": dc}
-    if raw.type_ in ("fr", "fdr"):
-        tables["0"] = off
-    for (left, right), out in raw.rows:
-        points = cube_points(left, right)
+    on, off, dc = [0] * m, [0] * m, [0] * m
+    # '~', and a '0' under f/fd, carry no information; under fr/fdr the
+    # don't cares are the points neither on nor off, '-' or unlisted
+    explicit_off = raw.type_ in ("fr", "fdr")
+    tables = {"1": on, "0": off} if explicit_off else {"1": on, "-": dc}
+    for out, pairs in raw.groups.items():
+        points = table_of(pairs)
         for j, ch in enumerate(out):
             table = tables.get(ch)
             if table is not None:
@@ -449,12 +442,13 @@ def _multi_output(raw: _RawPla, name: str) -> MultiFunction:
     ]
     if clashes:
         v, j = min(clashes)
-        raise InconsistentFunction(
-            f"minterm {BitVec(raw.n, v)} is both on and off for output {j}"
-        )
-    # a care value wins over a don't care
-    dc = [d & ~(a | b) for d, a, b in zip(dc, on, off)]
-    return MultiFunction(raw.n, raw.m, on, dc, name=name, labels=raw.ob)
+        raise InconsistentFunction(f"minterm {BitVec(n, v)} is both on and off for output {j}")
+    if explicit_off:
+        full = (1 << (1 << n)) - 1
+        dc = [full ^ (a | b) for a, b in zip(on, off)]
+    else:
+        dc = [d & ~a for d, a in zip(dc, on)]  # a care value wins over a don't care
+    return MultiFunction(n, m, on, dc, name=name, labels=raw.ob)
 
 
 def parse_pla(text: str, *, name: str = "") -> LogicFunction | MultiFunction:

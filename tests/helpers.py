@@ -139,7 +139,7 @@ def rows_of(f: MultiFunction) -> list[tuple[BitVec, tuple[int | None, ...]]]:
 
 
 def pair_cube(n: int, pair: tuple[int, int]) -> Cube:
-    """The ``Cube`` of a ``(left, right)`` pair, as ``_scan`` rows hold
+    """The ``Cube`` of a ``(left, right)`` pair, as ``_scan`` groups hold
     their input parts."""
     left, right = pair
     return Cube(BitVec(n, left), BitVec(n, right))
@@ -148,13 +148,14 @@ def pair_cube(n: int, pair: tuple[int, int]) -> Cube:
 def reference_parse_multi(text: str) -> MultiFunction:
     """A multi-output PLA text parsed one minterm at a time: each cube
     line is expanded into its minterms and each (minterm, output) state
-    is set in turn, a care value winning over a don't care."""
+    is set in turn, a care value winning over a don't care.  A state no
+    line sets is 0 under f/fd and a don't care under fr/fdr."""
     raw = _scan(text)
     explicit_off = raw.type_ in ("fr", "fdr")
-    # per (minterm, output): "1", "0" (explicit) or "-"; unmentioned stays 0
+    # per (minterm, output): "1", "0" (explicit), "-" or None when no line sets it
     states: dict[int, list[str | None]] = {}
-    for pair, out in raw.rows:
-        for minterm in pair_cube(raw.n, pair).minterms():
+    for out, pairs in raw.groups.items():
+        for minterm in (m for pair in pairs for m in pair_cube(raw.n, pair).minterms()):
             row = states.setdefault(minterm.value, [None] * raw.m)
             for j, ch in enumerate(out):
                 if ch == "~" or (ch == "0" and not explicit_off):
@@ -167,9 +168,11 @@ def reference_parse_multi(text: str) -> MultiFunction:
                     )
                 if prev is None or prev == "-":
                     row[j] = ch
-    value_of = {"1": 1, "0": 0, "-": None, None: 0}
+    value_of = {"1": 1, "0": 0, "-": None, None: None if explicit_off else 0}
+    unset = [None] * raw.m
     rows = [
-        (BitVec(raw.n, v), tuple(value_of[ch] for ch in states[v])) for v in sorted(states)
+        (BitVec(raw.n, v), tuple(value_of[ch] for ch in states.get(v, unset)))
+        for v in range(1 << raw.n)
     ]
     return multi_function(raw.n, raw.m, rows, labels=raw.ob)
 

@@ -351,12 +351,16 @@ def test_bench_on_counts_minterms(tmp_path, capsys):
 
 
 def test_bench_off_counts_multi_output_off_points(tmp_path, capsys):
-    # 2 rows of 4: 11 is off for output 1; 00 and 10 have no row, so they
-    # are off for both outputs
+    # 2 rows of 4: under fd 00 and 10 have no row, so they are off for
+    # both outputs, and 11 is off for output 1, which no row marks 1 there
+    write(tmp_path, "pair.pla", ".i 2\n.o 2\n.type fd\n01 11\n11 10\n.e\n")
+    assert main(["bench", "--dir", str(tmp_path)]) == 0
+    assert capsys.readouterr().out.splitlines()[1].startswith("pair,2,2,5,")
+    # under fr only the listed 0 is off: 11 for output 1; 00 and 10 are
+    # don't cares
     write(tmp_path, "pair.pla", ".i 2\n.o 2\n.type fr\n01 11\n11 10\n.e\n")
     assert main(["bench", "--dir", str(tmp_path)]) == 0
-    captured = capsys.readouterr()
-    assert captured.out.splitlines()[1].startswith("pair,2,2,5,")
+    assert capsys.readouterr().out.splitlines()[1].startswith("pair,2,2,1,")
 
 
 def test_seed_flag_is_rejected(tmp_path, capsys):

@@ -199,7 +199,11 @@ def test_golden_cover_survives_pla_round_trip():
     cover = edsa_minimize(f)
     text = write_pla(cover, f.n, outputs=f.m)
     back = parse_pla(text)
-    got = {(cube_text(pair_cube(f.n, pair)), out) for pair, out in _scan(text).rows}
+    got = {
+        (cube_text(pair_cube(f.n, pair)), out)
+        for out, pairs in _scan(text).groups.items()
+        for pair in pairs
+    }
     want = {
         (cube_text(tc.cube), "".join("1" if j in tc.tag else "0" for j in range(f.m)))
         for tc in cover

@@ -102,6 +102,10 @@ def test_directive_errors():
         parse_pla(".i 2\n.o 2\n.ob a\n.type fr\n01 11\n.e\n")
     with pytest.raises(PlaParseError, match=".ob names 0 outputs but .o declares 1"):
         parse_pla(".i 2\n.o 1\n.ob\n01 1\n.e\n")
+    # .i, .o, .p and .type take exactly one value
+    for line in (".i 2 3", ".o 1 2", ".p 1 9", ".type fr fd"):
+        with pytest.raises(PlaParseError, match=f"^line 1: malformed directive '{re.escape(line)}'$"):
+            parse_pla(f"{line}\n.i 2\n.o 1\n11 1\n.e\n")
 
 
 def test_fd_complement_derives_off():
@@ -251,7 +255,8 @@ def test_round_trip_multi_output():
                 cover.append(TaggedCube(c, tag))
         got = {
             (cube_text(pair_cube(n, pair)), out)
-            for pair, out in _scan(write_pla(cover, n, outputs=m)).rows
+            for out, pairs in _scan(write_pla(cover, n, outputs=m)).groups.items()
+            for pair in pairs
         }
         want = {
             (cube_text(tc.cube), "".join("1" if j in tc.tag else "0" for j in range(m)))
@@ -333,9 +338,48 @@ def test_multi_output_parse_matches_reference_and_minimizes(text):
         assert not any(f.on)
         return
     assert verify_multi(cover, f).ok
+    lines = write_pla(cover, f.n, outputs=f.m).splitlines()
     assert [
-        (pair_cube(f.n, pair), out) for pair, out in _scan(write_pla(cover, f.n, outputs=f.m)).rows
+        (text_cube(inputs), out)
+        for inputs, out in (line.split() for line in lines if line[0] != ".")
     ] == [(tc.cube, "".join("1" if j in tc.tag else "0" for j in range(f.m))) for tc in cover]
+
+
+@st.composite
+def single_output_cases(draw) -> tuple[int, str, list[tuple[str, str]]]:
+    """Single-output cube lines over 1-8 inputs, of every type or none
+    (so fd), with lines that may overlap and leave points unlisted."""
+    n = draw(st.integers(min_value=1, max_value=8))
+    type_ = draw(st.sampled_from(("", "f", "fr", "fd", "fdr")))
+    lines = draw(
+        st.lists(
+            st.tuples(st.text("01-", min_size=n, max_size=n), st.sampled_from("01-~")),
+            max_size=8,
+        )
+    )
+    return n, type_, lines
+
+
+@settings(deadline=None)
+@given(single_output_cases())
+def test_one_output_and_the_same_output_doubled_read_the_same_tables(case):
+    # a point no line lists is off under f/fd and a don't care under
+    # fr/fdr, for one output and for two
+    n, type_, lines = case
+
+    def text(m: int) -> str:
+        header = [f".i {n}", f".o {m}"] + ([f".type {type_}"] if type_ else [])
+        return "\n".join([*header, *(f"{a} {b * m}" for a, b in lines), ".e"]) + "\n"
+
+    try:
+        f = parse_pla(text(1))
+    except InconsistentFunction:
+        with pytest.raises(InconsistentFunction):
+            parse_pla(text(2))
+        return
+    g = parse_pla(text(2))
+    assert g.on == (f.on_table,) * 2
+    assert g.off == (f.off_table,) * 2
 
 
 def test_one_output_parses_to_a_logic_function():
@@ -355,8 +399,13 @@ def test_truth_tables_up_to_the_cap():
 
 
 def test_value_defaults_to_zero_for_missing_rows():
-    f = parse_pla(".i 2\n.o 2\n.type fr\n11 11\n.e\n")
+    # a point no line lists is off under the default fd type ...
+    f = parse_pla(".i 2\n.o 2\n11 11\n.e\n")
     assert f.value(0b00, 0) == 0
+    assert f.value(0b11, 1) == 1
+    # ... and a don't care under fr, as with one output
+    f = parse_pla(".i 2\n.o 2\n.type fr\n11 11\n.e\n")
+    assert f.value(0b00, 0) is None
     assert f.value(0b11, 1) == 1
 
 
