@@ -204,8 +204,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
     """The cover file is read as its cube lines, of any type and width:
     the cubes are its lines with a 1 output, taken output part by output
     part in the order each part first appears, and no off-set is derived.
-    A parsed function is consistent, so a cover agrees with it on every
-    care minterm exactly when the coverage and off-set checks pass."""
+    Every function is consistent: building a ``LogicFunction`` checks
+    it, and a ``MultiFunction``'s off tables complement its on and dc
+    tables.  So a cover agrees with the function on every care minterm
+    exactly when the coverage and off-set checks pass."""
     f = _read_function(args.input)
     cover = _scan(Path(args.cover).read_text(encoding="utf-8"))
     if cover.m != (f.m if isinstance(f, MultiFunction) else 1):

@@ -101,22 +101,17 @@ def direct_cover(f: LogicFunction, *, irredundant: bool = False) -> CoverResult:
     Up to ``TABLE_CAP`` inputs each origin's primes are read from the
     off table by ``table_primes``, a candidate's mask is its points on
     the on table, and the uncovered on-minterms are a table too; above
-    it every origin folds the listed off-cubes, and masks and the
-    uncovered set index the on-minterm list.  Either way a mask holds
-    the same on-minterms, so the counts compared are the same.  Raises
-    ``InconsistentFunction`` when an on-minterm lies in an off-cube:
-    every prime misses every off-cube, so that minterm stays uncovered
-    until it is an origin, and the listed fold rejects it, naming the
-    first off-cube that holds it.  Candidates are ``(left, right)``
-    pairs in cube-text order, so the first of the best ones wins the
-    tie-break.
+    it every origin folds the off-set's ``OffPairs``, converted once,
+    and masks and the uncovered set index the on-minterm list.  Either
+    way a mask holds the same on-minterms, so the counts compared are
+    the same.  A ``LogicFunction`` is consistent, so no origin lies in
+    the off-set.  Candidates are ``(left, right)`` pairs in cube-text
+    order, so the first of the best ones wins the tie-break.
     """
     if not f.on_pairs:
         raise EmptyOnset("the on-set is empty")
     n = f.n
     on_list = expand_on_minterms(f)
-    # the listed off-cubes, converted on the first origin that folds them
-    off = None
     if n <= TABLE_CAP:
         table = f.off_table
         on_table = uncovered = f.on_table
@@ -127,7 +122,7 @@ def direct_cover(f: LogicFunction, *, irredundant: bool = False) -> CoverResult:
             return cube_points(left, right) & on_table
 
     else:
-        table = None
+        off = OffPairs(f.off_pairs)
         width = len(on_list)
         uncovered = (1 << width) - 1
         bit_of = range(width - 1, -1, -1)
@@ -141,12 +136,10 @@ def direct_cover(f: LogicFunction, *, irredundant: bool = False) -> CoverResult:
         while not uncovered >> bit_of[i] & 1:
             i += 1
         p = on_list[i]
-        if table is None or table >> p & 1:
-            if off is None:
-                off = OffPairs(f.off_pairs)
-            pis = prime_pairs(BitVec(n, p), off)
-        else:
+        if n <= TABLE_CAP:
             pis = table_primes(p, table, n)
+        else:
+            pis = prime_pairs(BitVec(n, p), off)
         masks = [mask_of(left, right) for left, right in pis]
         idx = _select_index([mask & uncovered for mask in masks])
         chosen.append(pis[idx])

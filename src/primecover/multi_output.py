@@ -202,8 +202,8 @@ def verify_multi(cover: Sequence[TaggedCube], f: MultiFunction) -> CoverReport:
     ``removable_literals`` each ``(TaggedCube, position)`` whose literal
     can be raised while the cube stays clear of that joint off-set, i.e.
     each cube that is not prime.  Raises ``ValueError`` for a cube of
-    another width than ``f.n`` and for a tag naming an output outside
-    ``range(f.m)``.
+    another width than ``f.n``, for a tag naming an output outside
+    ``range(f.m)`` and for an empty tag, in ``write_pla``'s wording.
     """
     n = f.n
     off_columns = f.off
@@ -216,6 +216,8 @@ def verify_multi(cover: Sequence[TaggedCube], f: MultiFunction) -> CoverReport:
             raise ValueError(f"width mismatch: {c.width} vs {n}")
         if not all(0 <= j < f.m for j in tc.tag):
             raise ValueError(f"{tc} names an output outside the {f.m} outputs")
+        if not tc.tag:
+            raise ValueError(f"{tc} names no output")
         points = cube_points(c.left.value, c.right.value)
         off = _joint(tc.tag, off_columns)
         off_conflicts.extend((tc, BitVec(n, v)) for v in set_bits(points & off))

@@ -2,8 +2,8 @@
 
 Supported directives: .i .o .p .ilb .ob .type .e/.end.  .i, .o, .p
 and .type take exactly one value, and .i, .o and .type come before the
-first cube line; .i and .o are at least 1, and .ilb is accepted and
-ignored.  Input-part characters are {0, 1, -}; an 'x' in a PLA file is
+first cube line; .i and .o are at least 1, and .ilb must list .i
+labels.  Input-part characters are {0, 1, -}; an 'x' in a PLA file is
 rejected (the cube text alias applies to diagnostic output only).
 Output-part characters are {0, 1, -, ~}, read the same way for one
 output and for many: '1' marks the row on for that output, '0' marks it
@@ -18,11 +18,12 @@ when it opens its group.
 
 Single-output files produce a ``LogicFunction`` holding its rows as
 pairs, with no ``Cube`` per row; its ``on``, ``off`` and ``dc`` cube
-tuples are built only when read.  For types f and fd the off-set is
-derived on the 2^n-bit truth table: the complement of on plus dc is the
-function's off table, and its off-cubes, the ``bitcube.table_cover`` of
-that table, are derived only when read.  Up to ``TABLE_CAP`` inputs a
-``LogicFunction`` holds its on and off truth tables, and ``validate``,
+tuples are built only when read.  Building one ``validate``s an fr/fdr
+file's listed off-set.  For types f and fd the off-set is derived,
+unchecked, on the 2^n-bit truth table: the complement of on plus dc is
+the function's off table, and its off-cubes, the ``bitcube.table_cover``
+of that table, are derived only when read.  Up to ``TABLE_CAP`` inputs
+a ``LogicFunction`` holds its on and off truth tables, and ``validate``,
 ``direct_cover`` and ``verify_cover`` read them.  Multi-output files
 produce a ``MultiFunction`` of 2^n-bit on and don't-care tables, one per
 output, each group's points ORed into the tables its characters name.
@@ -62,10 +63,12 @@ class LogicFunction:
 
     ``LogicFunction(n, on, off, dc, name=...)`` takes ``n >= 1`` and
     ``Cube``s of width ``n``; ``parse_pla`` builds one from the pairs it
-    scans, with no ``Cube`` per row.  ``on``, ``off`` and ``dc`` are ``Cube`` tuples
-    built on first read from ``on_pairs``, ``off_pairs`` and
-    ``dc_pairs``.  A function parsed from an f/fd file lists no off-set:
-    its ``off_table`` is the complement of on plus dc, and its
+    scans, with no ``Cube`` per row.  Either way only the pairs are
+    stored, and a listed off-set is ``validate``d, so every
+    ``LogicFunction`` is consistent.  ``on``, ``off`` and ``dc`` are
+    ``Cube`` tuples built on first read from ``on_pairs``, ``off_pairs``
+    and ``dc_pairs``.  A function parsed from an f/fd file lists no
+    off-set: its ``off_table`` is the complement of on plus dc, and its
     ``off_pairs`` are the ``bitcube.table_cover`` of that table, derived
     on first read.  ``labels`` holds the output label of a ``.ob`` line,
     and is ``()`` for a function built by ``LogicFunction(...)``.
@@ -88,21 +91,18 @@ class LogicFunction:
         for c in (*on, *off, *dc):
             if c.width != n:
                 raise ValueError(f"cube {c} does not have {n} variables")
-        self.__dict__.update(
-            n=n,
-            name=name,
-            labels=(),
-            on=on,
-            off=off,
-            dc=dc,
-            on_pairs=_pairs(on),
-            off_pairs=_pairs(off),
-            dc_pairs=_pairs(dc),
-        )
+        self._set(n, name, _pairs(on), _pairs(off), _pairs(dc), ())
 
     @classmethod
-    def _of_pairs(
-        cls,
+    def _of_pairs(cls, *args: object, **tables: int) -> LogicFunction:
+        """The function of scanned pairs, built without a ``Cube``; the
+        arguments are ``_set``'s."""
+        f = cls.__new__(cls)
+        f._set(*args, **tables)
+        return f
+
+    def _set(
+        self,
         n: int,
         name: str,
         on: Sequence[tuple[int, int]],
@@ -110,17 +110,15 @@ class LogicFunction:
         dc: Sequence[tuple[int, int]],
         labels: tuple[str, ...],
         **tables: int,
-    ) -> LogicFunction:
-        """The function of scanned pairs, built without a ``Cube``.  An
-        f/fd file passes ``off=None`` and its ``on_table`` and
-        ``off_table`` in ``tables``."""
-        f = cls.__new__(cls)
-        f.__dict__.update(
+    ) -> None:
+        # an f/fd file passes off=None and its on and off tables: its off
+        # table, the complement of on plus dc, meets no on-cube
+        self.__dict__.update(
             tables, n=n, name=name, labels=labels, on_pairs=tuple(on), dc_pairs=tuple(dc)
         )
         if off is not None:
-            f.__dict__["off_pairs"] = tuple(off)
-        return f
+            self.__dict__["off_pairs"] = tuple(off)
+            self.validate()
 
     def __setattr__(self, key: str, value: object) -> None:
         raise AttributeError(f"cannot assign to {key!r}: a LogicFunction is immutable")
@@ -189,6 +187,9 @@ class LogicFunction:
 
     def validate(self) -> None:
         """Reject functions whose on-set and off-set share a minterm.
+        ``LogicFunction(...)`` and an fr/fdr parse call it on building
+        the function; an f/fd parse, whose off table is the complement
+        of on plus dc, does not.
 
         Up to ``TABLE_CAP`` inputs a consistent function costs one AND of
         its truth tables.  Otherwise, and to name the culprits, the off-set
@@ -308,6 +309,7 @@ def _scan(text: str) -> _RawPla:
     full = 0  # the n-bit mask, set with n
     type_ = "fd"
     ob: tuple[str, ...] | None = None
+    ilb: int | None = None  # the input label count; the labels are not kept
     groups: dict[str, list[tuple[int, int]]] = {}  # an output part is checked once
     for lineno, line in enumerate(text.splitlines(), start=1):
         if "#" in line:
@@ -338,7 +340,7 @@ def _scan(text: str) -> _RawPla:
                     if terms < 0:
                         raise PlaParseError(f"line {lineno}: .p {terms} is below 0")
                 elif key == ".ilb":
-                    pass  # input labels are accepted and not kept
+                    ilb = len(values)
                 elif key == ".ob":
                     ob = tuple(values)
                 elif key == ".type":
@@ -390,6 +392,8 @@ def _scan(text: str) -> _RawPla:
         group.append(pair)
     if n is None or m is None:
         raise PlaParseError("missing .i/.o declarations")
+    if ilb is not None and ilb != n:
+        raise PlaParseError(f".ilb names {ilb} inputs but .i declares {n}")
     if ob is not None and len(ob) != m:
         raise PlaParseError(f".ob names {len(ob)} outputs but .o declares {m}")
     return _RawPla(n, m, type_, groups, ob or ())
@@ -400,9 +404,7 @@ def _single_output(raw: _RawPla, name: str) -> LogicFunction:
     # '~', and a '0' under f/fd, carry no information
     on, dc = groups.get("1", ()), groups.get("-", ())
     if raw.type_ in ("fr", "fdr"):
-        f = LogicFunction._of_pairs(n, name, on, groups.get("0", ()), dc, raw.ob)
-        f.validate()
-        return f
+        return LogicFunction._of_pairs(n, name, on, groups.get("0", ()), dc, raw.ob)
     if n > TABLE_CAP:
         raise PlaParseError(
             f"deriving the off-set needs a complement over {n} variables "

@@ -352,9 +352,10 @@ def naive_primes(f: LogicFunction) -> set[Cube]:
 # or covers_value call per pair, as the library computed these before.
 
 
-def reference_validate(f: LogicFunction) -> None:
-    for a in f.on:
-        for b in f.off:
+def reference_validate(on, off) -> None:
+    """The pairwise consistency check of the on-cubes against the off-cubes."""
+    for a in on:
+        for b in off:
             if reference_intersects(a, b):
                 raise InconsistentFunction(f"on-cube {a} intersects off-cube {b}")
 

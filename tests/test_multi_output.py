@@ -351,6 +351,7 @@ def test_verify_multi_rejects_a_tag_past_the_outputs():
         ({-1}, r"^10x_\{-1\} names an output outside the 3 outputs$"),
         ({0, 5}, r"^10x_\{0,5\} names an output outside the 3 outputs$"),
         ({3}, r"^10x_\{3\} names an output outside the 3 outputs$"),
+        (set(), r"^10x_\{\} names no output$"),
     ):
         with pytest.raises(ValueError, match=message):
             verify_multi([*cover, TaggedCube(text_cube("10x"), frozenset(tag))], f)

@@ -102,6 +102,10 @@ def test_directive_errors():
         parse_pla(".i 2\n.o 2\n.ob a\n.type fr\n01 11\n.e\n")
     with pytest.raises(PlaParseError, match=".ob names 0 outputs but .o declares 1"):
         parse_pla(".i 2\n.o 1\n.ob\n01 1\n.e\n")
+    with pytest.raises(PlaParseError, match="^.ilb names 1 inputs but .i declares 2$"):
+        parse_pla(".i 2\n.o 1\n.ilb a\n11 1\n.e\n")
+    with pytest.raises(PlaParseError, match="^.ilb names 3 inputs but .i declares 2$"):
+        parse_pla(".i 2\n.o 1\n.ilb a b c\n11 1\n.e\n")
     # .i, .o, .p and .type take exactly one value
     for line in (".i 2 3", ".o 1 2", ".p 1 9", ".type fr fd"):
         with pytest.raises(PlaParseError, match=f"^line 1: malformed directive '{re.escape(line)}'$"):
@@ -467,7 +471,7 @@ def test_validate_names_the_clash_the_listed_scan_names(data):
     on = tuple(text_cube(a) for a, b in rows if b == "1")
     off = tuple(text_cube(a) for a, b in rows if b == "0")
     with pytest.raises(InconsistentFunction) as want:
-        reference_validate(LogicFunction(n, on, off))
+        reference_validate(on, off)
     with pytest.raises(InconsistentFunction) as got:
         parse_pla(text)
     assert str(got.value) == str(want.value)

@@ -71,23 +71,33 @@ def test_coverage_mask_matches_pairwise(data):
 
 @given(st.data())
 def test_validate_matches_pairwise(data):
+    """Building a function raises exactly when, and with the message
+    that, the pairwise check raises."""
     width = data.draw(widths)
     on = data.draw(st.lists(cubes(width), max_size=8))
     off = data.draw(st.lists(cubes(width), max_size=8))
-    f = LogicFunction(width, on, off)
-    assert validate_outcome(f.validate) == validate_outcome(lambda: reference_validate(f))
+    assert validate_outcome(lambda: LogicFunction(width, on, off)) == validate_outcome(
+        lambda: reference_validate(on, off)
+    )
 
 
 @settings(deadline=None)
 @given(st.data())
 def test_direct_cover_raises_inconsistent_exactly_when_validate_does(data):
+    """Building a function raises exactly when the pairwise check does,
+    and direct_cover raises no InconsistentFunction on any function that
+    can be built: the drawn one, or the one without the off-cubes that
+    meet its on-set."""
     width = data.draw(st.integers(min_value=1, max_value=6))
     on = data.draw(st.lists(cubes(width), min_size=1, max_size=5))
     off = data.draw(st.lists(cubes(width), max_size=8))
-    f = LogicFunction(width, on, off)
-    assert (validate_outcome(lambda: direct_cover(f)) is None) == (
-        validate_outcome(lambda: reference_validate(f)) is None
-    )
+    kept = [z for z in off if not any(reference_intersects(z, a) for a in on)]
+    for listed in (off, kept):
+        want = validate_outcome(lambda: reference_validate(on, listed))
+        assert validate_outcome(lambda: LogicFunction(width, on, listed)) == want
+        if want is None:
+            f = LogicFunction(width, on, listed)
+            assert validate_outcome(lambda: direct_cover(f)) is None
 
 
 @st.composite
