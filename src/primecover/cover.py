@@ -9,9 +9,11 @@ uncovered; ties break on the lexicographically smallest cube text, so a
 given input always produces the same cover.
 
 Up to ``TABLE_CAP`` inputs the cover loop and ``verify_cover`` run on
-the function's 2^n-bit on and off truth tables: a candidate's mask is
-its points on the on table, an off-set test is one AND, and a literal's
-primality test one mirror shift and one AND.  Above the cap the on-set
+the function's 2^n-bit on and off truth tables: an origin's primes are
+the corners ``prime_corners`` sets on the off table, each scored where
+it is found by one AND of its points with the uncovered table, with no
+candidate list; an off-set test is one AND, and a literal's primality
+test one mirror shift and one AND.  Above the cap the on-set
 is a sliced minterm list and the off-set a sliced cube list
 (``bitcube.Slices``), queried one AND per literal.  Either way the
 function is read as its ``(left, right)`` pairs and tables; its ``Cube``
@@ -35,7 +37,7 @@ from .bitcube import (
 )
 from .errors import EmptyOnset
 # generate_spi stays importable here: perfbench/tracing.py wraps it by name
-from .pi_gen import generate_spi, prime_pairs, table_primes  # noqa: F401
+from .pi_gen import generate_spi, prime_corners, prime_pairs  # noqa: F401
 from .pla_io import TABLE_CAP, LogicFunction
 from .reduced_offset import OffPairs
 
@@ -99,53 +101,22 @@ def direct_cover(f: LogicFunction, *, irredundant: bool = False) -> CoverResult:
     """Cover the whole on-set with prime implicants of the off-complement.
 
     Up to ``TABLE_CAP`` inputs each origin's primes are read from the
-    off table by ``table_primes``, a candidate's mask is its points on
-    the on table, and the uncovered on-minterms are a table too; above
+    off table by ``prime_corners`` and scored where they are found, each
+    its points ANDed with the uncovered on-minterms, a table too; above
     it every origin folds the off-set's ``OffPairs``, converted once,
     and masks and the uncovered set index the on-minterm list.  Either
     way a mask holds the same on-minterms, so the counts compared are
     the same.  A ``LogicFunction`` is consistent, so no origin lies in
-    the off-set.  Candidates are ``(left, right)`` pairs in cube-text
-    order, so the first of the best ones wins the tie-break.
+    the off-set.  Of the best candidates the one first in cube-text
+    order wins the tie-break.
     """
     if not f.on_pairs:
         raise EmptyOnset("the on-set is empty")
     n = f.n
     on_list = expand_on_minterms(f)
-    if n <= TABLE_CAP:
-        table = f.off_table
-        on_table = uncovered = f.on_table
-        # the bit of the i-th origin in a mask is its minterm value
-        bit_of: Sequence[int] = on_list
-
-        def mask_of(left: int, right: int) -> int:
-            return cube_points(left, right) & on_table
-
-    else:
-        off = OffPairs(f.off_pairs)
-        width = len(on_list)
-        uncovered = (1 << width) - 1
-        bit_of = range(width - 1, -1, -1)
-        mask_of = Slices.of_minterms(on_list, n).meets
-    chosen: list[tuple[int, int]] = []
-    chosen_masks: list[int] = []
-    iterations = 0
-    i = 0
-    while uncovered:
-        # the origin is the first on-minterm still uncovered
-        while not uncovered >> bit_of[i] & 1:
-            i += 1
-        p = on_list[i]
-        if n <= TABLE_CAP:
-            pis = table_primes(p, table, n)
-        else:
-            pis = prime_pairs(BitVec(n, p), off)
-        masks = [mask_of(left, right) for left, right in pis]
-        idx = _select_index([mask & uncovered for mask in masks])
-        chosen.append(pis[idx])
-        chosen_masks.append(masks[idx])
-        uncovered &= ~masks[idx]
-        iterations += 1
+    greedy = _table_greedy if n <= TABLE_CAP else _listed_greedy
+    chosen, chosen_masks = greedy(f, on_list)
+    iterations = len(chosen)
     if irredundant:
         keep = _irredundant_indices(chosen_masks)
         chosen = [chosen[i] for i in keep]
@@ -153,6 +124,68 @@ def direct_cover(f: LogicFunction, *, irredundant: bool = False) -> CoverResult:
         cubes=tuple(Cube(BitVec(n, left), BitVec(n, right)) for left, right in chosen),
         iterations=iterations,
     )
+
+
+def _table_greedy(
+    f: LogicFunction, on_list: Sequence[int]
+) -> tuple[list[tuple[int, int]], list[int]]:
+    """The committed ``(left, right)`` pairs and their masks on the on
+    table, one per iteration.  The bit of an origin in a table is its
+    minterm value.  An origin's primes through p are the cubes with free
+    positions ``p ^ y`` for the corners y ``prime_corners`` sets, and
+    ascending free positions are cube-text order, so on equal counts the
+    smaller ``free`` wins."""
+    n = f.n
+    off_table = f.off_table
+    on_table = uncovered = f.on_table
+    full = (1 << n) - 1
+    chosen: list[tuple[int, int]] = []
+    chosen_masks: list[int] = []
+    i = 0
+    while uncovered:
+        # the origin is the first on-minterm still uncovered
+        while not uncovered >> on_list[i] & 1:
+            i += 1
+        p = on_list[i]
+        rest = full ^ p
+        best = best_free = best_points = -1
+        for y in set_bits(prime_corners(p, off_table, n)):
+            free = p ^ y
+            points = cube_points(rest | free, p | free)
+            count = (points & uncovered).bit_count()
+            if count > best or count == best and free < best_free:
+                best, best_free, best_points = count, free, points
+        chosen.append((rest | best_free, p | best_free))
+        chosen_masks.append(best_points & on_table)
+        uncovered &= ~best_points
+    return chosen, chosen_masks
+
+
+def _listed_greedy(
+    f: LogicFunction, on_list: Sequence[int]
+) -> tuple[list[tuple[int, int]], list[int]]:
+    """``_table_greedy`` above the table cap: each origin folds the
+    off-set, and masks index the on-minterm list (MSB is index 0).
+    ``prime_pairs`` lists the candidates in cube-text order, so the
+    first of the best ones wins the tie-break."""
+    n = f.n
+    off = OffPairs(f.off_pairs)
+    width = len(on_list)
+    uncovered = (1 << width) - 1
+    mask_of = Slices.of_minterms(on_list, n).meets
+    chosen: list[tuple[int, int]] = []
+    chosen_masks: list[int] = []
+    i = 0
+    while uncovered:
+        while not uncovered >> (width - 1 - i) & 1:
+            i += 1
+        pis = prime_pairs(BitVec(n, on_list[i]), off)
+        masks = [mask_of(left, right) for left, right in pis]
+        idx = _select_index([mask & uncovered for mask in masks])
+        chosen.append(pis[idx])
+        chosen_masks.append(masks[idx])
+        uncovered &= ~masks[idx]
+    return chosen, chosen_masks
 
 
 def _irredundant_indices(masks: Sequence[int]) -> list[int]:
@@ -220,9 +253,9 @@ def verify_cover(cover: CoverResult | Sequence[Cube], f: LogicFunction) -> Cover
                 if off is None:
                     off = Slices(f.off_pairs, n)
                 off_conflicts.extend((c, z) for z in mask_members(off.mask_of(c), f.off))
-            removable.extend(
-                (c, pos) for pos in raisable_literals(left, right, points, off_table, n)
-            )
+            raised = raisable_literals(left, right, points, off_table, n)
+            if raised:
+                removable.extend((c, pos) for pos in raised)
         uncovered = f.on_table & ~covered
         missing = (
             [BitVec(n, v) for v in expand_on_minterms(f) if uncovered >> v & 1]

@@ -19,10 +19,12 @@ off-set, and ``generate_spi`` gives its primes as ``Cube``s for a listed
 off-set; ``generate_n``, ``cross_or`` and ``vectors_to_pis`` expose its
 steps on ``BitVec``s.
 
-``table_primes`` returns the same primes without indicators, from an
+``prime_corners`` finds the same primes without indicators, from an
 off-set given as one 2^n-bit truth table: 2n masked shift-ORs over the
-table per minterm, with the masks cached per input count.
-``direct_cover`` reads its primes there up to the 16-input table cap.
+table per minterm, with the masks cached per input count, leave one
+table with a bit set per prime.  ``direct_cover`` scores the primes
+there, up to the 16-input table cap, and ``table_primes`` reads them
+off as ``(left, right)`` pairs in ``prime_pairs``' order.
 """
 
 from __future__ import annotations
@@ -188,10 +190,10 @@ def _table_masks(n: int) -> tuple[int, list[tuple[int, int]]]:
     return masks
 
 
-def table_primes(p: int, off: int, n: int) -> list[tuple[int, int]]:
-    """``prime_pairs`` on a truth table: the primes covering the minterm
-    of value ``p`` as ``(left, right)`` pair values, in the cube-text
-    order of the primes, where bit v of ``off`` is set when the minterm
+def prime_corners(p: int, off: int, n: int) -> int:
+    """The primes covering the minterm of value ``p`` as one 2^n-bit
+    table: bit y is set when the cube through p with free positions
+    ``p ^ y`` is prime, where bit v of ``off`` is set when the minterm
     of value v is off.  ``p`` must not be off.
 
     The cube through p with free positions F misses the off-set exactly
@@ -201,9 +203,7 @@ def table_primes(p: int, off: int, n: int) -> list[tuple[int, int]]:
     with free positions ``p ^ y`` misses the off-set.  The primes are the
     maximal ones, those from which every one-step move away from p lands
     on a closed point: one more masked shift per position.  This is the
-    sum-over-subsets pass (Yates, 1937) on a 2^n-bit int.  Ascending F
-    is descending literal-position vectors, the order ``prime_pairs``
-    returns.
+    sum-over-subsets pass (Yates, 1937) on a 2^n-bit int.
     """
     everything, per_bit = _table_masks(n)
     bad = off
@@ -219,6 +219,16 @@ def table_primes(p: int, off: int, n: int) -> list[tuple[int, int]]:
             blocked |= (good & low) << step
         else:
             blocked |= (good >> step) & low
-    frees = sorted([p ^ y for y in set_bits(good & ~blocked)])
+    return good & ~blocked
+
+
+def table_primes(p: int, off: int, n: int) -> list[tuple[int, int]]:
+    """``prime_pairs`` on a truth table: the primes covering the minterm
+    of value ``p`` as ``(left, right)`` pair values, in the cube-text
+    order of the primes, read off ``prime_corners(p, off, n)``.
+    Ascending free positions are descending literal-position vectors,
+    the order ``prime_pairs`` returns.
+    """
+    frees = sorted([p ^ y for y in set_bits(prime_corners(p, off, n))])
     full = (1 << n) - 1
     return [((full ^ p) | free, p | free) for free in frees]

@@ -14,7 +14,10 @@ under fr/fdr.  Each cube line is scanned into its ``(left, right)``
 pair values and checked once: an input part without '-' is read as one
 binary int, one with '-' by one translation per half.  The lines are
 grouped by output part, in file order, and an output part is checked
-when it opens its group.
+when it opens its group.  A plain body, every cube line its input part,
+one whitespace character and its output part, is read in one block of
+calls over all its lines; any other body, and every fault, goes through
+the line-by-line loop, which names the line at fault.
 
 Single-output files produce a ``LogicFunction`` holding its rows as
 pairs, with no ``Cube`` per row; its ``on``, ``off`` and ``dc`` cube
@@ -36,6 +39,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import repeat
+from operator import xor
 from typing import Iterable, Sequence
 
 from .bitcube import (
@@ -304,6 +309,56 @@ class _RawPla:
     ob: tuple[str, ...]
 
 
+def _plain_body(lines: list[str], n: int, m: int) -> dict[str, list[tuple[int, int]]] | None:
+    """The groups ``_scan``'s loop reads from ``lines``, the lines from
+    the first cube line on, when they are a plain body; None for any
+    other text, which the loop then reads line by line, naming the line
+    at fault if there is one.
+
+    A plain body is the lines up to an optional final .e/.end, each an
+    input part of n legal characters, one whitespace character and an
+    output part of m legal characters.  Each such line has n + 1 + m
+    characters, all in its two tokens but the separator, so a comment, a
+    directive, an illegal character or a blank or padded line shows as a
+    wrong length or an illegal character.  Three consecutive tokens, of
+    lengths n, m, n or m, n, m, would not fit in one line, so with twice
+    as many tokens as lines every line holds exactly two: the even
+    tokens are the input parts and the odd ones the output parts.  The
+    body is then read in a few calls over all of it: one ``split``, one
+    ``translate`` of the joined input parts, one ``int(part, 2)`` map
+    when no input part has a '-', and one grouping pass.
+    """
+    if lines[-1].strip() in (".e", ".end"):
+        lines = lines[:-1]
+    if set(map(len, lines)) != {n + 1 + m}:
+        return None
+    tokens = "\n".join(lines).split()
+    if len(tokens) != 2 * len(lines):
+        return None
+    ins, outs = tokens[0::2], tokens[1::2]
+    joined = "".join(ins)
+    if set(map(len, ins)) != {n} or joined.translate(_INPUT_CHARS):
+        return None
+    groups: dict[str, list[tuple[int, int]]] = {}
+    for out in dict.fromkeys(outs):
+        if len(out) != m or out.translate(_OUTPUT_CHARS):
+            return None
+        groups[out] = []
+    if "-" in joined:
+        lefts = map(int, map(str.translate, ins, repeat(_LEFT_OF_CHAR)), repeat(2))
+        rights = map(int, map(str.translate, ins, repeat(_RIGHT_OF_CHAR)), repeat(2))
+        pairs = zip(lefts, rights)
+    else:
+        values = list(map(int, ins, repeat(2)))
+        pairs = zip(map(xor, repeat((1 << n) - 1), values), values)
+    if len(groups) == 1:
+        groups[outs[0]] = list(pairs)
+    else:
+        for out, pair in zip(outs, pairs):
+            groups[out].append(pair)
+    return groups
+
+
 def _scan(text: str) -> _RawPla:
     n = m = None
     full = 0  # the n-bit mask, set with n
@@ -311,7 +366,8 @@ def _scan(text: str) -> _RawPla:
     ob: tuple[str, ...] | None = None
     ilb: int | None = None  # the input label count; the labels are not kept
     groups: dict[str, list[tuple[int, int]]] = {}  # an output part is checked once
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    lines = text.splitlines()
+    for lineno, line in enumerate(lines, start=1):
         if "#" in line:
             line = line.split("#", 1)[0]
         line = line.strip()
@@ -358,6 +414,11 @@ def _scan(text: str) -> _RawPla:
             continue
         if n is None or m is None:
             raise PlaParseError(f"line {lineno}: cube line before .i/.o declarations")
+        if not groups:
+            block = _plain_body(lines[lineno - 1 :], n, m)
+            if block is not None:
+                groups = block
+                break
         tokens = line.split()
         if len(tokens) < 2:
             raise PlaParseError(f"line {lineno}: expected input and output parts")

@@ -67,7 +67,8 @@ def test_coverage_mask_rejects_a_width_mismatch():
         coverage_mask(text_cube("10x"), on)
 
 
-# Candidates arrive in cube-text order, as ``direct_cover`` builds them,
+# Above the table cap ``direct_cover`` selects with ``_select_index``.
+# Candidates arrive in cube-text order, as ``prime_pairs`` lists them,
 # so the first of the best candidates has the smallest cube text.
 
 
@@ -95,6 +96,16 @@ def test_select_epi_counts_only_uncovered():
     masks = [0b001, 0b110]
     assert _select_index([mask & uncovered for mask in masks]) == 0
     assert _select_index(masks) == 1
+
+
+def test_table_branch_commits_the_smaller_cube_text_on_a_tie():
+    """Each origin's two primes cover equally many uncovered on-minterms;
+    the one first in cube-text order is committed, though the origin's
+    corners come in the other order."""
+    off = [text_cube("011"), text_cube("100")]
+    f = LogicFunction(3, [text_cube(t) for t in ("111", "110", "101")], off)
+    # origin 111: 11x and 1x1 cover two each; origin 101: 1x1 and x01 one each
+    assert [cube_text(c) for c in direct_cover(f).cubes] == ["11x", "1x1"]
 
 
 def test_direct_cover_five_var():

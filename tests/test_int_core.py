@@ -21,7 +21,8 @@ from primecover import (
     reform_sdm,
     text_cube,
 )
-from primecover.pi_gen import _expand, prime_pairs, table_primes
+from primecover.bitcube import set_bits
+from primecover.pi_gen import _expand, prime_corners, prime_pairs, table_primes
 from primecover.reduced_offset import OffPairs
 from helpers import (
     reference_cross_or,
@@ -194,7 +195,8 @@ def listed_primes(n: int, p: int, off: int) -> list[tuple[int, int]]:
 @given(st.data())
 def test_table_primes_match_the_listed_fold(data):
     """The truth-table routine gives the fold's pairs, in the same order,
-    for any off table without the origin, dense or sparse."""
+    for any off table without the origin, dense or sparse; the corners
+    ``prime_corners`` sets are p ^ free for exactly those primes."""
     n = data.draw(st.integers(1, 10))
     p = data.draw(st.integers(0, (1 << n) - 1))
     sparse = st.lists(st.integers(0, (1 << n) - 1), max_size=12).map(
@@ -202,7 +204,9 @@ def test_table_primes_match_the_listed_fold(data):
     )
     table = data.draw(st.one_of(st.integers(0, (1 << (1 << n)) - 1), sparse))
     table &= ~(1 << p)
-    assert table_primes(p, table, n) == listed_primes(n, p, table)
+    listed = listed_primes(n, p, table)
+    assert table_primes(p, table, n) == listed
+    assert set_bits(prime_corners(p, table, n)) == sorted(p ^ (l & r) for l, r in listed)
 
 
 def test_table_primes_on_the_empty_and_the_fullest_tables():

@@ -1,5 +1,6 @@
 import random
 import re
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -21,7 +22,8 @@ from primecover import (
     verify_multi,
     write_pla,
 )
-from primecover.pla_io import _scan, complement_cubes
+from primecover import pla_io
+from primecover.pla_io import _RawPla, _scan, complement_cubes
 from helpers import (
     TRI_OUTPUT_PLA,
     five_var_pla,
@@ -629,3 +631,152 @@ def test_illegal_output_character_after_legal_rows(parts, bad, char):
     message = f"illegal output character {char!r}"
     with pytest.raises(PlaParseError, match=f"^line {lineno}: {re.escape(message)}$"):
         parse_pla(text)
+
+
+def _line_loop_scan(text: str) -> _RawPla:
+    """``_scan`` with the block read declined, so every line goes through
+    the per-line loop."""
+    with mock.patch.object(pla_io, "_plain_body", return_value=None):
+        return _scan(text)
+
+
+def _read_as_block(text: str) -> bool:
+    """Whether ``_scan`` reads the body of ``text`` as one block."""
+    blocks = []
+    plain_body = pla_io._plain_body
+
+    def spy(*args):
+        blocks.append(plain_body(*args))
+        return blocks[-1]
+
+    with mock.patch.object(pla_io, "_plain_body", spy):
+        try:
+            _scan(text)
+        except PlaParseError:
+            pass
+    return any(block is not None for block in blocks)
+
+
+@st.composite
+def plain_pla_texts(draw) -> str:
+    """Plain PLA texts: 1-10 inputs, 1-4 outputs, every type or none,
+    input parts with '-', output parts with '-' and '~', each cube line
+    its two parts and one space or tab, with or without a final .e or
+    .end, with LF or CRLF line ends."""
+    n = draw(st.integers(min_value=1, max_value=10))
+    m = draw(st.integers(min_value=1, max_value=4))
+    lines = [f".i {n}", f".o {m}"]
+    type_ = draw(st.sampled_from((None, "f", "fr", "fd", "fdr")))
+    if type_:
+        lines.append(f".type {type_}")
+    rows = draw(
+        st.lists(
+            st.tuples(
+                st.text("01-", min_size=n, max_size=n),
+                st.sampled_from(" \t"),
+                st.text("01-~", min_size=m, max_size=m),
+            ),
+            min_size=1,
+            max_size=40,
+        )
+    )
+    lines.append(f".p {len(rows)}")
+    lines += ["".join(row) for row in rows]
+    lines += draw(st.sampled_from(([], [".e"], [".end"])))
+    end = draw(st.sampled_from(("\n", "\r\n")))
+    return end.join(lines) + draw(st.sampled_from(("", end)))
+
+
+@settings(deadline=None)
+@given(plain_pla_texts())
+def test_block_read_matches_the_line_loop(text):
+    assert _read_as_block(text)
+    assert _scan(text) == _line_loop_scan(text)
+
+
+def _groups(parts: dict[str, str]) -> dict[str, list[tuple[int, int]]]:
+    """``_RawPla`` groups from the input parts of each output part."""
+    return {
+        out: [(c.left.value, c.right.value) for c in map(text_cube, ins.split())]
+        for out, ins in parts.items()
+    }
+
+
+_HEAD = ".i 2\n.o 1\n.type fr\n"
+_FR_11_00 = _RawPla(2, 1, "fr", _groups({"1": "11", "0": "00"}), ())
+
+
+@pytest.mark.parametrize(
+    "text, want",
+    [
+        # a comment, or a blank line
+        (_HEAD + "11 1 # on\n00 0\n.e\n", _FR_11_00),
+        (_HEAD + "11 1\n\n00 0\n.e\n", _FR_11_00),
+        # an output part split by spaces
+        (
+            ".i 2\n.o 2\n11 1 0\n00 01\n.e\n",
+            _RawPla(2, 2, "fd", _groups({"10": "11", "01": "00"}), ()),
+        ),
+        # .p or .ilb after a cube line
+        (_HEAD + "11 1\n.p 2\n00 0\n.e\n", _FR_11_00),
+        (_HEAD + "11 1\n.ilb a b\n00 0\n.e\n", _FR_11_00),
+        # .e before the first cube line, or in mid-body with lines after it
+        (_HEAD + ".e\n11 1\n00 0\n", _RawPla(2, 1, "fr", {}, ())),
+        (_HEAD + "11 1\n.e\n00 0\n", _RawPla(2, 1, "fr", _groups({"1": "11"}), ())),
+        # a directive with leading whitespace
+        (_HEAD + "11 1\n  .ob y\n00 0\n.e\n", _RawPla(2, 1, "fr", _FR_11_00.groups, ("y",))),
+        # a part padded by spaces or tabs
+        (_HEAD + "  11 1\n00\t\t0\n.e\n", _FR_11_00),
+    ],
+)
+def test_irregular_bodies_are_read_line_by_line(text, want):
+    assert not _read_as_block(text)
+    assert _scan(text) == want
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        # a '.' or an 'x' in an input part
+        (_HEAD + "11 1\n0. 0\n.e\n", "line 5: illegal input character '.' (use 0, 1 or -)"),
+        (_HEAD + "x1 1\n00 0\n.e\n", "line 4: illegal input character 'x' (use 0, 1 or -)"),
+        # a line of one token and one of three, two per line on average
+        (".i 4\n.o 2\n0101 11 0011\n10\n.e\n", "line 3: output part '110011' is not 2 characters"),
+        (".i 4\n.o 1\n0 1 01\n     1\n.e\n", "line 3: input part '0' is not 4 characters"),
+        (".i 2\n.o 2\n 01  \n10 11\n.e\n", "line 3: expected input and output parts"),
+        (".i 1\n.o 4\n0 11 1\n111111\n.e\n", "line 3: output part '111' is not 4 characters"),
+        # a directive no PLA reader knows, in mid-body
+        (_HEAD + "11 1\n.x 2\n00 0\n", "line 5: unknown directive '.x'"),
+    ],
+)
+def test_irregular_bodies_raise_from_the_line_loop(text, message):
+    assert not _read_as_block(text)
+    with pytest.raises(PlaParseError, match=f"^{re.escape(message)}$"):
+        _scan(text)
+
+
+def test_crlf_line_ends_read_as_lf():
+    """``splitlines`` removes either line end before the body is read."""
+    text = _HEAD + "11 1\n1- 1\n00 0\n.e\n"
+    crlf = text.replace("\n", "\r\n")
+    assert _read_as_block(text) and _read_as_block(crlf)
+    assert _scan(crlf) == _scan(text) == _line_loop_scan(crlf)
+    assert _scan(text).groups == _groups({"1": "11 1-", "0": "00"})
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ("0x1 1", "illegal input character 'x' (use 0, 1 or -)"),
+        ("0-2 0", "illegal input character '2' (use 0, 1 or -)"),
+        ("010 2", "illegal output character '2'"),
+        ("01 1", "input part '01' is not 3 characters"),
+    ],
+)
+def test_a_fault_on_the_last_line_of_a_long_plain_body_is_named(bad, message):
+    text, lineno = _after_minterm_rows(3, "1 0", bad, count=2000)
+    # the body up to the bad line is plain
+    assert _read_as_block(text.replace(f"\n{bad}\n", "\n"))
+    assert not _read_as_block(text)
+    with pytest.raises(PlaParseError, match=f"^line {lineno}: {re.escape(message)}$"):
+        _scan(text)
