@@ -215,6 +215,51 @@ def test_verify_multi_output_cover(tmp_path, capsys):
     assert "coverage: FAIL, uncovered on-minterms 000 (output 0), 100 (output 0)" in captured.out
 
 
+VERIFY_FAILURES = {
+    "two outputs": (
+        ".i 3\n.o 2\n.type fr\n000 10\n011 01\n101 11\n110 10\n111 01\n.e\n",
+        ".i 3\n.o 2\n00- 10\n--0 10\n--- 01\n.e\n",
+        [
+            "coverage: FAIL, uncovered on-minterms 101 (output 0)",
+            "off-set: FAIL, cube xxx_{1} covers off-minterm 000",
+            "off-set: FAIL, cube xxx_{1} covers off-minterm 110",
+            "primality: FAIL, cube 00x_{0} literal 0 is removable",
+        ],
+    ),
+    "listed off-set": (
+        ".i 5\n.o 1\n.type fr\n11010 1\n00001 0\n11011 0\n.e\n",
+        ".i 5\n.o 1\n1101- 1\n110-0 1\n.e\n",
+        [
+            "coverage: ok",
+            "off-set: FAIL, cube 1101x intersects 11011",
+            "primality: FAIL, cube 110x0 literal 2 is removable",
+            "primality: FAIL, cube 110x0 literal 1 is removable",
+            "primality: FAIL, cube 110x0 literal 0 is removable",
+        ],
+    ),
+    "derived off-set": (
+        ".i 3\n.o 1\n.type fd\n1-1 1\n.e\n",
+        ".i 3\n.o 1\n1-- 1\n.e\n",
+        [
+            "coverage: ok",
+            "off-set: FAIL, cube 1xx intersects xx0",
+            "primality: ok (every literal is needed)",
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(VERIFY_FAILURES))
+def test_verify_failure_text(tmp_path, capsys, name):
+    """The whole stdout of a failed check names each violating cube, in
+    cube text with its tag for several outputs, and the exit code is 1."""
+    function, cover, expected = VERIFY_FAILURES[name]
+    src = write(tmp_path, "f.pla", function)
+    bad = write(tmp_path, "bad.pla", cover)
+    assert main(["verify", src, bad]) == 1
+    assert capsys.readouterr().out == "".join(line + "\n" for line in expected)
+
+
 def test_verify_rejects_a_cover_with_other_outputs(tmp_path, capsys):
     src = write(tmp_path, "tri.pla", TRI_OUTPUT_PLA)
     single = write(tmp_path, "single.pla", ".i 3\n.o 1\n.type fr\n000 1\n.e\n")
