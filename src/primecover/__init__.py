@@ -13,6 +13,7 @@ from .bitcube import (
     cube_contains,
     cube_text,
     minterm_to_cube,
+    pair_text,
     text_cube,
 )
 from .cover import (
@@ -83,6 +84,7 @@ __all__ = [
     "minimize_sr",
     "minimum_cover_size",
     "minterm_to_cube",
+    "pair_text",
     "parse_pla",
     "reduce_off_cube",
     "reform_sdm",

@@ -1,17 +1,18 @@
 """Fixed-width bit vectors and positional cubes.
 
-Everything else in the package runs on two carriers.  ``BitVec`` is an
-immutable n-bit string; it stores minterms, difference indicators,
-literal-position vectors and coverage masks.  ``Cube`` is a pair of
-equal-width bit vectors in positional notation: per variable the
-(left, right) bit pair encodes 10 for value 0, 01 for value 1 and 11
-for a don't care.  There is no 00 pair, so every cube holds a minterm.
-``Slices`` indexes a whole cube list by variable, so that the cubes
-meeting a query cube come out of one AND per query literal.  A truth
-table is one 2^n-bit int with bit v set for the minterm of value v:
-``cube_points`` gives a cube's, ``table_of`` a cube list's, and
-``raisable_literals`` tests a cube's literals against one, one mirror
-shift each.
+The API edge has two carriers.  ``BitVec`` is an immutable n-bit
+string; it stores minterms, difference indicators, literal-position
+vectors and coverage masks.  ``Cube`` is a pair of equal-width bit
+vectors in positional notation: per variable the (left, right) bit pair
+encodes 10 for value 0, 01 for value 1 and 11 for a don't care.  There
+is no 00 pair, so every cube holds a minterm.  The pipeline, parser to
+writer, runs on the plain ``(left, right)`` int pairs of that notation:
+``pair_text`` renders one and ``check_pairs`` guards them.  ``Slices``
+indexes a whole cube list by variable, so that the cubes meeting a
+query cube come out of one AND per query literal.  A truth table is one
+2^n-bit int with bit v set for the minterm of value v: ``cube_points``
+gives a cube's, ``table_of`` a cube list's, and ``raisable_literals``
+tests a cube's literals against one, one mirror shift each.
 
 Convention: the leftmost character of any text form is the most
 significant bit, so printed values read like product terms over
@@ -339,12 +340,27 @@ class Slices:
 _TEXT_OF_DIGIT = str.maketrans("213", "01x")
 
 
-def cube_text(c: Cube) -> str:
-    """Render a cube with one character per variable from {0, 1, x}."""
+def pair_text(left: int, right: int) -> str:
+    """Render the cube of a ``(left, right)`` pair with one character per
+    variable from {0, 1, x}; a cube has no 00 pair, so no width is needed."""
     # reading each pair's binary digits in base 16 spreads them one per
     # hex digit; base 16 also avoids the int/str digit limit of base 10
-    pairs = 2 * int(f"{c.left.value:b}", 16) + int(f"{c.right.value:b}", 16)
+    pairs = 2 * int(f"{left:b}", 16) + int(f"{right:b}", 16)
     return format(pairs, "x").translate(_TEXT_OF_DIGIT)
+
+
+def cube_text(c: Cube) -> str:
+    """Render a cube with one character per variable from {0, 1, x}."""
+    return pair_text(c.left.value, c.right.value)
+
+
+def check_pairs(pairs: Iterable[tuple[int, int]], n: int) -> None:
+    """Raise ``ValueError`` naming the first of ``pairs`` that is not a
+    cube over ``n`` inputs."""
+    full = _mask(n)
+    for left, right in pairs:
+        if left | right != full:
+            raise ValueError(f"({left:#b}, {right:#b}) is not a cube over {n} inputs")
 
 
 # per cube character: does it allow value 0 (left bit), value 1 (right bit)

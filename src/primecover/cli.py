@@ -15,8 +15,8 @@ from functools import reduce
 from operator import or_
 from pathlib import Path
 
-from .bitcube import BitVec, Cube, cube_text
-from .cover import direct_cover, expand_on_minterms, verify_cover
+from .bitcube import BitVec, Cube, cube_text, pair_text
+from .cover import CoverReport, direct_cover, expand_on_minterms, verify_cover
 from .errors import InconsistentFunction
 from .multi_output import TaggedCube, edsa_minimize, verify_multi
 from .pi_gen import cross_or, generate_m, generate_spi
@@ -163,40 +163,26 @@ def cmd_bench(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _print_checks(
-    missing: list[str], missing_count: int, conflicts: list[str], removable: list[str]
-) -> None:
-    """The coverage, off-set and primality lines of a cover check; each
-    list holds at most the first 8 violations of its kind."""
+def _print_checks(report: CoverReport, name, point, conflict) -> int:
+    """Print the coverage, off-set and primality lines of a cover check,
+    each with at most the first 8 violations of its kind, and return the
+    exit code.  ``name`` renders a cube of the cover, ``point`` a missing
+    point and ``conflict`` a (cube, off point or cube) pair."""
+    missing = [point(m) for m in report.missing[:8]]
     if missing:
-        more = "" if missing_count <= 8 else f" (+{missing_count - 8} more)"
+        count = len(report.missing)
+        more = "" if count <= 8 else f" (+{count - 8} more)"
         print(f"coverage: FAIL, uncovered on-minterms {', '.join(missing)}{more}")
     else:
         print("coverage: ok")
-    for line in conflicts:
-        print(f"off-set: FAIL, {line}")
-    if not conflicts:
+    for cube, z in report.off_conflicts[:8]:
+        print(f"off-set: FAIL, {conflict(cube, z)}")
+    if not report.off_conflicts:
         print("off-set: ok (no cube touches it)")
-    for line in removable:
-        print(f"primality: FAIL, {line}")
-    if not removable:
+    for cube, pos in report.removable_literals[:8]:
+        print(f"primality: FAIL, cube {name(cube)} literal {pos} is removable")
+    if not report.removable_literals:
         print("primality: ok (every literal is needed)")
-
-
-def _verify_multi(f: MultiFunction, rows: list[tuple[Cube, str]]) -> int:
-    """Check the cube lines of a multi-output cover, each on for some
-    output: a 1 in output j of a line puts j in the cube's tag."""
-    cover = [
-        TaggedCube(cube, frozenset(j for j, ch in enumerate(out) if ch == "1"))
-        for cube, out in rows
-    ]
-    report = verify_multi(cover, f)
-    _print_checks(
-        [f"{m} (output {j})" for m, j in report.missing[:8]],
-        len(report.missing),
-        [f"cube {tc} covers off-minterm {v}" for tc, v in report.off_conflicts[:8]],
-        [f"cube {tc} literal {pos} is removable" for tc, pos in report.removable_literals[:8]],
-    )
     return EXIT_OK if report.ok else EXIT_VERIFY_FAILED
 
 
@@ -223,27 +209,26 @@ def cmd_verify(args: argparse.Namespace) -> int:
         )
         return EXIT_INPUT
     rows = [
-        (Cube(BitVec(f.n, left), BitVec(f.n, right)), out)
-        for out, pairs in cover.groups.items()
-        if "1" in out
-        for left, right in pairs
+        (pair, out) for out, pairs in cover.groups.items() if "1" in out for pair in pairs
     ]
     if isinstance(f, MultiFunction):
-        return _verify_multi(f, rows)
-    report = verify_cover([cube for cube, _ in rows], f)
-    _print_checks(
-        [str(m) for m in report.missing[:8]],
-        len(report.missing),
-        [
-            f"cube {cube_text(cube)} intersects {cube_text(z)}"
-            for cube, z in report.off_conflicts[:8]
-        ],
-        [
-            f"cube {cube_text(cube)} literal {pos} is removable"
-            for cube, pos in report.removable_literals[:8]
-        ],
+        # a 1 in output j of a line sets bit j of the cube's tag
+        tagged = [
+            TaggedCube(pair, sum(1 << j for j, ch in enumerate(out) if ch == "1"))
+            for pair, out in rows
+        ]
+        return _print_checks(
+            verify_multi(tagged, f),
+            str,
+            lambda point: f"{point[0]} (output {point[1]})",
+            lambda tc, v: f"cube {tc} covers off-minterm {v}",
+        )
+    return _print_checks(
+        verify_cover([pair for pair, _ in rows], f),
+        lambda pair: pair_text(*pair),
+        str,
+        lambda pair, z: f"cube {pair_text(*pair)} intersects {pair_text(*z)}",
     )
-    return EXIT_OK if report.ok else EXIT_VERIFY_FAILED
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -15,23 +15,25 @@ it is found by one AND of its points with the uncovered table, with no
 candidate list; an off-set test is one AND, and a literal's primality
 test one mirror shift and one AND.  Above the cap the on-set
 is a sliced minterm list and the off-set a sliced cube list
-(``bitcube.Slices``), queried one AND per literal.  Either way the
-function is read as its ``(left, right)`` pairs and tables; its ``Cube``
-tuples are read only to name the off-cubes a failed check meets.
+(``bitcube.Slices``), queried one AND per literal.  Either way a
+function is read as its ``(left, right)`` pairs and tables, and a cover
+is the pairs it commits, checked by the routine tagged covers share.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, TypeVar
+from itertools import repeat
+from typing import Iterable, Sequence, TypeVar
 
 from .bitcube import (
     BitVec,
     Cube,
     Slices,
+    check_pairs,
     cube_points,
-    cube_text,
     free_subsets,
+    pair_text,
     raisable_literals,
     set_bits,
 )
@@ -58,9 +60,8 @@ def expand_on_minterms(f: LogicFunction) -> list[int]:
             out[right] = None
         else:
             if 1 << free.bit_count() > cap:
-                c = Cube(BitVec(f.n, left), BitVec(f.n, right))
                 raise ValueError(
-                    f"on-cube {cube_text(c)} alone expands past the cap of {cap} minterms"
+                    f"on-cube {pair_text(left, right)} alone expands past the cap of {cap} minterms"
                 )
             base = right ^ free
             for sub in free_subsets(free):
@@ -93,7 +94,9 @@ def _select_index(restricted: Sequence[int]) -> int:
 
 @dataclass(frozen=True)
 class CoverResult:
-    cubes: tuple[Cube, ...]
+    """The ``(left, right)`` pairs ``direct_cover`` committed, in order."""
+
+    cubes: tuple[tuple[int, int], ...]
     iterations: int
 
 
@@ -112,18 +115,14 @@ def direct_cover(f: LogicFunction, *, irredundant: bool = False) -> CoverResult:
     """
     if not f.on_pairs:
         raise EmptyOnset("the on-set is empty")
-    n = f.n
     on_list = expand_on_minterms(f)
-    greedy = _table_greedy if n <= TABLE_CAP else _listed_greedy
+    greedy = _table_greedy if f.n <= TABLE_CAP else _listed_greedy
     chosen, chosen_masks = greedy(f, on_list)
     iterations = len(chosen)
     if irredundant:
         keep = _irredundant_indices(chosen_masks)
         chosen = [chosen[i] for i in keep]
-    return CoverResult(
-        cubes=tuple(Cube(BitVec(n, left), BitVec(n, right)) for left, right in chosen),
-        iterations=iterations,
-    )
+    return CoverResult(tuple(chosen), iterations)
 
 
 def _table_greedy(
@@ -216,67 +215,97 @@ class CoverReport:
         return not (self.missing or self.off_conflicts or self.removable_literals)
 
 
-def verify_cover(cover: CoverResult | Sequence[Cube], f: LogicFunction) -> CoverReport:
+def _joint(tag: int, tables: Sequence[int]) -> int:
+    """OR of the tables of the outputs in ``tag``, bit j for output j."""
+    points = 0
+    for j in set_bits(tag):
+        points |= tables[j]
+    return points
+
+
+def _check_tables(
+    items: Iterable[tuple[tuple[int, int], int]], on: Sequence[int], off: Sequence[int], n: int
+) -> tuple[list[int], list[tuple[int, int]], list[tuple[int, int]]]:
+    """The three checks of ``(pair, tag)`` items, bit j of a tag meaning
+    output j, against per-output on and off tables; one output has one
+    table each and every tag 1.  Each cube's points are ORed into its outputs'
+    tables, ANDed with its tag's joint off table and tested against it
+    by ``raisable_literals``.  Returns the uncovered on points per output,
+    ``(index, off points)`` per conflict and ``(index, position)`` per
+    raisable literal."""
+    covered = [0] * len(on)
+    # per tag: its outputs and its joint off table
+    per_tag: dict[int, tuple[list[int], int]] = {}
+    conflicts: list[tuple[int, int]] = []
+    raised: list[tuple[int, int]] = []
+    for i, ((left, right), tag) in enumerate(items):
+        points = cube_points(left, right)
+        outputs, tag_off = per_tag.get(tag) or per_tag.setdefault(
+            tag, (set_bits(tag), _joint(tag, off))
+        )
+        for j in outputs:
+            covered[j] |= points
+        if points & tag_off:
+            conflicts.append((i, points & tag_off))
+        literals = raisable_literals(left, right, points, tag_off, n)
+        if literals:
+            raised.extend((i, pos) for pos in literals)
+    return [table & ~hit for table, hit in zip(on, covered)], conflicts, raised
+
+
+def verify_cover(
+    cover: CoverResult | Sequence[tuple[int, int]], f: LogicFunction
+) -> CoverReport:
     """Check coverage of the on-set, disjointness from the off-set, and
     primality of every cube by the literal-raising test.
 
+    The cover is a ``CoverResult`` or its ``(left, right)`` pairs.
     ``missing`` lists the on-minterms no cube covers, as ``BitVec``s in
     canonical order; ``off_conflicts`` each ``(cube, off-cube)`` pair
-    that intersects; and ``removable_literals`` each ``(cube, position)``
-    whose literal can be raised while the cube misses the off-set.
+    that intersects, the off-cube one of ``f.off_pairs``; and
+    ``removable_literals`` each ``(cube, position)`` whose literal can be
+    raised while the cube misses the off-set.  Raises ``ValueError`` for
+    a pair that is not a cube over ``f.n`` inputs.
 
-    Up to ``TABLE_CAP`` inputs the checks read the function's truth
-    tables: the cubes' points are ORed against the on table, and each
-    cube's points ANDed with the off table and with its mirror images
-    (``raisable_literals``).  The on-minterm list is expanded only to
-    list missing minterms, and the off-cubes sliced only to list those a
-    cube meets.  Above the cap the on-minterms and the off-cubes are
-    sliced and queried, one off-set query per cube and per raised
-    literal.
+    Up to ``TABLE_CAP`` inputs the checks are ``_check_tables`` on the
+    function's on and off tables; the on-minterm list is expanded only
+    to list missing minterms.  Above the cap the on-minterms and the
+    off-cubes are sliced and queried, one off-set query per cube and per
+    raised literal.
     """
-    cubes = list(cover.cubes) if isinstance(cover, CoverResult) else list(cover)
+    pairs = list(cover.cubes) if isinstance(cover, CoverResult) else list(cover)
     n = f.n
-    for c in cubes:
-        if c.width != n:
-            raise ValueError(f"width mismatch: {c.width} vs {n}")
-    off_conflicts: list[tuple[Cube, Cube]] = []
-    removable: list[tuple[Cube, int]] = []
+    check_pairs(pairs, n)
+    off = None
     if n <= TABLE_CAP:
-        off_table = f.off_table
-        off = None
-        covered = 0
-        for c in cubes:
-            left, right = c.left.value, c.right.value
-            points = cube_points(left, right)
-            covered |= points
-            if points & off_table:
-                if off is None:
-                    off = Slices(f.off_pairs, n)
-                off_conflicts.extend((c, z) for z in mask_members(off.mask_of(c), f.off))
-            raised = raisable_literals(left, right, points, off_table, n)
-            if raised:
-                removable.extend((c, pos) for pos in raised)
-        uncovered = f.on_table & ~covered
-        missing = (
-            [BitVec(n, v) for v in expand_on_minterms(f) if uncovered >> v & 1]
-            if uncovered
-            else []
-        )
-        return CoverReport(tuple(missing), tuple(off_conflicts), tuple(removable))
-    on_values = expand_on_minterms(f)
-    on = Slices.of_minterms(on_values, n)
-    off = Slices(f.off_pairs, n)
-    uncovered = (1 << on.count) - 1
-    for c in cubes:
-        uncovered &= ~on.meets(c.left.value, c.right.value)
-    missing = [BitVec(n, v) for v in mask_members(BitVec(on.count, uncovered), on_values)]
-    for c in cubes:
-        left, right = c.left.value, c.right.value
-        if off.meets(left, right):
-            off_conflicts.extend((c, z) for z in mask_members(off.mask_of(c), f.off))
-        spec = left ^ right
-        for pos in range(n):
-            bit = 1 << pos
-            if spec & bit and not off.meets(left | bit, right | bit):
-                removable.append((c, n - 1 - pos))
-    return CoverReport(tuple(missing), tuple(off_conflicts), tuple(removable))
+        items = zip(pairs, repeat(1))
+        (uncovered,), conflicts, raised = _check_tables(items, (f.on_table,), (f.off_table,), n)
+        on_values = expand_on_minterms(f) if uncovered else []
+        missing = [v for v in on_values if uncovered >> v & 1]
+        hits = [i for i, _ in conflicts]
+    else:
+        on_values = expand_on_minterms(f)
+        on = Slices.of_minterms(on_values, n)
+        off = Slices(f.off_pairs, n)
+        uncovered = (1 << on.count) - 1
+        for left, right in pairs:
+            uncovered &= ~on.meets(left, right)
+        missing = mask_members(BitVec(on.count, uncovered), on_values)
+        hits = [i for i, (left, right) in enumerate(pairs) if off.meets(left, right)]
+        raised = [
+            (i, n - 1 - pos)
+            for i, (left, right) in enumerate(pairs)
+            for pos in range(n)
+            if (left ^ right) >> pos & 1 and not off.meets(left | 1 << pos, right | 1 << pos)
+        ]
+    off_conflicts = []
+    if hits and off is None:
+        off = Slices(f.off_pairs, n)
+    for i in hits:
+        met = BitVec(off.count, off.meets(*pairs[i]))
+        off_conflicts.extend((pairs[i], z) for z in mask_members(met, f.off_pairs))
+    return CoverReport(
+        tuple(BitVec(n, v) for v in missing),
+        tuple(off_conflicts),
+        tuple((pairs[i], pos) for i, pos in raised),
+    )

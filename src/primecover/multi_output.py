@@ -1,12 +1,12 @@
 """Multi-output minimization over tagged minterms.
 
 A true minterm carries a tag, the set of its outputs that are 1 and
-not yet covered there; the tag's weight is its size.  The loop's state
-is one 2^n-bit truth table per output, of the minterms still to be
-covered for it, starting from the function's on tables: a minterm's tag
-is the outputs whose table holds it, a candidate covers the points of
-its cube in the AND of its tag's tables, and committing a cube clears
-its points from those tables.
+not yet covered there, as an int with bit j for output j; the tag's
+weight is its size.  The loop's state is one 2^n-bit truth table per
+output, of the minterms still to be covered for it, starting from the
+function's on tables: a minterm's tag is the outputs whose table holds
+it, a candidate covers the points of its cube in the AND of its tag's
+tables, and committing a cube clears its points from those tables.
 
 The loop always picks the uncovered minterm with the lightest current
 tag (ties by minterm value), read from the tables: the minterms in
@@ -18,8 +18,8 @@ counting as 1), and generates its prime implicants.  The off-set is the
 OR of the tagged outputs' off tables, and is folded as a cube cover of
 exactly those points, converted to int pairs once per tag: a cube's
 difference indicator is the smallest of its minterms', so the primes
-are those of the minterm off-set.  Candidates stay ``(left, right)``
-pairs in cube-text order; only committed cubes become ``Cube``s.
+are those of the minterm off-set.  Candidates are ``(left, right)``
+pairs in cube-text order, and a committed cube is its pair and tag.
 
 A candidate dominates when its mask, the points it covers of the
 minterms still to be covered for the whole tag, holds every other
@@ -39,19 +39,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .bitcube import (
     BitVec,
     Cube,
+    check_pairs,
     cube_points,
-    cube_text,
     minterm_to_cube,
-    raisable_literals,
+    pair_text,
     set_bits,
     table_cover,
 )
-from .cover import CoverReport
+from .cover import CoverReport, _check_tables, _joint
 # coverage_mask and generate_spi stay importable here: perfbench/tracing.py
 # wraps them by name
 from .cover import coverage_mask  # noqa: F401
@@ -61,22 +61,25 @@ from .pla_io import MultiFunction
 from .reduced_offset import OffPairs
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TaggedCube:
-    cube: Cube
-    tag: frozenset[int]
+    """One cube of a multi-output cover: its ``(left, right)`` pair and
+    its tag, an int whose bit j means output j."""
+
+    pair: tuple[int, int]
+    tag: int
 
     def __str__(self) -> str:
-        subs = ",".join(str(j) for j in sorted(self.tag))
-        return f"{cube_text(self.cube)}_{{{subs}}}"
+        subs = str(self.tag) if self.tag < 0 else ",".join(map(str, set_bits(self.tag)))
+        return f"{pair_text(*self.pair)}_{{{subs}}}"
 
-
-def _joint(tag: Iterable[int], columns: Sequence[int]) -> int:
-    """OR of the tagged columns."""
-    points = 0
-    for j in tag:
-        points |= columns[j]
-    return points
+    def check(self, n: int, m: int) -> None:
+        """Raise ``ValueError`` unless this is a cube over n inputs for m outputs."""
+        check_pairs((self.pair,), n)
+        if self.tag < 0 or self.tag >> m:
+            raise ValueError(f"{self} names an output outside the {m} outputs")
+        if not self.tag:
+            raise ValueError(f"{self} names no output")
 
 
 def subfunction_off(tag: "frozenset[int] | set[int]", f: MultiFunction) -> list[Cube]:
@@ -88,7 +91,7 @@ def subfunction_off(tag: "frozenset[int] | set[int]", f: MultiFunction) -> list[
     """
     if not tag:
         raise ValueError("empty output tag")
-    off = _joint(tag, f.off)
+    off = _joint(sum(1 << j for j in tag), f.off)
     return [minterm_to_cube(BitVec(f.n, v)) for v in set_bits(off)]
 
 
@@ -120,33 +123,34 @@ def _lightest(live: Sequence[int]) -> int | None:
 
 
 def edsa_minimize(f: MultiFunction) -> list[TaggedCube]:
-    """Cover every tagged minterm for every output in its tag."""
+    """Cover every tagged minterm for every output in its tag, one
+    ``TaggedCube`` per committed pair and tag, in commit order."""
     n = f.n
     off_columns = f.off
     # per output, the truth table of the minterms still to be covered for
     # it; a minterm's current tag is the outputs whose table holds it
     live = list(f.on)
 
-    def tag_of(v: int) -> frozenset[int]:
-        return frozenset(j for j, points in enumerate(live) if points >> v & 1)
+    def tag_of(v: int) -> int:
+        return sum((points >> v & 1) << j for j, points in enumerate(live))
 
     if not any(live):
         raise EmptyOnset("no output is ever true")
     # (left, right) pair and tag of each committed cube, in commit order
-    committed: dict[tuple[tuple[int, int], frozenset[int]], None] = {}
+    committed: dict[tuple[tuple[int, int], int], None] = {}
     # tags recur across origins; each joint off-set is built once
-    off_by_tag: dict[frozenset[int], OffPairs] = {}
+    off_by_tag: dict[int, OffPairs] = {}
 
-    def off_of(tag: frozenset[int]) -> OffPairs:
+    def off_of(tag: int) -> OffPairs:
         off = off_by_tag.get(tag)
         if off is None:
             off = off_by_tag[tag] = OffPairs(table_cover(_joint(tag, off_columns), n))
         return off
 
-    def commit(pair: tuple[int, int], tag: frozenset[int]) -> None:
+    def commit(pair: tuple[int, int], tag: int) -> None:
         committed[pair, tag] = None
         hit = cube_points(*pair)
-        for j in tag:
+        for j in set_bits(tag):
             live[j] &= ~hit
 
     while (origin_value := _lightest(live)) is not None:
@@ -154,7 +158,7 @@ def edsa_minimize(f: MultiFunction) -> list[TaggedCube]:
         pis = prime_pairs(BitVec(n, origin_value), off_of(tag))
         # the minterms still to be covered for every output of the tag
         universe = -1
-        for j in tag:
+        for j in set_bits(tag):
             universe &= live[j]
         masks = [cube_points(left, right) & universe for left, right in pis]
         union = 0
@@ -186,50 +190,27 @@ def edsa_minimize(f: MultiFunction) -> list[TaggedCube]:
         if stranded:
             best_nv = min(stranded, key=lambda nv: (_literals(best_by_neighbor[nv]), nv))
             commit(best_by_neighbor[best_nv], tag_of(best_nv))
-    return [
-        TaggedCube(Cube(BitVec(n, left), BitVec(n, right)), tag)
-        for (left, right), tag in committed
-    ]
+    return [TaggedCube(pair, tag) for pair, tag in committed]
 
 
 def verify_multi(cover: Sequence[TaggedCube], f: MultiFunction) -> CoverReport:
-    """Check a tagged cover against the output tables.
+    """Check a tagged cover against the output tables with the table
+    checks of ``verify_cover``.
 
     ``missing`` lists the on ``(minterm, output)`` pairs, as ``(BitVec,
     int)``, that no cube tagged with that output covers, by output and
     then minterm; ``off_conflicts`` each ``(TaggedCube, BitVec)`` pair
     of a cube and an off point of its tag's joint off-set inside it; and
     ``removable_literals`` each ``(TaggedCube, position)`` whose literal
-    can be raised while the cube stays clear of that joint off-set, i.e.
-    each cube that is not prime.  Raises ``ValueError`` for a cube of
-    another width than ``f.n``, for a tag naming an output outside
-    ``range(f.m)`` and for an empty tag, in ``write_pla``'s wording.
+    can be raised while the cube stays clear of that joint off-set.
+    Raises ``ValueError`` where ``TaggedCube.check`` does.
     """
     n = f.n
-    off_columns = f.off
-    covered = [0] * f.m
-    off_conflicts: list[tuple[TaggedCube, BitVec]] = []
-    removable: list[tuple[TaggedCube, int]] = []
     for tc in cover:
-        c = tc.cube
-        if c.width != n:
-            raise ValueError(f"width mismatch: {c.width} vs {n}")
-        if not all(0 <= j < f.m for j in tc.tag):
-            raise ValueError(f"{tc} names an output outside the {f.m} outputs")
-        if not tc.tag:
-            raise ValueError(f"{tc} names no output")
-        points = cube_points(c.left.value, c.right.value)
-        off = _joint(tc.tag, off_columns)
-        off_conflicts.extend((tc, BitVec(n, v)) for v in set_bits(points & off))
-        for j in tc.tag:
-            covered[j] |= points
-        removable.extend(
-            (tc, pos)
-            for pos in raisable_literals(c.left.value, c.right.value, points, off, n)
-        )
-    missing = [
-        (BitVec(n, v), j)
-        for j, on in enumerate(f.on)
-        for v in set_bits(on & ~covered[j])
-    ]
+        tc.check(n, f.m)
+    items = ((tc.pair, tc.tag) for tc in cover)
+    uncovered, conflicts, raised = _check_tables(items, f.on, f.off, n)
+    missing = [(BitVec(n, v), j) for j, points in enumerate(uncovered) for v in set_bits(points)]
+    off_conflicts = [(cover[i], BitVec(n, v)) for i, hit in conflicts for v in set_bits(hit)]
+    removable = [(cover[i], pos) for i, pos in raised]
     return CoverReport(tuple(missing), tuple(off_conflicts), tuple(removable))

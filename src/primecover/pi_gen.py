@@ -23,15 +23,14 @@ steps on ``BitVec``s.
 off-set given as one 2^n-bit truth table: 2n masked shift-ORs over the
 table per minterm, with the masks cached per input count, leave one
 table with a bit set per prime.  ``direct_cover`` scores the primes
-there, up to the 16-input table cap, and ``table_primes`` reads them
-off as ``(left, right)`` pairs in ``prime_pairs``' order.
+there, up to the 16-input table cap.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from .bitcube import BitVec, Cube, minimal_ones, set_bits
+from .bitcube import BitVec, Cube, minimal_ones
 from .errors import EmptyOffset
 from .reduced_offset import DiSet, OffPairs, generate_sdm
 
@@ -221,14 +220,3 @@ def prime_corners(p: int, off: int, n: int) -> int:
             blocked |= (good >> step) & low
     return good & ~blocked
 
-
-def table_primes(p: int, off: int, n: int) -> list[tuple[int, int]]:
-    """``prime_pairs`` on a truth table: the primes covering the minterm
-    of value ``p`` as ``(left, right)`` pair values, in the cube-text
-    order of the primes, read off ``prime_corners(p, off, n)``.
-    Ascending free positions are descending literal-position vectors,
-    the order ``prime_pairs`` returns.
-    """
-    frees = sorted([p ^ y for y in set_bits(prime_corners(p, off, n))])
-    full = (1 << n) - 1
-    return [((full ^ p) | free, p | free) for free in frees]

@@ -49,7 +49,8 @@ from .bitcube import (
     BitVec,
     Cube,
     Slices,
-    cube_text,
+    check_pairs,
+    pair_text,
     table_cover,
     table_of,
 )
@@ -529,34 +530,30 @@ def write_pla(
     outputs: int = 1,
     ob: Sequence[str] = (),
 ) -> str:
-    """Serialize a cover as PLA text: ``Cube``s when ``outputs`` is 1, and
-    ``TaggedCube``s otherwise, each marked for exactly the outputs of its tag.
+    """Serialize a cover as PLA text: ``(left, right)`` pairs when
+    ``outputs`` is 1, and ``TaggedCube``s otherwise, each marked for
+    exactly the outputs of its tag.
 
     Single-output covers are written as type fr, which round-trips exactly.
     Multi-output covers use type fd: a '0' in a cover line means the term
     does not belong to that output, not that the minterm is off, and two
     overlapping cubes with different tags would otherwise contradict.
-    Raises ``ValueError`` for a cube of another width than ``n``, for
-    a tag naming an output outside ``range(outputs)``, for an empty tag
-    and for ``ob`` labels that do not number ``outputs``, which
-    ``parse_pla`` could not read back.
+    Raises ``ValueError`` for a pair that is not a cube over ``n``
+    inputs, for a tag naming an output outside ``range(outputs)``, for
+    an empty tag and for ``ob`` labels that do not number ``outputs``,
+    which ``parse_pla`` could not read back.
     """
     if ob and len(ob) != outputs:
         raise ValueError(f"ob names {len(ob)} outputs but the cover has {outputs}")
-    lines_out: list[str] = []
-    for item in cover:
-        if outputs == 1:
-            cube, out_part = item, "1"
-        else:
-            cube = item.cube
-            if not all(0 <= j < outputs for j in item.tag):
-                raise ValueError(f"{item} names an output outside the {outputs} outputs")
-            if not item.tag:
-                raise ValueError(f"{item} names no output")
-            out_part = "".join("1" if j in item.tag else "0" for j in range(outputs))
-        if cube.width != n:
-            raise ValueError(f"width mismatch: {cube.width} vs {n}")
-        lines_out.append(f"{cube_text(cube).replace('x', '-')} {out_part}")
+    cover = list(cover)
+    if outputs == 1:
+        check_pairs(cover, n)
+        rows = [(pair, "1") for pair in cover]
+    else:
+        for item in cover:
+            item.check(n, outputs)
+        rows = [(item.pair, f"{item.tag:0{outputs}b}"[::-1]) for item in cover]
+    lines_out = [f"{pair_text(*pair).replace('x', '-')} {out}" for pair, out in rows]
     header = [f".i {n}", f".o {outputs}"]
     if ob:
         header.append(".ob " + " ".join(ob))

@@ -139,10 +139,35 @@ def rows_of(f: MultiFunction) -> list[tuple[BitVec, tuple[int | None, ...]]]:
 
 
 def pair_cube(n: int, pair: tuple[int, int]) -> Cube:
-    """The ``Cube`` of a ``(left, right)`` pair, as ``_scan`` groups hold
-    their input parts."""
+    """The ``Cube`` of a ``(left, right)`` pair, as ``_scan`` groups and
+    covers hold them."""
     left, right = pair
     return Cube(BitVec(n, left), BitVec(n, right))
+
+
+def cube_pair(c: Cube) -> tuple[int, int]:
+    """The ``(left, right)`` pair of a ``Cube``, as covers hold it."""
+    return c.left.value, c.right.value
+
+
+def tagged_cube(c: Cube, outputs) -> TaggedCube:
+    """The ``TaggedCube`` of a ``Cube`` for the outputs in ``outputs``."""
+    return TaggedCube(cube_pair(c), sum(1 << j for j in set(outputs)))
+
+
+def as_cubes(cover, n: int) -> list:
+    """A cover as the references and the oracle read it: each ``(left,
+    right)`` pair as its ``Cube``, and each ``TaggedCube`` as its ``(cube
+    text, frozenset of outputs)``, the form of ``TRI_OUTPUT_COVER``."""
+    out = []
+    for item in cover:
+        if isinstance(item, TaggedCube):
+            tag = item.tag
+            outputs = frozenset(j for j in range(tag.bit_length()) if tag >> j & 1)
+            out.append((cube_text(pair_cube(n, item.pair)), outputs))
+        else:
+            out.append(pair_cube(n, item))
+    return out
 
 
 def reference_parse_multi(text: str) -> MultiFunction:
@@ -379,50 +404,58 @@ def reference_on_minterms(f: LogicFunction) -> list[BitVec]:
 
 
 def pairwise_verify_cover(cover, f: LogicFunction) -> CoverReport:
-    cubes = list(cover.cubes) if isinstance(cover, CoverResult) else list(cover)
+    """``verify_cover`` one cube pair at a time, on the cover's ``Cube``s;
+    the report names each cube and off-cube by its pair, as
+    ``verify_cover`` does."""
+    pairs = list(cover.cubes) if isinstance(cover, CoverResult) else list(cover)
+    cubes = list(zip(pairs, as_cubes(pairs, f.n)))
     missing = [
         m
         for m in reference_on_minterms(f)
-        if not any(c.covers_value(m.value) for c in cubes)
+        if not any(c.covers_value(m.value) for _, c in cubes)
     ]
-    off_conflicts = [(c, z) for c in cubes for z in f.off if reference_intersects(c, z)]
+    off_conflicts = [
+        (pair, cube_pair(z)) for pair, c in cubes for z in f.off if reference_intersects(c, z)
+    ]
     removable = []
-    for c in cubes:
+    for pair, c in cubes:
         for pos in range(c.width):
             if not c.specified_mask >> pos & 1:
                 continue
             raised = reference_raise_literal(c, pos)
             if not any(reference_intersects(raised, z) for z in f.off):
-                removable.append((c, c.width - 1 - pos))
+                removable.append((pair, c.width - 1 - pos))
     return CoverReport(tuple(missing), tuple(off_conflicts), tuple(removable))
 
 
 def reference_verify_cover(cover, f: LogicFunction) -> CoverReport:
     """``verify_cover`` on the listed sets at every width: the on-minterms
     and the off-cubes sliced, one off-set query per cube and one per
-    raised literal, and each cube's off-conflicts listed from its mask."""
-    cubes = list(cover.cubes) if isinstance(cover, CoverResult) else list(cover)
-    for c in cubes:
-        if c.width != f.n:
-            raise ValueError(f"width mismatch: {c.width} vs {f.n}")
+    raised literal, and each cube's off-conflicts listed from its mask.
+    The checks read the cover's ``Cube``s; the report names each cube and
+    off-cube by its pair, as ``verify_cover`` does."""
+    pairs = list(cover.cubes) if isinstance(cover, CoverResult) else list(cover)
+    cubes = list(zip(pairs, as_cubes(pairs, f.n)))
     on_values = [m.value for m in reference_on_minterms(f)]
     on = Slices.of_minterms(on_values, f.n)
     off = Slices([(z.left.value, z.right.value) for z in f.off], f.n)
     uncovered = (1 << on.count) - 1
-    for c in cubes:
+    for _, c in cubes:
         uncovered &= ~on.meets(c.left.value, c.right.value)
     missing = [
         BitVec(f.n, v) for v in mask_members(BitVec(on.count, uncovered), on_values)
     ]
-    off_conflicts: list[tuple[Cube, Cube]] = []
-    removable: list[tuple[Cube, int]] = []
-    for c in cubes:
-        off_conflicts.extend((c, z) for z in mask_members(off.mask_of(c), f.off))
+    off_conflicts = []
+    removable = []
+    for pair, c in cubes:
+        off_conflicts.extend(
+            (pair, cube_pair(z)) for z in mask_members(off.mask_of(c), f.off)
+        )
         left, right, spec = c.left.value, c.right.value, c.specified_mask
         for pos in range(c.width):
             bit = 1 << pos
             if spec & bit and not off.meets(left | bit, right | bit):
-                removable.append((c, c.width - 1 - pos))
+                removable.append((pair, c.width - 1 - pos))
     return CoverReport(tuple(missing), tuple(off_conflicts), tuple(removable))
 
 
@@ -636,7 +669,7 @@ def reference_direct_cover(f: LogicFunction, *, irredundant: bool = False) -> Co
             if chosen_masks[i].value & ~rest == 0:
                 keep.remove(i)
         chosen = [chosen[i] for i in keep]
-    return CoverResult(tuple(chosen), iterations)
+    return CoverResult(tuple(cube_pair(c) for c in chosen), iterations)
 
 
 # References for the multi-output loop: the joint off-set built by a
@@ -681,7 +714,7 @@ def reference_edsa_minimize(f: MultiFunction) -> list[TaggedCube]:
     if not any(v == 1 for _, values in f_rows for v in values):
         raise EmptyOnset("no output is ever true")
     covered: set[tuple[int, int]] = set()
-    committed: list[TaggedCube] = []
+    committed: list[tuple[Cube, frozenset[int]]] = []
     off_by_tag: dict[frozenset[int], list[Cube]] = {}
 
     def off_of(tag: frozenset[int]) -> list[Cube]:
@@ -693,9 +726,8 @@ def reference_edsa_minimize(f: MultiFunction) -> list[TaggedCube]:
     rows = Slices.of_minterms([m.value for m, _ in f_rows], f.n)
 
     def commit(cube: Cube, tag: frozenset[int]) -> None:
-        tc = TaggedCube(cube, tag)
-        if tc not in committed:
-            committed.append(tc)
+        if (cube, tag) not in committed:
+            committed.append((cube, tag))
         for m, values in mask_members(rows.mask_of(cube), f_rows):
             for j in tag:
                 if values[j] == 1:
@@ -751,11 +783,13 @@ def reference_edsa_minimize(f: MultiFunction) -> list[TaggedCube]:
                 key=lambda nv: (best_by_neighbor[nv].literal_count, nv),
             )
             commit(best_by_neighbor[best_nv], tags[best_nv])
-    return committed
+    return [tagged_cube(cube, tag) for cube, tag in committed]
 
 
 def reference_verify_multi(cover, f: MultiFunction) -> CoverReport:
-    """The three tagged-cover checks, one minterm at a time."""
+    """The three tagged-cover checks, one minterm at a time, on each
+    cube's ``Cube`` and frozenset of outputs; the report names each
+    ``TaggedCube`` as ``verify_multi`` does."""
     n = f.n
     values = {m.value: vals for m, vals in rows_of(f)}
 
@@ -763,30 +797,28 @@ def reference_verify_multi(cover, f: MultiFunction) -> CoverReport:
         vals = values.get(v)
         return vals is None or any(vals[j] == 0 for j in tag)
 
-    for tc in cover:
-        if tc.cube.width != n:
-            raise ValueError(f"width mismatch: {tc.cube.width} vs {n}")
+    read = [(tc, text_cube(text), tag) for tc, (text, tag) in zip(cover, as_cubes(cover, n))]
     missing = [
         (BitVec(n, v), j)
         for j in range(f.m)
         for v in range(1 << n)
         if v in values
         and values[v][j] == 1
-        and not any(j in tc.tag and tc.cube.covers_value(v) for tc in cover)
+        and not any(j in tag and cube.covers_value(v) for _, cube, tag in read)
     ]
     off_conflicts = [
         (tc, BitVec(n, v))
-        for tc in cover
+        for tc, cube, tag in read
         for v in range(1 << n)
-        if tc.cube.covers_value(v) and is_off(tc.tag, v)
+        if cube.covers_value(v) and is_off(tag, v)
     ]
     removable = []
-    for tc in cover:
+    for tc, cube, tag in read:
         for pos in range(n):
-            if tc.cube.specified_mask >> pos & 1:
-                raised = reference_raise_literal(tc.cube, pos)
+            if cube.specified_mask >> pos & 1:
+                raised = reference_raise_literal(cube, pos)
                 if not any(
-                    raised.covers_value(v) and is_off(tc.tag, v) for v in range(1 << n)
+                    raised.covers_value(v) and is_off(tag, v) for v in range(1 << n)
                 ):
                     removable.append((tc, n - 1 - pos))
     return CoverReport(tuple(missing), tuple(off_conflicts), tuple(removable))

@@ -77,7 +77,7 @@ def test_minimize_multi_output_file_is_minimized_jointly(tmp_path, capsys):
 def test_minimize_multi_exits_1_when_verification_fails(tmp_path, capsys, monkeypatch):
     src = write(tmp_path, "tri.pla", TRI_OUTPUT_PLA)
     # the golden cover without x00 on y0 leaves (000, y0) and (100, y0) uncovered
-    dropped = [tc for tc in edsa_minimize(tri_output_function()) if str(tc.cube) != "x00"]
+    dropped = [tc for tc in edsa_minimize(tri_output_function()) if str(tc) != "x00_{0}"]
     monkeypatch.setattr(cli, "edsa_minimize", lambda f: dropped)
     rc = main(["minimize", src, "--out", str(tmp_path / "cover.pla")])
     captured = capsys.readouterr()

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from primecover import (
     BitVec,
+    CoverResult,
     Cube,
     EmptyOnset,
     InconsistentFunction,
@@ -19,13 +20,18 @@ from primecover import (
     minimum_cover_size,
     minterm_to_cube,
     parse_pla,
+    TaggedCube,
     text_cube,
     verify_cover,
+    verify_multi,
+    write_pla,
 )
 from primecover import cover
 from primecover.cover import _select_index, expand_on_minterms, mask_members
 from helpers import (
+    as_cubes,
     bv,
+    cube_pair,
     five_var_function,
     pairwise_verify_cover,
     random_function,
@@ -34,6 +40,8 @@ from helpers import (
     reference_raise_literal,
     reference_validate,
     reference_verify_cover,
+    three_var_function,
+    tri_output_function,
 )
 
 
@@ -105,7 +113,7 @@ def test_table_branch_commits_the_smaller_cube_text_on_a_tie():
     off = [text_cube("011"), text_cube("100")]
     f = LogicFunction(3, [text_cube(t) for t in ("111", "110", "101")], off)
     # origin 111: 11x and 1x1 cover two each; origin 101: 1x1 and x01 one each
-    assert [cube_text(c) for c in direct_cover(f).cubes] == ["11x", "1x1"]
+    assert [cube_text(c) for c in as_cubes(direct_cover(f).cubes, 3)] == ["11x", "1x1"]
 
 
 def test_direct_cover_five_var():
@@ -114,7 +122,7 @@ def test_direct_cover_five_var():
     report = verify_cover(result, f)
     assert report.ok
     care = TruthTable.from_function(f)
-    assert equivalent(list(result.cubes), list(f.on), care)
+    assert equivalent(as_cubes(result.cubes, f.n), list(f.on), care)
     assert minimum_cover_size(f) <= len(result.cubes) <= len(expand_on_minterms(f))
     assert result.iterations == len(result.cubes)
 
@@ -122,14 +130,14 @@ def test_direct_cover_five_var():
 def test_direct_cover_everything_on():
     f = LogicFunction(3, tuple(minterm_to_cube(BitVec(3, v)) for v in range(8)), ())
     result = direct_cover(f)
-    assert list(result.cubes) == [Cube.universal(3)]
+    assert as_cubes(result.cubes, 3) == [Cube.universal(3)]
 
 
 def test_direct_cover_single_minterm():
     on = (minterm_to_cube(bv("101")),)
     off = tuple(minterm_to_cube(BitVec(3, v)) for v in range(8) if v != 0b101)
     result = direct_cover(LogicFunction(3, on, off))
-    assert [cube_text(c) for c in result.cubes] == ["101"]
+    assert [cube_text(c) for c in as_cubes(result.cubes, 3)] == ["101"]
 
 
 def test_direct_cover_rejects_bad_input():
@@ -178,16 +186,40 @@ def test_direct_cover_handles_on_cubes_with_dont_cares():
 def test_verify_cover_flags_constructed_violations():
     f = five_var_function()
     good = direct_cover(f).cubes
+    first = as_cubes(good, f.n)[0]
     # enlarge one cube past the off-set boundary
-    bad_cube = reference_raise_literal(good[0], good[0].specified_mask.bit_length() - 1)
-    report = verify_cover([bad_cube, *good[1:]], f)
+    bad_cube = reference_raise_literal(first, first.specified_mask.bit_length() - 1)
+    report = verify_cover([cube_pair(bad_cube), *good[1:]], f)
     assert report.off_conflicts
     # empty cover: every on-minterm is reported missing
     report = verify_cover([], f)
     assert len(report.missing) == 13
     assert not report.ok
-    with pytest.raises(ValueError, match="width mismatch: 4 vs 5"):
-        verify_cover([*good, text_cube("1xx0")], f)
+    with pytest.raises(ValueError, match=r"^\(0b111, 0b1110\) is not a cube over 5 inputs$"):
+        verify_cover([*good, cube_pair(text_cube("1xx0"))], f)
+
+
+@pytest.mark.parametrize(
+    "bad, name",
+    [
+        ((0b100, 0b001), r"\(0b100, 0b1\)"),  # position 1 is a 00 pair
+        ((0b1111, 0b0111), r"\(0b1111, 0b111\)"),  # bit 3 lies past 3 inputs
+    ],
+)
+def test_pair_entries_refuse_a_pair_that_is_not_a_cube(bad, name):
+    """Each public entry that reads a cover's pairs names the first pair
+    that is not a cube over n inputs."""
+    message = rf"^{name} is not a cube over 3 inputs$"
+    f, g = three_var_function(), tri_output_function()
+    for check in (
+        lambda: verify_cover([bad], f),
+        lambda: verify_cover(CoverResult((bad,), 1), f),
+        lambda: verify_multi([TaggedCube(bad, 0b1)], g),
+        lambda: write_pla([bad], 3),
+        lambda: write_pla([TaggedCube(bad, 0b1)], 3, outputs=3),
+    ):
+        with pytest.raises(ValueError, match=message):
+            check()
 
 
 def test_verify_cover_flags_non_prime_cube():
@@ -196,7 +228,7 @@ def test_verify_cover_flags_non_prime_cube():
         (minterm_to_cube(bv("000")), minterm_to_cube(bv("001"))),
         (minterm_to_cube(bv("111")),),
     )
-    report = verify_cover([text_cube("00x")], f)
+    report = verify_cover([cube_pair(text_cube("00x"))], f)
     assert report.ok is False
     assert report.removable_literals  # 00x can grow and still miss 111
     assert not report.missing
@@ -235,7 +267,7 @@ def test_direct_cover_on_fd_file_with_cube_offset():
     result = direct_cover(f)
     assert verify_cover(result, f).ok
     care = TruthTable.from_function(f)
-    assert equivalent(list(result.cubes), list(f.on), care)
+    assert equivalent(as_cubes(result.cubes, f.n), list(f.on), care)
     primes = all_primes(f)
     for v in expand_on_minterms(f):
         m = BitVec(f.n, v)
@@ -276,7 +308,7 @@ def test_direct_cover_of_a_dense_symmetric_function_below_the_table_cap():
     f = parse_pla(count_pla(12, {3, 5, 7}))
     result = direct_cover(f)
     assert len(result.cubes) == 1804
-    assert sum(c.literal_count for c in result.cubes) == 21648
+    assert sum(c.literal_count for c in as_cubes(result.cubes, f.n)) == 21648
     assert verify_cover(result, f).ok
 
 
@@ -390,9 +422,9 @@ def test_irredundant_sweep_counts_only_on_points():
     # which the next two cubes cover as well; only its don't-care points
     # 0000 and 0010 are its own, so the sweep drops it
     f = parse_pla(".i 4\n.o 1\n.type fd\n0-01 1\n00-- -\n-011 1\n.e\n")
-    assert [cube_text(c) for c in direct_cover(f).cubes] == ["00xx", "0x01", "x011"]
+    assert [cube_text(c) for c in as_cubes(direct_cover(f).cubes, 4)] == ["00xx", "0x01", "x011"]
     swept = direct_cover(f, irredundant=True)
-    assert [cube_text(c) for c in swept.cubes] == ["0x01", "x011"]
+    assert [cube_text(c) for c in as_cubes(swept.cubes, 4)] == ["0x01", "x011"]
     assert swept == reference_direct_cover(f, irredundant=True)
 
 
@@ -405,7 +437,8 @@ def narrowed(c: Cube, pos: int, value: bool) -> Cube:
     )
 
 
-def assert_same_report(cover_: list[Cube], f: LogicFunction) -> None:
+def assert_same_report(cubes: list[Cube], f: LogicFunction) -> None:
+    cover_ = [cube_pair(c) for c in cubes]
     got, want = verify_cover(cover_, f), reference_verify_cover(cover_, f)
     assert got.missing == want.missing
     assert got.off_conflicts == want.off_conflicts
@@ -430,7 +463,7 @@ def test_verify_cover_reads_the_listed_report_from_the_tables(data):
     universal = Cube.universal(n)
     covers = [[universal], data.draw(cube_lists(n, 6)), data.draw(cube_lists(n, 6))]
     if on:
-        good = list(direct_cover(f).cubes)
+        good = as_cubes(direct_cover(f).cubes, n)
         k = data.draw(st.integers(0, len(good) - 1))
         covers += [good, good[:k] + good[k + 1 :], good + [universal]]
         free = [p for p in range(n) if good[k].dc_mask >> p & 1]
@@ -453,7 +486,7 @@ def test_verify_cover_above_the_table_cap_lists_the_same_report():
         if not any(reference_intersects(c, z) for c in on):
             off.append(z)
     f = LogicFunction(n, tuple(on), tuple(off))
-    good = list(direct_cover(f).cubes)
+    good = as_cubes(direct_cover(f).cubes, n)
     k = next(i for i, c in enumerate(good) if c.dc_mask)
     pos = (good[k].dc_mask & -good[k].dc_mask).bit_length() - 1
     covers = [
@@ -462,8 +495,9 @@ def test_verify_cover_above_the_table_cap_lists_the_same_report():
         good[:k] + [narrowed(good[k], pos, True)] + good[k + 1 :],
         good + [Cube.universal(n)],
     ]
-    for cover_ in covers:
-        assert_same_report(cover_, f)
+    for cubes in covers:
+        assert_same_report(cubes, f)
+        cover_ = [cube_pair(c) for c in cubes]
         assert verify_cover(cover_, f) == pairwise_verify_cover(cover_, f)
-    assert verify_cover(good, f).ok
-    assert not any(verify_cover(cover_, f).ok for cover_ in covers[1:])
+    assert verify_cover(direct_cover(f), f).ok
+    assert not any(verify_cover([cube_pair(c) for c in cubes], f).ok for cubes in covers[1:])

@@ -22,7 +22,7 @@ from primecover import (
     text_cube,
 )
 from primecover.bitcube import set_bits
-from primecover.pi_gen import _expand, prime_corners, prime_pairs, table_primes
+from primecover.pi_gen import _expand, prime_corners, prime_pairs
 from primecover.reduced_offset import OffPairs
 from helpers import (
     reference_cross_or,
@@ -192,11 +192,16 @@ def listed_primes(n: int, p: int, off: int) -> list[tuple[int, int]]:
     return prime_pairs(BitVec(n, p), OffPairs([(full ^ v, v) for v in points]))
 
 
+def corners(p: int, primes: list[tuple[int, int]]) -> list[int]:
+    """The corner p ^ free of each prime through ``p``, ascending."""
+    return sorted(p ^ (left & right) for left, right in primes)
+
+
 @given(st.data())
 def test_table_primes_match_the_listed_fold(data):
-    """The truth-table routine gives the fold's pairs, in the same order,
-    for any off table without the origin, dense or sparse; the corners
-    ``prime_corners`` sets are p ^ free for exactly those primes."""
+    """The corners ``prime_corners`` sets on a truth table are p ^ free
+    for exactly the fold's primes, for any off table without the origin,
+    dense or sparse."""
     n = data.draw(st.integers(1, 10))
     p = data.draw(st.integers(0, (1 << n) - 1))
     sparse = st.lists(st.integers(0, (1 << n) - 1), max_size=12).map(
@@ -205,8 +210,7 @@ def test_table_primes_match_the_listed_fold(data):
     table = data.draw(st.one_of(st.integers(0, (1 << (1 << n)) - 1), sparse))
     table &= ~(1 << p)
     listed = listed_primes(n, p, table)
-    assert table_primes(p, table, n) == listed
-    assert set_bits(prime_corners(p, table, n)) == sorted(p ^ (l & r) for l, r in listed)
+    assert set_bits(prime_corners(p, table, n)) == corners(p, listed)
 
 
 def test_table_primes_on_the_empty_and_the_fullest_tables():
@@ -216,9 +220,11 @@ def test_table_primes_on_the_empty_and_the_fullest_tables():
         full = (1 << n) - 1
         everything = (1 << (1 << n)) - 1
         for p in range(1 << n):
-            assert table_primes(p, 0, n) == listed_primes(n, p, 0) == [(full, full)]
+            assert listed_primes(n, p, 0) == [(full, full)]
+            assert set_bits(prime_corners(p, 0, n)) == corners(p, [(full, full)])
             rest = everything ^ (1 << p)
-            assert table_primes(p, rest, n) == listed_primes(n, p, rest) == [(full ^ p, p)]
+            assert listed_primes(n, p, rest) == [(full ^ p, p)]
+            assert set_bits(prime_corners(p, rest, n)) == corners(p, [(full ^ p, p)])
 
 
 @given(st.data())

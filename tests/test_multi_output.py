@@ -21,7 +21,9 @@ from primecover.multi_output import TaggedCube, _lightest, verify_multi
 from primecover.pla_io import _scan
 from helpers import (
     TRI_OUTPUT_COVER,
+    as_cubes,
     bv,
+    cube_pair,
     multi_function,
     pair_cube,
     reference_edsa_minimize,
@@ -29,12 +31,14 @@ from helpers import (
     reference_subfunction_off,
     reference_verify_multi,
     rows_of,
+    tagged_cube,
     tri_output_function,
 )
 
 
-def as_text(cover):
-    return {(cube_text(tc.cube), tc.tag) for tc in cover}
+def cubes_for(cover, n: int, j: int) -> list[Cube]:
+    """The cubes of a tagged cover whose tag holds output j."""
+    return [text_cube(text) for text, tag in as_cubes(cover, n) if j in tag]
 
 
 def test_subfunction_off_examples():
@@ -61,7 +65,7 @@ def test_subfunction_off_examples():
 
 def test_golden_tagged_cover():
     cover = edsa_minimize(tri_output_function())
-    assert as_text(cover) == {(t, tag) for t, tag in TRI_OUTPUT_COVER}
+    assert set(as_cubes(cover, 3)) == {(t, tag) for t, tag in TRI_OUTPUT_COVER}
     assert len(cover) == 5
 
 
@@ -114,7 +118,7 @@ def test_per_output_agreement_with_truth_table():
     f = tri_output_function()
     cover = edsa_minimize(f)
     for j in range(3):
-        cubes = [tc.cube for tc in cover if j in tc.tag]
+        cubes = cubes_for(cover, f.n, j)
         for v in range(1 << f.n):
             got = any(c.covers_value(v) for c in cubes)
             if f.value(v, j) == 1:
@@ -125,9 +129,9 @@ def test_per_output_agreement_with_truth_table():
 
 def test_no_cube_touches_an_off_minterm_of_its_tag():
     f = tri_output_function()
-    for tc in edsa_minimize(f):
-        for z in subfunction_off(tc.tag, f):
-            assert not reference_intersects(tc.cube, z)
+    for text, tag in as_cubes(edsa_minimize(f), f.n):
+        for z in subfunction_off(tag, f):
+            assert not reference_intersects(text_cube(text), z)
 
 
 def test_identical_output_columns_share_cubes():
@@ -140,9 +144,9 @@ def test_identical_output_columns_share_cubes():
         rows = [(BitVec(n, v), (col[v], col[v])) for v in range(1 << n)]
         f = multi_function(n, 2, rows)
         cover = edsa_minimize(f)
-        assert all(tc.tag == frozenset({0, 1}) for tc in cover)
+        assert all(tag == frozenset({0, 1}) for _, tag in as_cubes(cover, n))
         for j in range(2):
-            cubes = [tc.cube for tc in cover if j in tc.tag]
+            cubes = cubes_for(cover, n, j)
             for v in range(1 << n):
                 got = any(c.covers_value(v) for c in cubes)
                 assert got == (col[v] == 1)
@@ -165,7 +169,7 @@ def test_random_multi_functions_cover_correctly():
             continue
         cover = edsa_minimize(f)
         for j in range(m):
-            cubes = [tc.cube for tc in cover if j in tc.tag]
+            cubes = cubes_for(cover, n, j)
             for mv, values in rows:
                 got = any(c.covers_value(mv.value) for c in cubes)
                 if values[j] == 1:
@@ -205,8 +209,8 @@ def test_golden_cover_survives_pla_round_trip():
         for pair in pairs
     }
     want = {
-        (cube_text(tc.cube), "".join("1" if j in tc.tag else "0" for j in range(f.m)))
-        for tc in cover
+        (text, "".join("1" if j in tag else "0" for j in range(f.m)))
+        for text, tag in as_cubes(cover, f.n)
     }
     assert got == want
     # parsed rows give back exactly the per-output on-sets of the source table
@@ -324,44 +328,46 @@ def test_verify_multi_passes_the_golden_cover():
 def test_verify_multi_reports_a_corrupted_cover():
     f = tri_output_function()
     y0 = frozenset({0})
-    cover = [tc for tc in edsa_minimize(f) if cube_text(tc.cube) != "x00"]
+    x00 = cube_pair(text_cube("x00"))
+    cover = [tc for tc in edsa_minimize(f) if tc.pair != x00]
     # x00 on y0 was the only cover of 100; 1xx meets the y0 off point 110;
     # 011 is not prime for y1: 0x1 and 01x stay clear of the y1 off-set
     cover += [
-        TaggedCube(text_cube("1xx"), y0),
-        TaggedCube(text_cube("011"), frozenset({1})),
+        tagged_cube(text_cube("1xx"), y0),
+        tagged_cube(text_cube("011"), frozenset({1})),
     ]
     report = verify_multi(cover, f)
     assert not report.ok
     assert report.off_conflicts == ((cover[-2], bv("110")),)
     assert report.removable_literals[-2:] == ((cover[-1], 2), (cover[-1], 1))
     assert report == reference_verify_multi(cover, f)
-    dropped = [tc for tc in edsa_minimize(f) if cube_text(tc.cube) != "x00"]
+    dropped = [tc for tc in edsa_minimize(f) if tc.pair != x00]
     assert verify_multi(dropped, f).missing == ((bv("000"), 0), (bv("100"), 0))
-    with pytest.raises(ValueError, match="width mismatch: 2 vs 3"):
-        verify_multi([*dropped, TaggedCube(text_cube("1x"), y0)], f)
+    with pytest.raises(ValueError, match=r"^\(0b1, 0b11\) is not a cube over 3 inputs$"):
+        verify_multi([*dropped, tagged_cube(text_cube("1x"), y0)], f)
 
 
 def test_verify_multi_rejects_a_tag_past_the_outputs():
-    """A tag member outside ``range(m)`` is refused with ``write_pla``'s
-    wording, not read as output m - 1 or raised as an ``IndexError``."""
+    """A tag bit at or above m, or a negative tag, is refused with
+    ``write_pla``'s wording, not read as output m - 1 or raised as an
+    ``IndexError``."""
     f = tri_output_function()
     cover = edsa_minimize(f)
     for tag, message in (
-        ({-1}, r"^10x_\{-1\} names an output outside the 3 outputs$"),
-        ({0, 5}, r"^10x_\{0,5\} names an output outside the 3 outputs$"),
-        ({3}, r"^10x_\{3\} names an output outside the 3 outputs$"),
-        (set(), r"^10x_\{\} names no output$"),
+        (-1, r"^10x_\{-1\} names an output outside the 3 outputs$"),
+        (0b100001, r"^10x_\{0,5\} names an output outside the 3 outputs$"),
+        (0b1000, r"^10x_\{3\} names an output outside the 3 outputs$"),
+        (0, r"^10x_\{\} names no output$"),
     ):
         with pytest.raises(ValueError, match=message):
-            verify_multi([*cover, TaggedCube(text_cube("10x"), frozenset(tag))], f)
+            verify_multi([*cover, TaggedCube(cube_pair(text_cube("10x")), tag)], f)
 
 
 @st.composite
 def tagged_cubes(draw, n: int, m: int) -> TaggedCube:
     text = "".join(draw(st.lists(st.sampled_from("01x"), min_size=n, max_size=n)))
     tag = draw(st.frozensets(st.integers(0, m - 1), min_size=1))
-    return TaggedCube(text_cube(text), tag)
+    return tagged_cube(text_cube(text), tag)
 
 
 @settings(deadline=None)

@@ -19,6 +19,7 @@ from primecover import (
 )
 from primecover.oracle import primes_containing
 from helpers import (
+    as_cubes,
     bv,
     five_var_function,
     naive_primes,
@@ -84,9 +85,9 @@ def test_equivalent_examples():
     care = TruthTable.from_function(f)
     from primecover import direct_cover
 
-    cover = direct_cover(f).cubes
-    assert equivalent(list(cover), list(f.on), care)
-    assert equivalent(list(cover), list(cover), care)
+    cover = as_cubes(direct_cover(f).cubes, f.n)
+    assert equivalent(cover, list(f.on), care)
+    assert equivalent(cover, cover, care)
     assert not equivalent(list(f.on[1:]), list(f.on), care)
 
 

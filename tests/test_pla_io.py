@@ -26,6 +26,8 @@ from primecover import pla_io
 from primecover.pla_io import _RawPla, _scan, complement_cubes
 from helpers import (
     TRI_OUTPUT_PLA,
+    as_cubes,
+    cube_pair,
     five_var_pla,
     pair_cube,
     random_cube,
@@ -35,6 +37,7 @@ from helpers import (
     reference_parse_single,
     reference_table,
     reference_validate,
+    tagged_cube,
 )
 
 
@@ -184,29 +187,33 @@ def test_complement_at_the_table_cap():
     assert _minterms(got) == _minterms(reference_complement(cubes, 16))
 
 
+def pair(text: str) -> tuple[int, int]:
+    return cube_pair(text_cube(text))
+
+
 def test_write_pla_examples():
-    text = write_pla([text_cube("0x1"), text_cube("x01")], 3)
+    text = write_pla([pair("0x1"), pair("x01")], 3)
     assert "0-1 1" in text and "-01 1" in text and ".p 2" in text
 
     empty = write_pla([], 3)
     assert ".p 0" in empty
 
-    tagged = write_pla([TaggedCube(text_cube("1x1"), frozenset({2, 0}))], 3, outputs=3)
+    tagged = write_pla([TaggedCube(pair("1x1"), 0b101)], 3, outputs=3)
     assert "1-1 101" in tagged
 
 
 def test_write_pla_rejects_a_cube_of_another_width():
     # '.i 4' above '10- 1' would not parse back
-    with pytest.raises(ValueError, match="^width mismatch: 3 vs 4$"):
-        write_pla([text_cube("10x")], 4)
-    tagged = TaggedCube(text_cube("10x"), frozenset({0}))
-    with pytest.raises(ValueError, match="^width mismatch: 3 vs 4$"):
+    with pytest.raises(ValueError, match=r"^\(0b11, 0b101\) is not a cube over 4 inputs$"):
+        write_pla([pair("10x")], 4)
+    tagged = TaggedCube(pair("10x"), 0b1)
+    with pytest.raises(ValueError, match=r"^\(0b11, 0b101\) is not a cube over 4 inputs$"):
         write_pla([tagged], 4, outputs=2)
 
 
 def test_write_pla_rejects_a_tag_past_the_outputs():
     # output 3 of 3 would be written as a line on for no output
-    tagged = TaggedCube(text_cube("10x"), frozenset({0, 3}))
+    tagged = TaggedCube(pair("10x"), 0b1001)
     with pytest.raises(ValueError, match=r"^10x_\{0,3\} names an output outside the 3 outputs$"):
         write_pla([tagged], 3, outputs=3)
 
@@ -214,16 +221,16 @@ def test_write_pla_rejects_a_tag_past_the_outputs():
 def test_write_pla_rejects_labels_that_do_not_number_the_outputs():
     # '.o 1' under '.ob a b' would not parse back
     with pytest.raises(ValueError, match="^ob names 2 outputs but the cover has 1$"):
-        write_pla([text_cube("10x")], 3, ob=("a", "b"))
-    tagged = TaggedCube(text_cube("10x"), frozenset({0}))
+        write_pla([pair("10x")], 3, ob=("a", "b"))
+    tagged = TaggedCube(pair("10x"), 0b1)
     with pytest.raises(ValueError, match="^ob names 1 outputs but the cover has 2$"):
         write_pla([tagged], 3, outputs=2, ob=("a",))
-    assert ".ob y\n" in write_pla([text_cube("10x")], 3, ob=("y",))
+    assert ".ob y\n" in write_pla([pair("10x")], 3, ob=("y",))
 
 
 def test_write_pla_rejects_an_empty_tag():
     # the line '10- 00' would read back on for no output: the cube is lost
-    tagged = TaggedCube(text_cube("10x"), frozenset())
+    tagged = TaggedCube(pair("10x"), 0)
     with pytest.raises(ValueError, match=r"^10x_\{\} names no output$"):
         write_pla([tagged], 3, outputs=2)
 
@@ -239,7 +246,7 @@ def test_round_trip_single_output():
             if cube_text(c) not in seen:
                 seen.add(cube_text(c))
                 cover.append(c)
-        back = parse_pla(write_pla(cover, n))
+        back = parse_pla(write_pla([cube_pair(c) for c in cover], n))
         assert list(back.on) == cover
         assert back.off == () and back.dc == ()
 
@@ -258,15 +265,15 @@ def test_round_trip_multi_output():
             ) or frozenset({0})
             if (cube_text(c), tag) not in seen:
                 seen.add((cube_text(c), tag))
-                cover.append(TaggedCube(c, tag))
+                cover.append(tagged_cube(c, tag))
         got = {
             (cube_text(pair_cube(n, pair)), out)
             for out, pairs in _scan(write_pla(cover, n, outputs=m)).groups.items()
             for pair in pairs
         }
         want = {
-            (cube_text(tc.cube), "".join("1" if j in tc.tag else "0" for j in range(m)))
-            for tc in cover
+            (text, "".join("1" if j in tag else "0" for j in range(m)))
+            for text, tag in as_cubes(cover, n)
         }
         assert got == want
 
@@ -348,7 +355,10 @@ def test_multi_output_parse_matches_reference_and_minimizes(text):
     assert [
         (text_cube(inputs), out)
         for inputs, out in (line.split() for line in lines if line[0] != ".")
-    ] == [(tc.cube, "".join("1" if j in tc.tag else "0" for j in range(f.m))) for tc in cover]
+    ] == [
+        (text_cube(text), "".join("1" if j in tag else "0" for j in range(f.m)))
+        for text, tag in as_cubes(cover, f.n)
+    ]
 
 
 @st.composite

@@ -15,6 +15,8 @@ from primecover import (
 from primecover.bitcube import BitVec, Slices
 from primecover.oracle import TruthTable, equivalent
 from helpers import (
+    as_cubes,
+    cube_pair,
     reference_coverage_mask,
     reference_intersects,
     reference_raise_literal,
@@ -113,8 +115,8 @@ def consistent_functions(draw) -> LogicFunction:
 @given(st.data())
 def test_verify_cover_matches_pairwise_on_injected_violations(data):
     f = data.draw(consistent_functions())
-    good = list(direct_cover(f).cubes)
-    assert verify_cover(good, f).ok
+    assert verify_cover(direct_cover(f), f).ok
+    good = as_cubes(direct_cover(f).cubes, f.n)
     k = data.draw(st.integers(0, len(good) - 1))
     c = good[k]
     covers = [good, good[:k] + good[k + 1 :]]  # a dropped cube
@@ -134,8 +136,9 @@ def test_verify_cover_matches_pairwise_on_injected_violations(data):
     covers.append(data.draw(st.lists(cubes(f.n), max_size=6)))
     care = TruthTable.from_function(f)
     for cover in covers:
-        report = verify_cover(cover, f)
-        assert report == pairwise_verify_cover(cover, f)
+        pairs = [cube_pair(c) for c in cover]
+        report = verify_cover(pairs, f)
+        assert report == pairwise_verify_cover(pairs, f)
         # for a consistent function the coverage and off-set checks decide
         # agreement on the care set, which the oracle tests minterm by minterm
         agrees = not report.missing and not report.off_conflicts
