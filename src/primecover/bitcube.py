@@ -7,9 +7,10 @@ vectors in positional notation: per variable the (left, right) bit pair
 encodes 10 for value 0, 01 for value 1 and 11 for a don't care.  There
 is no 00 pair, so every cube holds a minterm.  The pipeline, parser to
 writer, runs on the plain ``(left, right)`` int pairs of that notation:
-``pair_text`` renders one and ``check_pairs`` guards them.  ``Slices``
-indexes a whole cube list by variable, so that the cubes meeting a
-query cube come out of one AND per query literal.  A truth table is one
+``pair_text`` renders one, ``check_pairs`` guards them and
+``check_width`` the carriers' widths.  ``Slices`` indexes a whole cube
+list by variable, so that the cubes meeting a query cube come out of
+one AND per query literal.  A truth table is one
 2^n-bit int with bit v set for the minterm of value v: ``cube_points``
 gives a cube's, ``table_of`` a cube list's, and ``raisable_literals``
 tests a cube's literals against one, one mirror shift each.
@@ -27,6 +28,12 @@ from typing import Iterable, Iterator, Sequence
 
 def _mask(width: int) -> int:
     return (1 << width) - 1
+
+
+def check_width(width: int, other: int) -> None:
+    """Raise ``ValueError`` when two carriers' widths differ."""
+    if width != other:
+        raise ValueError(f"width mismatch: {width} vs {other}")
 
 
 @dataclass(frozen=True, order=True, slots=True)
@@ -67,20 +74,16 @@ class BitVec:
     def __str__(self) -> str:
         return self.to_text()
 
-    def _check_width(self, other: BitVec) -> None:
-        if self.width != other.width:
-            raise ValueError(f"width mismatch: {self.width} vs {other.width}")
-
     def __and__(self, other: BitVec) -> BitVec:
-        self._check_width(other)
+        check_width(self.width, other.width)
         return BitVec(self.width, self.value & other.value)
 
     def __or__(self, other: BitVec) -> BitVec:
-        self._check_width(other)
+        check_width(self.width, other.width)
         return BitVec(self.width, self.value | other.value)
 
     def __xor__(self, other: BitVec) -> BitVec:
-        self._check_width(other)
+        check_width(self.width, other.width)
         return BitVec(self.width, self.value ^ other.value)
 
     def __invert__(self) -> BitVec:
@@ -201,8 +204,7 @@ def minterm_to_cube(p: BitVec) -> Cube:
 
 def cube_contains(c: Cube, d: Cube) -> bool:
     """True when every minterm of ``d`` lies in ``c``."""
-    if c.width != d.width:
-        raise ValueError(f"width mismatch: {c.width} vs {d.width}")
+    check_width(c.width, d.width)
     return (d.left.value & ~c.left.value) == 0 and (d.right.value & ~c.right.value) == 0
 
 

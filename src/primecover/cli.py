@@ -15,13 +15,13 @@ from functools import reduce
 from operator import or_
 from pathlib import Path
 
-from .bitcube import BitVec, Cube, cube_text, pair_text
+from .bitcube import BitVec, Cube, pair_text
 from .cover import CoverReport, direct_cover, expand_on_minterms, verify_cover
 from .errors import InconsistentFunction
 from .multi_output import TaggedCube, edsa_minimize, verify_multi
-from .pi_gen import cross_or, generate_m, generate_spi
+from .pi_gen import cross_or, generate_m, prime_pairs
 from .pla_io import MultiFunction, _scan, parse_pla, write_pla
-from .reduced_offset import DiSet, generate_di, reform_sdm
+from .reduced_offset import DiSet, OffPairs, generate_di, reform_sdm
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -83,28 +83,28 @@ def cmd_primes(args: argparse.Namespace) -> int:
         )
         return EXIT_INPUT
     # an off minterm raises InconsistentFunction here, before any output
-    primes = generate_spi(P, f.off)
+    primes = prime_pairs(P, OffPairs(f.off_pairs))
     if args.trace:
-        _print_trace(P, f.off)
-    for c in primes:
-        print(cube_text(c))
+        _print_trace(P, f.off_pairs)
+    for pair in primes:
+        print(pair_text(*pair))
     return EXIT_OK
 
 
-def _print_trace(P: BitVec, off: tuple[Cube, ...]) -> None:
+def _print_trace(P: BitVec, off: tuple[tuple[int, int], ...]) -> None:
     """Step the exported primitives and print each step: one indicator
-    folded per off-cube, then one clause expanded per kept indicator."""
+    folded per off-cube pair, then one clause expanded per kept indicator."""
     if not off:
         print("off-set empty: the universal cube is the only prime")
         return
     print(f"di trace for minterm {P} ({len(off)} off-cubes)")
     S = DiSet([BitVec.ones(P.width)])
-    for j, z in enumerate(off, start=1):
-        d = generate_di(P, z)
+    for j, (left, right) in enumerate(off, start=1):
+        d = generate_di(P, Cube(BitVec(P.width, left), BitVec(P.width, right)))
         comparisons, absorptions = S.comparisons, S.absorptions
         reform_sdm(S, d)
         print(
-            f"  j={j:<3d} off={cube_text(z)}  di={d}  kept={_vec_set(S.elements)}  "
+            f"  j={j:<3d} off={pair_text(left, right)}  di={d}  kept={_vec_set(S.elements)}  "
             f"comparisons={S.comparisons - comparisons} "
             f"absorbed={S.absorptions - absorptions}"
         )

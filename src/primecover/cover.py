@@ -13,11 +13,12 @@ the function's 2^n-bit on and off truth tables: an origin's primes are
 the corners ``prime_corners`` sets on the off table, each scored where
 it is found by one AND of its points with the uncovered table, with no
 candidate list; an off-set test is one AND, and a literal's primality
-test one mirror shift and one AND.  Above the cap the on-set
-is a sliced minterm list and the off-set a sliced cube list
-(``bitcube.Slices``), queried one AND per literal.  Either way a
-function is read as its ``(left, right)`` pairs and tables, and a cover
-is the pairs it commits, checked by the routine tagged covers share.
+test one mirror shift and one AND.  Above the cap the on-set is a
+sliced minterm list and the off-set a sliced cube list
+(``bitcube.Slices``), queried one AND per literal, and each prime is
+scored by the same rule as ``prime_pairs`` lists it.  A function is
+read as its ``(left, right)`` pairs and tables, and a cover is the
+pairs it commits, checked by the routine tagged covers share.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from .bitcube import (
     Cube,
     Slices,
     check_pairs,
+    check_width,
     cube_points,
     free_subsets,
     pair_text,
@@ -74,8 +76,7 @@ def expand_on_minterms(f: LogicFunction) -> list[int]:
 def coverage_mask(pi: Cube, on_minterms: Sequence[BitVec]) -> BitVec:
     """Bit i set when the cube contains the i-th on-minterm (MSB is index 0)."""
     for m in on_minterms:
-        if m.width != pi.width:
-            raise ValueError(f"width mismatch: {pi.width} vs {m.width}")
+        check_width(pi.width, m.width)
     return Slices.of_minterms([m.value for m in on_minterms], pi.width).mask_of(pi)
 
 
@@ -83,13 +84,6 @@ def mask_members(mask: BitVec, items: Sequence[T]) -> list[T]:
     """The items whose index bit is set in ``mask`` (MSB is index 0), in order."""
     last = len(items) - 1
     return [items[last - i] for i in reversed(set_bits(mask.value))]
-
-
-def _select_index(restricted: Sequence[int]) -> int:
-    """Index of the candidate to commit, from its uncovered minterms: the
-    first with the most of them.  A mask strictly containing every other
-    one has strictly the most bits, so this is also the dominant one."""
-    return max(range(len(restricted)), key=lambda i: restricted[i].bit_count())
 
 
 @dataclass(frozen=True)
@@ -108,10 +102,10 @@ def direct_cover(f: LogicFunction, *, irredundant: bool = False) -> CoverResult:
     its points ANDed with the uncovered on-minterms, a table too; above
     it every origin folds the off-set's ``OffPairs``, converted once,
     and masks and the uncovered set index the on-minterm list.  Either
-    way a mask holds the same on-minterms, so the counts compared are
-    the same.  A ``LogicFunction`` is consistent, so no origin lies in
-    the off-set.  Of the best candidates the one first in cube-text
-    order wins the tie-break.
+    way a mask holds the same on-minterms, and the most uncovered ones
+    win, a tie going to the smaller free mask: cube-text order for
+    primes through one origin.  A ``LogicFunction`` is consistent, so no
+    origin lies in the off-set.
     """
     if not f.on_pairs:
         raise EmptyOnset("the on-set is empty")
@@ -164,9 +158,8 @@ def _listed_greedy(
     f: LogicFunction, on_list: Sequence[int]
 ) -> tuple[list[tuple[int, int]], list[int]]:
     """``_table_greedy`` above the table cap: each origin folds the
-    off-set, and masks index the on-minterm list (MSB is index 0).
-    ``prime_pairs`` lists the candidates in cube-text order, so the
-    first of the best ones wins the tie-break."""
+    off-set, masks index the on-minterm list (MSB is index 0), and each
+    prime is scored by the same rule as ``prime_pairs`` lists it."""
     n = f.n
     off = OffPairs(f.off_pairs)
     width = len(on_list)
@@ -178,12 +171,16 @@ def _listed_greedy(
     while uncovered:
         while not uncovered >> (width - 1 - i) & 1:
             i += 1
-        pis = prime_pairs(BitVec(n, on_list[i]), off)
-        masks = [mask_of(left, right) for left, right in pis]
-        idx = _select_index([mask & uncovered for mask in masks])
-        chosen.append(pis[idx])
-        chosen_masks.append(masks[idx])
-        uncovered &= ~masks[idx]
+        best = best_free = -1
+        for left, right in prime_pairs(BitVec(n, on_list[i]), off):
+            free = left & right
+            mask = mask_of(left, right)
+            count = (mask & uncovered).bit_count()
+            if count > best or count == best and free < best_free:
+                best, best_free, best_pair, best_mask = count, free, (left, right), mask
+        chosen.append(best_pair)
+        chosen_masks.append(best_mask)
+        uncovered &= ~best_mask
     return chosen, chosen_masks
 
 

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from .bitcube import BitVec, Cube, minimal_ones
+from .bitcube import BitVec, Cube, check_width, minimal_ones
 from .errors import EmptyOffset
 from .reduced_offset import DiSet, OffPairs, generate_sdm
 
@@ -112,8 +112,7 @@ def generate_n(dis: Iterable[BitVec] | DiSet) -> list[BitVec]:
     width = seq[0].width
     vectors = [0]
     for d in seq:
-        if d.width != width:
-            raise ValueError(f"width mismatch: {width} vs {d.width}")
+        check_width(width, d.width)
         vectors = _expand(vectors, d.value)
     return [BitVec(width, v) for v in vectors]
 
@@ -124,8 +123,7 @@ def vectors_to_pis(P: BitVec, vectors: Sequence[BitVec]) -> list[Cube]:
     full = (1 << width) - 1
     out: list[Cube] = []
     for e in vectors:
-        if e.width != width:
-            raise ValueError(f"width mismatch: {width} vs {e.width}")
+        check_width(width, e.width)
         free = full ^ e.value
         out.append(Cube(BitVec(width, (full ^ p) | free), BitVec(width, p | free)))
     return out

@@ -2,8 +2,9 @@
 
 Supported directives: .i .o .p .ilb .ob .type .e/.end.  .i, .o, .p
 and .type take exactly one value, and .i, .o and .type come before the
-first cube line; .i and .o are at least 1, and .ilb must list .i
-labels.  Input-part characters are {0, 1, -}; an 'x' in a PLA file is
+first cube line; a count is ASCII digits with an optional sign, .i and
+.o are at least 1, and .ilb must list .i labels.  Input-part
+characters are {0, 1, -}; an 'x' in a PLA file is
 rejected (the cube text alias applies to diagnostic output only).
 Output-part characters are {0, 1, -, ~}, read the same way for one
 output and for many: '1' marks the row on for that output, '0' marks it
@@ -200,18 +201,19 @@ class LogicFunction:
         Up to ``TABLE_CAP`` inputs a consistent function costs one AND of
         its truth tables.  Otherwise, and to name the culprits, the off-set
         is sliced and each on-cube queried, O((|on| + |off|) * n) big-int
-        operations; the message names the first on-cube meeting an
-        off-cube and the first off-cube it meets.
+        operations; the message names by their pairs the first on-cube
+        meeting an off-cube and the first off-cube it meets.
         """
         if not self.on_pairs:
             return
         if self.n <= TABLE_CAP and not self.on_table & self.off_table:
             return
         off = Slices(self.off_pairs, self.n)
-        for i, (left, right) in enumerate(self.on_pairs):
+        for left, right in self.on_pairs:
             hit = off.meets(left, right)
             if hit:
-                a, b = self.on[i], self.off[off.count - hit.bit_length()]
+                a = pair_text(left, right)
+                b = pair_text(*self.off_pairs[off.count - hit.bit_length()])
                 raise InconsistentFunction(f"on-cube {a} intersects off-cube {b}")
 
 
@@ -360,6 +362,17 @@ def _plain_body(lines: list[str], n: int, m: int) -> dict[str, list[tuple[int, i
     return groups
 
 
+def _count(lineno: int, key: str, value: str) -> int:
+    """A .i, .o or .p count: ASCII digits with an optional sign (``int``
+    also reads '1_0' and non-ASCII digits), at least 1, or 0 for .p."""
+    if not (value.isascii() and value.lstrip("+-").isdigit()):
+        raise ValueError(f"not a count: {value!r}")
+    count, low = int(value), 0 if key == ".p" else 1
+    if count < low:
+        raise PlaParseError(f"line {lineno}: {key} {count} is below {low}")
+    return count
+
+
 def _scan(text: str) -> _RawPla:
     n = m = None
     full = 0  # the n-bit mask, set with n
@@ -383,19 +396,13 @@ def _scan(text: str) -> _RawPla:
                     raise PlaParseError(f"line {lineno}: {key} after the first cube line")
                 if key in (".i", ".o", ".p", ".type"):
                     (value,) = values  # exactly one value, or a malformed directive
-                if key in (".i", ".o"):
-                    count = int(value)
-                    if count < 1:
-                        raise PlaParseError(f"line {lineno}: {key} {count} is below 1")
+                if key in (".i", ".o", ".p"):
+                    count = _count(lineno, key, value)  # the term count .p is not kept
                     if key == ".i":
                         n = count
                         full = (1 << n) - 1
-                    else:
+                    elif key == ".o":
                         m = count
-                elif key == ".p":
-                    terms = int(value)  # the term count is checked, not kept
-                    if terms < 0:
-                        raise PlaParseError(f"line {lineno}: .p {terms} is below 0")
                 elif key == ".ilb":
                     ilb = len(values)
                 elif key == ".ob":

@@ -9,7 +9,7 @@ of such difference indicators without ever materialising the unreduced
 offset.  The fold reads one form, an ``OffPairs`` of int pairs: a
 listed off-set is converted in one pass, and only its result is wrapped
 in ``BitVec``s; an ``OffPairs`` built once serves the folds of many
-minterms, which return plain ints.
+minterms, which return plain ints; a failure names cubes by their pairs.
 
 Polarity runs opposite to cube size: more 1-bits means more literals and
 a smaller cube, so vector s absorbs vector d exactly when the ones of s
@@ -26,7 +26,7 @@ import bisect
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from .bitcube import BitVec, Cube, minimal_ones, minterm_to_cube
+from .bitcube import BitVec, Cube, check_width, minimal_ones, minterm_to_cube, pair_text
 from .errors import EmptyOffset, InconsistentFunction
 
 
@@ -95,7 +95,7 @@ class OffPairs:
         for z in off_cubes:
             if z.width != width:
                 _raise_on_holder(P, pairs)
-                raise ValueError(f"width mismatch: {width} vs {z.width}")
+                check_width(width, z.width)
             if isinstance(z, BitVec):
                 pairs.append((z.value, full))
             else:
@@ -107,10 +107,9 @@ class OffPairs:
 def _raise_on_holder(P: BitVec, pairs: "Iterable[tuple[int, int]]") -> None:
     """Raise ``InconsistentFunction`` naming the first off-cube of the
     ``(right, spec)`` pairs that holds ``P``, if one does."""
-    p, width = P.value, P.width
     for r, s in pairs:
-        if not (p ^ r) & s:
-            z = Cube(BitVec(width, s ^ r), BitVec(width, r))
+        if not (P.value ^ r) & s:
+            z = pair_text(s ^ r, r)
             raise InconsistentFunction(f"minterm {P} is contained in off-cube {z}")
 
 
@@ -164,8 +163,8 @@ def reform_sdm(S: DiSet, D: BitVec) -> DiSet:
     """
     if D.value == 0:
         raise ValueError("zero difference indicator")
-    if S.elements and S.elements[0].width != D.width:
-        raise ValueError(f"width mismatch: {S.elements[0].width} vs {D.width}")
+    if S.elements:
+        check_width(S.elements[0].width, D.width)
     values = [s.value for s in S.elements]
     comparisons, absorptions = _fold(values, (D.value,))
     S.comparisons += comparisons
@@ -212,8 +211,7 @@ def reduce_off_cube(P: BitVec, Z: Cube | BitVec) -> Cube:
     """
     if isinstance(Z, BitVec):
         Z = minterm_to_cube(Z)
-    if P.width != Z.width:
-        raise ValueError(f"width mismatch: {P.width} vs {Z.width}")
+    check_width(P.width, Z.width)
     full = (1 << P.width) - 1
     kept = (P.value ^ Z.right.value) & Z.specified_mask
     drop = ~kept & full
@@ -225,8 +223,7 @@ def reduce_off_cube(P: BitVec, Z: Cube | BitVec) -> Cube:
 
 def derive_rc(P: BitVec, D: BitVec) -> Cube:
     """Reference path: expand a difference indicator back into its reduced cube."""
-    if P.width != D.width:
-        raise ValueError(f"width mismatch: {P.width} vs {D.width}")
+    check_width(P.width, D.width)
     inv = ~D
     return Cube(P | inv, ~P | inv)
 
@@ -242,11 +239,9 @@ def minimize_sr(cubes: "list[Cube] | tuple[Cube, ...]") -> list[Cube]:
     if not seq:
         return []
     n = seq[0].width
-    for c in seq:
-        if c.width != n:
-            raise ValueError(f"width mismatch: {n} vs {c.width}")
     full = (1 << 2 * n) - 1
     by_key: dict[int, Cube] = {}
     for c in seq:
+        check_width(n, c.width)
         by_key.setdefault(full ^ (c.left.value << n | c.right.value), c)
     return [by_key[k] for k in minimal_ones(list(by_key))]

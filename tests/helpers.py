@@ -33,6 +33,19 @@ from primecover.multi_output import TaggedCube
 bv = BitVec.from_text
 
 
+def count_cubes(monkeypatch) -> list:
+    """A list that gains one item per ``Cube`` built from now on."""
+    built: list = []
+    post_init = Cube.__post_init__
+
+    def counted(c: Cube) -> None:
+        built.append(c)
+        post_init(c)
+
+    monkeypatch.setattr(Cube, "__post_init__", counted)
+    return built
+
+
 # Cube predicates on the positional pairs, one cube pair at a time, as
 # independent references for the sliced set algebra and for primality.
 

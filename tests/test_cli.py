@@ -14,6 +14,7 @@ from primecover.multi_output import edsa_minimize
 from helpers import (
     TRI_OUTPUT_COVER,
     TRI_OUTPUT_PLA,
+    count_cubes,
     five_var_pla,
     random_function,
     tri_output_function,
@@ -107,12 +108,15 @@ def test_minimize_inconsistent_function(tmp_path, capsys):
     assert main(["minimize", src]) == 3
 
 
-def test_primes_golden(tmp_path, capsys):
+def test_primes_golden(tmp_path, capsys, monkeypatch):
     src = write(tmp_path, "fivevar.pla", five_var_pla())
+    # without --trace the primes are folded and printed from pairs
+    built = count_cubes(monkeypatch)
     rc = main(["primes", src, "--minterm", "11010"])
     captured = capsys.readouterr()
     assert rc == 0
-    assert captured.out.splitlines() == ["11x10", "1x0x0"]
+    assert captured.out == "11x10\n1x0x0\n"
+    assert len(built) == 0
 
 
 def test_primes_trace_carries_the_fold_counters(tmp_path, capsys):
@@ -496,7 +500,7 @@ def test_primes_trace_minimal_set_matches_generate_sdm(seed, n):
     P = rng.choice(f.on).right  # the on-cubes are minterms
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        cli._print_trace(P, f.off)
+        cli._print_trace(P, f.off_pairs)
     sdm = generate_sdm(P, f.off)
     kept = ", ".join(sorted(d.to_text() for d in sdm))
     avg = sdm.comparisons / len(f.off)

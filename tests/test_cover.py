@@ -19,6 +19,7 @@ from primecover import (
     equivalent,
     minimum_cover_size,
     minterm_to_cube,
+    pair_text,
     parse_pla,
     TaggedCube,
     text_cube,
@@ -27,7 +28,7 @@ from primecover import (
     write_pla,
 )
 from primecover import cover
-from primecover.cover import _select_index, expand_on_minterms, mask_members
+from primecover.cover import expand_on_minterms, mask_members
 from helpers import (
     as_cubes,
     bv,
@@ -75,35 +76,44 @@ def test_coverage_mask_rejects_a_width_mismatch():
         coverage_mask(text_cube("10x"), on)
 
 
-# Above the table cap ``direct_cover`` selects with ``_select_index``.
-# Candidates arrive in cube-text order, as ``prime_pairs`` lists them,
-# so the first of the best candidates has the smallest cube text.
+# Above the table cap ``direct_cover`` scores each origin's primes as
+# ``prime_pairs`` lists them, in cube-text order.  Each case is a 3-input
+# function whose rows lead with 14 zeros, so that it has 17 inputs: no
+# off-row opposes a leading zero, so those positions are free in every
+# prime, and each committed cube is 14 x's and a prime of the small function.
 
 
-def test_select_epi_no_dominance_falls_to_lex():
-    # "0x1" and "x01": counts tie, so the first candidate wins, in either order
-    assert _select_index([0b0001100, 0b1001000]) == 0
-    assert _select_index([0b1001000, 0b0001100]) == 0
+def assert_listed_cover(on: list[str], off: list[str], expected: list[str]) -> None:
+    pad = "0" * 14
+    f = LogicFunction(17, [text_cube(pad + t) for t in on], [text_cube(pad + t) for t in off])
+    result = direct_cover(f)
+    assert result == reference_direct_cover(f)
+    assert [pair_text(*pair) for pair in result.cubes] == ["x" * 14 + t for t in expected]
 
 
-def test_select_epi_count_wins():
-    # "0000" before "x1x0": the second covers more, and here contains the first
-    assert _select_index([0b0100, 0b1110]) == 1
-    # with no mask containing the other, the count alone decides
-    assert _select_index([0b0011, 0b1110]) == 1
+def test_listed_greedy_count_wins():
+    # origin 000: x00 covers 000 and 100, 0x0 only 000; x00 wins though
+    # 0x0 comes first, and its mask contains 0x0's
+    assert_listed_cover(["000", "100"], ["001", "110"], ["x00"])
+    # origin 101: 1xx covers 101 and 100, xx1 also 011 and 001; with no
+    # mask containing the other, the count alone decides
+    assert_listed_cover(["101", "011", "100", "001"], ["000"], ["xx1", "1xx"])
 
 
-def test_select_epi_single_candidate():
-    assert _select_index([0b10]) == 0
+def test_listed_greedy_tie_goes_to_cube_text_order():
+    # origin 111: 11x and 1x1 cover two each; origin 101: 1x1 and x01 one each
+    assert_listed_cover(["111", "110", "101"], ["011", "100"], ["11x", "1x1"])
 
 
-def test_select_epi_counts_only_uncovered():
-    # "000" and "111", masked with the uncovered minterms as direct_cover
-    # does: restricted to the last minterm, "111" covers none and "000" dominates
-    uncovered = 0b001
-    masks = [0b001, 0b110]
-    assert _select_index([mask & uncovered for mask in masks]) == 0
-    assert _select_index(masks) == 1
+def test_listed_greedy_counts_only_uncovered():
+    # after 1xx, origin 000: xx0 holds three on-minterms and x0x two, but
+    # each holds only 000 uncovered, so the tie goes to x0x
+    assert_listed_cover(["100", "110", "111", "000"], ["011"], ["1xx", "x0x"])
+
+
+def test_listed_greedy_single_candidate():
+    # every neighbour of 000 is off: its only prime is itself
+    assert_listed_cover(["000"], ["001", "010", "100"], ["000"])
 
 
 def test_table_branch_commits_the_smaller_cube_text_on_a_tie():

@@ -27,6 +27,7 @@ from primecover.pla_io import _RawPla, _scan, complement_cubes
 from helpers import (
     TRI_OUTPUT_PLA,
     as_cubes,
+    count_cubes,
     cube_pair,
     five_var_pla,
     pair_cube,
@@ -111,8 +112,9 @@ def test_directive_errors():
         parse_pla(".i 2\n.o 1\n.ilb a\n11 1\n.e\n")
     with pytest.raises(PlaParseError, match="^.ilb names 3 inputs but .i declares 2$"):
         parse_pla(".i 2\n.o 1\n.ilb a b c\n11 1\n.e\n")
-    # .i, .o, .p and .type take exactly one value
-    for line in (".i 2 3", ".o 1 2", ".p 1 9", ".type fr fd"):
+    # .i, .o, .p and .type take exactly one value, and a count is ASCII
+    # digits with an optional sign
+    for line in (".i 2 3", ".o 1 2", ".p 1 9", ".type fr fd", ".i 1_0", ".i \u0662", ".p 1_0"):
         with pytest.raises(PlaParseError, match=f"^line 1: malformed directive '{re.escape(line)}'$"):
             parse_pla(f"{line}\n.i 2\n.o 1\n11 1\n.e\n")
 
@@ -487,6 +489,22 @@ def test_validate_names_the_clash_the_listed_scan_names(data):
     with pytest.raises(InconsistentFunction) as got:
         parse_pla(text)
     assert str(got.value) == str(want.value)
+
+
+def test_validate_names_a_clash_from_its_pairs(monkeypatch):
+    """A 16-input fr file of 20 000 on and 20 000 off minterms and one 0
+    row repeating an on row: the message names the two rows, and no
+    row's ``Cube`` is built to name them."""
+    rng = random.Random(28)
+    values = rng.sample(range(1 << 16), 40_000)
+    on, off = values[:20_000], values[20_000:]
+    clash = f"{on[7]:016b}"
+    rows = [f"{v:016b} 1" for v in on] + [f"{v:016b} 0" for v in off] + [f"{clash} 0"]
+    text = "\n".join([".i 16", ".o 1", ".type fr", *rows, ".e"]) + "\n"
+    built = count_cubes(monkeypatch)
+    with pytest.raises(InconsistentFunction, match=f"^on-cube {clash} intersects off-cube {clash}$"):
+        parse_pla(text)
+    assert len(built) == 0
 
 
 @st.composite
