@@ -5,6 +5,8 @@ prime implicants covering it from single-bit-vector difference
 indicators of the off-set, then a greedy direct cover assembles a full
 prime cover.  A multi-output mode covers tagged minterms jointly, and a
 brute-force oracle provides ground truth at small variable counts.
+The minimizing path never calls the oracle, so its names load it on
+first access.
 """
 
 from .bitcube import (
@@ -30,7 +32,6 @@ from .multi_output import (
     subfunction_off,
     verify_multi,
 )
-from .oracle import TruthTable, all_primes, equivalent, minimum_cover_size
 from .pi_gen import (
     cross_or,
     generate_m,
@@ -95,3 +96,13 @@ __all__ = [
     "verify_multi",
     "write_pla",
 ]
+
+_ORACLE_NAMES = ("TruthTable", "all_primes", "equivalent", "minimum_cover_size")
+
+
+def __getattr__(name: str) -> object:
+    if name in _ORACLE_NAMES:
+        from . import oracle
+
+        return getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

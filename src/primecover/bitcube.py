@@ -10,10 +10,13 @@ writer, runs on the plain ``(left, right)`` int pairs of that notation:
 ``pair_text`` renders one, ``check_pairs`` guards them and
 ``check_width`` the carriers' widths.  ``Slices`` indexes a whole cube
 list by variable, so that the cubes meeting a query cube come out of
-one AND per query literal.  A truth table is one
-2^n-bit int with bit v set for the minterm of value v: ``cube_points``
-gives a cube's, ``table_of`` a cube list's, and ``raisable_literals``
-tests a cube's literals against one, one mirror shift each.
+one AND per query literal.  ``Record`` and ``FrozenRecord`` give the
+package's records, ``BitVec`` and ``Cube`` among them, value equality,
+``repr`` and pickling from the fields their ``__slots__`` name.  A
+truth table is one 2^n-bit int with bit v set for the minterm of value
+v: ``cube_points`` gives a cube's, ``table_of`` a cube list's, and
+``raisable_literals`` tests a cube's literals against one, one mirror
+shift each.
 
 Convention: the leftmost character of any text form is the most
 significant bit, so printed values read like product terms over
@@ -22,7 +25,7 @@ x1..xn.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from operator import attrgetter, ge, gt, le, lt
 from typing import Iterable, Iterator, Sequence
 
 
@@ -36,12 +39,85 @@ def check_width(width: int, other: int) -> None:
         raise ValueError(f"width mismatch: {width} vs {other}")
 
 
-@dataclass(frozen=True, order=True, slots=True)
-class BitVec:
+# stores a field of a FrozenRecord, whose own __setattr__ raises
+_set = object.__setattr__
+
+
+class Record:
+    """A record of the fields its ``__slots__`` name, in that order:
+    equality within one class, ``repr`` as ``Name(field=value, ...)``,
+    and pickling and copying through ``__init__``, which takes the
+    fields in slot order.  Mutable and unhashable; ``FrozenRecord``
+    adds immutability and a hash."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        super().__init_subclass__()
+        if cls.__slots__:
+            # a subclass that adds no slot keeps its base's fields; every
+            # record has two or more, so ``_fields`` gives a tuple
+            cls._names = cls.__slots__
+            cls._fields = attrgetter(*cls.__slots__)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields(self) == self._fields(other)
+
+    def __repr__(self) -> str:
+        values = ", ".join(
+            f"{name}={value!r}" for name, value in zip(self._names, self._fields(self))
+        )
+        return f"{self.__class__.__qualname__}({values})"
+
+    def __reduce__(self) -> tuple:
+        return self.__class__, self._fields(self)
+
+
+class FrozenRecord(Record):
+    """A ``Record`` whose fields, set once in ``__init__`` by ``_assign``,
+    cannot be assigned or deleted; hashed on its field values."""
+
+    __slots__ = ()
+
+    def _assign(self, *values: object) -> None:
+        """Set the fields to ``values``, in slot order."""
+        for name, value in zip(self._names, values):
+            _set(self, name, value)
+
+    def __hash__(self) -> int:
+        return hash(self._fields(self))
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+def _ordered(op):
+    """A ``BitVec`` comparison: ``op`` on (width, value), within the class."""
+
+    def compare(self: BitVec, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return op((self.width, self.value), (other.width, other.value))
+
+    return compare
+
+
+class BitVec(FrozenRecord):
     """Immutable bit string; equality, hashing and ordering on (width, value)."""
 
-    width: int
-    value: int
+    __slots__ = ("width", "value")
+
+    def __init__(self, width: int, value: int) -> None:
+        # direct stores, not ``_assign``: its loop nearly doubles the cost
+        # of building the carriers the fold makes by the thousand
+        _set(self, "width", width)
+        _set(self, "value", value)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         # width 0 is legal only so that coverage masks over an empty
@@ -93,13 +169,21 @@ class BitVec:
     def popcount(self) -> int:
         return self.value.bit_count()
 
+    __lt__ = _ordered(lt)
+    __le__ = _ordered(le)
+    __gt__ = _ordered(gt)
+    __ge__ = _ordered(ge)
 
-@dataclass(frozen=True, slots=True)
-class Cube:
+
+class Cube(FrozenRecord):
     """Positional-notation product term over ``left.width`` variables."""
 
-    left: BitVec
-    right: BitVec
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: BitVec, right: BitVec) -> None:
+        _set(self, "left", left)
+        _set(self, "right", right)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if self.left.width != self.right.width:

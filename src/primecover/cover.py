@@ -23,13 +23,13 @@ pairs it commits, checked by the routine tagged covers share.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import repeat
 from typing import Iterable, Sequence, TypeVar
 
 from .bitcube import (
     BitVec,
     Cube,
+    FrozenRecord,
     Slices,
     check_pairs,
     check_width,
@@ -86,12 +86,13 @@ def mask_members(mask: BitVec, items: Sequence[T]) -> list[T]:
     return [items[last - i] for i in reversed(set_bits(mask.value))]
 
 
-@dataclass(frozen=True)
-class CoverResult:
+class CoverResult(FrozenRecord):
     """The ``(left, right)`` pairs ``direct_cover`` committed, in order."""
 
-    cubes: tuple[tuple[int, int], ...]
-    iterations: int
+    __slots__ = ("cubes", "iterations")
+
+    def __init__(self, cubes: tuple[tuple[int, int], ...], iterations: int) -> None:
+        self._assign(cubes, iterations)
 
 
 def direct_cover(f: LogicFunction, *, irredundant: bool = False) -> CoverResult:
@@ -196,16 +197,16 @@ def _irredundant_indices(masks: Sequence[int]) -> list[int]:
     return keep
 
 
-@dataclass(frozen=True)
-class CoverReport:
+class CoverReport(FrozenRecord):
     """Outcome of the three cover checks of ``verify_cover`` or
     ``verify_multi``; violations are content, not errors.  Each verifier
     says what it puts in each field.  Literal positions count from the
     most significant variable."""
 
-    missing: tuple
-    off_conflicts: tuple
-    removable_literals: tuple
+    __slots__ = ("missing", "off_conflicts", "removable_literals")
+
+    def __init__(self, missing: tuple, off_conflicts: tuple, removable_literals: tuple) -> None:
+        self._assign(missing, off_conflicts, removable_literals)
 
     @property
     def ok(self) -> bool:

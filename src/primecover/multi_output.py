@@ -38,12 +38,12 @@ possibly larger tag.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 from .bitcube import (
     BitVec,
     Cube,
+    FrozenRecord,
     check_pairs,
     cube_points,
     minterm_to_cube,
@@ -61,13 +61,14 @@ from .pla_io import MultiFunction
 from .reduced_offset import OffPairs
 
 
-@dataclass(frozen=True, slots=True)
-class TaggedCube:
+class TaggedCube(FrozenRecord):
     """One cube of a multi-output cover: its ``(left, right)`` pair and
     its tag, an int whose bit j means output j."""
 
-    pair: tuple[int, int]
-    tag: int
+    __slots__ = ("pair", "tag")
+
+    def __init__(self, pair: tuple[int, int], tag: int) -> None:
+        self._assign(pair, tag)
 
     def __str__(self) -> str:
         subs = str(self.tag) if self.tag < 0 else ",".join(map(str, set_bits(self.tag)))

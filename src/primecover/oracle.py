@@ -8,10 +8,9 @@ path beyond the cube carriers, so the two can check each other.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
-from .bitcube import BitVec, Cube, cube_contains, minterm_to_cube
+from .bitcube import BitVec, Cube, FrozenRecord, cube_contains, minterm_to_cube
 from .errors import InconsistentFunction
 from .pla_io import LogicFunction
 
@@ -66,12 +65,13 @@ def primes_containing(primes: set[Cube], P: BitVec) -> set[Cube]:
     return {q for q in primes if cube_contains(q, point)}
 
 
-@dataclass(frozen=True)
-class TruthTable:
+class TruthTable(FrozenRecord):
     """Per-minterm values 0, 1 or DC over all 2**n points."""
 
-    n: int
-    values: tuple[int, ...]
+    __slots__ = ("n", "values")
+
+    def __init__(self, n: int, values: tuple[int, ...]) -> None:
+        self._assign(n, values)
 
     @classmethod
     def from_function(cls, f: LogicFunction) -> TruthTable:

@@ -38,7 +38,6 @@ every step queries the listed pairs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat
 from operator import xor
@@ -49,6 +48,8 @@ from .bitcube import (
     _RIGHT_OF_CHAR,
     BitVec,
     Cube,
+    FrozenRecord,
+    Record,
     Slices,
     check_pairs,
     pair_text,
@@ -217,8 +218,7 @@ class LogicFunction:
                 raise InconsistentFunction(f"on-cube {a} intersects off-cube {b}")
 
 
-@dataclass(frozen=True)
-class MultiFunction:
+class MultiFunction(FrozenRecord):
     """Function of two or more outputs as 2^n-bit output tables; a
     single output is a ``LogicFunction``.
 
@@ -228,12 +228,19 @@ class MultiFunction:
     it at 16.
     """
 
-    n: int
-    m: int
-    on: tuple[int, ...]
-    dc: tuple[int, ...]
-    name: str = ""
-    labels: tuple[str, ...] = ()
+    __slots__ = ("n", "m", "on", "dc", "name", "labels")
+
+    def __init__(
+        self,
+        n: int,
+        m: int,
+        on: Iterable[int],
+        dc: Iterable[int],
+        name: str = "",
+        labels: tuple[str, ...] = (),
+    ) -> None:
+        self._assign(n, m, tuple(on), tuple(dc), name, labels)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if self.n < 1:
@@ -248,8 +255,6 @@ class MultiFunction:
                 f"a MultiFunction has at least 2 outputs, not {self.m}; "
                 "a single output is a LogicFunction"
             )
-        object.__setattr__(self, "on", tuple(self.on))
-        object.__setattr__(self, "dc", tuple(self.dc))
         full = (1 << (1 << self.n)) - 1
         for kind, tables in (("on", self.on), ("dc", self.dc)):
             if len(tables) != self.m:
@@ -299,17 +304,22 @@ _INPUT_CHARS = str.maketrans("", "", "01-")
 _OUTPUT_CHARS = str.maketrans("", "", "01-~")
 
 
-@dataclass
-class _RawPla:
+class _RawPla(Record):
     """A scanned PLA file: its cube lines grouped by output part, each
     group the ``(left, right)`` pair values of its input parts in file
     order."""
 
-    n: int
-    m: int
-    type_: str
-    groups: dict[str, list[tuple[int, int]]]
-    ob: tuple[str, ...]
+    __slots__ = ("n", "m", "type_", "groups", "ob")
+
+    def __init__(
+        self,
+        n: int,
+        m: int,
+        type_: str,
+        groups: dict[str, list[tuple[int, int]]],
+        ob: tuple[str, ...],
+    ) -> None:
+        self.n, self.m, self.type_, self.groups, self.ob = n, m, type_, groups, ob
 
 
 def _plain_body(lines: list[str], n: int, m: int) -> dict[str, list[tuple[int, int]]] | None:

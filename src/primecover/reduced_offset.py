@@ -23,15 +23,21 @@ vector path.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass, field
 from typing import Iterable
 
-from .bitcube import BitVec, Cube, check_width, minimal_ones, minterm_to_cube, pair_text
+from .bitcube import (
+    BitVec,
+    Cube,
+    Record,
+    check_width,
+    minimal_ones,
+    minterm_to_cube,
+    pair_text,
+)
 from .errors import EmptyOffset, InconsistentFunction
 
 
-@dataclass
-class DiSet:
+class DiSet(Record):
     """Absorption-minimal difference indicators plus fold statistics.
 
     Elements are kept sorted ascending by value; the fold below scans in
@@ -40,12 +46,14 @@ class DiSet:
     ``OffPairs`` off-set.
     """
 
-    elements: list[BitVec] = field(default_factory=list)
-    comparisons: int = 0
-    absorptions: int = 0
+    __slots__ = ("elements", "comparisons", "absorptions")
 
-    def __post_init__(self) -> None:
-        self.elements = sorted(self.elements)
+    def __init__(
+        self, elements: Iterable[BitVec] = (), comparisons: int = 0, absorptions: int = 0
+    ) -> None:
+        self.elements = sorted(elements)
+        self.comparisons = comparisons
+        self.absorptions = absorptions
 
     def __len__(self) -> int:
         return len(self.elements)
