@@ -25,8 +25,8 @@ x1..xn.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator, Sequence
 from operator import attrgetter, ge, gt, le, lt
-from typing import Iterable, Iterator, Sequence
 
 
 def _mask(width: int) -> int:

@@ -8,23 +8,25 @@ once at first occurrence.  Candidate scoring counts only minterms still
 uncovered; ties break on the lexicographically smallest cube text, so a
 given input always produces the same cover.
 
-Up to ``TABLE_CAP`` inputs the cover loop and ``verify_cover`` run on
-the function's 2^n-bit on and off truth tables: an origin's primes are
-the corners ``prime_corners`` sets on the off table, each scored where
-it is found by one AND of its points with the uncovered table, with no
-candidate list; an off-set test is one AND, and a literal's primality
-test one mirror shift and one AND.  Above the cap the on-set is a
-sliced minterm list and the off-set a sliced cube list
-(``bitcube.Slices``), queried one AND per literal, and each prime is
-scored by the same rule as ``prime_pairs`` lists it.  A function is
-read as its ``(left, right)`` pairs and tables, and a cover is the
-pairs it commits, checked by the routine tagged covers share.
+One greedy loop serves every input count; the regime sets only where
+the uncovered set lives and where an origin's primes and their points
+come from.  Up to ``TABLE_CAP`` inputs the loop and ``verify_cover`` run
+on the function's 2^n-bit on and off truth tables: an origin's primes
+are the corners ``prime_corners`` sets on the off table, each scored
+where it is found by one AND of its points with the uncovered table;
+an off-set test is one AND, and a literal's primality test one mirror
+shift and one AND.  Above the cap an origin's primes are the ones
+``prime_pairs`` folds from the off-set, the on-set is a sliced minterm
+list and the off-set a sliced cube list (``bitcube.Slices``), queried
+one AND per literal.  A function is read as its ``(left, right)`` pairs
+and tables, and a cover is the pairs it commits, checked by the routine
+tagged covers share.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from itertools import repeat
-from typing import Iterable, Sequence, TypeVar
 
 from .bitcube import (
     BitVec,
@@ -46,8 +48,6 @@ from .pla_io import TABLE_CAP, LogicFunction
 from .reduced_offset import OffPairs
 
 ON_EXPANSION_CAP = 1 << 20
-
-T = TypeVar("T")
 
 
 def expand_on_minterms(f: LogicFunction) -> list[int]:
@@ -80,7 +80,7 @@ def coverage_mask(pi: Cube, on_minterms: Sequence[BitVec]) -> BitVec:
     return Slices.of_minterms([m.value for m in on_minterms], pi.width).mask_of(pi)
 
 
-def mask_members(mask: BitVec, items: Sequence[T]) -> list[T]:
+def mask_members(mask: BitVec, items: Sequence) -> list:
     """The items whose index bit is set in ``mask`` (MSB is index 0), in order."""
     last = len(items) - 1
     return [items[last - i] for i in reversed(set_bits(mask.value))]
@@ -98,91 +98,67 @@ class CoverResult(FrozenRecord):
 def direct_cover(f: LogicFunction, *, irredundant: bool = False) -> CoverResult:
     """Cover the whole on-set with prime implicants of the off-complement.
 
-    Up to ``TABLE_CAP`` inputs each origin's primes are read from the
-    off table by ``prime_corners`` and scored where they are found, each
-    its points ANDed with the uncovered on-minterms, a table too; above
-    it every origin folds the off-set's ``OffPairs``, converted once,
-    and masks and the uncovered set index the on-minterm list.  Either
-    way a mask holds the same on-minterms, and the most uncovered ones
-    win, a tie going to the smaller free mask: cube-text order for
-    primes through one origin.  A ``LogicFunction`` is consistent, so no
-    origin lies in the off-set.
+    One greedy loop: the origin is the first on-minterm still uncovered,
+    and of the primes through it the one holding the most uncovered
+    on-minterms is committed, a tie going to the smaller free mask:
+    cube-text order for primes through one origin.  The regime sets only
+    where the uncovered set lives and where an origin's primes and their
+    points come from.  Up to ``TABLE_CAP`` inputs the uncovered set is
+    the on table, so an origin's bit is its minterm value; its primes
+    are the cubes with free positions ``p ^ y`` for the corners y
+    ``prime_corners`` sets on the off table, and a prime's points are
+    its ``cube_points``.  Above the cap bit i stands for the i-th
+    on-minterm; every origin folds the off-set's ``OffPairs``, converted
+    once, and a prime's points are the sliced on-minterms it meets.  A
+    ``LogicFunction`` is consistent, so no origin lies in the off-set.
     """
     if not f.on_pairs:
         raise EmptyOnset("the on-set is empty")
     on_list = expand_on_minterms(f)
-    greedy = _table_greedy if f.n <= TABLE_CAP else _listed_greedy
-    chosen, chosen_masks = greedy(f, on_list)
-    iterations = len(chosen)
-    if irredundant:
-        keep = _irredundant_indices(chosen_masks)
-        chosen = [chosen[i] for i in keep]
-    return CoverResult(tuple(chosen), iterations)
-
-
-def _table_greedy(
-    f: LogicFunction, on_list: Sequence[int]
-) -> tuple[list[tuple[int, int]], list[int]]:
-    """The committed ``(left, right)`` pairs and their masks on the on
-    table, one per iteration.  The bit of an origin in a table is its
-    minterm value.  An origin's primes through p are the cubes with free
-    positions ``p ^ y`` for the corners y ``prime_corners`` sets, and
-    ascending free positions are cube-text order, so on equal counts the
-    smaller ``free`` wins."""
     n = f.n
-    off_table = f.off_table
-    on_table = uncovered = f.on_table
+    if n <= TABLE_CAP:
+        uncovered = f.on_table
+        bit_of: Sequence[int] = on_list
+        off_table = f.off_table
+
+        def corners(p: int) -> list[int]:
+            return set_bits(prime_corners(p, off_table, n))
+
+        points_of = cube_points
+    else:
+        uncovered = (1 << len(on_list)) - 1
+        bit_of = range(len(on_list))
+        off = OffPairs(f.off_pairs)
+
+        def corners(p: int) -> list[int]:
+            return [p ^ (left & right) for left, right in prime_pairs(BitVec(n, p), off)]
+
+        # Slices puts index 0 at the top bit, so bit i is on_list[i]
+        points_of = Slices.of_minterms(on_list[::-1], n).meets
+    on_set = uncovered
     full = (1 << n) - 1
     chosen: list[tuple[int, int]] = []
-    chosen_masks: list[int] = []
+    masks: list[int] = []
     i = 0
     while uncovered:
-        # the origin is the first on-minterm still uncovered
-        while not uncovered >> on_list[i] & 1:
+        while not uncovered >> bit_of[i] & 1:
             i += 1
         p = on_list[i]
         rest = full ^ p
         best = best_free = best_points = -1
-        for y in set_bits(prime_corners(p, off_table, n)):
+        for y in corners(p):
             free = p ^ y
-            points = cube_points(rest | free, p | free)
+            points = points_of(rest | free, p | free)
             count = (points & uncovered).bit_count()
             if count > best or count == best and free < best_free:
                 best, best_free, best_points = count, free, points
         chosen.append((rest | best_free, p | best_free))
-        chosen_masks.append(best_points & on_table)
+        masks.append(best_points & on_set)
         uncovered &= ~best_points
-    return chosen, chosen_masks
-
-
-def _listed_greedy(
-    f: LogicFunction, on_list: Sequence[int]
-) -> tuple[list[tuple[int, int]], list[int]]:
-    """``_table_greedy`` above the table cap: each origin folds the
-    off-set, masks index the on-minterm list (MSB is index 0), and each
-    prime is scored by the same rule as ``prime_pairs`` lists it."""
-    n = f.n
-    off = OffPairs(f.off_pairs)
-    width = len(on_list)
-    uncovered = (1 << width) - 1
-    mask_of = Slices.of_minterms(on_list, n).meets
-    chosen: list[tuple[int, int]] = []
-    chosen_masks: list[int] = []
-    i = 0
-    while uncovered:
-        while not uncovered >> (width - 1 - i) & 1:
-            i += 1
-        best = best_free = -1
-        for left, right in prime_pairs(BitVec(n, on_list[i]), off):
-            free = left & right
-            mask = mask_of(left, right)
-            count = (mask & uncovered).bit_count()
-            if count > best or count == best and free < best_free:
-                best, best_free, best_pair, best_mask = count, free, (left, right), mask
-        chosen.append(best_pair)
-        chosen_masks.append(best_mask)
-        uncovered &= ~best_mask
-    return chosen, chosen_masks
+    iterations = len(chosen)
+    if irredundant:
+        chosen = [chosen[i] for i in _irredundant_indices(masks)]
+    return CoverResult(tuple(chosen), iterations)
 
 
 def _irredundant_indices(masks: Sequence[int]) -> list[int]:

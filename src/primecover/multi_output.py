@@ -38,7 +38,7 @@ possibly larger tag.
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from collections.abc import Sequence
 
 from .bitcube import (
     BitVec,

@@ -8,7 +8,7 @@ path beyond the cube carriers, so the two can check each other.
 
 from __future__ import annotations
 
-from typing import Sequence
+from collections.abc import Sequence
 
 from .bitcube import BitVec, Cube, FrozenRecord, cube_contains, minterm_to_cube
 from .errors import InconsistentFunction

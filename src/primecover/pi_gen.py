@@ -28,7 +28,7 @@ there, up to the 16-input table cap.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
 from .bitcube import BitVec, Cube, check_width, minimal_ones
 from .errors import EmptyOffset

@@ -38,10 +38,10 @@ every step queries the listed pairs.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from functools import cached_property
 from itertools import repeat
 from operator import xor
-from typing import Iterable, Sequence
 
 from .bitcube import (
     _LEFT_OF_CHAR,

@@ -23,7 +23,7 @@ vector path.
 from __future__ import annotations
 
 import bisect
-from typing import Iterable
+from collections.abc import Iterable
 
 from .bitcube import (
     BitVec,

@@ -15,14 +15,14 @@ def test_every_exported_name_resolves_once():
     assert missing == []
 
 
-def _fresh(code: str) -> str:
-    """Stdout of ``code`` run in a fresh interpreter that imports this
-    ``primecover``."""
+def _fresh(code: str, *flags: str) -> str:
+    """Stdout of ``code`` run in a fresh interpreter, started with
+    ``flags``, that imports this ``primecover``."""
     src = str(Path(primecover.__file__).resolve().parent.parent)
     paths = [src, *filter(None, os.environ.get("PYTHONPATH", "").split(os.pathsep))]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
     done = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+        [sys.executable, *flags, "-c", code], env=env, capture_output=True, text=True, timeout=60
     )
     assert done.returncode == 0, done.stderr
     return done.stdout.strip()
@@ -30,15 +30,16 @@ def _fresh(code: str) -> str:
 
 @pytest.mark.parametrize("module", ["primecover", "primecover.cli"])
 def test_import_loads_neither_dataclasses_nor_the_oracle(module):
-    # the names a bare interpreter has already loaded do not count
+    # the names a bare interpreter has already loaded do not count; -S
+    # keeps site (and the .pth hooks it runs) from loading typing first
     code = (
         "import sys\n"
         "before = set(sys.modules)\n"
         f"import {module}\n"
         "added = set(sys.modules) - before\n"
-        "print(sorted(added & {'dataclasses', 'inspect', 'primecover.oracle'}))\n"
+        "print(sorted(added & {'dataclasses', 'inspect', 'typing', 'primecover.oracle'}))\n"
     )
-    assert _fresh(code) == "[]"
+    assert _fresh(code, "-S") == "[]"
 
 
 def test_star_import_binds_every_exported_name():

@@ -47,6 +47,49 @@ def test_minimize_to_stdout(tmp_path, capsys):
     assert "cubes" in captured.err
 
 
+# ``minimize`` stdout, byte for byte, above the table cap: a seeded
+# 9-input fr function (each minterm on with probability 0.1, off with
+# 0.1) behind 8 inputs that read 01101001 in every row.  No off-row
+# opposes those, so each prime leaves them free.  Every one of the 17
+# origins has several primes, and at 10 of them two primes tie on the
+# uncovered count, so the tie-break decides.
+FR17_COVER = (
+    "---------0---100-",
+    "----------00---01",
+    "--------0---1--11",
+    "------------1010-",
+    "--------00-0---1-",
+    "--------0-0-0-0-1",
+    "--------0011---0-",
+    "--------0--0-11-0",
+    "---------1--10-1-",
+    "--------0--1--000",
+    "----------1-01-11",
+    "---------1-10---1",
+    "-----------1-111-",
+    "--------1--000--1",
+    "---------0-000-1-",
+    "--------1--0111--",
+    "--------11-010--0",
+)
+
+
+def test_minimize_golden_cover_above_the_table_cap(tmp_path, capsys):
+    rng = random.Random(1)
+    rows = []
+    for v in range(1 << 9):
+        r = rng.random()
+        if r < 0.2:
+            rows.append(f"01101001{v:09b} {int(r < 0.1)}\n")
+    src = write(tmp_path, "fr17.pla", ".i 17\n.o 1\n.type fr\n" + "".join(rows) + ".e\n")
+    assert main(["minimize", src]) == 0
+    captured = capsys.readouterr()
+    body = "".join(f"{cube} 1\n" for cube in FR17_COVER)
+    assert captured.out == ".i 17\n.o 1\n.p 17\n.type fr\n" + body + ".e\n"
+    assert captured.err.startswith("fr17: 17 cubes, 52 on-minterms, ")
+    assert captured.err.endswith(" ms, verification ok\n")
+
+
 def test_minimize_exits_1_when_verification_fails(tmp_path, capsys, monkeypatch):
     src = write(tmp_path, "fivevar.pla", five_var_pla())
     violating = CoverReport((BitVec.from_text("00000"),), (), ())

@@ -340,8 +340,8 @@ def test_direct_cover_above_the_table_cap_folds_the_listed_off_cubes():
 
 
 # Up to the table cap direct_cover reads its primes from one off table,
-# and folds the listed off-cubes only for an origin inside it; the
-# reference folds the listed off-cubes through generate_spi per origin.
+# above it from a fold of the listed off-cubes; the reference folds the
+# listed off-cubes through generate_spi per origin.
 
 
 def cube_lists(n: int, max_size: int) -> st.SearchStrategy[list[Cube]]:
@@ -386,10 +386,15 @@ def outcome(fn, *args, **kwargs):
         return (type(exc), str(exc))
 
 
+@pytest.mark.parametrize("cap", [cover.TABLE_CAP, 0], ids=["table", "listed"])
 @settings(deadline=None)
 @given(consistent_functions(), st.booleans())
-def test_direct_cover_matches_the_listed_fold(f, irredundant):
-    got = outcome(direct_cover, f, irredundant=irredundant)
+def test_direct_cover_matches_the_listed_fold(cap, f, irredundant):
+    """Both regimes of the one greedy loop cover as the reference does:
+    with the table cap at 0 every function is covered as one above it."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cover, "TABLE_CAP", cap)
+        got = outcome(direct_cover, f, irredundant=irredundant)
     assert got == outcome(reference_direct_cover, f, irredundant=irredundant)
 
 
