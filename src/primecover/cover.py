@@ -81,13 +81,16 @@ def coverage_mask(pi: Cube, on_minterms: Sequence[BitVec]) -> BitVec:
 
 
 def mask_members(mask: BitVec, items: Sequence) -> list:
-    """The items whose index bit is set in ``mask`` (MSB is index 0), in order."""
+    """The items whose index bit is set in ``mask`` (MSB is index 0), in
+    order; ``ValueError`` unless ``mask`` has one bit per item."""
+    check_width(mask.width, len(items))
     last = len(items) - 1
     return [items[last - i] for i in reversed(set_bits(mask.value))]
 
 
 class CoverResult(FrozenRecord):
-    """The ``(left, right)`` pairs ``direct_cover`` committed, in order."""
+    """The ``(left, right)`` pairs ``direct_cover`` committed, in order;
+    ``iterations`` is ``len(cubes)``, kept as the tracer's counter."""
 
     __slots__ = ("cubes", "iterations")
 
@@ -95,7 +98,7 @@ class CoverResult(FrozenRecord):
         self._assign(cubes, iterations)
 
 
-def direct_cover(f: LogicFunction, *, irredundant: bool = False) -> CoverResult:
+def direct_cover(f: LogicFunction) -> CoverResult:
     """Cover the whole on-set with prime implicants of the off-complement.
 
     One greedy loop: the origin is the first on-minterm still uncovered,
@@ -135,10 +138,8 @@ def direct_cover(f: LogicFunction, *, irredundant: bool = False) -> CoverResult:
 
         # Slices puts index 0 at the top bit, so bit i is on_list[i]
         points_of = Slices.of_minterms(on_list[::-1], n).meets
-    on_set = uncovered
     full = (1 << n) - 1
     chosen: list[tuple[int, int]] = []
-    masks: list[int] = []
     i = 0
     while uncovered:
         while not uncovered >> bit_of[i] & 1:
@@ -153,24 +154,8 @@ def direct_cover(f: LogicFunction, *, irredundant: bool = False) -> CoverResult:
             if count > best or count == best and free < best_free:
                 best, best_free, best_points = count, free, points
         chosen.append((rest | best_free, p | best_free))
-        masks.append(best_points & on_set)
         uncovered &= ~best_points
-    iterations = len(chosen)
-    if irredundant:
-        chosen = [chosen[i] for i in _irredundant_indices(masks)]
-    return CoverResult(tuple(chosen), iterations)
-
-
-def _irredundant_indices(masks: Sequence[int]) -> list[int]:
-    keep = list(range(len(masks)))
-    for i in reversed(range(len(masks))):
-        rest = 0
-        for j in keep:
-            if j != i:
-                rest |= masks[j]
-        if masks[i] & ~rest == 0:
-            keep.remove(i)
-    return keep
+    return CoverResult(tuple(chosen), len(chosen))
 
 
 class CoverReport(FrozenRecord):

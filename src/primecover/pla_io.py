@@ -274,19 +274,6 @@ class MultiFunction(FrozenRecord):
         full = (1 << (1 << self.n)) - 1
         return tuple(full ^ (on | dc) for on, dc in zip(self.on, self.dc))
 
-    def value(self, minterm_value: int, output: int) -> int | None:
-        """1, 0, or None for a don't care; ``ValueError`` for a minterm
-        or an output out of range."""
-        if not 0 <= output < self.m:
-            raise ValueError(f"output {output} is outside the {self.m} outputs")
-        if not 0 <= minterm_value < 1 << self.n:
-            raise ValueError(f"minterm value {minterm_value} is outside the 2^{self.n} minterms")
-        if self.on[output] >> minterm_value & 1:
-            return 1
-        if self.dc[output] >> minterm_value & 1:
-            return None
-        return 0
-
 
 def complement_cubes(cubes: Sequence[Cube], n: int) -> list[Cube]:
     """A cover of the minterms in none of ``cubes``: the ``table_cover``

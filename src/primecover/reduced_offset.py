@@ -61,15 +61,6 @@ class DiSet(Record):
     def __iter__(self):
         return iter(self.elements)
 
-    @property
-    def width(self) -> int:
-        if not self.elements:
-            raise ValueError("empty set has no width")
-        return self.elements[0].width
-
-    def as_set(self) -> frozenset[BitVec]:
-        return frozenset(self.elements)
-
 
 class OffPairs:
     """An off-set converted once for the folds of many minterms.

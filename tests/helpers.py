@@ -145,7 +145,9 @@ def rows_of(f: MultiFunction) -> list[tuple[BitVec, tuple[int | None, ...]]]:
     ascending order."""
     rows = []
     for v in range(1 << f.n):
-        values = tuple(f.value(v, j) for j in range(f.m))
+        values = tuple(
+            1 if on >> v & 1 else None if dc >> v & 1 else 0 for on, dc in zip(f.on, f.dc)
+        )
         if any(value != 0 for value in values):
             rows.append((BitVec(f.n, v), values))
     return rows
@@ -645,14 +647,13 @@ def reference_find_dominant(restricted) -> int | None:
 # pairs chosen by dominance, uncovered count and cube text.
 
 
-def reference_direct_cover(f: LogicFunction, *, irredundant: bool = False) -> CoverResult:
+def reference_direct_cover(f: LogicFunction) -> CoverResult:
     if not f.on:
         raise EmptyOnset("the on-set is empty")
     on_list = reference_on_minterms(f)
     on = Slices.of_minterms([m.value for m in on_list], f.n)
     width = len(on_list)
     chosen: list[Cube] = []
-    chosen_masks: list[BitVec] = []
     uncovered = (1 << width) - 1
     iterations = 0
     while uncovered:
@@ -669,19 +670,8 @@ def reference_direct_cover(f: LogicFunction, *, irredundant: bool = False) -> Co
             )
         cube, mask = candidates[idx]
         chosen.append(cube)
-        chosen_masks.append(mask)
         uncovered &= ~mask.value
         iterations += 1
-    if irredundant:
-        keep = list(range(len(chosen)))
-        for i in reversed(range(len(chosen))):
-            rest = 0
-            for j in keep:
-                if j != i:
-                    rest |= chosen_masks[j].value
-            if chosen_masks[i].value & ~rest == 0:
-                keep.remove(i)
-        chosen = [chosen[i] for i in keep]
     return CoverResult(tuple(cube_pair(c) for c in chosen), iterations)
 
 

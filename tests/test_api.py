@@ -1,3 +1,4 @@
+import importlib
 import os
 import subprocess
 import sys
@@ -67,3 +68,12 @@ def test_an_unknown_name_is_an_attribute_error():
     with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
         primecover.no_such_name
     assert not hasattr(primecover, "no_such_name")
+
+
+def test_every_name_the_tracer_wraps_is_defined_where_it_looks(monkeypatch):
+    # perfbench/tracing.py replaces each (owner, attr) through vars(owner),
+    # so a name deleted from its owner breaks only the traced benchmark
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent))
+    tracing = importlib.import_module("perfbench.tracing")
+    names = [(owner, attr) for owner, attr, *_ in tracing.TIMED + tracing.COUNTED]
+    assert [(owner.__name__, attr) for owner, attr in names if attr not in vars(owner)] == []

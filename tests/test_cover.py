@@ -65,6 +65,14 @@ def test_coverage_mask_small():
     assert {m.to_text() for m in mask_members(mask, on)} == {"100", "101"}
 
 
+def test_mask_members_rejects_a_mask_of_another_width():
+    # one bit per item: a wider or narrower mask would misindex silently
+    for mask in (BitVec(5, 0b10000), BitVec(2, 0b11)):
+        with pytest.raises(ValueError, match=f"^width mismatch: {mask.width} vs 3$"):
+            mask_members(mask, ["a", "b", "c"])
+    assert mask_members(BitVec(3, 0b101), ["a", "b", "c"]) == ["a", "c"]
+
+
 def test_coverage_mask_empty_list():
     assert coverage_mask(text_cube("10x"), []).width == 0
     assert str(coverage_mask(text_cube("10x"), [])) == ""
@@ -135,6 +143,9 @@ def test_direct_cover_five_var():
     assert equivalent(as_cubes(result.cubes, f.n), list(f.on), care)
     assert minimum_cover_size(f) <= len(result.cubes) <= len(expand_on_minterms(f))
     assert result.iterations == len(result.cubes)
+    # direct_cover takes no options: a stale keyword raises, not ignored
+    with pytest.raises(TypeError, match="irredundant"):
+        direct_cover(f, irredundant=True)
 
 
 def test_direct_cover_everything_on():
@@ -243,14 +254,6 @@ def test_verify_cover_flags_non_prime_cube():
     assert report.removable_literals  # 00x can grow and still miss 111
     assert not report.missing
     assert not report.off_conflicts
-
-
-def test_irredundant_sweep_drops_redundant_cubes():
-    f = five_var_function()
-    base = direct_cover(f)
-    swept = direct_cover(f, irredundant=True)
-    assert len(swept.cubes) <= len(base.cubes)
-    assert verify_cover(swept, f).ok
 
 
 def test_expansion_cap_guard(monkeypatch):
@@ -388,14 +391,14 @@ def outcome(fn, *args, **kwargs):
 
 @pytest.mark.parametrize("cap", [cover.TABLE_CAP, 0], ids=["table", "listed"])
 @settings(deadline=None)
-@given(consistent_functions(), st.booleans())
-def test_direct_cover_matches_the_listed_fold(cap, f, irredundant):
+@given(consistent_functions())
+def test_direct_cover_matches_the_listed_fold(cap, f):
     """Both regimes of the one greedy loop cover as the reference does:
     with the table cap at 0 every function is covered as one above it."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(cover, "TABLE_CAP", cap)
-        got = outcome(direct_cover, f, irredundant=irredundant)
-    assert got == outcome(reference_direct_cover, f, irredundant=irredundant)
+        got = outcome(direct_cover, f)
+    assert got == outcome(reference_direct_cover, f)
 
 
 @settings(deadline=None)
@@ -432,15 +435,12 @@ def test_direct_cover_error_messages():
         LogicFunction(2, on, off)
 
 
-def test_irredundant_sweep_counts_only_on_points():
-    # the first cube, 00xx, is chosen for the on-points 0001 and 0011,
-    # which the next two cubes cover as well; only its don't-care points
-    # 0000 and 0010 are its own, so the sweep drops it
+def test_direct_cover_expands_into_dont_care_rows():
+    # the first cube, 00xx, is chosen for the on-points 0001 and 0011 and
+    # takes in the don't-care points 0000 and 0010; the next two cubes
+    # cover those on-points as well, and the greedy loop keeps all three
     f = parse_pla(".i 4\n.o 1\n.type fd\n0-01 1\n00-- -\n-011 1\n.e\n")
     assert [cube_text(c) for c in as_cubes(direct_cover(f).cubes, 4)] == ["00xx", "0x01", "x011"]
-    swept = direct_cover(f, irredundant=True)
-    assert [cube_text(c) for c in as_cubes(swept.cubes, 4)] == ["0x01", "x011"]
-    assert swept == reference_direct_cover(f, irredundant=True)
 
 
 def narrowed(c: Cube, pos: int, value: bool) -> Cube:

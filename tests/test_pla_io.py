@@ -60,7 +60,7 @@ def test_parse_tri_output_file():
     assert f.dc == (0, 0, 0)
     assert f.off == (0b01001110, 0b10110001, 0b00011000)
     assert f.labels == ("y0", "y1", "y2")
-    assert f.value(0b000, 0) == 1 and f.value(0b000, 1) == 0 and f.value(0b000, 2) == 1
+    assert [on & 1 for on in f.on] == [1, 0, 1]  # minterm 000
 
 
 def test_x_is_illegal_in_pla_input_part():
@@ -419,24 +419,10 @@ def test_truth_tables_up_to_the_cap():
 def test_value_defaults_to_zero_for_missing_rows():
     # a point no line lists is off under the default fd type ...
     f = parse_pla(".i 2\n.o 2\n11 11\n.e\n")
-    assert f.value(0b00, 0) == 0
-    assert f.value(0b11, 1) == 1
+    assert (f.on, f.dc) == ((0b1000, 0b1000), (0, 0))
     # ... and a don't care under fr, as with one output
     f = parse_pla(".i 2\n.o 2\n.type fr\n11 11\n.e\n")
-    assert f.value(0b00, 0) is None
-    assert f.value(0b11, 1) == 1
-
-
-def test_value_rejects_a_minterm_or_output_out_of_range():
-    f = parse_pla(".i 2\n.o 2\n.type fr\n11 11\n.e\n")
-    for v, j, message in (
-        (0, -1, "output -1 is outside the 2 outputs"),
-        (0, 2, "output 2 is outside the 2 outputs"),
-        (-1, 0, r"minterm value -1 is outside the 2\^2 minterms"),
-        (4, 1, r"minterm value 4 is outside the 2\^2 minterms"),
-    ):
-        with pytest.raises(ValueError, match=message):
-            f.value(v, j)
+    assert (f.on, f.dc) == ((0b1000, 0b1000), (0b0111, 0b0111))
 
 
 def test_logic_function_is_an_immutable_value():
