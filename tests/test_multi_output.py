@@ -13,11 +13,12 @@ from primecover import (
     edsa_minimize,
     generate_sdm,
     generate_spi,
+    minterm_to_cube,
     subfunction_off,
     text_cube,
 )
-from primecover.bitcube import Cube, table_cover
-from primecover.multi_output import TaggedCube, _lightest, verify_multi
+from primecover.bitcube import Cube, set_bits, table_cover
+from primecover.multi_output import TaggedCube, _best_pi, _lightest, verify_multi
 from primecover.pla_io import _scan
 from helpers import (
     TRI_OUTPUT_COVER,
@@ -26,6 +27,7 @@ from helpers import (
     cube_pair,
     multi_function,
     pair_cube,
+    reference_best_pi,
     reference_edsa_minimize,
     reference_intersects,
     reference_subfunction_off,
@@ -61,6 +63,14 @@ def test_subfunction_off_examples():
     assert "11" not in off and len(off) == 3
     with pytest.raises(ValueError, match="^empty output tag$"):
         subfunction_off(frozenset(), f)
+
+
+def test_subfunction_off_rejects_an_output_outside_the_function():
+    f = multi_function(2, 2, [("11", (1, 1))])
+    with pytest.raises(ValueError, match="^output 5 is outside the 2 outputs$"):
+        subfunction_off(frozenset({5}), f)
+    with pytest.raises(ValueError, match="^output -1 is outside the 2 outputs$"):
+        subfunction_off(frozenset({0, -1}), f)
 
 
 def test_golden_tagged_cover():
@@ -257,6 +267,42 @@ def test_lookahead_runs_when_two_candidates_share_the_union():
     assert cover == reference_edsa_minimize(f)
     # lookahead commits 0xx, stranding 100, and that neighbour's x0x with it
     assert [str(tc) for tc in cover][:2] == ["0xx_{1}", "x0x_{1}"]
+
+
+def minterms_of(table: int, n: int) -> list[Cube]:
+    """The minterm cubes of the values set in a 2^n-bit table."""
+    return [minterm_to_cube(BitVec(n, v)) for v in set_bits(table)]
+
+
+@st.composite
+def joint_off_tables(draw) -> tuple[int, int]:
+    """Width n in 1-7 and a 2^n-bit off table."""
+    n = draw(st.integers(min_value=1, max_value=7))
+    return n, draw(st.integers(min_value=0, max_value=(1 << (1 << n)) - 1))
+
+
+# an empty off table: every minterm's best prime is the universal cube
+@example((1, 0))
+@example((7, 0))
+@settings(deadline=None)
+@given(joint_off_tables())
+def test_best_pi_matches_reference(case):
+    n, off = case
+    off_cubes = minterms_of(off, n)
+    for v in range(1 << n):
+        if not off >> v & 1:
+            assert pair_cube(n, _best_pi(v, off, n)) == reference_best_pi(BitVec(n, v), off_cubes)
+
+
+def test_best_pi_ties_go_to_the_smaller_free_mask():
+    # through 0000 clear of the off points 0011, 0101, 1001 and 1010 the
+    # primes are 000x, 0xx0 and xx00; the last two tie on two literals,
+    # and 0xx0, whose free mask 0110 is the smaller, is first in text
+    off = sum(1 << int(t, 2) for t in ("0011", "0101", "1001", "1010"))
+    off_cubes = minterms_of(off, 4)
+    assert [cube_text(c) for c in generate_spi(bv("0000"), off_cubes)] == ["000x", "0xx0", "xx00"]
+    assert cube_text(pair_cube(4, _best_pi(0, off, 4))) == "0xx0"
+    assert pair_cube(4, _best_pi(0, off, 4)) == reference_best_pi(bv("0000"), off_cubes)
 
 
 @st.composite
