@@ -14,9 +14,12 @@ one AND per query literal.  ``Record`` and ``FrozenRecord`` give the
 package's records, ``BitVec`` and ``Cube`` among them, value equality,
 ``repr`` and pickling from the fields their ``__slots__`` name.  A
 truth table is one 2^n-bit int with bit v set for the minterm of value
-v: ``cube_points`` gives a cube's, ``table_of`` a cube list's, and
-``raisable_literals`` tests a cube's literals against one, one mirror
-shift each.
+v: ``cube_points`` gives a cube's, ``table_of`` a cube list's,
+``table_cover`` covers one by cubes inside it and ``raisable_literals``
+tests a cube's literals against one.  ``cube_points``, ``table_cover``
+and ``raisable_literals`` each grow or test a cube with one mirror
+shift per position: the cube's points shifted by 2^p towards the other
+value of position p.
 
 Convention: the leftmost character of any text form is the most
 significant bit, so printed values read like product terms over
@@ -338,34 +341,26 @@ def table_cover(points: int, n: int) -> list[tuple[int, int]]:
     by cubes inside it, as ``(left, right)`` pair values.
 
     Greedy: each cube starts at the lowest point not yet covered and
-    raises positions lowest first, each one it can while the cube stays
-    inside ``points``.  Per set of free positions F, bit b of
-    ``tables[F]``, for b clear on F, is set when the cube of base b and
-    free positions F lies inside ``points``; freeing one more position p
-    is one AND of that table with itself shifted by 2^p, so no minterm
-    is tested on its own.  Bits of bases not clear on F are never read,
-    so they are left as the shifts make them.
+    raises positions lowest first, each one whose mirror image misses
+    the complement of ``points``: one shift and one AND per position.
     """
     full = _mask(n)
-    tables = {0: points}
+    off = points ^ _mask(1 << n)
     out: list[tuple[int, int]] = []
     rest = points
     while rest:
-        base = (rest & -rest).bit_length() - 1
+        cube = rest & -rest
+        base = cube.bit_length() - 1
         free = 0
-        table = points
         for p in range(n):
             bit = 1 << p
-            wider = tables.get(free | bit)
-            if wider is None:
-                wider = tables[free | bit] = table & (table >> bit)
-            if wider >> (base & ~bit) & 1:
+            mirror = cube >> bit if base & bit else cube << bit
+            if not mirror & off:
+                cube |= mirror
                 free |= bit
-                base &= ~bit
-                table = wider
-        left, right = full ^ base, base | free
-        out.append((left, right))
-        rest &= ~cube_points(left, right)
+        base &= ~free
+        out.append((full ^ base, base | free))
+        rest &= ~cube
     return out
 
 

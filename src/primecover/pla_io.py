@@ -11,14 +11,15 @@ output and for many: '1' marks the row on for that output, '0' marks it
 off under type fr/fdr and carries no information under f/fd, '-' is a
 don't care unless a care value marks the same point, and '~' carries no
 information.  A point no line marks is off under f/fd and a don't care
-under fr/fdr.  Each cube line is scanned into its ``(left, right)``
-pair values and checked once: an input part without '-' is read as one
-binary int, one with '-' by one translation per half.  The lines are
-grouped by output part, in file order, and an output part is checked
-when it opens its group.  A plain body, every cube line its input part,
-one whitespace character and its output part, is read in one block of
-calls over all its lines; any other body, and every fault, goes through
-the line-by-line loop, which names the line at fault.
+under fr/fdr.  Only LF, CRLF and CR end a line.  Each cube line is
+scanned into its ``(left, right)`` pair values and checked once: an
+input part without '-' is read as one binary int, one with '-' by one
+translation per half.  The lines are grouped by output part, in file
+order, and an output part is checked when it opens its group.  A plain
+body, every cube line its input part, one whitespace character and its
+output part, is read in one block of calls over all its lines; any
+other body, and every fault, goes through the line-by-line loop, which
+names the line at fault.
 
 Single-output files produce a ``LogicFunction`` holding its rows as
 pairs, with no ``Cube`` per row; its ``on``, ``off`` and ``dc`` cube
@@ -377,7 +378,13 @@ def _scan(text: str) -> _RawPla:
     ob: tuple[str, ...] | None = None
     ilb: int | None = None  # the input label count; the labels are not kept
     groups: dict[str, list[tuple[int, int]]] = {}  # an output part is checked once
-    lines = text.splitlines()
+    # only LF, CRLF and CR end a line; ``str.splitlines`` would also break
+    # at a form feed, a '\x85' or a Unicode separator inside a line
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    lines = text.split("\n")
+    if not lines[-1]:
+        lines.pop()  # the empty text after a final line end
     for lineno, line in enumerate(lines, start=1):
         if "#" in line:
             line = line.split("#", 1)[0]
@@ -544,11 +551,16 @@ def write_pla(
     overlapping cubes with different tags would otherwise contradict.
     Raises ``ValueError`` for a pair that is not a cube over ``n``
     inputs, for a tag naming an output outside ``range(outputs)``, for
-    an empty tag and for ``ob`` labels that do not number ``outputs``,
-    which ``parse_pla`` could not read back.
+    an empty tag, and for ``ob`` labels that do not number ``outputs``
+    or that are empty or hold whitespace or '#', which ``parse_pla``
+    could not read back.
     """
     if ob and len(ob) != outputs:
         raise ValueError(f"ob names {len(ob)} outputs but the cover has {outputs}")
+    for label in ob:
+        # the .ob line is split at whitespace and cut at '#' when read
+        if label.split() != [label] or "#" in label:
+            raise ValueError(f"ob label {label!r} is empty or holds whitespace or '#'")
     cover = list(cover)
     if outputs == 1:
         check_pairs(cover, n)

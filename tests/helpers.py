@@ -25,7 +25,7 @@ from primecover import (
     text_cube,
     vectors_to_pis,
 )
-from primecover.bitcube import Slices, minimal_ones
+from primecover.bitcube import Slices, cube_points, minimal_ones
 from primecover.pla_io import _scan
 from primecover.cover import mask_members
 from primecover.multi_output import TaggedCube
@@ -65,6 +65,41 @@ def reference_raise_literal(c: Cube, pos: int) -> Cube:
     if not c.specified_mask & bit:
         raise ValueError(f"position {pos} is not a specified literal")
     return Cube(BitVec(c.width, c.left.value | bit), BitVec(c.width, c.right.value | bit))
+
+
+def reference_table_cover(points: int, n: int) -> list[tuple[int, int]]:
+    """``bitcube.table_cover`` as it ran on a memo of per-free-mask tables.
+
+    Greedy: each cube starts at the lowest point not yet covered and
+    raises positions lowest first, each one it can while the cube stays
+    inside ``points``.  Per set of free positions F, bit b of
+    ``tables[F]``, for b clear on F, is set when the cube of base b and
+    free positions F lies inside ``points``; freeing one more position p
+    is one AND of that table with itself shifted by 2^p.  Bits of bases
+    not clear on F are never read, so they are left as the shifts make
+    them.
+    """
+    full = (1 << n) - 1
+    tables = {0: points}
+    out: list[tuple[int, int]] = []
+    rest = points
+    while rest:
+        base = (rest & -rest).bit_length() - 1
+        free = 0
+        table = points
+        for p in range(n):
+            bit = 1 << p
+            wider = tables.get(free | bit)
+            if wider is None:
+                wider = tables[free | bit] = table & (table >> bit)
+            if wider >> (base & ~bit) & 1:
+                free |= bit
+                base &= ~bit
+                table = wider
+        left, right = full ^ base, base | free
+        out.append((left, right))
+        rest &= ~cube_points(left, right)
+    return out
 
 
 def reference_complement(cubes, n: int) -> list[Cube]:

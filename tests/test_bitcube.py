@@ -5,8 +5,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from primecover import BitVec, Cube, cube_contains, cube_text, minterm_to_cube, text_cube
-from primecover.bitcube import cube_points, set_bits, table_cover
-from helpers import bv, enumerate_all_cubes, reference_intersects, reference_raise_literal
+from primecover.bitcube import cube_points, raisable_literals, set_bits, table_cover
+from helpers import (
+    bv,
+    enumerate_all_cubes,
+    reference_intersects,
+    reference_raise_literal,
+    reference_table_cover,
+)
 
 
 def test_minterm_to_cube_examples():
@@ -188,6 +194,28 @@ def test_table_cover_covers_exactly_its_points(table):
         assert inside & ~points == 0, cube_text(c)
         union |= inside
     assert union == points
+
+
+def _check_table_cover(points, n):
+    """``table_cover`` gives the reference's pairs, in its order, and each
+    cube is prime in ``points``: no literal can be raised inside it."""
+    cover = table_cover(points, n)
+    assert cover == reference_table_cover(points, n)
+    off = points ^ ((1 << (1 << n)) - 1)
+    for left, right in cover:
+        assert raisable_literals(left, right, cube_points(left, right), off, n) == []
+
+
+@settings(deadline=None)
+@given(truth_tables())
+def test_table_cover_matches_the_reference_and_its_cubes_are_prime(table):
+    _check_table_cover(*table)
+
+
+def test_table_cover_matches_the_reference_and_its_cubes_are_prime_exhaustive():
+    for n in range(1, 4):
+        for points in range(1 << (1 << n)):
+            _check_table_cover(points, n)
 
 
 def test_table_cover_examples():

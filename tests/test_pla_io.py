@@ -227,6 +227,11 @@ def test_write_pla_rejects_labels_that_do_not_number_the_outputs():
     tagged = TaggedCube(pair("10x"), 0b1)
     with pytest.raises(ValueError, match="^ob names 1 outputs but the cover has 2$"):
         write_pla([tagged], 3, outputs=2, ob=("a",))
+    # '.ob a b' names two outputs, '.ob ' none, and '.ob x#y' the one 'x'
+    for label in ("a b", "", "x#y"):
+        message = f"ob label {label!r} is empty or holds whitespace or '#'"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            write_pla([pair("10x")], 3, ob=(label,))
     assert ".ob y\n" in write_pla([pair("10x")], 3, ob=("y",))
 
 
@@ -301,6 +306,14 @@ def test_crlf_and_comments_accepted():
     text = ".i 2\r\n.o 1\r\n.type fr\r\n# comment\r\n11 1\r\n00 0\r\n.e\r\n"
     f = parse_pla(text)
     assert len(f.on) == 1 and len(f.off) == 1
+
+
+def test_a_form_feed_does_not_end_a_comment():
+    # only LF, CRLF and CR end a line: 'break' is not a cube line
+    paged = ".i 2\n.o 1\n# page\fbreak\n01 1\n"
+    assert parse_pla(paged + ".e\n") == parse_pla(".i 2\n.o 1\n01 1\n.e\n")
+    with pytest.raises(PlaParseError, match="^line 5: illegal input character 'x' "):
+        parse_pla(paged + "1x 1\n.e\n")
 
 
 def test_consistency_check_rejects_overlap():
@@ -761,6 +774,8 @@ def test_irregular_bodies_are_read_line_by_line(text, want):
         (".i 1\n.o 4\n0 11 1\n111111\n.e\n", "line 3: output part '111' is not 4 characters"),
         # a directive no PLA reader knows, in mid-body
         (_HEAD + "11 1\n.x 2\n00 0\n", "line 5: unknown directive '.x'"),
+        # a '\x85' does not end its line, so the next fault keeps its number
+        (".i 2\n.o 1\n01 1\x85\n1x 1\n.e\n", "line 4: illegal input character 'x' (use 0, 1 or -)"),
     ],
 )
 def test_irregular_bodies_raise_from_the_line_loop(text, message):
@@ -770,11 +785,11 @@ def test_irregular_bodies_raise_from_the_line_loop(text, message):
 
 
 def test_crlf_line_ends_read_as_lf():
-    """``splitlines`` removes either line end before the body is read."""
+    """CRLF and CR line ends become LF before the body is read."""
     text = _HEAD + "11 1\n1- 1\n00 0\n.e\n"
-    crlf = text.replace("\n", "\r\n")
-    assert _read_as_block(text) and _read_as_block(crlf)
-    assert _scan(crlf) == _scan(text) == _line_loop_scan(crlf)
+    crlf, cr = text.replace("\n", "\r\n"), text.replace("\n", "\r")
+    assert _read_as_block(text) and _read_as_block(crlf) and _read_as_block(cr)
+    assert _scan(crlf) == _scan(cr) == _scan(text) == _line_loop_scan(crlf)
     assert _scan(text).groups == _groups({"1": "11 1-", "0": "00"})
 
 
