@@ -182,6 +182,20 @@ def _joint(tag: int, tables: Sequence[int]) -> int:
     return points
 
 
+class _TagTables(dict):
+    """Per tag met so far, bit j meaning output j: its outputs, as
+    ``set_bits`` lists them, and its joint ``_joint`` of ``off``, each
+    built on the tag's first lookup."""
+
+    def __init__(self, off: Sequence[int]) -> None:
+        super().__init__()
+        self.off = off
+
+    def __missing__(self, tag: int) -> tuple[list[int], int]:
+        entry = self[tag] = (set_bits(tag), _joint(tag, self.off))
+        return entry
+
+
 def _check_tables(
     items: Iterable[tuple[tuple[int, int], int]], on: Sequence[int], off: Sequence[int], n: int
 ) -> tuple[list[int], list[tuple[int, int]], list[tuple[int, int]]]:
@@ -193,15 +207,12 @@ def _check_tables(
     ``(index, off points)`` per conflict and ``(index, position)`` per
     raisable literal."""
     covered = [0] * len(on)
-    # per tag: its outputs and its joint off table
-    per_tag: dict[int, tuple[list[int], int]] = {}
+    per_tag = _TagTables(off)
     conflicts: list[tuple[int, int]] = []
     raised: list[tuple[int, int]] = []
     for i, ((left, right), tag) in enumerate(items):
         points = cube_points(left, right)
-        outputs, tag_off = per_tag.get(tag) or per_tag.setdefault(
-            tag, (set_bits(tag), _joint(tag, off))
-        )
+        outputs, tag_off = per_tag[tag]
         for j in outputs:
             covered[j] |= points
         if points & tag_off:

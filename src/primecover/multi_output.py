@@ -15,12 +15,13 @@ origin is the lowest minterm of the first such set that is not empty.
 It builds the joint sub-function of exactly those outputs (off-set:
 minterms where the AND of the tagged output columns is 0, don't cares
 counting as 1), and generates its prime implicants.  The off-set is the
-OR of the tagged outputs' off tables; for an origin it is folded as a
-cube cover of exactly those points, converted to int pairs once per
-tag: a cube's difference indicator is the smallest of its minterms', so
-the primes are those of the minterm off-set.  Candidates are ``(left,
-right)`` pairs in cube-text order, and a committed cube is its pair and
-tag.
+OR of the tagged outputs' off tables, built with the tag's outputs once
+per tag and call, on the first origin or neighbour that needs it; for an
+origin it is folded as a cube cover of exactly those points, converted
+to int pairs once per tag: a cube's difference indicator is the
+smallest of its minterms', so the primes are those of the minterm
+off-set.  Candidates are ``(left, right)`` pairs in cube-text order,
+and a committed cube is its pair and tag.
 
 A candidate dominates when its mask, the points it covers of the
 minterms still to be covered for the whole tag, holds every other
@@ -35,6 +36,10 @@ primes are read from its tag's joint off table by ``prime_corners``,
 with no fold and no off-cover.  The candidate whose surviving neighbor
 offers the best such implicant wins, and that neighbor's implicant is
 committed alongside it, carrying the neighbor's possibly larger tag.
+The neighbors are grouped into one table per literal count of their
+best implicant, so a candidate's rating is the first such level its
+mask does not hold, one AND per level, and the neighbor committed is
+the lowest bit that level leaves.
 """
 
 from __future__ import annotations
@@ -53,7 +58,7 @@ from .bitcube import (
     set_bits,
     table_cover,
 )
-from .cover import CoverReport, _check_tables, _joint
+from .cover import CoverReport, _check_tables, _joint, _TagTables
 # coverage_mask and generate_spi stay importable here: perfbench/tracing.py
 # wraps them by name
 from .cover import coverage_mask  # noqa: F401
@@ -79,6 +84,11 @@ class TaggedCube(FrozenRecord):
     def check(self, n: int, m: int) -> None:
         """Raise ``ValueError`` unless this is a cube over n inputs for m outputs."""
         check_pairs((self.pair,), n)
+        self.check_tag(m)
+
+    def check_tag(self, m: int) -> None:
+        """The tag half of ``check``: raise ``ValueError`` unless the tag
+        names one or more of m outputs and no other."""
         if self.tag < 0 or self.tag >> m:
             raise ValueError(f"{self} names an output outside the {m} outputs")
         if not self.tag:
@@ -146,43 +156,52 @@ def edsa_minimize(f: MultiFunction) -> list[TaggedCube]:
     """Cover every tagged minterm for every output in its tag, one
     ``TaggedCube`` per committed pair and tag, in commit order."""
     n = f.n
-    off_columns = f.off
     # per output, the truth table of the minterms still to be covered for
     # it; a minterm's current tag is the outputs whose table holds it
     live = list(f.on)
+    outputs = range(len(live))
 
     def tag_of(v: int) -> int:
-        return sum((points >> v & 1) << j for j, points in enumerate(live))
+        tag = 0
+        for j in outputs:
+            if live[j] >> v & 1:
+                tag |= 1 << j
+        return tag
 
     if not any(live):
         raise EmptyOnset("no output is ever true")
     # (left, right) pair and tag of each committed cube, in commit order
     committed: dict[tuple[tuple[int, int], int], None] = {}
-    # tags recur across origins; each joint off-set is built once
+    # tags recur across origins and neighbours: per tag, its outputs and
+    # its joint off table, and for origins its off-cover, each built once
+    per_tag = _TagTables(f.off)
     off_by_tag: dict[int, OffPairs] = {}
 
     def off_of(tag: int) -> OffPairs:
         off = off_by_tag.get(tag)
         if off is None:
-            off = off_by_tag[tag] = OffPairs(table_cover(_joint(tag, off_columns), n))
+            off = off_by_tag[tag] = OffPairs(table_cover(per_tag[tag][1], n))
         return off
 
     def commit(pair: tuple[int, int], tag: int) -> None:
         committed[pair, tag] = None
-        hit = cube_points(*pair)
-        for j in set_bits(tag):
-            live[j] &= ~hit
+        keep = ~cube_points(*pair)
+        for j in per_tag[tag][0]:
+            live[j] &= keep
 
     while (origin_value := _lightest(live)) is not None:
         tag = tag_of(origin_value)
         # origins still fold their tag's off-cover: reading their primes
-        # from the joint off table as well is faster again, but then so
-        # many more benchmark passes fit that the cover texts the
-        # benchmark keeps raise its peak RSS past bound (ROADMAP item 2)
+        # from the joint off table as well, prime_corners(origin, joint,
+        # n), takes multi-random's median wall_s from 0.734 to 0.365 s on
+        # three alternating 36 s pairs at seed 1, but then so many more
+        # benchmark passes fit (51-53 to 67-78) that the cover texts the
+        # benchmark keeps raise its peak RSS from 29.26 to 32.43 MB, past
+        # its 10% bound (ROADMAP item 2)
         pis = prime_pairs(BitVec(n, origin_value), off_of(tag))
         # the minterms still to be covered for every output of the tag
         universe = -1
-        for j in set_bits(tag):
+        for j in per_tag[tag][0]:
             universe &= live[j]
         masks = [cube_points(left, right) & universe for left, right in pis]
         union = 0
@@ -194,26 +213,36 @@ def edsa_minimize(f: MultiFunction) -> list[TaggedCube]:
         if masks.count(union) == 1:
             commit(pis[masks.index(union)], tag)
             continue
-        # the neighbours: minterms some candidates cover and others do not
-        edge = union & ~inter
-        best_by_neighbor = {
-            nv: _best_pi(nv, _joint(tag_of(nv), off_columns), n) for nv in set_bits(edge)
-        }
-
-        def score(i: int) -> tuple[float, int]:
-            quality = min(
-                (_literals(best_by_neighbor[nv]) for nv in set_bits(edge & ~masks[i])),
-                default=math.inf,
-            )
-            return (quality, -masks[i].bit_count())
-
-        # the first best candidate has the smallest cube text
-        i = min(range(len(pis)), key=score)
+        # the neighbours, minterms some candidates cover and others do
+        # not, each with its best prime and, per literal count ascending,
+        # the neighbours whose best prime has that many literals
+        best_by_neighbor = {}
+        by_literals: dict[int, int] = {}
+        for nv in set_bits(union & ~inter):
+            best = best_by_neighbor[nv] = _best_pi(nv, per_tag[tag_of(nv)][1], n)
+            count = _literals(best)
+            by_literals[count] = by_literals.get(count, 0) | 1 << nv
+        levels = sorted(by_literals.items())
+        # a candidate's quality is the fewest literals of a neighbour it
+        # strands, the first level its mask does not hold; the first best
+        # candidate has the smallest cube text
+        best_key = None
+        for k, mask in enumerate(masks):
+            quality, stranded = math.inf, 0
+            for count, level in levels:
+                stranded = level & ~mask
+                if stranded:
+                    quality = count
+                    break
+            key = (quality, -mask.bit_count())
+            if best_key is None or key < best_key:
+                best_key, i, strands = key, k, stranded
         commit(pis[i], tag)
-        stranded = set_bits(edge & ~masks[i])
-        if stranded:
-            best_nv = min(stranded, key=lambda nv: (_literals(best_by_neighbor[nv]), nv))
-            commit(best_by_neighbor[best_nv], tag_of(best_nv))
+        # the stranded neighbour with the fewest literals, ties to the
+        # smallest value: the lowest the winner strands at its quality
+        if strands:
+            nv = (strands & -strands).bit_length() - 1
+            commit(best_by_neighbor[nv], tag_of(nv))
     return [TaggedCube(pair, tag) for pair, tag in committed]
 
 

@@ -549,12 +549,17 @@ def write_pla(
     Multi-output covers use type fd: a '0' in a cover line means the term
     does not belong to that output, not that the minterm is off, and two
     overlapping cubes with different tags would otherwise contradict.
-    Raises ``ValueError`` for a pair that is not a cube over ``n``
-    inputs, for a tag naming an output outside ``range(outputs)``, for
-    an empty tag, and for ``ob`` labels that do not number ``outputs``
-    or that are empty or hold whitespace or '#', which ``parse_pla``
-    could not read back.
+    Raises ``ValueError`` for ``n`` or ``outputs`` below 1, for a pair
+    that is not a cube over ``n`` inputs, for a tag naming an output
+    outside ``range(outputs)``, for an empty tag, and for ``ob`` labels
+    that do not number ``outputs`` or that are empty or hold whitespace
+    or '#': ``parse_pla`` could not read any of these back.
     """
+    # parse_pla refuses an .i or .o count below 1
+    if n < 1:
+        raise ValueError(f"the cover has {n} inputs; a PLA has at least 1")
+    if outputs < 1:
+        raise ValueError(f"the cover has {outputs} outputs; a PLA has at least 1")
     if ob and len(ob) != outputs:
         raise ValueError(f"ob names {len(ob)} outputs but the cover has {outputs}")
     for label in ob:
@@ -566,13 +571,23 @@ def write_pla(
         check_pairs(cover, n)
         rows = [(pair, "1") for pair in cover]
     else:
+        # each item's pair is checked in order, its tag only the first
+        # time it appears, and each tag's output part is built once
+        parts: dict[int, str] = {}
+        rows = []
         for item in cover:
-            item.check(n, outputs)
-        rows = [(item.pair, f"{item.tag:0{outputs}b}"[::-1]) for item in cover]
-    lines_out = [f"{pair_text(*pair).replace('x', '-')} {out}" for pair, out in rows]
+            check_pairs((item.pair,), n)
+            out = parts.get(item.tag)
+            if out is None:
+                item.check_tag(outputs)
+                out = parts[item.tag] = f"{item.tag:0{outputs}b}"[::-1]
+            rows.append((item.pair, out))
     header = [f".i {n}", f".o {outputs}"]
     if ob:
         header.append(".ob " + " ".join(ob))
-    header.append(f".p {len(lines_out)}")
+    header.append(f".p {len(rows)}")
     header.append(".type fr" if outputs == 1 else ".type fd")
-    return "\n".join(header + lines_out + [".e"]) + "\n"
+    # the output parts are 0s and 1s, so one replace writes every free
+    # input as '-'
+    body = "".join(f"{pair_text(*pair)} {out}\n" for pair, out in rows)
+    return "\n".join(header) + "\n" + body.replace("x", "-") + ".e\n"

@@ -269,6 +269,33 @@ def test_lookahead_runs_when_two_candidates_share_the_union():
     assert [str(tc) for tc in cover][:2] == ["0xx_{1}", "x0x_{1}"]
 
 
+def test_lookahead_commits_the_lowest_of_the_stranded_neighbours_that_tie():
+    # output 0 is on at 000, 100 and 110 and off at 101; output 1 is on at
+    # 000, 010, 011 and 110 and off at 001, 100 and 111.  The origin 010
+    # (tag {1}) has the primes 01x, 0x0 and x10, each covering two of the
+    # four minterms of output 1 and stranding two of the neighbours 000,
+    # 011 and 110, whose best primes 0x0, 01x and x10 have two literals
+    # each: the three candidates tie and the first, 01x, wins
+    f = MultiFunction(3, 2, (0b01010001, 0b01001101), (0b10001110, 0b00100000))
+    cover = edsa_minimize(f)
+    assert cover == reference_edsa_minimize(f)
+    # 01x strands 000 and 110 at two literals, and the lower, 000,
+    # commits its 0x0 with its tag {0, 1}
+    assert [str(tc) for tc in cover] == ["01x_{1}", "0x0_{0,1}", "xx0_{0}", "x10_{1}"]
+
+
+def test_lookahead_ties_with_no_stranded_neighbour_go_to_the_first_candidate():
+    # output 0 is on at 000, 100 and 111 and a don't care at 010; output 1
+    # is on at 001, 010, 100, 101 and 110.  After x00_{0}, x01_{1} and
+    # x10_{1} the origin 100 (tag {1}) is the last minterm of output 1:
+    # its primes 10x and 1x0 both cover just it, so neither dominates,
+    # neither strands a neighbour, and the first, 10x, wins
+    f = MultiFunction(3, 2, (0b10010001, 0b01110110), (0b00000100, 0))
+    cover = edsa_minimize(f)
+    assert cover == reference_edsa_minimize(f)
+    assert [str(tc) for tc in cover] == ["x00_{0}", "x01_{1}", "x10_{1}", "10x_{1}", "111_{0}"]
+
+
 def minterms_of(table: int, n: int) -> list[Cube]:
     """The minterm cubes of the values set in a 2^n-bit table."""
     return [minterm_to_cube(BitVec(n, v)) for v in set_bits(table)]

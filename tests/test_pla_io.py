@@ -242,6 +242,32 @@ def test_write_pla_rejects_an_empty_tag():
         write_pla([tagged], 3, outputs=2)
 
 
+def test_write_pla_rejects_counts_parse_pla_cannot_read():
+    # '.i 0' reads back as 'line 1: .i 0 is below 1', and '.o 0' likewise
+    for n in (0, -1):
+        with pytest.raises(ValueError, match=f"^the cover has {n} inputs; a PLA has at least 1$"):
+            write_pla([], n)
+    for outputs in (0, -2):
+        message = f"^the cover has {outputs} outputs; a PLA has at least 1$"
+        with pytest.raises(ValueError, match=message):
+            write_pla([], 3, outputs=outputs)
+    assert parse_pla(write_pla([pair("1")], 1)).n == 1
+
+
+def test_write_pla_checks_every_pair_of_a_repeated_tag():
+    # each tag's output part is built once, but every item's pair is
+    # still checked, in order: the second item of tag {0} is 2 wide
+    first = TaggedCube(pair("10x"), 0b01)
+    narrow = TaggedCube(pair("10"), 0b01)
+    message = r"^\(0b1, 0b10\) is not a cube over 3 inputs$"
+    with pytest.raises(ValueError, match=message):
+        write_pla([first, narrow], 3, outputs=2)
+    # that pair comes before a tag past the outputs, and is the one named
+    past = TaggedCube(pair("11x"), 0b100)
+    with pytest.raises(ValueError, match=message):
+        write_pla([first, narrow, past], 3, outputs=2)
+
+
 def test_round_trip_single_output():
     rng = random.Random(32)
     for _ in range(100):
