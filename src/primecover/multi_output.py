@@ -16,12 +16,12 @@ It builds the joint sub-function of exactly those outputs (off-set:
 minterms where the AND of the tagged output columns is 0, don't cares
 counting as 1), and generates its prime implicants.  The off-set is the
 OR of the tagged outputs' off tables, built with the tag's outputs once
-per tag and call, on the first origin or neighbour that needs it; for an
-origin it is folded as a cube cover of exactly those points, converted
-to int pairs once per tag: a cube's difference indicator is the
-smallest of its minterms', so the primes are those of the minterm
-off-set.  Candidates are ``(left, right)`` pairs in cube-text order,
-and a committed cube is its pair and tag.
+per tag and call, on the first origin or neighbour that needs it.  An
+origin reads its minimal difference indicators straight from that table
+(``table_sdm``), with no off-cover and no fold, and expands them into
+its primes with ``expand_pairs``, the clause expansion ``prime_pairs``
+runs.  Candidates are ``(left, right)`` pairs in cube-text order, and a
+committed cube is its pair and tag.
 
 A candidate dominates when its mask, the points it covers of the
 minterms still to be covered for the whole tag, holds every other
@@ -56,16 +56,15 @@ from .bitcube import (
     minterm_to_cube,
     pair_text,
     set_bits,
-    table_cover,
 )
 from .cover import CoverReport, _check_tables, _joint, _TagTables
 # coverage_mask and generate_spi stay importable here: perfbench/tracing.py
 # wraps them by name
 from .cover import coverage_mask  # noqa: F401
 from .errors import EmptyOnset
-from .pi_gen import generate_spi, prime_corners, prime_pairs  # noqa: F401
+from .pi_gen import generate_spi  # noqa: F401
+from .pi_gen import expand_pairs, prime_corners, table_sdm
 from .pla_io import MultiFunction
-from .reduced_offset import OffPairs
 
 
 class TaggedCube(FrozenRecord):
@@ -173,15 +172,8 @@ def edsa_minimize(f: MultiFunction) -> list[TaggedCube]:
     # (left, right) pair and tag of each committed cube, in commit order
     committed: dict[tuple[tuple[int, int], int], None] = {}
     # tags recur across origins and neighbours: per tag, its outputs and
-    # its joint off table, and for origins its off-cover, each built once
+    # its joint off table, each built once
     per_tag = _TagTables(f.off)
-    off_by_tag: dict[int, OffPairs] = {}
-
-    def off_of(tag: int) -> OffPairs:
-        off = off_by_tag.get(tag)
-        if off is None:
-            off = off_by_tag[tag] = OffPairs(table_cover(per_tag[tag][1], n))
-        return off
 
     def commit(pair: tuple[int, int], tag: int) -> None:
         committed[pair, tag] = None
@@ -191,14 +183,8 @@ def edsa_minimize(f: MultiFunction) -> list[TaggedCube]:
 
     while (origin_value := _lightest(live)) is not None:
         tag = tag_of(origin_value)
-        # origins still fold their tag's off-cover: reading their primes
-        # from the joint off table as well, prime_corners(origin, joint,
-        # n), takes multi-random's median wall_s from 0.734 to 0.365 s on
-        # three alternating 36 s pairs at seed 1, but then so many more
-        # benchmark passes fit (51-53 to 67-78) that the cover texts the
-        # benchmark keeps raise its peak RSS from 29.26 to 32.43 MB, past
-        # its 10% bound (ROADMAP item 2)
-        pis = prime_pairs(BitVec(n, origin_value), off_of(tag))
+        origin = BitVec(n, origin_value)
+        pis = expand_pairs(origin, table_sdm(origin, per_tag[tag][1]))
         # the minterms still to be covered for every output of the tag
         universe = -1
         for j in per_tag[tag][0]:

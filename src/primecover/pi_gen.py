@@ -14,24 +14,28 @@ extension is kept unless some hit vector lies inside it; the vectors
 form an antichain and the missed ones hold no clause bit, so nothing
 else can absorb it.  The working set thus stays absorption-minimal
 without multiplying every vector out and absorbing the products.
-``prime_pairs`` runs this expansion on ints over an ``OffPairs``
-off-set, and ``generate_spi`` gives its primes as ``Cube``s for a listed
-off-set; ``generate_n``, ``cross_or`` and ``vectors_to_pis`` expose its
-steps on ``BitVec``s.
+``expand_pairs`` runs this expansion on int indicator values.  Two
+readers give it the reduced off-set: ``prime_pairs`` folds an
+``OffPairs`` off-set with ``generate_sdm``, and ``table_sdm`` reads it
+from an off-set given as one 2^n-bit truth table, as the multi-output
+origins do.  ``generate_spi`` gives the primes as ``Cube``s for a listed
+off-set; ``generate_n``, ``cross_or`` and ``vectors_to_pis`` expose the
+expansion's steps on ``BitVec``s.
 
-``prime_corners`` finds the same primes without indicators, from an
-off-set given as one 2^n-bit truth table: 2n masked shift-ORs over the
-table per minterm, with the masks cached per input count, leave one
-table with a bit set per prime.  ``direct_cover`` scores the primes
-there, up to the 16-input table cap.
+``prime_corners`` finds the same primes without indicators, from the
+truth table: 2n masked shift-ORs over the table per minterm, with the
+masks cached per input count, leave one table with a bit set per prime.
+Its first n close the off points away from the minterm, the pass
+``table_sdm`` starts from too.  ``direct_cover`` and the multi-output
+lookahead read the primes there, up to the 16-input table cap.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 
-from .bitcube import BitVec, Cube, check_width, minimal_ones
-from .errors import EmptyOffset
+from .bitcube import BitVec, Cube, check_width, minimal_ones, set_bits
+from .errors import EmptyOffset, InconsistentFunction
 from .reduced_offset import DiSet, OffPairs, generate_sdm
 
 
@@ -145,17 +149,24 @@ def generate_spi(P: BitVec, off_cubes: Sequence[Cube | BitVec]) -> list[Cube]:
 def prime_pairs(P: BitVec, off: OffPairs) -> list[tuple[int, int]]:
     """``generate_spi`` on ints: the primes covering ``P`` as ``(left,
     right)`` pair values, in the cube-text order of the primes; an empty
-    off-set leaves the universal cube.
+    off-set leaves the universal cube."""
+    try:
+        indicators = generate_sdm(P, off).elements
+    except EmptyOffset:
+        indicators = []
+    return expand_pairs(P, indicators)
+
+
+def expand_pairs(P: BitVec, indicators: Iterable[int]) -> list[tuple[int, int]]:
+    """The primes covering ``P`` whose minimal difference indicators are
+    the values ``indicators``, as ``(left, right)`` pair values in the
+    cube-text order of the primes; no indicator leaves the universal cube.
 
     Every prime holds P, so two primes differ only at positions where one
     keeps P's literal and the other is free; at the first of them from
     the left the literal, '0' or '1', sorts before 'x'.  Literal-position
     vectors in descending order therefore give the cube-text order.
     """
-    try:
-        indicators = generate_sdm(P, off).elements
-    except EmptyOffset:
-        indicators = []
     vectors = [0]
     for d in indicators:
         vectors = _expand(vectors, d)
@@ -187,6 +198,45 @@ def _table_masks(n: int) -> tuple[int, list[tuple[int, int]]]:
     return masks
 
 
+def _closed_away(p: int, off: int, per_bit: list[tuple[int, int]]) -> int:
+    """The off table closed away from p, one masked shift-OR per position
+    of ``per_bit`` (up where p has a 0, down where it has a 1): bit y is
+    set when some off point z has ``p ^ z`` inside ``p ^ y``."""
+    for step, low in per_bit:
+        if p & step:
+            off |= (off >> step) & low
+        else:
+            off |= (off & low) << step
+    return off
+
+
+def table_sdm(P: BitVec, off: int) -> list[int]:
+    """``generate_sdm(P, off).elements`` for an off-set given as the
+    2^n-bit table ``off`` (bit v set when the minterm of value v is off,
+    n the width of ``P``): the minimal difference indicators as ascending
+    int values, with no off-cover and no fold; empty for an empty table.
+    Raises ``InconsistentFunction`` when P is off.
+
+    The closed points with no closed point one step nearer p are the
+    minimal ones away from p.  Each is an off point, since closing only
+    adds points farther from p than one already there, and ``p ^ y`` over
+    them are exactly the indicators no other indicator lies inside.
+    """
+    p, n = P.value, P.width
+    if off >> p & 1:
+        raise InconsistentFunction(f"minterm {P} is in the off table")
+    per_bit = _table_masks(n)[1]
+    bad = _closed_away(p, off, per_bit)
+    # the closed points one step farther from p than a closed point
+    farther = 0
+    for step, low in per_bit:
+        if p & step:
+            farther |= (bad >> step) & low
+        else:
+            farther |= (bad & low) << step
+    return sorted(p ^ y for y in set_bits(bad & ~farther))
+
+
 def prime_corners(p: int, off: int, n: int) -> int:
     """The primes covering the minterm of value ``p`` as one 2^n-bit
     table: bit y is set when the cube through p with free positions
@@ -195,21 +245,15 @@ def prime_corners(p: int, off: int, n: int) -> int:
 
     The cube through p with free positions F misses the off-set exactly
     when no off point y has ``p ^ y`` inside F.  Closing the off points
-    "away from p", one masked shift-OR per position (up where p has a 0,
-    down where it has a 1), leaves clear exactly the points y whose cube
-    with free positions ``p ^ y`` misses the off-set.  The primes are the
-    maximal ones, those from which every one-step move away from p lands
-    on a closed point: one more masked shift per position.  This is the
-    sum-over-subsets pass (Yates, 1937) on a 2^n-bit int.
+    away from p (``_closed_away``) leaves clear exactly the points y
+    whose cube with free positions ``p ^ y`` misses the off-set.  The
+    primes are the maximal ones, those from which every one-step move
+    away from p lands on a closed point: one more masked shift per
+    position.  This is the sum-over-subsets pass (Yates, 1937) on a
+    2^n-bit int.
     """
     everything, per_bit = _table_masks(n)
-    bad = off
-    for step, low in per_bit:
-        if p & step:
-            bad |= (bad >> step) & low
-        else:
-            bad |= (bad & low) << step
-    good = everything ^ bad
+    good = everything ^ _closed_away(p, off, per_bit)
     blocked = 0
     for step, low in per_bit:
         if p & step:
@@ -217,4 +261,3 @@ def prime_corners(p: int, off: int, n: int) -> int:
         else:
             blocked |= (good >> step) & low
     return good & ~blocked
-

@@ -1,4 +1,6 @@
 import random
+import sys
+from contextlib import contextmanager
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -253,6 +255,38 @@ def minimized(minimize, f):
 @given(multi_functions())
 def test_edsa_minimize_matches_reference(f):
     assert minimized(edsa_minimize, f) == minimized(reference_edsa_minimize, f)
+
+
+@contextmanager
+def folding_raises():
+    """Every binding of ``generate_sdm`` and ``table_cover`` in the
+    library's modules raises while the block runs."""
+
+    def fold(*args, **kwargs):
+        raise AssertionError("the multi-output path folded an off-set")
+
+    with pytest.MonkeyPatch.context() as patch:
+        for name, module in list(sys.modules.items()):
+            if name == "primecover" or name.startswith("primecover."):
+                for attr in ("generate_sdm", "table_cover"):
+                    if attr in vars(module):
+                        patch.setattr(module, attr, fold)
+        yield
+
+
+def test_the_golden_cover_folds_nothing():
+    f = tri_output_function()
+    want = reference_edsa_minimize(f)
+    with folding_raises():
+        assert edsa_minimize(f) == want
+
+
+@settings(deadline=None)
+@given(multi_functions())
+def test_edsa_minimize_folds_nothing(f):
+    want = minimized(reference_edsa_minimize, f)
+    with folding_raises():
+        assert minimized(edsa_minimize, f) == want
 
 
 def test_lookahead_runs_when_two_candidates_share_the_union():

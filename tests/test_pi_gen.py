@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from primecover import (
     BitVec,
@@ -18,8 +20,11 @@ from primecover import (
     minterm_to_cube,
     vectors_to_pis,
 )
+from primecover.bitcube import set_bits, table_cover
+from primecover.errors import EmptyOffset, InconsistentFunction
 from primecover.oracle import primes_containing
-from primecover.pi_gen import _expand
+from primecover.pi_gen import _expand, expand_pairs, prime_pairs, table_sdm
+from primecover.reduced_offset import OffPairs
 from helpers import (
     FIVE_VAR_OFF,
     bv,
@@ -209,3 +214,50 @@ def test_spi_matches_oracle_with_cube_offsets():
     for c in f.on:
         p = next(c.minterms())
         assert set(generate_spi(p, f.off)) == primes_containing(primes, p)
+
+
+@st.composite
+def tables_outside(draw) -> tuple[int, int, int]:
+    """(off table, n, p) over 1-8 variables with p not in the table; the
+    empty table and the table of every point but p are drawn as often as
+    any random one."""
+    n = draw(st.integers(min_value=1, max_value=8))
+    full = (1 << (1 << n)) - 1
+    p = draw(st.integers(0, (1 << n) - 1))
+    points = draw(st.one_of(st.sampled_from((0, full)), st.integers(0, full)))
+    return points & ~(1 << p), n, p
+
+
+@example((0b0110, 2, 0))
+@example((0b1000, 2, 1))
+@settings(deadline=None)
+@given(tables_outside())
+def test_table_sdm_is_the_fold_of_the_tabled_off_set(case):
+    off, n, p = case
+    P = BitVec(n, p)
+    try:
+        want = [d.value for d in generate_sdm(P, [BitVec(n, v) for v in set_bits(off)]).elements]
+    except EmptyOffset:
+        want = []
+    assert table_sdm(P, off) == want
+    assert expand_pairs(P, table_sdm(P, off)) == prime_pairs(P, OffPairs(table_cover(off, n)))
+
+
+def test_table_sdm_of_an_empty_and_of_a_full_table():
+    for n in range(1, 7):
+        full = (1 << n) - 1
+        for p in (0, full, full // 3):
+            P = BitVec(n, p)
+            # nothing is off: no indicator, and the universal cube
+            assert table_sdm(P, 0) == []
+            assert expand_pairs(P, []) == [(full, full)]
+            # every point but p is off: each neighbour is an indicator,
+            # and p alone is prime
+            rest = ((1 << (1 << n)) - 1) ^ (1 << p)
+            assert table_sdm(P, rest) == [1 << i for i in range(n)]
+            assert expand_pairs(P, table_sdm(P, rest)) == [(full ^ p, p)]
+
+
+def test_table_sdm_rejects_a_minterm_in_the_table():
+    with pytest.raises(InconsistentFunction):
+        table_sdm(bv("01"), 0b0010)
