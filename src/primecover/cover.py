@@ -2,11 +2,11 @@
 its prime implicants, commit the best one, repeat until the on-set is
 covered.
 
-Origins are taken in canonical order: on-cubes in input order, each
-cube's don't-care positions enumerated in binary order, duplicates kept
-once at first occurrence.  Candidate scoring counts only minterms still
-uncovered; ties break on the lexicographically smallest cube text, so a
-given input always produces the same cover.
+The origin is always the lowest on-minterm still uncovered.  Candidate
+scoring counts only minterms still uncovered; ties break on the
+lexicographically smallest cube text.  So a cover depends only on the
+function's on and off points: not on the order or the split of its
+on-cubes, nor on how its off-set is listed.
 
 One greedy loop serves every input count; the regime sets only where
 the uncovered set lives and where an origin's primes and their points
@@ -51,26 +51,21 @@ ON_EXPANSION_CAP = 1 << 20
 
 
 def expand_on_minterms(f: LogicFunction) -> list[int]:
-    """The on-minterm values in canonical order, at most
-    ``ON_EXPANSION_CAP`` of them.  Within a cube the minterms come in
-    ascending order, as ``Cube.minterms`` gives them."""
+    """The on-minterm values in ascending order, each once, at most
+    ``ON_EXPANSION_CAP`` of them."""
     cap = ON_EXPANSION_CAP
-    out: dict[int, None] = {}
+    out: set[int] = set()
     for left, right in f.on_pairs:
         free = left & right
-        if not free:
-            out[right] = None
-        else:
-            if 1 << free.bit_count() > cap:
-                raise ValueError(
-                    f"on-cube {pair_text(left, right)} alone expands past the cap of {cap} minterms"
-                )
-            base = right ^ free
-            for sub in free_subsets(free):
-                out[base | sub] = None
+        if 1 << free.bit_count() > cap:
+            raise ValueError(
+                f"on-cube {pair_text(left, right)} alone expands past the cap of {cap} minterms"
+            )
+        base = right ^ free
+        out.update(base | sub for sub in free_subsets(free))
         if len(out) > cap:
             raise ValueError(f"on-set expands past the cap of {cap} minterms")
-    return list(out)
+    return sorted(out)
 
 
 def coverage_mask(pi: Cube, on_minterms: Sequence[BitVec]) -> BitVec:
@@ -101,8 +96,8 @@ class CoverResult(FrozenRecord):
 def direct_cover(f: LogicFunction) -> CoverResult:
     """Cover the whole on-set with prime implicants of the off-complement.
 
-    One greedy loop: the origin is the first on-minterm still uncovered,
-    and of the primes through it the one holding the most uncovered
+    One greedy loop: the origin is the lowest set bit of the uncovered
+    mask, and of the primes through it the one holding the most uncovered
     on-minterms is committed, a tie going to the smaller free mask:
     cube-text order for primes through one origin.  The regime sets only
     where the uncovered set lives and where an origin's primes and their
@@ -111,17 +106,17 @@ def direct_cover(f: LogicFunction) -> CoverResult:
     are the cubes with free positions ``p ^ y`` for the corners y
     ``prime_corners`` sets on the off table, and a prime's points are
     its ``cube_points``.  Above the cap bit i stands for the i-th
-    on-minterm; every origin folds the off-set's ``OffPairs``, converted
-    once, and a prime's points are the sliced on-minterms it meets.  A
+    ascending on-minterm, so the lowest bit is again the lowest value;
+    every origin folds the off-set's ``OffPairs``, converted once, and a
+    prime's points are the sliced on-minterms it meets.  A
     ``LogicFunction`` is consistent, so no origin lies in the off-set.
     """
     if not f.on_pairs:
         raise EmptyOnset("the on-set is empty")
-    on_list = expand_on_minterms(f)
     n = f.n
     if n <= TABLE_CAP:
         uncovered = f.on_table
-        bit_of: Sequence[int] = on_list
+        values: Sequence[int] = range(1 << n)
         off_table = f.off_table
 
         def corners(p: int) -> list[int]:
@@ -129,22 +124,19 @@ def direct_cover(f: LogicFunction) -> CoverResult:
 
         points_of = cube_points
     else:
-        uncovered = (1 << len(on_list)) - 1
-        bit_of = range(len(on_list))
+        values = expand_on_minterms(f)
+        uncovered = (1 << len(values)) - 1
         off = OffPairs(f.off_pairs)
 
         def corners(p: int) -> list[int]:
             return [p ^ (left & right) for left, right in prime_pairs(BitVec(n, p), off)]
 
-        # Slices puts index 0 at the top bit, so bit i is on_list[i]
-        points_of = Slices.of_minterms(on_list[::-1], n).meets
+        # Slices puts index 0 at the top bit, so bit i is values[i]
+        points_of = Slices.of_minterms(values[::-1], n).meets
     full = (1 << n) - 1
     chosen: list[tuple[int, int]] = []
-    i = 0
     while uncovered:
-        while not uncovered >> bit_of[i] & 1:
-            i += 1
-        p = on_list[i]
+        p = values[(uncovered & -uncovered).bit_length() - 1]
         rest = full ^ p
         best = best_free = best_points = -1
         for y in corners(p):
@@ -231,15 +223,15 @@ def verify_cover(
 
     The cover is a ``CoverResult`` or its ``(left, right)`` pairs.
     ``missing`` lists the on-minterms no cube covers, as ``BitVec``s in
-    canonical order; ``off_conflicts`` each ``(cube, off-cube)`` pair
+    ascending order; ``off_conflicts`` each ``(cube, off-cube)`` pair
     that intersects, the off-cube one of ``f.off_pairs``; and
     ``removable_literals`` each ``(cube, position)`` whose literal can be
     raised while the cube misses the off-set.  Raises ``ValueError`` for
     a pair that is not a cube over ``f.n`` inputs.
 
     Up to ``TABLE_CAP`` inputs the checks are ``_check_tables`` on the
-    function's on and off tables; the on-minterm list is expanded only
-    to list missing minterms.  Above the cap the on-minterms and the
+    function's on and off tables, and the missing minterms are the set
+    bits of the uncovered table.  Above the cap the on-minterms and the
     off-cubes are sliced and queried, one off-set query per cube and per
     raised literal.
     """
@@ -250,8 +242,7 @@ def verify_cover(
     if n <= TABLE_CAP:
         items = zip(pairs, repeat(1))
         (uncovered,), conflicts, raised = _check_tables(items, (f.on_table,), (f.off_table,), n)
-        on_values = expand_on_minterms(f) if uncovered else []
-        missing = [v for v in on_values if uncovered >> v & 1]
+        missing = set_bits(uncovered)
         hits = [i for i, _ in conflicts]
     else:
         on_values = expand_on_minterms(f)

@@ -26,8 +26,10 @@ expansion's steps on ``BitVec``s.
 truth table: 2n masked shift-ORs over the table per minterm, with the
 masks cached per input count, leave one table with a bit set per prime.
 Its first n close the off points away from the minterm, the pass
-``table_sdm`` starts from too.  ``direct_cover`` and the multi-output
-lookahead read the primes there, up to the 16-input table cap.
+``table_sdm`` starts from too; its last n are the one-step sweep
+``table_sdm`` ends with, taken towards the minterm.  ``direct_cover``
+and the multi-output lookahead read the primes there, up to the
+16-input table cap.
 """
 
 from __future__ import annotations
@@ -210,6 +212,19 @@ def _closed_away(p: int, off: int, per_bit: list[tuple[int, int]]) -> int:
     return off
 
 
+def _stepped_away(t: int, p: int, per_bit: list[tuple[int, int]]) -> int:
+    """The points one step farther from p than a point of the table
+    ``t``, one masked shift per position of ``per_bit``.  A step nearer
+    p is a step farther from ``p ^ full``."""
+    out = 0
+    for step, low in per_bit:
+        if p & step:
+            out |= (t >> step) & low
+        else:
+            out |= (t & low) << step
+    return out
+
+
 def table_sdm(P: BitVec, off: int) -> list[int]:
     """``generate_sdm(P, off).elements`` for an off-set given as the
     2^n-bit table ``off`` (bit v set when the minterm of value v is off,
@@ -227,13 +242,7 @@ def table_sdm(P: BitVec, off: int) -> list[int]:
         raise InconsistentFunction(f"minterm {P} is in the off table")
     per_bit = _table_masks(n)[1]
     bad = _closed_away(p, off, per_bit)
-    # the closed points one step farther from p than a closed point
-    farther = 0
-    for step, low in per_bit:
-        if p & step:
-            farther |= (bad >> step) & low
-        else:
-            farther |= (bad & low) << step
+    farther = _stepped_away(bad, p, per_bit)
     return sorted(p ^ y for y in set_bits(bad & ~farther))
 
 
@@ -254,10 +263,6 @@ def prime_corners(p: int, off: int, n: int) -> int:
     """
     everything, per_bit = _table_masks(n)
     good = everything ^ _closed_away(p, off, per_bit)
-    blocked = 0
-    for step, low in per_bit:
-        if p & step:
-            blocked |= (good & low) << step
-        else:
-            blocked |= (good >> step) & low
+    # the points one step nearer p than a clear point
+    blocked = _stepped_away(good, p ^ ((1 << n) - 1), per_bit)
     return good & ~blocked

@@ -445,12 +445,10 @@ def reference_coverage_mask(pi: Cube, on_minterms) -> BitVec:
 
 
 def reference_on_minterms(f: LogicFunction) -> list[BitVec]:
-    """On-minterms in canonical order, one ``Cube.minterms()`` call per cube."""
-    out: dict[int, BitVec] = {}
-    for c in f.on:
-        for m in c.minterms():
-            out.setdefault(m.value, m)
-    return list(out.values())
+    """On-minterms in ascending order, each once, one ``Cube.minterms()``
+    call per cube."""
+    out = {m.value: m for c in f.on for m in c.minterms()}
+    return [out[v] for v in sorted(out)]
 
 
 def pairwise_verify_cover(cover, f: LogicFunction) -> CoverReport:

@@ -109,14 +109,15 @@ def test_listed_greedy_count_wins():
 
 
 def test_listed_greedy_tie_goes_to_cube_text_order():
-    # origin 111: 11x and 1x1 cover two each; origin 101: 1x1 and x01 one each
-    assert_listed_cover(["111", "110", "101"], ["011", "100"], ["11x", "1x1"])
+    # origin 000: 00x and 0x0 cover two each; origin 010: 0x0 and x10 one each
+    assert_listed_cover(["000", "001", "010"], ["100", "011"], ["00x", "0x0"])
 
 
 def test_listed_greedy_counts_only_uncovered():
-    # after 1xx, origin 000: xx0 holds three on-minterms and x0x two, but
-    # each holds only 000 uncovered, so the tie goes to x0x
-    assert_listed_cover(["100", "110", "111", "000"], ["011"], ["1xx", "x0x"])
+    # origin 000: 0xx and xx0 cover three each, and 0xx is first in cube
+    # text; then origin 100: xx0 holds three on-minterms and x0x two, but
+    # each holds only 100 uncovered, so the tie goes to x0x
+    assert_listed_cover(["000", "010", "011", "100"], ["111"], ["0xx", "x0x"])
 
 
 def test_listed_greedy_single_candidate():
@@ -125,13 +126,14 @@ def test_listed_greedy_single_candidate():
 
 
 def test_table_branch_commits_the_smaller_cube_text_on_a_tie():
-    """Each origin's two primes cover equally many uncovered on-minterms;
-    the one first in cube-text order is committed, though the origin's
-    corners come in the other order."""
-    off = [text_cube("011"), text_cube("100")]
-    f = LogicFunction(3, [text_cube(t) for t in ("111", "110", "101")], off)
-    # origin 111: 11x and 1x1 cover two each; origin 101: 1x1 and x01 one each
-    assert [cube_text(c) for c in as_cubes(direct_cover(f).cubes, 3)] == ["11x", "1x1"]
+    """The first origin's two primes cover equally many uncovered
+    on-minterms; the one first in cube-text order is committed, though
+    the origin's corners come in the other order."""
+    off = [text_cube("000"), text_cube("100")]
+    f = LogicFunction(3, [text_cube(t) for t in ("011", "110", "101")], off)
+    # origin 011, below it only don't cares: x1x (corner 110) and xx1
+    # (corner 101) cover two each; then origin 101 has the one prime xx1
+    assert [cube_text(c) for c in as_cubes(direct_cover(f).cubes, 3)] == ["x1x", "xx1"]
 
 
 def test_direct_cover_five_var():
@@ -199,9 +201,9 @@ def test_direct_cover_handles_on_cubes_with_dont_cares():
     )
     result = direct_cover(f)
     assert verify_cover(result, f).ok
-    # canonical origin order: row order, don't cares in binary order,
-    # duplicates (all of 1x11) kept once at first occurrence
-    assert expand_on_minterms(f) == [0b1010, 0b1011, 0b1110, 0b1111, 0b0000]
+    # origins ascend by value whatever the row order, and the points
+    # two rows share (all of 1x11) come once
+    assert expand_on_minterms(f) == [0b0000, 0b1010, 0b1011, 0b1110, 0b1111]
 
 
 def test_verify_cover_flags_constructed_violations():
@@ -257,16 +259,25 @@ def test_verify_cover_flags_non_prime_cube():
 
 
 def test_expansion_cap_guard(monkeypatch):
+    """``expand_on_minterms`` is capped at every width; ``direct_cover``
+    and ``verify_cover`` expand the on-set only above the table cap."""
     monkeypatch.setattr(cover, "ON_EXPANSION_CAP", 10)
-    f = LogicFunction(5, (Cube.universal(5),), ())
-    halves = LogicFunction(5, (text_cube("0xxx0"), text_cube("1xxx0")), ())
-    for check in (expand_on_minterms, lambda g: verify_cover([], g)):
-        with pytest.raises(
-            ValueError, match=r"^on-cube xxxxx alone expands past the cap of 10 minterms$"
-        ):
-            check(f)
-        with pytest.raises(ValueError, match=r"^on-set expands past the cap of 10 minterms$"):
-            check(halves)
+    small = [expand_on_minterms]
+    large = [expand_on_minterms, direct_cover, lambda g: verify_cover([], g)]
+    for pad, checks in (("", small), ("0" * 12, large)):
+        n = len(pad) + 5
+        f = LogicFunction(n, (text_cube(pad + "xxxxx"),), ())
+        halves = LogicFunction(n, (text_cube(pad + "0xxx0"), text_cube(pad + "1xxx0")), ())
+        for check in checks:
+            with pytest.raises(
+                ValueError, match=rf"^on-cube {pad}xxxxx alone expands past the cap of 10 minterms$"
+            ):
+                check(f)
+            with pytest.raises(ValueError, match=r"^on-set expands past the cap of 10 minterms$"):
+                check(halves)
+        if not pad:
+            # the table regime lists the 16 missing points past the cap
+            assert len(verify_cover([], halves).missing) == 16
 
 
 def test_direct_cover_on_fd_file_with_cube_offset():
@@ -399,6 +410,34 @@ def test_direct_cover_matches_the_listed_fold(cap, f):
         patch.setattr(cover, "TABLE_CAP", cap)
         got = outcome(direct_cover, f)
     assert got == outcome(reference_direct_cover, f)
+
+
+@pytest.mark.parametrize("pad", [0, 14], ids=["table", "listed"])
+@settings(deadline=None)
+@given(st.data())
+def test_a_cover_depends_only_on_the_on_and_off_points(pad, data):
+    """Listing a function's on-rows in another order, or one on-row as its
+    minterms, leaves the cover's PLA text byte for byte as it was.  With
+    14 leading zeros on every row the function has 17 inputs and is
+    covered above the table cap."""
+    f = data.draw(consistent_functions().filter(lambda f: f.on))
+    k = data.draw(st.integers(0, len(f.on) - 1))
+    split = data.draw(st.permutations([minterm_to_cube(m) for m in f.on[k].minterms()]))
+    variants = [
+        list(f.on),
+        data.draw(st.permutations(f.on)),
+        [*f.on[:k], *split, *f.on[k + 1 :]],
+    ]
+    n = f.n + pad
+
+    def padded(cubes) -> tuple[Cube, ...]:
+        return tuple(text_cube("0" * pad + cube_text(c)) for c in cubes)
+
+    texts = {
+        write_pla(direct_cover(LogicFunction(n, padded(on), padded(f.off), padded(f.dc))).cubes, n)
+        for on in variants
+    }
+    assert len(texts) == 1
 
 
 @settings(deadline=None)
