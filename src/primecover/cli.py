@@ -20,7 +20,7 @@ from .cover import CoverReport, direct_cover, expand_on_minterms, verify_cover
 from .errors import InconsistentFunction
 from .multi_output import TaggedCube, edsa_minimize, verify_multi
 from .pi_gen import cross_or, generate_m, prime_pairs
-from .pla_io import MultiFunction, _scan, parse_pla, write_pla
+from .pla_io import TABLE_CAP, LogicFunction, MultiFunction, _scan, parse_pla, write_pla
 from .reduced_offset import DiSet, OffPairs, generate_di, reform_sdm
 
 EXIT_OK = 0
@@ -36,6 +36,12 @@ def _read_function(path: str):
 
 def _vec_set(vectors) -> str:
     return "{" + ", ".join(sorted(v.to_text() for v in vectors)) + "}"
+
+
+def _on_count(f: LogicFunction) -> int:
+    """The number of on-minterms: the on table's popcount up to
+    ``TABLE_CAP`` inputs, the length of the expanded on-set above it."""
+    return f.on_table.bit_count() if f.n <= TABLE_CAP else len(expand_on_minterms(f))
 
 
 def cmd_minimize(args: argparse.Namespace) -> int:
@@ -54,7 +60,7 @@ def cmd_minimize(args: argparse.Namespace) -> int:
         text = write_pla(result.cubes, f.n, ob=f.labels)
         summary = (
             f"{f.name or args.input}: {len(result.cubes)} cubes, "
-            f"{len(expand_on_minterms(f))} on-minterms, {elapsed:.2f} ms"
+            f"{_on_count(f)} on-minterms, {elapsed:.2f} ms"
         )
     summary += f", verification {'ok' if verified else 'FAILED'}"
     if args.out:
@@ -137,7 +143,7 @@ def _bench_one(path: Path) -> list[str]:
             on = reduce(or_, f.on).bit_count()
             off = sum(table.bit_count() for table in f.off)
         else:
-            on = len(expand_on_minterms(f))
+            on = _on_count(f)
             off = len(f.off_pairs)
         return [path.stem, str(f.n), str(on), str(off), str(cubes), f"{ms:.2f}"]
     except Exception as exc:  # noqa: BLE001  (a bad file must not stop the sweep)

@@ -17,11 +17,11 @@ minterms where the AND of the tagged output columns is 0, don't cares
 counting as 1), and generates its prime implicants.  The off-set is the
 OR of the tagged outputs' off tables, built with the tag's outputs once
 per tag and call, on the first origin or neighbour that needs it.  An
-origin reads its minimal difference indicators straight from that table
-(``table_sdm``), with no off-cover and no fold, and expands them into
-its primes with ``expand_pairs``, the clause expansion ``prime_pairs``
-runs.  Candidates are ``(left, right)`` pairs in cube-text order, and a
-committed cube is its pair and tag.
+origin reads its primes straight from that table with ``table_pairs``,
+the corners ``prime_corners`` sets, with no off-cover, no fold and no
+clause expansion (``expand_pairs`` serves only ``prime_pairs``, above
+the table cap).  Candidates are ``(left, right)`` pairs in cube-text
+order, and a committed cube is its pair and tag.
 
 A candidate dominates when its mask, the points it covers of the
 minterms still to be covered for the whole tag, holds every other
@@ -32,8 +32,8 @@ covered by some candidate but not all of them.  Committing a candidate
 consumes the neighbors it covers; each stranded neighbor still offers
 its own joint sub-function, whose best prime implicant we rate by
 literal count (fewer literals, bigger cube, better).  A neighbor's
-primes are read from its tag's joint off table by ``prime_corners``,
-with no fold and no off-cover.  The candidate whose surviving neighbor
+primes are read the same way, from its tag's joint off table by
+``prime_corners``.  The candidate whose surviving neighbor
 offers the best such implicant wins, and that neighbor's implicant is
 committed alongside it, carrying the neighbor's possibly larger tag.
 The neighbors are grouped into one table per literal count of their
@@ -63,7 +63,7 @@ from .cover import CoverReport, _check_tables, _joint, _TagTables
 from .cover import coverage_mask  # noqa: F401
 from .errors import EmptyOnset
 from .pi_gen import generate_spi  # noqa: F401
-from .pi_gen import expand_pairs, prime_corners, table_sdm
+from .pi_gen import prime_corners, table_pairs
 from .pla_io import MultiFunction
 
 
@@ -183,8 +183,7 @@ def edsa_minimize(f: MultiFunction) -> list[TaggedCube]:
 
     while (origin_value := _lightest(live)) is not None:
         tag = tag_of(origin_value)
-        origin = BitVec(n, origin_value)
-        pis = expand_pairs(origin, table_sdm(origin, per_tag[tag][1]))
+        pis = table_pairs(BitVec(n, origin_value), per_tag[tag][1])
         # the minterms still to be covered for every output of the tag
         universe = -1
         for j in per_tag[tag][0]:

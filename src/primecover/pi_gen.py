@@ -14,22 +14,20 @@ extension is kept unless some hit vector lies inside it; the vectors
 form an antichain and the missed ones hold no clause bit, so nothing
 else can absorb it.  The working set thus stays absorption-minimal
 without multiplying every vector out and absorbing the products.
-``expand_pairs`` runs this expansion on int indicator values.  Two
-readers give it the reduced off-set: ``prime_pairs`` folds an
-``OffPairs`` off-set with ``generate_sdm``, and ``table_sdm`` reads it
-from an off-set given as one 2^n-bit truth table, as the multi-output
-origins do.  ``generate_spi`` gives the primes as ``Cube``s for a listed
+``expand_pairs`` runs this expansion on int indicator values, for
+``prime_pairs`` only: it folds an ``OffPairs`` off-set with
+``generate_sdm`` and expands the indicators, the path above the 16-input
+table cap.  ``generate_spi`` gives the primes as ``Cube``s for a listed
 off-set; ``generate_n``, ``cross_or`` and ``vectors_to_pis`` expose the
 expansion's steps on ``BitVec``s.
 
-``prime_corners`` finds the same primes without indicators, from the
-truth table: 2n masked shift-ORs over the table per minterm, with the
-masks cached per input count, leave one table with a bit set per prime.
-Its first n close the off points away from the minterm, the pass
-``table_sdm`` starts from too; its last n are the one-step sweep
-``table_sdm`` ends with, taken towards the minterm.  ``direct_cover``
-and the multi-output lookahead read the primes there, up to the
-16-input table cap.
+Up to the table cap ``prime_corners`` finds the same primes without
+indicators, from the off-set given as one 2^n-bit truth table: 2n masked
+shift-ORs over the table per minterm, with the masks cached per input
+count, leave one table with a bit set per prime.  ``direct_cover``, the
+multi-output origins and the multi-output lookahead all read their
+primes there; ``table_pairs`` lists them as pairs in cube-text order,
+as ``prime_pairs`` does, for the origins.
 """
 
 from __future__ import annotations
@@ -200,50 +198,26 @@ def _table_masks(n: int) -> tuple[int, list[tuple[int, int]]]:
     return masks
 
 
-def _closed_away(p: int, off: int, per_bit: list[tuple[int, int]]) -> int:
-    """The off table closed away from p, one masked shift-OR per position
-    of ``per_bit`` (up where p has a 0, down where it has a 1): bit y is
-    set when some off point z has ``p ^ z`` inside ``p ^ y``."""
-    for step, low in per_bit:
-        if p & step:
-            off |= (off >> step) & low
-        else:
-            off |= (off & low) << step
-    return off
+def table_pairs(P: BitVec, off: int) -> list[tuple[int, int]]:
+    """``prime_pairs`` for an off-set given as the 2^n-bit table ``off``
+    (bit v set when the minterm of value v is off, n the width of ``P``):
+    the primes covering ``P`` as ``(left, right)`` pair values in
+    cube-text order, with no indicators, no fold and no clause expansion;
+    the universal cube for an empty table.  Raises
+    ``InconsistentFunction`` when P is off.
 
-
-def _stepped_away(t: int, p: int, per_bit: list[tuple[int, int]]) -> int:
-    """The points one step farther from p than a point of the table
-    ``t``, one masked shift per position of ``per_bit``.  A step nearer
-    p is a step farther from ``p ^ full``."""
-    out = 0
-    for step, low in per_bit:
-        if p & step:
-            out |= (t >> step) & low
-        else:
-            out |= (t & low) << step
-    return out
-
-
-def table_sdm(P: BitVec, off: int) -> list[int]:
-    """``generate_sdm(P, off).elements`` for an off-set given as the
-    2^n-bit table ``off`` (bit v set when the minterm of value v is off,
-    n the width of ``P``): the minimal difference indicators as ascending
-    int values, with no off-cover and no fold; empty for an empty table.
-    Raises ``InconsistentFunction`` when P is off.
-
-    The closed points with no closed point one step nearer p are the
-    minimal ones away from p.  Each is an off point, since closing only
-    adds points farther from p than one already there, and ``p ^ y`` over
-    them are exactly the indicators no other indicator lies inside.
+    Each corner y that ``prime_corners`` sets is the prime with free
+    positions ``p ^ y``, and through one minterm the smaller free mask is
+    the smaller cube text.
     """
     p, n = P.value, P.width
     if off >> p & 1:
         raise InconsistentFunction(f"minterm {P} is in the off table")
-    per_bit = _table_masks(n)[1]
-    bad = _closed_away(p, off, per_bit)
-    farther = _stepped_away(bad, p, per_bit)
-    return sorted(p ^ y for y in set_bits(bad & ~farther))
+    rest = ((1 << n) - 1) ^ p
+    return [
+        (rest | free, p | free)
+        for free in sorted([p ^ y for y in set_bits(prime_corners(p, off, n))])
+    ]
 
 
 def prime_corners(p: int, off: int, n: int) -> int:
@@ -253,16 +227,31 @@ def prime_corners(p: int, off: int, n: int) -> int:
     of value v is off.  ``p`` must not be off.
 
     The cube through p with free positions F misses the off-set exactly
-    when no off point y has ``p ^ y`` inside F.  Closing the off points
-    away from p (``_closed_away``) leaves clear exactly the points y
-    whose cube with free positions ``p ^ y`` misses the off-set.  The
-    primes are the maximal ones, those from which every one-step move
-    away from p lands on a closed point: one more masked shift per
-    position.  This is the sum-over-subsets pass (Yates, 1937) on a
-    2^n-bit int.
+    when no off point z has ``p ^ z`` inside F.  The first pass closes
+    the off points away from p, one masked shift-OR per position (up
+    where p has a 0, down where it has a 1): it sets bit y when some off
+    point z has ``p ^ z`` inside ``p ^ y``, so it leaves clear exactly
+    the points y whose cube with free positions ``p ^ y`` misses the
+    off-set.  The primes are the maximal ones, those from which every
+    one-step move away from p lands on a closed point; the second pass
+    marks, one masked shift per position, the points one step nearer p
+    than a clear point.  This is the sum-over-subsets pass (Yates, 1937)
+    on a 2^n-bit int.  ``direct_cover``, the multi-output origins
+    (through ``table_pairs``) and the lookahead neighbours read their
+    primes here; ``expand_pairs`` serves only ``prime_pairs``, above the
+    table cap.
     """
     everything, per_bit = _table_masks(n)
-    good = everything ^ _closed_away(p, off, per_bit)
-    # the points one step nearer p than a clear point
-    blocked = _stepped_away(good, p ^ ((1 << n) - 1), per_bit)
+    for step, low in per_bit:
+        if p & step:
+            off |= (off >> step) & low
+        else:
+            off |= (off & low) << step
+    good = everything ^ off
+    blocked = 0
+    for step, low in per_bit:
+        if p & step:
+            blocked |= (good & low) << step
+        else:
+            blocked |= (good >> step) & low
     return good & ~blocked

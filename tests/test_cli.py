@@ -442,6 +442,21 @@ def test_bench_on_counts_minterms(tmp_path, capsys):
     assert ", 6 on-minterms, " in capsys.readouterr().out
 
 
+def test_on_counts_read_the_on_table(tmp_path, capsys, monkeypatch):
+    """Up to the table cap ``minimize`` and ``bench`` count on-minterms
+    by the on table's popcount, without expanding the on-set."""
+
+    def refuse(f):
+        raise AssertionError("the on-set was expanded")
+
+    monkeypatch.setattr(cli, "expand_on_minterms", refuse)
+    ovl = write(tmp_path, "ovl.pla", ".i 4\n.o 1\n.type fd\n1-1- 1\n11-- 1\n0000 -\n.e\n")
+    assert main(["bench", "--dir", str(tmp_path)]) == 0
+    assert capsys.readouterr().out.splitlines()[1].startswith("ovl,4,6,4,2,")
+    assert main(["minimize", ovl, "--out", str(tmp_path / "ovl.cover")]) == 0
+    assert ", 6 on-minterms, " in capsys.readouterr().out
+
+
 def test_bench_off_counts_multi_output_off_points(tmp_path, capsys):
     # 2 rows of 4: under fd 00 and 10 have no row, so they are off for
     # both outputs, and 11 is off for output 1, which no row marks 1 there

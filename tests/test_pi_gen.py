@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from primecover import (
     BitVec,
     Cube,
+    LogicFunction,
     all_primes,
     cross_or,
     cube_contains,
@@ -20,10 +21,10 @@ from primecover import (
     minterm_to_cube,
     vectors_to_pis,
 )
-from primecover.bitcube import set_bits, table_cover
-from primecover.errors import EmptyOffset, InconsistentFunction
+from primecover.bitcube import pair_text, set_bits, table_cover
+from primecover.errors import InconsistentFunction
 from primecover.oracle import primes_containing
-from primecover.pi_gen import _expand, expand_pairs, prime_pairs, table_sdm
+from primecover.pi_gen import _expand, prime_pairs, table_pairs
 from primecover.reduced_offset import OffPairs
 from helpers import (
     FIVE_VAR_OFF,
@@ -232,32 +233,33 @@ def tables_outside(draw) -> tuple[int, int, int]:
 @example((0b1000, 2, 1))
 @settings(deadline=None)
 @given(tables_outside())
-def test_table_sdm_is_the_fold_of_the_tabled_off_set(case):
+def test_table_pairs_is_the_fold_of_the_tabled_off_set(case):
+    """``table_pairs`` lists the primes the paper's fold of the table's
+    cubes gives, in the same order; up to 6 inputs these are also the
+    primes through P that the oracle lists, in cube-text order."""
     off, n, p = case
     P = BitVec(n, p)
-    try:
-        want = [d.value for d in generate_sdm(P, [BitVec(n, v) for v in set_bits(off)]).elements]
-    except EmptyOffset:
-        want = []
-    assert table_sdm(P, off) == want
-    assert expand_pairs(P, table_sdm(P, off)) == prime_pairs(P, OffPairs(table_cover(off, n)))
+    pairs = table_pairs(P, off)
+    assert pairs == prime_pairs(P, OffPairs(table_cover(off, n)))
+    if n <= 6:
+        off_cubes = [minterm_to_cube(BitVec(n, v)) for v in set_bits(off)]
+        f = LogicFunction(n, [minterm_to_cube(P)], off_cubes)
+        want = sorted(cube_text(c) for c in primes_containing(all_primes(f), P))
+        assert [pair_text(*pair) for pair in pairs] == want
 
 
-def test_table_sdm_of_an_empty_and_of_a_full_table():
+def test_table_pairs_of_an_empty_and_of_a_full_table():
     for n in range(1, 7):
         full = (1 << n) - 1
         for p in (0, full, full // 3):
             P = BitVec(n, p)
-            # nothing is off: no indicator, and the universal cube
-            assert table_sdm(P, 0) == []
-            assert expand_pairs(P, []) == [(full, full)]
-            # every point but p is off: each neighbour is an indicator,
-            # and p alone is prime
+            # nothing is off: the universal cube
+            assert table_pairs(P, 0) == [(full, full)]
+            # every point but p is off: p alone is prime
             rest = ((1 << (1 << n)) - 1) ^ (1 << p)
-            assert table_sdm(P, rest) == [1 << i for i in range(n)]
-            assert expand_pairs(P, table_sdm(P, rest)) == [(full ^ p, p)]
+            assert table_pairs(P, rest) == [(full ^ p, p)]
 
 
-def test_table_sdm_rejects_a_minterm_in_the_table():
+def test_table_pairs_rejects_a_minterm_in_the_table():
     with pytest.raises(InconsistentFunction):
-        table_sdm(bv("01"), 0b0010)
+        table_pairs(bv("01"), 0b0010)
