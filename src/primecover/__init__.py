@@ -27,7 +27,6 @@ from .cover import (
 )
 from .errors import EmptyOffset, EmptyOnset, InconsistentFunction, PlaParseError
 from .multi_output import (
-    TaggedCube,
     edsa_minimize,
     subfunction_off,
     verify_multi,
@@ -65,7 +64,6 @@ __all__ = [
     "LogicFunction",
     "MultiFunction",
     "PlaParseError",
-    "TaggedCube",
     "TruthTable",
     "all_primes",
     "coverage_mask",

@@ -8,10 +8,13 @@ encodes 10 for value 0, 01 for value 1 and 11 for a don't care.  There
 is no 00 pair, so every cube holds a minterm.  The pipeline, parser to
 writer, runs on the plain ``(left, right)`` int pairs of that notation:
 ``pair_text`` renders one, ``check_pairs`` guards them and
-``check_width`` the carriers' widths.  ``Slices`` indexes a whole cube
-list by variable, so that the cubes meeting a query cube come out of
-one AND per query literal.  ``Record`` and ``FrozenRecord`` give the
-package's records, ``BitVec`` and ``Cube`` among them, value equality,
+``check_width`` the carriers' widths.  A multi-output cover is
+``(pair, tag)`` items, the tag an int with bit j for output j:
+``tagged_text`` renders one and ``check_items`` guards them.
+``Slices`` indexes a whole cube list by variable, so that the cubes
+meeting a query cube come out of one AND per query literal.
+``Record`` and ``FrozenRecord`` give the package's records, ``BitVec``
+and ``Cube`` among them, value equality,
 ``repr`` and pickling from the fields their ``__slots__`` name.  A
 truth table is one 2^n-bit int with bit v set for the minterm of value
 v: ``cube_points`` gives a cube's, ``table_of`` a cube list's,
@@ -442,6 +445,31 @@ def check_pairs(pairs: Iterable[tuple[int, int]], n: int) -> None:
     for left, right in pairs:
         if left | right != full:
             raise ValueError(f"({left:#b}, {right:#b}) is not a cube over {n} inputs")
+
+
+def tagged_text(pair: tuple[int, int], tag: int) -> str:
+    """Render a ``(pair, tag)`` item as its cube text and the outputs of
+    its tag, like ``1x1_{0,2}``."""
+    outputs = str(tag) if tag < 0 else ",".join(map(str, set_bits(tag)))
+    return f"{pair_text(*pair)}_{{{outputs}}}"
+
+
+def check_items(items: Iterable[tuple[tuple[int, int], int]], n: int, m: int) -> None:
+    """Raise ``ValueError`` naming the first of the ``(pair, tag)`` items
+    whose pair is not a cube over ``n`` inputs or whose tag names no
+    output or one outside the ``m`` outputs.  Each pair is checked in
+    order, each distinct tag the first time it appears."""
+    tags = set()
+    for pair, tag in items:
+        check_pairs((pair,), n)
+        if tag not in tags:
+            if tag < 0 or tag >> m:
+                raise ValueError(
+                    f"{tagged_text(pair, tag)} names an output outside the {m} outputs"
+                )
+            if not tag:
+                raise ValueError(f"{tagged_text(pair, tag)} names no output")
+            tags.add(tag)
 
 
 # per cube character: does it allow value 0 (left bit), value 1 (right bit)

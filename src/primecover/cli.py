@@ -15,10 +15,10 @@ from functools import reduce
 from operator import or_
 from pathlib import Path
 
-from .bitcube import BitVec, Cube, pair_text
+from .bitcube import BitVec, Cube, pair_text, tagged_text
 from .cover import CoverReport, direct_cover, expand_on_minterms, verify_cover
 from .errors import InconsistentFunction
-from .multi_output import TaggedCube, edsa_minimize, verify_multi
+from .multi_output import edsa_minimize, verify_multi
 from .pi_gen import cross_or, generate_m, prime_pairs
 from .pla_io import TABLE_CAP, LogicFunction, MultiFunction, _scan, parse_pla, write_pla
 from .reduced_offset import DiSet, OffPairs, generate_di, reform_sdm
@@ -219,15 +219,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
     ]
     if isinstance(f, MultiFunction):
         # a 1 in output j of a line sets bit j of the cube's tag
-        tagged = [
-            TaggedCube(pair, sum(1 << j for j, ch in enumerate(out) if ch == "1"))
-            for pair, out in rows
+        items = [
+            (pair, sum(1 << j for j, ch in enumerate(out) if ch == "1")) for pair, out in rows
         ]
         return _print_checks(
-            verify_multi(tagged, f),
-            str,
+            verify_multi(items, f),
+            lambda item: tagged_text(*item),
             lambda point: f"{point[0]} (output {point[1]})",
-            lambda tc, v: f"cube {tc} covers off-minterm {v}",
+            lambda item, v: f"cube {tagged_text(*item)} covers off-minterm {v}",
         )
     return _print_checks(
         verify_cover([pair for pair, _ in rows], f),

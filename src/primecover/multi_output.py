@@ -19,9 +19,11 @@ OR of the tagged outputs' off tables, built with the tag's outputs once
 per tag and call, on the first origin or neighbour that needs it.  An
 origin reads its primes straight from that table with ``table_pairs``,
 the corners ``prime_corners`` sets, with no off-cover, no fold and no
-clause expansion (``expand_pairs`` serves only ``prime_pairs``, above
-the table cap).  Candidates are ``(left, right)`` pairs in cube-text
-order, and a committed cube is its pair and tag.
+clause expansion.  Candidates are ``(left, right)`` pairs in cube-text
+order, and the cover is the list of committed ``(pair, tag)`` items,
+the form ``bitcube.check_items`` guards and ``bitcube.tagged_text``
+renders.  Committing an item clears its points from its tag's tables,
+so no item is committed twice.
 
 A candidate dominates when its mask, the points it covers of the
 minterms still to be covered for the whole tag, holds every other
@@ -47,16 +49,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 
-from .bitcube import (
-    BitVec,
-    Cube,
-    FrozenRecord,
-    check_pairs,
-    cube_points,
-    minterm_to_cube,
-    pair_text,
-    set_bits,
-)
+from .bitcube import BitVec, Cube, check_items, cube_points, minterm_to_cube, set_bits
 from .cover import CoverReport, _check_tables, _joint, _TagTables
 # coverage_mask and generate_spi stay importable here: perfbench/tracing.py
 # wraps them by name
@@ -65,33 +58,6 @@ from .errors import EmptyOnset
 from .pi_gen import generate_spi  # noqa: F401
 from .pi_gen import prime_corners, table_pairs
 from .pla_io import MultiFunction
-
-
-class TaggedCube(FrozenRecord):
-    """One cube of a multi-output cover: its ``(left, right)`` pair and
-    its tag, an int whose bit j means output j."""
-
-    __slots__ = ("pair", "tag")
-
-    def __init__(self, pair: tuple[int, int], tag: int) -> None:
-        self._assign(pair, tag)
-
-    def __str__(self) -> str:
-        subs = str(self.tag) if self.tag < 0 else ",".join(map(str, set_bits(self.tag)))
-        return f"{pair_text(*self.pair)}_{{{subs}}}"
-
-    def check(self, n: int, m: int) -> None:
-        """Raise ``ValueError`` unless this is a cube over n inputs for m outputs."""
-        check_pairs((self.pair,), n)
-        self.check_tag(m)
-
-    def check_tag(self, m: int) -> None:
-        """The tag half of ``check``: raise ``ValueError`` unless the tag
-        names one or more of m outputs and no other."""
-        if self.tag < 0 or self.tag >> m:
-            raise ValueError(f"{self} names an output outside the {m} outputs")
-        if not self.tag:
-            raise ValueError(f"{self} names no output")
 
 
 def subfunction_off(tag: "frozenset[int] | set[int]", f: MultiFunction) -> list[Cube]:
@@ -112,15 +78,11 @@ def subfunction_off(tag: "frozenset[int] | set[int]", f: MultiFunction) -> list[
     return [minterm_to_cube(BitVec(f.n, v)) for v in set_bits(off)]
 
 
-def _literals(pair: tuple[int, int]) -> int:
-    left, right = pair
-    return (left ^ right).bit_count()
-
-
-def _best_pi(v: int, off: int, n: int) -> tuple[int, int]:
+def _best_pi(v: int, off: int, n: int) -> tuple[int, tuple[int, int]]:
     """The prime covering the minterm of value ``v`` with the fewest
-    literals, ties to the smallest cube text, as its ``(left, right)``
-    pair; ``off`` is the 2^n-bit off table, which must not hold ``v``.
+    literals, ties to the smallest cube text, as that literal count and
+    its ``(left, right)`` pair; ``off`` is the 2^n-bit off table, which
+    must not hold ``v``.
 
     Each corner y that ``prime_corners`` sets is the prime with free
     positions ``v ^ y``: the most free positions give the fewest
@@ -132,7 +94,7 @@ def _best_pi(v: int, off: int, n: int) -> tuple[int, int]:
         count = free.bit_count()
         if count > most or count == most and free < best_free:
             most, best_free = count, free
-    return (((1 << n) - 1) ^ v) | best_free, v | best_free
+    return n - most, ((((1 << n) - 1) ^ v) | best_free, v | best_free)
 
 
 def _lightest(live: Sequence[int]) -> int | None:
@@ -151,9 +113,9 @@ def _lightest(live: Sequence[int]) -> int | None:
     return None
 
 
-def edsa_minimize(f: MultiFunction) -> list[TaggedCube]:
-    """Cover every tagged minterm for every output in its tag, one
-    ``TaggedCube`` per committed pair and tag, in commit order."""
+def edsa_minimize(f: MultiFunction) -> list[tuple[tuple[int, int], int]]:
+    """Cover every tagged minterm for every output in its tag: the
+    committed ``(pair, tag)`` items, in commit order."""
     n = f.n
     # per output, the truth table of the minterms still to be covered for
     # it; a minterm's current tag is the outputs whose table holds it
@@ -169,14 +131,13 @@ def edsa_minimize(f: MultiFunction) -> list[TaggedCube]:
 
     if not any(live):
         raise EmptyOnset("no output is ever true")
-    # (left, right) pair and tag of each committed cube, in commit order
-    committed: dict[tuple[tuple[int, int], int], None] = {}
+    committed: list[tuple[tuple[int, int], int]] = []
     # tags recur across origins and neighbours: per tag, its outputs and
     # its joint off table, each built once
     per_tag = _TagTables(f.off)
 
     def commit(pair: tuple[int, int], tag: int) -> None:
-        committed[pair, tag] = None
+        committed.append((pair, tag))
         keep = ~cube_points(*pair)
         for j in per_tag[tag][0]:
             live[j] &= keep
@@ -204,8 +165,7 @@ def edsa_minimize(f: MultiFunction) -> list[TaggedCube]:
         best_by_neighbor = {}
         by_literals: dict[int, int] = {}
         for nv in set_bits(union & ~inter):
-            best = best_by_neighbor[nv] = _best_pi(nv, per_tag[tag_of(nv)][1], n)
-            count = _literals(best)
+            count, best_by_neighbor[nv] = _best_pi(nv, per_tag[tag_of(nv)][1], n)
             by_literals[count] = by_literals.get(count, 0) | 1 << nv
         levels = sorted(by_literals.items())
         # a candidate's quality is the fewest literals of a neighbour it
@@ -228,26 +188,24 @@ def edsa_minimize(f: MultiFunction) -> list[TaggedCube]:
         if strands:
             nv = (strands & -strands).bit_length() - 1
             commit(best_by_neighbor[nv], tag_of(nv))
-    return [TaggedCube(pair, tag) for pair, tag in committed]
+    return committed
 
 
-def verify_multi(cover: Sequence[TaggedCube], f: MultiFunction) -> CoverReport:
-    """Check a tagged cover against the output tables with the table
-    checks of ``verify_cover``.
+def verify_multi(cover: Sequence[tuple[tuple[int, int], int]], f: MultiFunction) -> CoverReport:
+    """Check a cover of ``(pair, tag)`` items against the output tables
+    with the table checks of ``verify_cover``.
 
     ``missing`` lists the on ``(minterm, output)`` pairs, as ``(BitVec,
-    int)``, that no cube tagged with that output covers, by output and
-    then minterm; ``off_conflicts`` each ``(TaggedCube, BitVec)`` pair
-    of a cube and an off point of its tag's joint off-set inside it; and
-    ``removable_literals`` each ``(TaggedCube, position)`` whose literal
+    int)``, that no item tagged with that output covers, by output and
+    then minterm; ``off_conflicts`` each ``(item, BitVec)`` pair of an
+    item and an off point of its tag's joint off-set inside its cube;
+    and ``removable_literals`` each ``(item, position)`` whose literal
     can be raised while the cube stays clear of that joint off-set.
-    Raises ``ValueError`` where ``TaggedCube.check`` does.
+    Raises ``ValueError`` where ``bitcube.check_items`` does.
     """
     n = f.n
-    for tc in cover:
-        tc.check(n, f.m)
-    items = ((tc.pair, tc.tag) for tc in cover)
-    uncovered, conflicts, raised = _check_tables(items, f.on, f.off, n)
+    check_items(cover, n, f.m)
+    uncovered, conflicts, raised = _check_tables(cover, f.on, f.off, n)
     missing = [(BitVec(n, v), j) for j, points in enumerate(uncovered) for v in set_bits(points)]
     off_conflicts = [(cover[i], BitVec(n, v)) for i, hit in conflicts for v in set_bits(hit)]
     removable = [(cover[i], pos) for i, pos in raised]

@@ -14,12 +14,12 @@ extension is kept unless some hit vector lies inside it; the vectors
 form an antichain and the missed ones hold no clause bit, so nothing
 else can absorb it.  The working set thus stays absorption-minimal
 without multiplying every vector out and absorbing the products.
-``expand_pairs`` runs this expansion on int indicator values, for
-``prime_pairs`` only: it folds an ``OffPairs`` off-set with
-``generate_sdm`` and expands the indicators, the path above the 16-input
-table cap.  ``generate_spi`` gives the primes as ``Cube``s for a listed
-off-set; ``generate_n``, ``cross_or`` and ``vectors_to_pis`` expose the
-expansion's steps on ``BitVec``s.
+``prime_pairs`` runs this expansion on int indicator values: it folds
+an ``OffPairs`` off-set with ``generate_sdm`` and expands the
+indicators, the path above the 16-input table cap.  ``generate_spi``
+gives the primes as ``Cube``s for a listed off-set; ``generate_n``,
+``cross_or`` and ``vectors_to_pis`` expose the expansion's steps on
+``BitVec``s.
 
 Up to the table cap ``prime_corners`` finds the same primes without
 indicators, from the off-set given as one 2^n-bit truth table: 2n masked
@@ -149,24 +149,19 @@ def generate_spi(P: BitVec, off_cubes: Sequence[Cube | BitVec]) -> list[Cube]:
 def prime_pairs(P: BitVec, off: OffPairs) -> list[tuple[int, int]]:
     """``generate_spi`` on ints: the primes covering ``P`` as ``(left,
     right)`` pair values, in the cube-text order of the primes; an empty
-    off-set leaves the universal cube."""
+    off-set leaves the universal cube.
+
+    The off-set's minimal difference indicators are expanded into one
+    literal-position vector per prime.  Every prime holds P, so two
+    primes differ only at positions where one keeps P's literal and the
+    other is free; at the first of them from the left the literal, '0'
+    or '1', sorts before 'x'.  Literal-position vectors in descending
+    order therefore give the cube-text order.
+    """
     try:
         indicators = generate_sdm(P, off).elements
     except EmptyOffset:
         indicators = []
-    return expand_pairs(P, indicators)
-
-
-def expand_pairs(P: BitVec, indicators: Iterable[int]) -> list[tuple[int, int]]:
-    """The primes covering ``P`` whose minimal difference indicators are
-    the values ``indicators``, as ``(left, right)`` pair values in the
-    cube-text order of the primes; no indicator leaves the universal cube.
-
-    Every prime holds P, so two primes differ only at positions where one
-    keeps P's literal and the other is free; at the first of them from
-    the left the literal, '0' or '1', sorts before 'x'.  Literal-position
-    vectors in descending order therefore give the cube-text order.
-    """
     vectors = [0]
     for d in indicators:
         vectors = _expand(vectors, d)
@@ -238,7 +233,7 @@ def prime_corners(p: int, off: int, n: int) -> int:
     than a clear point.  This is the sum-over-subsets pass (Yates, 1937)
     on a 2^n-bit int.  ``direct_cover``, the multi-output origins
     (through ``table_pairs``) and the lookahead neighbours read their
-    primes here; ``expand_pairs`` serves only ``prime_pairs``, above the
+    primes here; ``prime_pairs`` expands indicators instead, above the
     table cap.
     """
     everything, per_bit = _table_masks(n)

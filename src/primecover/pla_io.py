@@ -52,6 +52,7 @@ from .bitcube import (
     FrozenRecord,
     Record,
     Slices,
+    check_items,
     check_pairs,
     pair_text,
     table_cover,
@@ -542,8 +543,8 @@ def write_pla(
     ob: Sequence[str] = (),
 ) -> str:
     """Serialize a cover as PLA text: ``(left, right)`` pairs when
-    ``outputs`` is 1, and ``TaggedCube``s otherwise, each marked for
-    exactly the outputs of its tag.
+    ``outputs`` is 1, and ``(pair, tag)`` items otherwise, each marked
+    for exactly the outputs of its tag.
 
     Single-output covers are written as type fr, which round-trips exactly.
     Multi-output covers use type fd: a '0' in a cover line means the term
@@ -571,17 +572,10 @@ def write_pla(
         check_pairs(cover, n)
         rows = [(pair, "1") for pair in cover]
     else:
-        # each item's pair is checked in order, its tag only the first
-        # time it appears, and each tag's output part is built once
-        parts: dict[int, str] = {}
-        rows = []
-        for item in cover:
-            check_pairs((item.pair,), n)
-            out = parts.get(item.tag)
-            if out is None:
-                item.check_tag(outputs)
-                out = parts[item.tag] = f"{item.tag:0{outputs}b}"[::-1]
-            rows.append((item.pair, out))
+        check_items(cover, n, outputs)
+        # each tag's output part is built once
+        parts = {tag: f"{tag:0{outputs}b}"[::-1] for tag in {tag for _, tag in cover}}
+        rows = [(pair, parts[tag]) for pair, tag in cover]
     header = [f".i {n}", f".o {outputs}"]
     if ob:
         header.append(".ob " + " ".join(ob))

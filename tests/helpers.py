@@ -28,7 +28,6 @@ from primecover import (
 from primecover.bitcube import Slices, cube_points, minimal_ones
 from primecover.pla_io import _scan
 from primecover.cover import mask_members
-from primecover.multi_output import TaggedCube
 
 bv = BitVec.from_text
 
@@ -200,21 +199,22 @@ def cube_pair(c: Cube) -> tuple[int, int]:
     return c.left.value, c.right.value
 
 
-def tagged_cube(c: Cube, outputs) -> TaggedCube:
-    """The ``TaggedCube`` of a ``Cube`` for the outputs in ``outputs``."""
-    return TaggedCube(cube_pair(c), sum(1 << j for j in set(outputs)))
+def tagged_cube(c: Cube, outputs) -> tuple[tuple[int, int], int]:
+    """The ``(pair, tag)`` item of a ``Cube`` for the outputs in ``outputs``."""
+    return cube_pair(c), sum(1 << j for j in set(outputs))
 
 
 def as_cubes(cover, n: int) -> list:
     """A cover as the references and the oracle read it: each ``(left,
-    right)`` pair as its ``Cube``, and each ``TaggedCube`` as its ``(cube
-    text, frozenset of outputs)``, the form of ``TRI_OUTPUT_COVER``."""
+    right)`` pair as its ``Cube``, and each ``(pair, tag)`` item, whose
+    first element is a pair rather than an int, as its ``(cube text,
+    frozenset of outputs)``, the form of ``TRI_OUTPUT_COVER``."""
     out = []
     for item in cover:
-        if isinstance(item, TaggedCube):
-            tag = item.tag
+        if isinstance(item[0], tuple):
+            pair, tag = item
             outputs = frozenset(j for j in range(tag.bit_length()) if tag >> j & 1)
-            out.append((cube_text(pair_cube(n, item.pair)), outputs))
+            out.append((cube_text(pair_cube(n, pair)), outputs))
         else:
             out.append(pair_cube(n, item))
     return out
@@ -745,7 +745,7 @@ def reference_best_pi(minterm: BitVec, off) -> Cube:
     return min(pis, key=lambda c: (c.literal_count, cube_text(c)))
 
 
-def reference_edsa_minimize(f: MultiFunction) -> list[TaggedCube]:
+def reference_edsa_minimize(f: MultiFunction) -> list[tuple[tuple[int, int], int]]:
     f_rows = rows_of(f)
     if not any(v == 1 for _, values in f_rows for v in values):
         raise EmptyOnset("no output is ever true")
@@ -825,7 +825,7 @@ def reference_edsa_minimize(f: MultiFunction) -> list[TaggedCube]:
 def reference_verify_multi(cover, f: MultiFunction) -> CoverReport:
     """The three tagged-cover checks, one minterm at a time, on each
     cube's ``Cube`` and frozenset of outputs; the report names each
-    ``TaggedCube`` as ``verify_multi`` does."""
+    ``(pair, tag)`` item as ``verify_multi`` does."""
     n = f.n
     values = {m.value: vals for m, vals in rows_of(f)}
 

@@ -21,7 +21,6 @@ from primecover import (
     minterm_to_cube,
     pair_text,
     parse_pla,
-    TaggedCube,
     text_cube,
     verify_cover,
     verify_multi,
@@ -237,9 +236,9 @@ def test_pair_entries_refuse_a_pair_that_is_not_a_cube(bad, name):
     for check in (
         lambda: verify_cover([bad], f),
         lambda: verify_cover(CoverResult((bad,), 1), f),
-        lambda: verify_multi([TaggedCube(bad, 0b1)], g),
+        lambda: verify_multi([(bad, 0b1)], g),
         lambda: write_pla([bad], 3),
-        lambda: write_pla([TaggedCube(bad, 0b1)], 3, outputs=3),
+        lambda: write_pla([(bad, 0b1)], 3, outputs=3),
     ):
         with pytest.raises(ValueError, match=message):
             check()

@@ -16,11 +16,12 @@ from primecover import (
     generate_sdm,
     generate_spi,
     minterm_to_cube,
+    parse_pla,
     subfunction_off,
     text_cube,
 )
-from primecover.bitcube import Cube, set_bits, table_cover
-from primecover.multi_output import TaggedCube, _best_pi, _lightest, verify_multi
+from primecover.bitcube import Cube, check_items, set_bits, table_cover, tagged_text
+from primecover.multi_output import _best_pi, _lightest, verify_multi
 from primecover.pla_io import _scan
 from helpers import (
     TRI_OUTPUT_COVER,
@@ -257,6 +258,36 @@ def test_edsa_minimize_matches_reference(f):
     assert minimized(edsa_minimize, f) == minimized(reference_edsa_minimize, f)
 
 
+@st.composite
+def multi_pla_tables(draw) -> str:
+    """Multi-output PLA texts of type fr or fd over 1-6 inputs and 2-4
+    outputs: at most one line per minterm, its output part drawn from
+    {0, 1, -}, so an unlisted minterm is a don't care under fr and off
+    under fd."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    m = draw(st.integers(min_value=2, max_value=4))
+    type_ = draw(st.sampled_from(("fr", "fd")))
+    outputs = st.text("01-", min_size=m, max_size=m)
+    body = [f"{v:0{n}b} {draw(outputs)}" for v in range(1 << n) if draw(st.booleans())]
+    return "\n".join([f".i {n}", f".o {m}", f".type {type_}", *body, ".e"]) + "\n"
+
+
+@settings(deadline=None)
+@given(multi_pla_tables())
+def test_edsa_minimize_commits_each_item_once(text):
+    """The cover is the commit list as it stands: committing an item
+    clears its points from its tag's tables, so no ``(pair, tag)`` item
+    is committed twice, and each is a cube over n inputs tagged with one
+    or more of the m outputs."""
+    f = parse_pla(text)
+    cover = minimized(edsa_minimize, f)
+    if cover is EmptyOnset:
+        assert not any(f.on)
+        return
+    assert len(set(cover)) == len(cover)
+    check_items(cover, f.n, f.m)
+
+
 @contextmanager
 def folding_raises():
     """Every binding of ``generate_sdm`` and ``table_cover`` in the
@@ -300,7 +331,7 @@ def test_lookahead_runs_when_two_candidates_share_the_union():
     cover = edsa_minimize(f)
     assert cover == reference_edsa_minimize(f)
     # lookahead commits 0xx, stranding 100, and that neighbour's x0x with it
-    assert [str(tc) for tc in cover][:2] == ["0xx_{1}", "x0x_{1}"]
+    assert [tagged_text(*item) for item in cover][:2] == ["0xx_{1}", "x0x_{1}"]
 
 
 def test_lookahead_commits_the_lowest_of_the_stranded_neighbours_that_tie():
@@ -315,7 +346,7 @@ def test_lookahead_commits_the_lowest_of_the_stranded_neighbours_that_tie():
     assert cover == reference_edsa_minimize(f)
     # 01x strands 000 and 110 at two literals, and the lower, 000,
     # commits its 0x0 with its tag {0, 1}
-    assert [str(tc) for tc in cover] == ["01x_{1}", "0x0_{0,1}", "xx0_{0}", "x10_{1}"]
+    assert [tagged_text(*item) for item in cover] == ["01x_{1}", "0x0_{0,1}", "xx0_{0}", "x10_{1}"]
 
 
 def test_lookahead_ties_with_no_stranded_neighbour_go_to_the_first_candidate():
@@ -327,7 +358,7 @@ def test_lookahead_ties_with_no_stranded_neighbour_go_to_the_first_candidate():
     f = MultiFunction(3, 2, (0b10010001, 0b01110110), (0b00000100, 0))
     cover = edsa_minimize(f)
     assert cover == reference_edsa_minimize(f)
-    assert [str(tc) for tc in cover] == ["x00_{0}", "x01_{1}", "x10_{1}", "10x_{1}", "111_{0}"]
+    assert [tagged_text(*item) for item in cover] == ["x00_{0}", "x01_{1}", "x10_{1}", "10x_{1}", "111_{0}"]
 
 
 def minterms_of(table: int, n: int) -> list[Cube]:
@@ -352,7 +383,10 @@ def test_best_pi_matches_reference(case):
     off_cubes = minterms_of(off, n)
     for v in range(1 << n):
         if not off >> v & 1:
-            assert pair_cube(n, _best_pi(v, off, n)) == reference_best_pi(BitVec(n, v), off_cubes)
+            count, pair = _best_pi(v, off, n)
+            want = reference_best_pi(BitVec(n, v), off_cubes)
+            assert pair_cube(n, pair) == want
+            assert count == want.literal_count
 
 
 def test_best_pi_ties_go_to_the_smaller_free_mask():
@@ -362,8 +396,9 @@ def test_best_pi_ties_go_to_the_smaller_free_mask():
     off = sum(1 << int(t, 2) for t in ("0011", "0101", "1001", "1010"))
     off_cubes = minterms_of(off, 4)
     assert [cube_text(c) for c in generate_spi(bv("0000"), off_cubes)] == ["000x", "0xx0", "xx00"]
-    assert cube_text(pair_cube(4, _best_pi(0, off, 4))) == "0xx0"
-    assert pair_cube(4, _best_pi(0, off, 4)) == reference_best_pi(bv("0000"), off_cubes)
+    count, pair = _best_pi(0, off, 4)
+    assert (count, cube_text(pair_cube(4, pair))) == (2, "0xx0")
+    assert pair_cube(4, pair) == reference_best_pi(bv("0000"), off_cubes)
 
 
 @st.composite
@@ -436,7 +471,7 @@ def test_verify_multi_reports_a_corrupted_cover():
     f = tri_output_function()
     y0 = frozenset({0})
     x00 = cube_pair(text_cube("x00"))
-    cover = [tc for tc in edsa_minimize(f) if tc.pair != x00]
+    cover = [item for item in edsa_minimize(f) if item[0] != x00]
     # x00 on y0 was the only cover of 100; 1xx meets the y0 off point 110;
     # 011 is not prime for y1: 0x1 and 01x stay clear of the y1 off-set
     cover += [
@@ -448,7 +483,7 @@ def test_verify_multi_reports_a_corrupted_cover():
     assert report.off_conflicts == ((cover[-2], bv("110")),)
     assert report.removable_literals[-2:] == ((cover[-1], 2), (cover[-1], 1))
     assert report == reference_verify_multi(cover, f)
-    dropped = [tc for tc in edsa_minimize(f) if tc.pair != x00]
+    dropped = [item for item in edsa_minimize(f) if item[0] != x00]
     assert verify_multi(dropped, f).missing == ((bv("000"), 0), (bv("100"), 0))
     with pytest.raises(ValueError, match=r"^\(0b1, 0b11\) is not a cube over 3 inputs$"):
         verify_multi([*dropped, tagged_cube(text_cube("1x"), y0)], f)
@@ -467,11 +502,11 @@ def test_verify_multi_rejects_a_tag_past_the_outputs():
         (0, r"^10x_\{\} names no output$"),
     ):
         with pytest.raises(ValueError, match=message):
-            verify_multi([*cover, TaggedCube(cube_pair(text_cube("10x")), tag)], f)
+            verify_multi([*cover, (cube_pair(text_cube("10x")), tag)], f)
 
 
 @st.composite
-def tagged_cubes(draw, n: int, m: int) -> TaggedCube:
+def tagged_cubes(draw, n: int, m: int) -> tuple[tuple[int, int], int]:
     text = "".join(draw(st.lists(st.sampled_from("01x"), min_size=n, max_size=n)))
     tag = draw(st.frozensets(st.integers(0, m - 1), min_size=1))
     return tagged_cube(text_cube(text), tag)
@@ -483,7 +518,7 @@ def test_verify_multi_matches_reference(data):
     f = data.draw(multi_functions())
     cover = minimized(edsa_minimize, f)
     cover = [] if cover is EmptyOnset else cover
-    kept = [tc for tc in cover if data.draw(st.booleans())]
+    kept = [item for item in cover if data.draw(st.booleans())]
     extra = data.draw(st.lists(tagged_cubes(f.n, f.m), max_size=3))
     mixed = kept + extra
     assert verify_multi(cover, f).ok

@@ -14,7 +14,6 @@ from primecover import (
     LogicFunction,
     MultiFunction,
     PlaParseError,
-    TaggedCube,
     cube_text,
     edsa_minimize,
     parse_pla,
@@ -200,7 +199,7 @@ def test_write_pla_examples():
     empty = write_pla([], 3)
     assert ".p 0" in empty
 
-    tagged = write_pla([TaggedCube(pair("1x1"), 0b101)], 3, outputs=3)
+    tagged = write_pla([(pair("1x1"), 0b101)], 3, outputs=3)
     assert "1-1 101" in tagged
 
 
@@ -208,14 +207,14 @@ def test_write_pla_rejects_a_cube_of_another_width():
     # '.i 4' above '10- 1' would not parse back
     with pytest.raises(ValueError, match=r"^\(0b11, 0b101\) is not a cube over 4 inputs$"):
         write_pla([pair("10x")], 4)
-    tagged = TaggedCube(pair("10x"), 0b1)
+    tagged = (pair("10x"), 0b1)
     with pytest.raises(ValueError, match=r"^\(0b11, 0b101\) is not a cube over 4 inputs$"):
         write_pla([tagged], 4, outputs=2)
 
 
 def test_write_pla_rejects_a_tag_past_the_outputs():
     # output 3 of 3 would be written as a line on for no output
-    tagged = TaggedCube(pair("10x"), 0b1001)
+    tagged = (pair("10x"), 0b1001)
     with pytest.raises(ValueError, match=r"^10x_\{0,3\} names an output outside the 3 outputs$"):
         write_pla([tagged], 3, outputs=3)
 
@@ -224,7 +223,7 @@ def test_write_pla_rejects_labels_that_do_not_number_the_outputs():
     # '.o 1' under '.ob a b' would not parse back
     with pytest.raises(ValueError, match="^ob names 2 outputs but the cover has 1$"):
         write_pla([pair("10x")], 3, ob=("a", "b"))
-    tagged = TaggedCube(pair("10x"), 0b1)
+    tagged = (pair("10x"), 0b1)
     with pytest.raises(ValueError, match="^ob names 1 outputs but the cover has 2$"):
         write_pla([tagged], 3, outputs=2, ob=("a",))
     # '.ob a b' names two outputs, '.ob ' none, and '.ob x#y' the one 'x'
@@ -237,7 +236,7 @@ def test_write_pla_rejects_labels_that_do_not_number_the_outputs():
 
 def test_write_pla_rejects_an_empty_tag():
     # the line '10- 00' would read back on for no output: the cube is lost
-    tagged = TaggedCube(pair("10x"), 0)
+    tagged = (pair("10x"), 0)
     with pytest.raises(ValueError, match=r"^10x_\{\} names no output$"):
         write_pla([tagged], 3, outputs=2)
 
@@ -257,13 +256,13 @@ def test_write_pla_rejects_counts_parse_pla_cannot_read():
 def test_write_pla_checks_every_pair_of_a_repeated_tag():
     # each tag's output part is built once, but every item's pair is
     # still checked, in order: the second item of tag {0} is 2 wide
-    first = TaggedCube(pair("10x"), 0b01)
-    narrow = TaggedCube(pair("10"), 0b01)
+    first = (pair("10x"), 0b01)
+    narrow = (pair("10"), 0b01)
     message = r"^\(0b1, 0b10\) is not a cube over 3 inputs$"
     with pytest.raises(ValueError, match=message):
         write_pla([first, narrow], 3, outputs=2)
     # that pair comes before a tag past the outputs, and is the one named
-    past = TaggedCube(pair("11x"), 0b100)
+    past = (pair("11x"), 0b100)
     with pytest.raises(ValueError, match=message):
         write_pla([first, narrow, past], 3, outputs=2)
 

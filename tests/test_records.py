@@ -1,4 +1,4 @@
-"""Value semantics of the nine record classes, which share
+"""Value semantics of the eight record classes, which share
 ``bitcube.Record``: equality within one class, hashing, ``repr``,
 immutability, ``BitVec`` ordering, pickling and copying, and the
 ``__post_init__`` hook through which constructions are counted."""
@@ -16,7 +16,6 @@ from primecover import (
     Cube,
     DiSet,
     MultiFunction,
-    TaggedCube,
     TruthTable,
     minterm_to_cube,
     text_cube,
@@ -36,7 +35,6 @@ RECORDS = [
         CoverReport((5,), ((0, 8),), ((1, 2),)),
         "CoverReport(missing=(5,), off_conflicts=((0, 8),), removable_literals=((1, 2),))",
     ),
-    (TaggedCube((6, 3), 5), "TaggedCube(pair=(6, 3), tag=5)"),
     (
         MultiFunction(2, 2, (1, 2), (0, 4), "f", ("a", "b")),
         "MultiFunction(n=2, m=2, on=(1, 2), dc=(0, 4), name='f', labels=('a', 'b'))",
@@ -62,7 +60,6 @@ FIELDS = {
     Cube: ("left", "right"),
     CoverResult: ("cubes", "iterations"),
     CoverReport: ("missing", "off_conflicts", "removable_literals"),
-    TaggedCube: ("pair", "tag"),
     MultiFunction: ("n", "m", "on", "dc", "name", "labels"),
     _RawPla: ("n", "m", "type_", "groups", "ob"),
     DiSet: ("elements", "comparisons", "absorptions"),
@@ -96,7 +93,6 @@ def test_equality_holds_within_one_class_only(record):
 
 def test_equal_fields_in_another_class_are_not_equal():
     assert BitVec(3, 5) != TruthTable(3, 5)
-    assert TaggedCube((6, 3), 5) != CoverResult((6, 3), 5)
 
 
 @pytest.mark.parametrize("record", FROZEN, ids=_ids(FROZEN))
