@@ -19,10 +19,11 @@ and ``Cube`` among them, value equality,
 truth table is one 2^n-bit int with bit v set for the minterm of value
 v: ``cube_points`` gives a cube's, ``table_of`` a cube list's,
 ``table_cover`` covers one by cubes inside it and ``raisable_literals``
-tests a cube's literals against one.  ``cube_points``, ``table_cover``
-and ``raisable_literals`` each grow or test a cube with one mirror
-shift per position: the cube's points shifted by 2^p towards the other
-value of position p.
+tests a cube's literals against one.  ``table_cover`` and
+``raisable_literals`` each grow or test a cube with one mirror shift
+per position: the cube's points shifted by 2^p towards the other value
+of position p.  ``cube_points`` multiplies two cached subset tables,
+one for the cube's free positions in the low byte and one for the rest.
 
 Convention: the leftmost character of any text form is the most
 significant bit, so printed values read like product terms over
@@ -252,14 +253,27 @@ def free_subsets(free: int) -> Iterator[int]:
             return
 
 
+# peeling costs one pass over the int per set bit, the text scan one pass
+# in all plus one ``rfind`` per bit: up to 32 bits at random positions,
+# peeling was the faster at every width from 2^7 to 2^16 bits
+_SPARSE = 32
+
+
 def set_bits(x: int) -> list[int]:
-    """Positions of the set bits of ``x >= 0``, ascending.  One scan of
-    the binary text, which finds the bits of a wide int faster than
-    peeling them off one at a time; ``bin`` writes that text faster
-    than ``format``."""
+    """Positions of the set bits of ``x >= 0``, ascending.  A sparse int
+    has its bits peeled off from the top, each ``x.bit_length()`` and
+    one XOR that also shortens ``x``; a dense one is read in one scan of
+    its binary text, which ``bin`` writes faster than ``format``."""
+    out = []
+    if x.bit_count() <= _SPARSE:
+        while x:
+            top = x.bit_length() - 1
+            out.append(top)
+            x ^= 1 << top
+        out.reverse()
+        return out
     bits = bin(x)
     top = len(bits) - 1
-    out = []
     i = bits.rfind("1")
     while i >= 0:
         out.append(top - i)
@@ -298,17 +312,47 @@ def cube_contains(c: Cube, d: Cube) -> bool:
     return (d.left.value & ~c.left.value) == 0 and (d.right.value & ~c.right.value) == 0
 
 
-def cube_points(left: int, right: int) -> int:
-    """Truth table of the cube given by its ``(left, right)`` pair
-    values: bit v is set when the minterm of value v lies in it."""
-    free = left & right
-    points = 1 << (right ^ free)
+def _subset_table(free: int) -> int:
+    """The int with bit s set for every subset s of the set bits of
+    ``free``: one shift-OR per set bit, each doubling the table."""
+    table = 1
     while free:
         low = free & -free
-        # the free position of weight ``low`` doubles the points, ``low`` apart
-        points |= points << low
+        table |= table << low
         free ^= low
-    return points
+    return table
+
+
+# the subset tables of the free masks within the low byte, 11 KB
+_LOW = [_subset_table(f) for f in range(256)]
+
+
+class _HighTables(dict):
+    """Per high byte h of a free mask, the subset table of ``h << 8``,
+    built on first use.  Only h < 256 (16 inputs) is kept, so this holds
+    at most 256 tables, 1.1 MB; a wider mask's is built each time."""
+
+    def __missing__(self, h: int) -> int:
+        table = _subset_table(h << 8)
+        if h < 256:
+            self[h] = table
+        return table
+
+
+_HIGH = _HighTables()
+
+
+def cube_points(left: int, right: int) -> int:
+    """Truth table of the cube given by its ``(left, right)`` pair
+    values: bit v is set when the minterm of value v lies in it.
+
+    Its points are the subsets of its free mask shifted by its lowest
+    point.  The subsets of the low byte and of the rest are disjoint bit
+    sets, so every sum of one of each is their OR and no two sums
+    coincide: the subset table of the whole mask is the product of the
+    two tables, with no carries."""
+    free = left & right
+    return _LOW[free & 255] * _HIGH[free >> 8] << (right ^ free)
 
 
 def table_of(pairs: Iterable[tuple[int, int]]) -> int:
@@ -438,13 +482,17 @@ def cube_text(c: Cube) -> str:
     return pair_text(c.left.value, c.right.value)
 
 
+def _not_a_cube(left: int, right: int, n: int) -> ValueError:
+    return ValueError(f"({left:#b}, {right:#b}) is not a cube over {n} inputs")
+
+
 def check_pairs(pairs: Iterable[tuple[int, int]], n: int) -> None:
     """Raise ``ValueError`` naming the first of ``pairs`` that is not a
     cube over ``n`` inputs."""
     full = _mask(n)
     for left, right in pairs:
         if left | right != full:
-            raise ValueError(f"({left:#b}, {right:#b}) is not a cube over {n} inputs")
+            raise _not_a_cube(left, right, n)
 
 
 def tagged_text(pair: tuple[int, int], tag: int) -> str:
@@ -459,9 +507,12 @@ def check_items(items: Iterable[tuple[tuple[int, int], int]], n: int, m: int) ->
     whose pair is not a cube over ``n`` inputs or whose tag names no
     output or one outside the ``m`` outputs.  Each pair is checked in
     order, each distinct tag the first time it appears."""
+    full = _mask(n)
     tags = set()
     for pair, tag in items:
-        check_pairs((pair,), n)
+        left, right = pair
+        if left | right != full:
+            raise _not_a_cube(left, right, n)
         if tag not in tags:
             if tag < 0 or tag >> m:
                 raise ValueError(

@@ -99,7 +99,21 @@ def _best_pi(v: int, off: int, n: int) -> tuple[int, tuple[int, int]]:
 
 def _lightest(live: Sequence[int]) -> int | None:
     """The minterm held by the fewest of the tables, ties to the smallest
-    value; None when every table is empty."""
+    value; None when every table is empty.
+
+    Most origins are held by one table: one fold into the minterms in at
+    least one table and those in at least two, two operations per table,
+    finds them, and only when none is held exactly once are the levels
+    of the other weights rebuilt."""
+    ones = twos = 0
+    for points in live:
+        twos |= ones & points
+        ones |= points
+    once = ones ^ twos
+    if once:
+        return (once & -once).bit_length() - 1
+    if not ones:
+        return None
     m = len(live)
     # reach[k]: the minterms in at least k of the tables read so far
     reach = [-1] + [0] * (m + 1)

@@ -66,6 +66,19 @@ def reference_raise_literal(c: Cube, pos: int) -> Cube:
     return Cube(BitVec(c.width, c.left.value | bit), BitVec(c.width, c.right.value | bit))
 
 
+def reference_cube_points(left: int, right: int) -> int:
+    """``bitcube.cube_points`` as it ran before its subset tables: from
+    the cube's lowest point, each free position, lowest first, doubles
+    the points with a copy shifted by its weight."""
+    free = left & right
+    points = 1 << (right ^ free)
+    while free:
+        low = free & -free
+        points |= points << low
+        free ^= low
+    return points
+
+
 def reference_table_cover(points: int, n: int) -> list[tuple[int, int]]:
     """``bitcube.table_cover`` as it ran on a memo of per-free-mask tables.
 

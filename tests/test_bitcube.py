@@ -1,14 +1,31 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from primecover import BitVec, Cube, cube_contains, cube_text, minterm_to_cube, text_cube
-from primecover.bitcube import cube_points, raisable_literals, set_bits, table_cover
+from primecover import (
+    BitVec,
+    Cube,
+    cube_contains,
+    cube_text,
+    direct_cover,
+    minterm_to_cube,
+    parse_pla,
+    text_cube,
+)
+from primecover.bitcube import (
+    _HIGH,
+    _SPARSE,
+    cube_points,
+    raisable_literals,
+    set_bits,
+    table_cover,
+)
 from helpers import (
     bv,
     enumerate_all_cubes,
+    reference_cube_points,
     reference_intersects,
     reference_raise_literal,
     reference_table_cover,
@@ -174,6 +191,43 @@ def test_cube_points_matches_the_cube_minterms_exhaustive():
 
 
 @st.composite
+def wide_pairs(draw) -> tuple[int, int]:
+    """A cube over 9-16 inputs, as its ``(left, right)`` pair, with free
+    positions both below bit 8 and at or above it."""
+    n = draw(st.integers(9, 16))
+    low = draw(st.integers(1, 255))
+    high = draw(st.integers(1, (1 << (n - 8)) - 1))
+    free = draw(st.integers(0, (1 << n) - 1)) | low | high << 8
+    base = draw(st.integers(0, (1 << n) - 1)) & ~free
+    return ((1 << n) - 1) ^ base, base | free
+
+
+@settings(deadline=None)
+@given(wide_pairs())
+def test_cube_points_match_the_reference_across_the_high_byte(pair):
+    assert cube_points(*pair) == reference_cube_points(*pair)
+
+
+def test_cube_points_keep_at_most_256_high_byte_tables():
+    # one sparse 16-input function frees positions in many high bytes
+    rng = random.Random(16)
+    rows = []
+    for v in range(1 << 16):
+        x = rng.random()
+        if x < 0.1:
+            rows.append(f"{v:016b} {int(x < 0.05)}")
+    f = parse_pla("\n".join([".i 16", ".o 1", ".type fr", *rows, ".e"]))
+    direct_cover(f)
+    assert 0 < len(_HIGH) <= 256
+    assert max(_HIGH) < 256
+    # above 16 inputs a high byte's table is built for the call, not kept
+    full = (1 << 18) - 1
+    assert cube_points(full, full) == (1 << (1 << 18)) - 1
+    assert cube_points(full ^ 1, full) == reference_cube_points(full ^ 1, full)
+    assert max(_HIGH) < 256
+
+
+@st.composite
 def truth_tables(draw) -> tuple[int, int]:
     """(points, n) over 1-8 variables; the empty and the full table are
     drawn as often as any random one."""
@@ -241,7 +295,19 @@ def wide_ints() -> st.SearchStrategy[int]:
     )
 
 
+def spread(k: int) -> int:
+    """A 2^16-bit int with k set bits spread over it, the top one its
+    last bit."""
+    top = (1 << 16) - 1
+    return sum(1 << (top - i * (top // k)) for i in range(k))
+
+
 @settings(deadline=None)
 @given(wide_ints())
+# both sides of the switch from peeling bits to scanning the text
+@example(0)
+@example(spread(1))
+@example(spread(_SPARSE))
+@example(spread(_SPARSE + 1))
 def test_set_bits_match_the_bit_by_bit_scan(x):
     assert set_bits(x) == [i for i in range(x.bit_length()) if x >> i & 1]

@@ -420,6 +420,11 @@ def output_tables(draw) -> tuple[int, list[int]]:
 
 @example((0, [0, 0]))
 @example((8, [0] * 8))
+# no minterm held by exactly one table: the levels are rebuilt, and the
+# lightest is minterm 1 (two tables) before minterm 0 (three), then
+# minterm 1 and 3 (two each) by value
+@example((2, [0b011, 0b011, 0b001]))
+@example((2, [0b1010, 0b1010, 0, 0]))
 @given(output_tables())
 def test_lightest_takes_the_fewest_tables_then_the_smallest_minterm(case):
     n, live = case
