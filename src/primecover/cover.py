@@ -8,19 +8,15 @@ lexicographically smallest cube text.  So a cover depends only on the
 function's on and off points: not on the order or the split of its
 on-cubes, nor on how its off-set is listed.
 
-One greedy loop serves every input count; the regime sets only where
-the uncovered set lives and where an origin's primes and their points
-come from.  Up to ``TABLE_CAP`` inputs the loop and ``verify_cover`` run
-on the function's 2^n-bit on and off truth tables: an origin's primes
-are the corners ``prime_corners`` sets on the off table, each scored
-where it is found by one AND of its points with the uncovered table;
-an off-set test is one AND, and a literal's primality test one mirror
-shift and one AND.  Above the cap an origin's primes are the ones
-``prime_pairs`` folds from the off-set, the on-set is a sliced minterm
-list and the off-set a sliced cube list (``bitcube.Slices``), queried
-one AND per literal.  A function is read as its ``(left, right)`` pairs
-and tables, and a cover is the pairs it commits, checked by the routine
-tagged covers share.
+Up to ``TABLE_CAP`` inputs the loop and ``verify_cover`` run on the
+function's 2^n-bit on and off truth tables: an origin's primes are the
+free masks ``prime_table`` sets on the off table, an off-set test is one
+AND, and a literal's primality test one mirror shift and one AND.
+Above the cap an origin's primes are the ones ``prime_pairs`` folds
+from the off-set, and the on-set and the off-set are sliced lists
+(``bitcube.Slices``), queried one AND per literal.  A cover is the
+``(left, right)`` pairs it commits, checked by the routine tagged
+covers share.
 """
 
 from __future__ import annotations
@@ -43,7 +39,7 @@ from .bitcube import (
 )
 from .errors import EmptyOnset
 # generate_spi stays importable here: perfbench/tracing.py wraps it by name
-from .pi_gen import generate_spi, prime_corners, prime_pairs  # noqa: F401
+from .pi_gen import generate_spi, prime_pairs, prime_table  # noqa: F401
 from .pla_io import TABLE_CAP, LogicFunction
 from .reduced_offset import OffPairs
 
@@ -99,17 +95,14 @@ def direct_cover(f: LogicFunction) -> CoverResult:
     One greedy loop: the origin is the lowest set bit of the uncovered
     mask, and of the primes through it the one holding the most uncovered
     on-minterms is committed, a tie going to the smaller free mask:
-    cube-text order for primes through one origin.  The regime sets only
-    where the uncovered set lives and where an origin's primes and their
-    points come from.  Up to ``TABLE_CAP`` inputs the uncovered set is
-    the on table, so an origin's bit is its minterm value; its primes
-    are the cubes with free positions ``p ^ y`` for the corners y
-    ``prime_corners`` sets on the off table, and a prime's points are
-    its ``cube_points``.  Above the cap bit i stands for the i-th
-    ascending on-minterm, so the lowest bit is again the lowest value;
-    every origin folds the off-set's ``OffPairs``, converted once, and a
-    prime's points are the sliced on-minterms it meets.  A
-    ``LogicFunction`` is consistent, so no origin lies in the off-set.
+    cube-text order for primes through one origin.  Up to ``TABLE_CAP``
+    inputs bit v of the uncovered mask is the minterm of value v, an
+    origin's primes are the free masks of its ``prime_table`` and a
+    prime's points its ``cube_points``.  Above the cap bit i stands for
+    the i-th ascending on-minterm, an origin's primes are folded from
+    the off-set's ``OffPairs``, converted once, and a prime's points are
+    the sliced on-minterms it meets.  A ``LogicFunction`` is consistent,
+    so no origin lies in the off-set.
     """
     if not f.on_pairs:
         raise EmptyOnset("the on-set is empty")
@@ -119,8 +112,8 @@ def direct_cover(f: LogicFunction) -> CoverResult:
         values: Sequence[int] = range(1 << n)
         off_table = f.off_table
 
-        def corners(p: int) -> list[int]:
-            return set_bits(prime_corners(p, off_table, n))
+        def frees(p: int) -> list[int]:
+            return set_bits(prime_table(p, off_table, n))
 
         points_of = cube_points
     else:
@@ -128,8 +121,8 @@ def direct_cover(f: LogicFunction) -> CoverResult:
         uncovered = (1 << len(values)) - 1
         off = OffPairs(f.off_pairs)
 
-        def corners(p: int) -> list[int]:
-            return [p ^ (left & right) for left, right in prime_pairs(BitVec(n, p), off)]
+        def frees(p: int) -> list[int]:
+            return [left & right for left, right in prime_pairs(BitVec(n, p), off)]
 
         # Slices puts index 0 at the top bit, so bit i is values[i]
         points_of = Slices.of_minterms(values[::-1], n).meets
@@ -139,11 +132,12 @@ def direct_cover(f: LogicFunction) -> CoverResult:
         p = values[(uncovered & -uncovered).bit_length() - 1]
         rest = full ^ p
         best = best_free = best_points = -1
-        for y in corners(p):
-            free = p ^ y
+        # both regimes list the free masks ascending, so the first of
+        # equal counts has the smaller free mask
+        for free in frees(p):
             points = points_of(rest | free, p | free)
             count = (points & uncovered).bit_count()
-            if count > best or count == best and free < best_free:
+            if count > best:
                 best, best_free, best_points = count, free, points
         chosen.append((rest | best_free, p | best_free))
         uncovered &= ~best_points
@@ -227,13 +221,9 @@ def verify_cover(
     that intersects, the off-cube one of ``f.off_pairs``; and
     ``removable_literals`` each ``(cube, position)`` whose literal can be
     raised while the cube misses the off-set.  Raises ``ValueError`` for
-    a pair that is not a cube over ``f.n`` inputs.
-
-    Up to ``TABLE_CAP`` inputs the checks are ``_check_tables`` on the
-    function's on and off tables, and the missing minterms are the set
-    bits of the uncovered table.  Above the cap the on-minterms and the
-    off-cubes are sliced and queried, one off-set query per cube and per
-    raised literal.
+    a pair that is not a cube over ``f.n`` inputs.  Up to ``TABLE_CAP``
+    inputs the checks run in ``_check_tables``; above it the on-minterms
+    and the off-cubes are sliced and queried.
     """
     pairs = list(cover.cubes) if isinstance(cover, CoverResult) else list(cover)
     n = f.n

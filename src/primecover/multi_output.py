@@ -6,42 +6,31 @@ weight is its size.  The loop's state is one 2^n-bit truth table per
 output, of the minterms still to be covered for it, starting from the
 function's on tables: a minterm's tag is the outputs whose table holds
 it, a candidate covers the points of its cube in the AND of its tag's
-tables, and committing a cube clears its points from those tables.
+tables, and committing a cube clears its points from those tables, so
+no item is committed twice.
 
-The loop always picks the uncovered minterm with the lightest current
-tag (ties by minterm value), read from the tables: the minterms in
-exactly k of them are those in at least k and not in k + 1, and the
-origin is the lowest minterm of the first such set that is not empty.
-It builds the joint sub-function of exactly those outputs (off-set:
-minterms where the AND of the tagged output columns is 0, don't cares
-counting as 1), and generates its prime implicants.  The off-set is the
-OR of the tagged outputs' off tables, built with the tag's outputs once
-per tag and call, on the first origin or neighbour that needs it.  An
-origin reads its primes straight from that table with ``table_pairs``,
-the corners ``prime_corners`` sets, with no off-cover, no fold and no
-clause expansion.  Candidates are ``(left, right)`` pairs in cube-text
-order, and the cover is the list of committed ``(pair, tag)`` items,
-the form ``bitcube.check_items`` guards and ``bitcube.tagged_text``
-renders.  Committing an item clears its points from its tag's tables,
-so no item is committed twice.
+The origin is the uncovered minterm with the lightest current tag,
+ties to the smallest value.  Its candidates are the primes of the joint
+sub-function of its tag, whose off-set, the OR of the tagged outputs'
+off tables (a don't care counts as 1), is built once per tag and call.
+``table_pairs`` reads them from that table in cube-text order, with no
+off-cover, no fold and no clause expansion; an origin with one prime
+commits it at once.  The cover is the list of committed ``(pair, tag)``
+items, the form ``bitcube.check_items`` guards.
 
 A candidate dominates when its mask, the points it covers of the
 minterms still to be covered for the whole tag, holds every other
 candidate's strictly: exactly when it equals the union of the masks and
-no other mask does.  When no candidate dominates, the decision falls to
-neighbor lookahead.  The neighbors of the origin are the minterms
-covered by some candidate but not all of them.  Committing a candidate
-consumes the neighbors it covers; each stranded neighbor still offers
-its own joint sub-function, whose best prime implicant we rate by
-literal count (fewer literals, bigger cube, better).  A neighbor's
-primes are read the same way, from its tag's joint off table by
-``prime_corners``.  The candidate whose surviving neighbor
-offers the best such implicant wins, and that neighbor's implicant is
-committed alongside it, carrying the neighbor's possibly larger tag.
-The neighbors are grouped into one table per literal count of their
-best implicant, so a candidate's rating is the first such level its
-mask does not hold, one AND per level, and the neighbor committed is
-the lowest bit that level leaves.
+no other mask does.  Otherwise neighbour lookahead decides.  The
+neighbours are the minterms some candidates cover and others do not;
+each offers the fewest-literal prime of its own tag's sub-function, the
+lowest free mask of the heaviest weight layer its ``implicant_table``
+meets.  The candidate stranding the neighbour with the best such prime
+wins, and that prime is committed alongside it with the neighbour's
+tag.  The neighbours are grouped into one table per literal count, so
+a candidate's rating is the first level its mask does not hold, one AND
+per level, and the neighbour committed is the lowest bit that level
+leaves.
 """
 
 from __future__ import annotations
@@ -56,7 +45,7 @@ from .cover import CoverReport, _check_tables, _joint, _TagTables
 from .cover import coverage_mask  # noqa: F401
 from .errors import EmptyOnset
 from .pi_gen import generate_spi  # noqa: F401
-from .pi_gen import prime_corners, table_pairs
+from .pi_gen import _MASKS, implicant_table, table_pairs
 from .pla_io import MultiFunction
 
 
@@ -82,19 +71,15 @@ def _best_pi(v: int, off: int, n: int) -> tuple[int, tuple[int, int]]:
     """The prime covering the minterm of value ``v`` with the fewest
     literals, ties to the smallest cube text, as that literal count and
     its ``(left, right)`` pair; ``off`` is the 2^n-bit off table, which
-    must not hold ``v``.
-
-    Each corner y that ``prime_corners`` sets is the prime with free
-    positions ``v ^ y``: the most free positions give the fewest
-    literals, and through one minterm the smaller free mask is the
-    smaller cube text."""
-    most = best_free = -1
-    for y in set_bits(prime_corners(v, off, n)):
-        free = v ^ y
-        count = free.bit_count()
-        if count > most or count == most and free < best_free:
-            most, best_free = count, free
-    return n - most, ((((1 << n) - 1) ^ v) | best_free, v | best_free)
+    must not hold ``v``.  The implicants with the most free positions,
+    the heaviest weight layer ``implicant_table`` meets, are prime, and
+    through one minterm the lowest free mask is the smallest cube text."""
+    good = implicant_table(v, off, n)
+    for count, layer in enumerate(_MASKS[n][2]):
+        frees = good & layer
+        if frees:
+            free = (frees & -frees).bit_length() - 1
+            return count, ((((1 << n) - 1) ^ v) | free, v | free)
 
 
 def _lightest(live: Sequence[int]) -> int | None:
@@ -137,9 +122,11 @@ def edsa_minimize(f: MultiFunction) -> list[tuple[tuple[int, int], int]]:
     outputs = range(len(live))
 
     def tag_of(v: int) -> int:
+        # ANDing one bit reads a table's low digits; a shift would copy it
+        bit = 1 << v
         tag = 0
         for j in outputs:
-            if live[j] >> v & 1:
+            if live[j] & bit:
                 tag |= 1 << j
         return tag
 
@@ -150,20 +137,27 @@ def edsa_minimize(f: MultiFunction) -> list[tuple[tuple[int, int], int]]:
     # its joint off table, each built once
     per_tag = _TagTables(f.off)
 
-    def commit(pair: tuple[int, int], tag: int) -> None:
+    def commit(pair: tuple[int, int], tag: int, points: int) -> None:
+        # points: the pair's cube_points, cleared from the tag's tables
         committed.append((pair, tag))
-        keep = ~cube_points(*pair)
+        keep = ~points
         for j in per_tag[tag][0]:
             live[j] &= keep
 
     while (origin_value := _lightest(live)) is not None:
         tag = tag_of(origin_value)
-        pis = table_pairs(BitVec(n, origin_value), per_tag[tag][1])
+        outputs_of_tag, tag_off = per_tag[tag]
+        pis = table_pairs(BitVec(n, origin_value), tag_off)
+        if len(pis) == 1:
+            # one prime covers the origin: it is committed whatever it holds
+            commit(pis[0], tag, cube_points(*pis[0]))
+            continue
         # the minterms still to be covered for every output of the tag
         universe = -1
-        for j in per_tag[tag][0]:
+        for j in outputs_of_tag:
             universe &= live[j]
-        masks = [cube_points(left, right) & universe for left, right in pis]
+        points = [cube_points(left, right) for left, right in pis]
+        masks = [r & universe for r in points]
         union = 0
         inter = universe
         for r in masks:
@@ -171,7 +165,8 @@ def edsa_minimize(f: MultiFunction) -> list[tuple[tuple[int, int], int]]:
             inter &= r
         # the dominant candidate: its mask alone is the union
         if masks.count(union) == 1:
-            commit(pis[masks.index(union)], tag)
+            i = masks.index(union)
+            commit(pis[i], tag, points[i])
             continue
         # the neighbours, minterms some candidates cover and others do
         # not, each with its best prime and, per literal count ascending,
@@ -196,12 +191,13 @@ def edsa_minimize(f: MultiFunction) -> list[tuple[tuple[int, int], int]]:
             key = (quality, -mask.bit_count())
             if best_key is None or key < best_key:
                 best_key, i, strands = key, k, stranded
-        commit(pis[i], tag)
+        commit(pis[i], tag, points[i])
         # the stranded neighbour with the fewest literals, ties to the
         # smallest value: the lowest the winner strands at its quality
         if strands:
             nv = (strands & -strands).bit_length() - 1
-            commit(best_by_neighbor[nv], tag_of(nv))
+            pair = best_by_neighbor[nv]
+            commit(pair, tag_of(nv), cube_points(*pair))
     return committed
 
 

@@ -21,13 +21,14 @@ gives the primes as ``Cube``s for a listed off-set; ``generate_n``,
 ``cross_or`` and ``vectors_to_pis`` expose the expansion's steps on
 ``BitVec``s.
 
-Up to the table cap ``prime_corners`` finds the same primes without
-indicators, from the off-set given as one 2^n-bit truth table: 2n masked
-shift-ORs over the table per minterm, with the masks cached per input
-count, leave one table with a bit set per prime.  ``direct_cover``, the
-multi-output origins and the multi-output lookahead all read their
-primes there; ``table_pairs`` lists them as pairs in cube-text order,
-as ``prime_pairs`` does, for the origins.
+Up to the table cap ``prime_table`` finds the same primes without
+indicators, from the off-set as one 2^n-bit truth table: 2n masked
+shifts per minterm, the masks cached per input count, leave a table
+indexed by free mask, bit F set when the cube through the minterm with
+free positions F is prime; the first n alone, ``implicant_table``,
+leave the implicants.  ``direct_cover`` and, through ``table_pairs``,
+the multi-output origins read the primes; the multi-output lookahead
+reads the implicants.
 """
 
 from __future__ import annotations
@@ -170,17 +171,17 @@ def prime_pairs(P: BitVec, off: OffPairs) -> list[tuple[int, int]]:
     return [(full ^ (p & e), p | (full ^ e)) for e in sorted(vectors, reverse=True)]
 
 
-# per input count n: the 2^n-bit table of every value, and for each
-# position i, 2^i and the table of the values with bit i clear
-_TABLE_MASKS: dict[int, tuple[int, list[tuple[int, int]]]] = {}
+class _Masks(dict):
+    """Per input count n, built on first use: the 2^n-bit table of every
+    value; per position i, 2^i and the table of the values with bit i
+    clear; and per weight k, from n down to 0, the table of the values
+    with k set bits, built a position at a time: a value with bit i set
+    has one bit more than the value 2^i below it."""
 
-
-def _table_masks(n: int) -> tuple[int, list[tuple[int, int]]]:
-    masks = _TABLE_MASKS.get(n)
-    if masks is None:
+    def __missing__(self, n: int) -> tuple[int, list[tuple[int, int]], list[int]]:
         size = 1 << n
-        everything = (1 << size) - 1
         per_bit = []
+        layers = [1]
         for i in range(n):
             step = 1 << i
             low = (1 << step) - 1
@@ -189,64 +190,59 @@ def _table_masks(n: int) -> tuple[int, list[tuple[int, int]]]:
                 low |= low << period
                 period *= 2
             per_bit.append((step, low))
-        masks = _TABLE_MASKS[n] = (everything, per_bit)
-    return masks
+            layers = [a | b << step for a, b in zip(layers + [0], [0] + layers)]
+        masks = self[n] = ((1 << size) - 1, per_bit, layers[::-1])
+        return masks
+
+
+_MASKS = _Masks()
 
 
 def table_pairs(P: BitVec, off: int) -> list[tuple[int, int]]:
     """``prime_pairs`` for an off-set given as the 2^n-bit table ``off``
-    (bit v set when the minterm of value v is off, n the width of ``P``):
-    the primes covering ``P`` as ``(left, right)`` pair values in
-    cube-text order, with no indicators, no fold and no clause expansion;
-    the universal cube for an empty table.  Raises
-    ``InconsistentFunction`` when P is off.
-
-    Each corner y that ``prime_corners`` sets is the prime with free
-    positions ``p ^ y``, and through one minterm the smaller free mask is
-    the smaller cube text.
+    (bit v set when the minterm of value v is off, n the width of ``P``),
+    with no indicators, no fold and no clause expansion: the set bits of
+    ``prime_table``, ascending, are the primes' free masks in cube-text
+    order.  Raises ``InconsistentFunction`` when P is off, which leaves
+    no prime.
     """
     p, n = P.value, P.width
-    if off >> p & 1:
+    frees = set_bits(prime_table(p, off, n))
+    if not frees:
         raise InconsistentFunction(f"minterm {P} is in the off table")
     rest = ((1 << n) - 1) ^ p
-    return [
-        (rest | free, p | free)
-        for free in sorted([p ^ y for y in set_bits(prime_corners(p, off, n))])
-    ]
+    return [(rest | free, p | free) for free in frees]
 
 
-def prime_corners(p: int, off: int, n: int) -> int:
-    """The primes covering the minterm of value ``p`` as one 2^n-bit
-    table: bit y is set when the cube through p with free positions
-    ``p ^ y`` is prime, where bit v of ``off`` is set when the minterm
-    of value v is off.  ``p`` must not be off.
+def implicant_table(p: int, off: int, n: int) -> int:
+    """The implicants through the minterm of value ``p`` as a 2^n-bit
+    table indexed by free mask: bit F is set when the cube through p with
+    free positions F misses the off table ``off``; 0 when p is off.
 
-    The cube through p with free positions F misses the off-set exactly
-    when no off point z has ``p ^ z`` inside F.  The first pass closes
-    the off points away from p, one masked shift-OR per position (up
-    where p has a 0, down where it has a 1): it sets bit y when some off
-    point z has ``p ^ z`` inside ``p ^ y``, so it leaves clear exactly
-    the points y whose cube with free positions ``p ^ y`` misses the
-    off-set.  The primes are the maximal ones, those from which every
-    one-step move away from p lands on a closed point; the second pass
-    marks, one masked shift per position, the points one step nearer p
-    than a clear point.  This is the sum-over-subsets pass (Yates, 1937)
-    on a 2^n-bit int.  ``direct_cover``, the multi-output origins
-    (through ``table_pairs``) and the lookahead neighbours read their
-    primes here; ``prime_pairs`` expands indicators instead, above the
-    table cap.
+    The cube misses the off-set when no off point z has ``p ^ z`` inside
+    F.  One masked shift-OR per position, the sum-over-subsets pass
+    (Yates, 1937), closes the off points, each relabelled ``p ^ z`` by a
+    swap of the table's halves where p has a 1, up to their supersets.
     """
-    everything, per_bit = _table_masks(n)
+    everything, per_bit, _ = _MASKS[n]
     for step, low in per_bit:
         if p & step:
-            off |= (off >> step) & low
+            h = (off >> step) & low
+            off = h | ((off | h) & low) << step
         else:
             off |= (off & low) << step
-    good = everything ^ off
+    return everything ^ off
+
+
+def prime_table(p: int, off: int, n: int) -> int:
+    """The primes through the minterm of value ``p`` as a 2^n-bit table
+    indexed by free mask, as ``implicant_table``; 0 when p is off.  The
+    primes are the implicants no one more free position keeps clear of
+    the off-set: one masked shift per position marks the masks one
+    position below an implicant.
+    """
+    good = implicant_table(p, off, n)
     blocked = 0
-    for step, low in per_bit:
-        if p & step:
-            blocked |= (good & low) << step
-        else:
-            blocked |= (good >> step) & low
+    for step, low in _MASKS[n][1]:
+        blocked |= (good >> step) & low
     return good & ~blocked

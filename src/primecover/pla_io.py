@@ -4,34 +4,28 @@ Supported directives: .i .o .p .ilb .ob .type .e/.end.  .i, .o, .p
 and .type take exactly one value, and .i, .o and .type come before the
 first cube line; a count is ASCII digits with an optional sign, .i and
 .o are at least 1, and .ilb must list .i labels.  Input-part
-characters are {0, 1, -}; an 'x' in a PLA file is
-rejected (the cube text alias applies to diagnostic output only).
-Output-part characters are {0, 1, -, ~}, read the same way for one
-output and for many: '1' marks the row on for that output, '0' marks it
-off under type fr/fdr and carries no information under f/fd, '-' is a
-don't care unless a care value marks the same point, and '~' carries no
-information.  A point no line marks is off under f/fd and a don't care
-under fr/fdr.  Only LF, CRLF and CR end a line.  Each cube line is
-scanned into its ``(left, right)`` pair values and checked once: an
-input part without '-' is read as one binary int, one with '-' by one
-translation per half.  The lines are grouped by output part, in file
-order, and an output part is checked when it opens its group.  A plain
-body, every cube line its input part, one whitespace character and its
-output part, is read in one block of calls over all its lines; any
+characters are {0, 1, -}; an 'x' in a PLA file is rejected (the cube
+text alias applies to diagnostic output only).  Output-part characters
+are {0, 1, -, ~}, read the same way for one output and for many: '1'
+marks the row on for that output, '0' marks it off under type fr/fdr
+and carries no information under f/fd, '-' is a don't care unless a
+care value marks the same point, and '~' carries no information.  A
+point no line marks is off under f/fd and a don't care under fr/fdr.
+Only LF, CRLF and CR end a line.  The cube lines are grouped by output
+part, in file order, and an output part is checked when it opens its
+group.  A plain body, every cube line its input part, one whitespace
+character and its output part, is read in one block of calls over all
+its lines, and one with no '-' keeps its rows as minterm values; any
 other body, and every fault, goes through the line-by-line loop, which
-names the line at fault.
+names the line at fault and reads each row into its ``(left, right)``
+pair values.
 
-Single-output files produce a ``LogicFunction`` holding its rows as
-pairs, with no ``Cube`` per row; its ``on``, ``off`` and ``dc`` cube
-tuples are built only when read.  Building one ``validate``s an fr/fdr
-file's listed off-set.  For types f and fd the off-set is derived,
-unchecked, on the 2^n-bit truth table: the complement of on plus dc is
-the function's off table, and its off-cubes, the ``bitcube.table_cover``
-of that table, are derived only when read.  Up to ``TABLE_CAP`` inputs
-a ``LogicFunction`` holds its on and off truth tables, and ``validate``,
-``direct_cover`` and ``verify_cover`` read them.  Multi-output files
-produce a ``MultiFunction`` of 2^n-bit on and don't-care tables, one per
-output, each group's points ORed into the tables its characters name.
+Single-output files produce a ``LogicFunction`` of pairs, with no
+``Cube`` per row; an fr/fdr file's listed off-set is ``validate``d, and
+an f/fd file's off table is the complement of on plus dc.  Multi-output
+files produce a ``MultiFunction`` of 2^n-bit output tables, each
+group's points ORed into the tables its characters name.  A group's
+table is one shift per minterm value, or the ``table_of`` of its pairs.
 Every 2^n-bit table stops at ``TABLE_CAP`` (16) inputs; only fr/fdr
 single-output files, which list their off-set, go past it, and there
 every step queries the listed pairs.
@@ -40,9 +34,9 @@ every step queries the listed pairs.
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import repeat
-from operator import xor
+from operator import lshift, or_, xor
 
 from .bitcube import (
     _LEFT_OF_CHAR,
@@ -72,19 +66,16 @@ class LogicFunction:
     don't-care cubes, held as ``(left, right)`` pair values.
 
     ``LogicFunction(n, on, off, dc, name=...)`` takes ``n >= 1`` and
-    ``Cube``s of width ``n``; ``parse_pla`` builds one from the pairs it
-    scans, with no ``Cube`` per row.  Either way only the pairs are
-    stored, and a listed off-set is ``validate``d, so every
-    ``LogicFunction`` is consistent.  ``on``, ``off`` and ``dc`` are
-    ``Cube`` tuples built on first read from ``on_pairs``, ``off_pairs``
-    and ``dc_pairs``.  A function parsed from an f/fd file lists no
-    off-set: its ``off_table`` is the complement of on plus dc, and its
-    ``off_pairs`` are the ``bitcube.table_cover`` of that table, derived
-    on first read.  ``labels`` holds the output label of a ``.ob`` line,
-    and is ``()`` for a function built by ``LogicFunction(...)``.
-    Equality, hashing and ``repr`` read ``n``, ``name`` and the pairs,
-    not ``labels``, so a parsed function equals the one built from the
-    same cubes.  Immutable.
+    ``Cube``s of width ``n``; ``parse_pla`` builds one with no ``Cube``
+    per row.  Either way only the pairs are stored, and a listed off-set
+    is ``validate``d, so every ``LogicFunction`` is consistent.  ``on``,
+    ``off`` and ``dc`` are ``Cube`` tuples of the pairs, built on first
+    read.  An f/fd file lists no off-set: its ``off_table`` is the
+    complement of on plus dc, and its ``off_pairs`` the ``table_cover``
+    of that table, derived on first read.  ``labels`` holds the labels
+    of a ``.ob`` line.  Equality, hashing and ``repr`` read ``n``,
+    ``name`` and the pairs, not ``labels``, so a parsed function equals
+    the one built from the same cubes.  Immutable.
     """
 
     def __init__(
@@ -296,7 +287,7 @@ _OUTPUT_CHARS = str.maketrans("", "", "01-~")
 class _RawPla(Record):
     """A scanned PLA file: its cube lines grouped by output part, each
     group the ``(left, right)`` pair values of its input parts in file
-    order."""
+    order, or for a plain body with no '-' its ``_Minterms``."""
 
     __slots__ = ("n", "m", "type_", "groups", "ob")
 
@@ -311,24 +302,40 @@ class _RawPla(Record):
         self.n, self.m, self.type_, self.groups, self.ob = n, m, type_, groups, ob
 
 
-def _plain_body(lines: list[str], n: int, m: int) -> dict[str, list[tuple[int, int]]] | None:
-    """The groups ``_scan``'s loop reads from ``lines``, the lines from
-    the first cube line on, when they are a plain body; None for any
-    other text, which the loop then reads line by line, naming the line
-    at fault if there is one.
+class _Minterms(list):
+    """A group of a plain body with no '-': its rows' minterm values."""
+
+
+def _table(rows: Sequence) -> int:
+    """Truth table of a group's rows, ``_Minterms`` or pairs."""
+    if isinstance(rows, _Minterms):
+        return reduce(or_, map(lshift, repeat(1), rows), 0)
+    return table_of(rows)
+
+
+def _pairs_of(rows: Sequence, n: int) -> Sequence[tuple[int, int]]:
+    """A group's rows as ``(left, right)`` pairs."""
+    if isinstance(rows, _Minterms):
+        return list(zip(map(xor, repeat((1 << n) - 1), rows), rows))
+    return rows
+
+
+def _plain_body(lines: list[str], n: int, m: int) -> dict[str, list] | None:
+    """The groups of ``lines``, the lines from the first cube line on,
+    when they are a plain body: the pairs ``_scan``'s loop reads, or
+    ``_Minterms`` when no row has a '-'; None for any other text, which
+    the loop then reads line by line, naming the line at fault if any.
 
     A plain body is the lines up to an optional final .e/.end, each an
     input part of n legal characters, one whitespace character and an
-    output part of m legal characters.  Each such line has n + 1 + m
-    characters, all in its two tokens but the separator, so a comment, a
-    directive, an illegal character or a blank or padded line shows as a
-    wrong length or an illegal character.  Three consecutive tokens, of
-    lengths n, m, n or m, n, m, would not fit in one line, so with twice
-    as many tokens as lines every line holds exactly two: the even
-    tokens are the input parts and the odd ones the output parts.  The
-    body is then read in a few calls over all of it: one ``split``, one
-    ``translate`` of the joined input parts, one ``int(part, 2)`` map
-    when no input part has a '-', and one grouping pass.
+    output part of m legal characters.  Such a line has n + 1 + m
+    characters, so a comment, a directive, an illegal character or a
+    blank or padded line shows as a wrong length or an illegal character;
+    and with twice as many tokens as lines every line holds exactly two,
+    since three consecutive tokens would not fit in one.  The body is then
+    read in a few calls over all of it: one ``split``, one ``translate``
+    of the joined input parts, one ``int(part, 2)`` map of the minterm
+    values when no part has a '-', and one grouping pass.
     """
     if lines[-1].strip() in (".e", ".end"):
         lines = lines[:-1]
@@ -341,23 +348,21 @@ def _plain_body(lines: list[str], n: int, m: int) -> dict[str, list[tuple[int, i
     joined = "".join(ins)
     if set(map(len, ins)) != {n} or joined.translate(_INPUT_CHARS):
         return None
-    groups: dict[str, list[tuple[int, int]]] = {}
     for out in dict.fromkeys(outs):
         if len(out) != m or out.translate(_OUTPUT_CHARS):
             return None
-        groups[out] = []
     if "-" in joined:
         lefts = map(int, map(str.translate, ins, repeat(_LEFT_OF_CHAR)), repeat(2))
         rights = map(int, map(str.translate, ins, repeat(_RIGHT_OF_CHAR)), repeat(2))
-        pairs = zip(lefts, rights)
+        rows, group = zip(lefts, rights), list
     else:
-        values = list(map(int, ins, repeat(2)))
-        pairs = zip(map(xor, repeat((1 << n) - 1), values), values)
+        rows, group = map(int, ins, repeat(2)), _Minterms
+    groups = {out: group() for out in dict.fromkeys(outs)}
     if len(groups) == 1:
-        groups[outs[0]] = list(pairs)
+        groups[outs[0]] = group(rows)
     else:
-        for out, pair in zip(outs, pairs):
-            groups[out].append(pair)
+        for out, row in zip(outs, rows):
+            groups[out].append(row)
     return groups
 
 
@@ -372,13 +377,15 @@ def _count(lineno: int, key: str, value: str) -> int:
     return count
 
 
-def _scan(text: str) -> _RawPla:
+def _scan(text: str, minterms: bool = False) -> _RawPla:
+    """The scanned PLA text, each group as the pairs of its rows, or as
+    ``_Minterms`` where ``_plain_body`` read them so and ``minterms``."""
     n = m = None
     full = 0  # the n-bit mask, set with n
     type_ = "fd"
     ob: tuple[str, ...] | None = None
     ilb: int | None = None  # the input label count; the labels are not kept
-    groups: dict[str, list[tuple[int, int]]] = {}  # an output part is checked once
+    groups: dict[str, list] = {}  # an output part is checked once
     # only LF, CRLF and CR end a line; ``str.splitlines`` would also break
     # at a form feed, a '\x85' or a Unicode separator inside a line
     if "\r" in text:
@@ -470,25 +477,30 @@ def _scan(text: str) -> _RawPla:
         raise PlaParseError(f".ilb names {ilb} inputs but .i declares {n}")
     if ob is not None and len(ob) != m:
         raise PlaParseError(f".ob names {len(ob)} outputs but .o declares {m}")
+    if not minterms:
+        groups = {out: _pairs_of(rows, n) for out, rows in groups.items()}
     return _RawPla(n, m, type_, groups, ob or ())
 
 
 def _single_output(raw: _RawPla, name: str) -> LogicFunction:
     n, groups = raw.n, raw.groups
     # '~', and a '0' under f/fd, carry no information
-    on, dc = groups.get("1", ()), groups.get("-", ())
-    if raw.type_ in ("fr", "fdr"):
-        return LogicFunction._of_pairs(n, name, on, groups.get("0", ()), dc, raw.ob)
-    if n > TABLE_CAP:
+    on, off, dc = groups.get("1", ()), groups.get("0", ()), groups.get("-", ())
+    listed = raw.type_ in ("fr", "fdr")
+    if n > TABLE_CAP and not listed:
         raise PlaParseError(
             f"deriving the off-set needs a complement over {n} variables "
             f"(cap {TABLE_CAP}); supply fr/fdr input"
         )
-    # the off-set is the complement of on plus dc: it meets no on-cube
-    on_table = table_of(on)
-    off_table = ((1 << (1 << n)) - 1) ^ (on_table | table_of(dc))
+    tables = {}
+    if n <= TABLE_CAP:
+        on_table = _table(on)
+        # an f/fd off table is the complement of on plus dc: it meets no on-cube
+        off_table = _table(off) if listed else ((1 << (1 << n)) - 1) ^ (on_table | _table(dc))
+        tables = {"on_table": on_table, "off_table": off_table}
+    off = _pairs_of(off, n) if listed else None
     return LogicFunction._of_pairs(
-        n, name, on, None, dc, raw.ob, on_table=on_table, off_table=off_table
+        n, name, _pairs_of(on, n), off, _pairs_of(dc, n), raw.ob, **tables
     )
 
 
@@ -504,8 +516,8 @@ def _multi_output(raw: _RawPla, name: str) -> MultiFunction:
     # don't cares are the points neither on nor off, '-' or unlisted
     explicit_off = raw.type_ in ("fr", "fdr")
     tables = {"1": on, "0": off} if explicit_off else {"1": on, "-": dc}
-    for out, pairs in raw.groups.items():
-        points = table_of(pairs)
+    for out, rows in raw.groups.items():
+        points = _table(rows)
         for j, ch in enumerate(out):
             table = tables.get(ch)
             if table is not None:
@@ -529,7 +541,7 @@ def _multi_output(raw: _RawPla, name: str) -> MultiFunction:
 
 def parse_pla(text: str, *, name: str = "") -> LogicFunction | MultiFunction:
     """Parse PLA text into a function value; single output gives LogicFunction."""
-    raw = _scan(text)
+    raw = _scan(text, minterms=True)
     if raw.m > 1:
         return _multi_output(raw, name)
     return _single_output(raw, name)
@@ -570,18 +582,24 @@ def write_pla(
     cover = list(cover)
     if outputs == 1:
         check_pairs(cover, n)
-        rows = [(pair, "1") for pair in cover]
+        pairs, outs = cover, repeat("1")
     else:
         check_items(cover, n, outputs)
         # each tag's output part is built once
         parts = {tag: f"{tag:0{outputs}b}"[::-1] for tag in {tag for _, tag in cover}}
-        rows = [(pair, parts[tag]) for pair, tag in cover]
+        pairs = [pair for pair, _ in cover]
+        outs = [parts[tag] for _, tag in cover]
     header = [f".i {n}", f".o {outputs}"]
     if ob:
         header.append(".ob " + " ".join(ob))
-    header.append(f".p {len(rows)}")
+    header.append(f".p {len(cover)}")
     header.append(".type fr" if outputs == 1 else ".type fd")
-    # the output parts are 0s and 1s, so one replace writes every free
-    # input as '-'
-    body = "".join(f"{pair_text(*pair)} {out}\n" for pair, out in rows)
-    return "\n".join(header) + "\n" + body.replace("x", "-") + ".e\n"
+    # one ``pair_text`` of all the rows side by side, n positions each,
+    # after a marker position that keeps the leading rows' digits
+    form = f"0{n}b"
+    lefts = int("".join(["1", *[format(left, form) for left, _ in pairs]]), 2)
+    rights = int("".join(["0", *[format(right, form) for _, right in pairs]]), 2)
+    digits = pair_text(lefts, rights)[1:].replace("x", "-")
+    texts = [digits[i : i + n] for i in range(0, len(digits), n)]
+    body = "".join(map("{} {}\n".format, texts, outs))
+    return "\n".join(header) + "\n" + body + ".e\n"

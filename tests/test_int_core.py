@@ -21,8 +21,8 @@ from primecover import (
     reform_sdm,
     text_cube,
 )
-from primecover.bitcube import set_bits
-from primecover.pi_gen import _expand, prime_corners, prime_pairs
+from primecover.bitcube import cube_points, set_bits
+from primecover.pi_gen import _expand, implicant_table, prime_pairs, prime_table
 from primecover.reduced_offset import OffPairs
 from helpers import (
     reference_cross_or,
@@ -192,16 +192,44 @@ def listed_primes(n: int, p: int, off: int) -> list[tuple[int, int]]:
     return prime_pairs(BitVec(n, p), OffPairs([(full ^ v, v) for v in points]))
 
 
-def corners(p: int, primes: list[tuple[int, int]]) -> list[int]:
-    """The corner p ^ free of each prime through ``p``, ascending."""
-    return sorted(p ^ (left & right) for left, right in primes)
+def frees(primes: list[tuple[int, int]]) -> list[int]:
+    """The free mask ``left & right`` of each prime, ascending."""
+    return sorted(left & right for left, right in primes)
+
+
+def check_tables(p: int, table: int, n: int) -> None:
+    """``prime_table`` sets the free masks of exactly the fold's primes,
+    and ``implicant_table`` the free masks of every cube through ``p``
+    that misses the table."""
+    full = (1 << n) - 1
+    assert set_bits(prime_table(p, table, n)) == frees(listed_primes(n, p, table))
+    implicants = [
+        free
+        for free in range(1 << n)
+        if not cube_points(full ^ (p & ~free), p | free) & table
+    ]
+    assert set_bits(implicant_table(p, table, n)) == implicants
+
+
+def test_table_primes_on_every_small_table():
+    """Every table over up to 3 inputs at every origin it leaves on, and
+    every 4-input table at one origin, taken in turn."""
+    for n in range(1, 4):
+        for table in range(1 << (1 << n)):
+            for p in range(1 << n):
+                if not table >> p & 1:
+                    check_tables(p, table, n)
+    for table in range(1 << 16):
+        p = table % 16
+        if not table >> p & 1:
+            check_tables(p, table, 4)
 
 
 @given(st.data())
 def test_table_primes_match_the_listed_fold(data):
-    """The corners ``prime_corners`` sets on a truth table are p ^ free
-    for exactly the fold's primes, for any off table without the origin,
-    dense or sparse."""
+    """The free masks ``prime_table`` sets on a truth table are exactly
+    the fold's primes', for any off table without the origin, dense or
+    sparse."""
     n = data.draw(st.integers(1, 10))
     p = data.draw(st.integers(0, (1 << n) - 1))
     sparse = st.lists(st.integers(0, (1 << n) - 1), max_size=12).map(
@@ -209,22 +237,23 @@ def test_table_primes_match_the_listed_fold(data):
     )
     table = data.draw(st.one_of(st.integers(0, (1 << (1 << n)) - 1), sparse))
     table &= ~(1 << p)
-    listed = listed_primes(n, p, table)
-    assert set_bits(prime_corners(p, table, n)) == corners(p, listed)
+    check_tables(p, table, n)
 
 
 def test_table_primes_on_the_empty_and_the_fullest_tables():
     """No off point leaves the universal cube; every point but the origin
-    leaves the origin's minterm."""
+    leaves the origin's minterm; an off origin leaves no implicant."""
     for n in range(1, 7):
         full = (1 << n) - 1
         everything = (1 << (1 << n)) - 1
         for p in range(1 << n):
             assert listed_primes(n, p, 0) == [(full, full)]
-            assert set_bits(prime_corners(p, 0, n)) == corners(p, [(full, full)])
+            assert prime_table(p, 0, n) == 1 << full
+            assert implicant_table(p, 0, n) == everything
             rest = everything ^ (1 << p)
             assert listed_primes(n, p, rest) == [(full ^ p, p)]
-            assert set_bits(prime_corners(p, rest, n)) == corners(p, [(full ^ p, p)])
+            assert prime_table(p, rest, n) == implicant_table(p, rest, n) == 1
+            assert prime_table(p, everything, n) == implicant_table(p, everything, n) == 0
 
 
 @given(st.data())

@@ -367,21 +367,30 @@ def minterms_of(table: int, n: int) -> list[Cube]:
 
 
 @st.composite
-def joint_off_tables(draw) -> tuple[int, int]:
-    """Width n in 1-7 and a 2^n-bit off table."""
-    n = draw(st.integers(min_value=1, max_value=7))
-    return n, draw(st.integers(min_value=0, max_value=(1 << (1 << n)) - 1))
+def joint_off_tables(draw) -> tuple[int, int, list[int]]:
+    """Width n in 1-10, a 2^n-bit off table, dense or sparse, and the
+    minterms to check: every one up to 7 inputs, up to eight drawn ones
+    above."""
+    n = draw(st.integers(min_value=1, max_value=10))
+    sparse = st.lists(st.integers(0, (1 << n) - 1), max_size=12).map(
+        lambda vs: sum({1 << v for v in vs})
+    )
+    off = draw(st.one_of(st.integers(min_value=0, max_value=(1 << (1 << n)) - 1), sparse))
+    if n <= 7:
+        return n, off, list(range(1 << n))
+    return n, off, draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=8))
 
 
 # an empty off table: every minterm's best prime is the universal cube
-@example((1, 0))
-@example((7, 0))
+@example((1, 0, [0, 1]))
+@example((7, 0, list(range(128))))
+@example((10, 0, [0, 1023]))
 @settings(deadline=None)
 @given(joint_off_tables())
 def test_best_pi_matches_reference(case):
-    n, off = case
+    n, off, values = case
     off_cubes = minterms_of(off, n)
-    for v in range(1 << n):
+    for v in values:
         if not off >> v & 1:
             count, pair = _best_pi(v, off, n)
             want = reference_best_pi(BitVec(n, v), off_cubes)
@@ -399,6 +408,20 @@ def test_best_pi_ties_go_to_the_smaller_free_mask():
     count, pair = _best_pi(0, off, 4)
     assert (count, cube_text(pair_cube(4, pair))) == (2, "0xx0")
     assert pair_cube(4, pair) == reference_best_pi(bv("0000"), off_cubes)
+
+
+def test_best_pi_ties_on_the_heaviest_layer_at_ten_inputs():
+    # every two-bit point but 0000000011 and 1100000000 is off, so the
+    # implicants through 0000000000 with most free positions are the two
+    # cubes free at those bits, both in the two-bit layer: the lower free
+    # mask, 00000000xx, is first in text
+    pairs = [1 << i | 1 << j for i in range(10) for j in range(i)]
+    off = sum(1 << v for v in pairs if v not in (0b11, 0b1100000000))
+    count, pair = _best_pi(0, off, 10)
+    assert (count, cube_text(pair_cube(10, pair))) == (8, "00000000xx")
+    assert pair_cube(10, pair) == reference_best_pi(bv("0" * 10), minterms_of(off, 10))
+    flipped = off ^ (1 << 0b11 | 1 << 0b101)  # 00000000xx off, 0000000x0x on
+    assert cube_text(pair_cube(10, _best_pi(0, flipped, 10)[1])) == "0000000x0x"
 
 
 @st.composite

@@ -22,6 +22,7 @@ from primecover import (
     write_pla,
 )
 from primecover import pla_io
+from primecover.bitcube import pair_text, table_cover
 from primecover.pla_io import _RawPla, _scan, complement_cubes
 from helpers import (
     TRI_OUTPUT_PLA,
@@ -744,6 +745,99 @@ def plain_pla_texts(draw) -> str:
 def test_block_read_matches_the_line_loop(text):
     assert _read_as_block(text)
     assert _scan(text) == _line_loop_scan(text)
+
+
+def _per_row_pla(cover, n: int, outputs: int = 1, ob=()) -> str:
+    """``write_pla``'s text with each row rendered by its own
+    ``pair_text``."""
+    if outputs == 1:
+        rows = [(pair, "1") for pair in cover]
+    else:
+        parts = ["".join(str(tag >> j & 1) for j in range(outputs)) for _, tag in cover]
+        rows = [(pair, part) for (pair, _), part in zip(cover, parts)]
+    header = [f".i {n}", f".o {outputs}"] + ([".ob " + " ".join(ob)] if ob else [])
+    header += [f".p {len(rows)}", ".type fr" if outputs == 1 else ".type fd"]
+    body = "".join(f"{pair_text(*pair).replace('x', '-')} {out}\n" for pair, out in rows)
+    return "\n".join(header) + "\n" + body + ".e\n"
+
+
+@pytest.mark.parametrize("outputs", [1, 3])
+def test_write_pla_renders_every_row_as_its_pair_text(outputs):
+    rng = random.Random(40 + outputs)
+    ob = tuple(f"y{j}" for j in range(outputs))
+    for n in range(1, 17):
+        for count in (0, 1, 2, 57):
+            # minterms, the universal cube and cubes in between
+            cubes = [random_cube(rng, n, rng.choice((0.0, 0.4, 1.0))) for _ in range(count)]
+            pairs = [cube_pair(c) for c in cubes]
+            cover = pairs if outputs == 1 else [(pair, rng.randint(1, 7)) for pair in pairs]
+            want = _per_row_pla(cover, n, outputs)
+            assert write_pla(cover, n, outputs=outputs) == want
+            labelled = _per_row_pla(cover, n, outputs, ob)
+            assert write_pla(cover, n, outputs=outputs, ob=ob) == labelled
+            assert len(want.splitlines()) == 5 + count
+
+
+def _outcome(text: str):
+    """What ``parse_pla`` makes of ``text``: the function, or the type of
+    the error it raises."""
+    try:
+        return parse_pla(text)
+    except InconsistentFunction as exc:
+        return type(exc)
+
+
+@st.composite
+def minterm_bodies(draw) -> tuple[int, int, str, list[tuple[int, str]]]:
+    """1-8 inputs, 1-4 outputs, type fr or fd, and up to 40 rows, each a
+    minterm value and an output part over {0, 1, -}."""
+    n = draw(st.integers(min_value=1, max_value=8))
+    m = draw(st.integers(min_value=1, max_value=4))
+    type_ = draw(st.sampled_from(("fr", "fd")))
+    rows = draw(
+        st.lists(
+            st.tuples(st.integers(0, (1 << n) - 1), st.text("01-", min_size=m, max_size=m)),
+            min_size=1,
+            max_size=40,
+        )
+    )
+    return n, m, type_, rows
+
+
+@settings(deadline=None)
+@given(minterm_bodies())
+def test_a_minterm_body_reads_as_its_translated_and_merged_forms(case):
+    """A plain body of minterms keeps its values; the same rows with one
+    '-' row that says nothing, read by translation, give the same
+    function, and the rows of each output part merged into '-' cubes the
+    same tables."""
+    n, m, type_, rows = case
+    head = f".i {n}\n.o {m}\n.type {type_}\n"
+    minterm_rows = [f"{v:0{n}b} {out}\n" for v, out in rows]
+    text = head + "".join(minterm_rows)
+    groups = _scan(text, minterms=True).groups.values()
+    assert all(isinstance(g, pla_io._Minterms) for g in groups)
+    translated = head + "".join(minterm_rows) + "-" * n + " " + "~" * m + "\n"
+    groups = _scan(translated, minterms=True).groups.values()
+    assert not any(isinstance(g, pla_io._Minterms) for g in groups)
+    points: dict[str, int] = {}
+    for v, out in rows:
+        points[out] = points.get(out, 0) | 1 << v
+    merged = head + "".join(
+        f"{pair_text(*pair).replace('x', '-')} {out}\n"
+        for out, table in points.items()
+        for pair in table_cover(table, n)
+    )
+    got = _outcome(text)
+    assert got == _outcome(translated)
+    if got is InconsistentFunction:
+        assert _outcome(merged) is InconsistentFunction
+    elif m == 1:
+        other = parse_pla(merged)
+        assert (got.on_table, got.off_table) == (other.on_table, other.off_table)
+        assert got.on_table == reference_table(got.on)
+    else:
+        assert got == parse_pla(merged)
 
 
 def _groups(parts: dict[str, str]) -> dict[str, list[tuple[int, int]]]:
